@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -51,29 +52,24 @@ def _run_flows(config: RunConfig):
     return flows
 
 
-def _export_flows(flows, config: RunConfig) -> bool:
-    truncated = False
+def _export_flows(flows, config: RunConfig) -> int:
+    """Write each flow's trajectory; exit status 1 and failure.json on a chart exit."""
     for flow in flows:
         name = f"trajectory_seed{flow.seed}.{config.fmt}"
         export_trajectory(flow.trajectory, config.fmt, config.out_dir / name)
-        truncated = truncated or flow.trajectory.truncated
-    return truncated
+    bad = [f.seed for f in flows if f.trajectory.truncated]
+    if bad:
+        _write_json(config.out_dir / "failure.json", {"error": "chart-exit", "seeds": bad})
+    return 1 if bad else 0
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    flows = _run_flows(config)
-    truncated = _export_flows(flows, config)
-    if truncated:
-        bad = [f.seed for f in flows if f.trajectory.truncated]
-        _write_json(config.out_dir / "failure.json",
-                    {"error": "chart-exit", "seeds": bad})
-        return 1
-    return 0
+    return _export_flows(_run_flows(config), config)
 
 
 def cmd_compete(config: RunConfig) -> int:
     flows = _run_flows(config)
-    truncated = _export_flows(flows, config)
+    status = _export_flows(flows, config)
     selection = select_conscious(flows, config.threshold)
     _write_json(config.out_dir / "selection.json", {
         "threshold": selection.threshold,
@@ -81,12 +77,7 @@ def cmd_compete(config: RunConfig) -> int:
         "winner_index": selection.winner,
         "winner_seed": None if selection.winner is None else config.seeds[selection.winner],
     })
-    if truncated:
-        bad = [f.seed for f in flows if f.trajectory.truncated]
-        _write_json(config.out_dir / "failure.json",
-                    {"error": "chart-exit", "seeds": bad})
-        return 1
-    return 0
+    return status
 
 
 def cmd_learn(config: RunConfig) -> int:
@@ -142,7 +133,9 @@ def cmd_geodesic(config: RunConfig) -> int:
     except NoGeodesicError as exc:
         _write_json(config.out_dir / "no_geodesic.json", {
             "error": "no-geodesic-found",
-            "miss": exc.miss,
+            "reason": exc.reason,
+            # a miss is infinite when every shot left the chart; JSON has no Infinity
+            "miss": exc.miss if math.isfinite(exc.miss) else None,
             "iterations": exc.iterations,
         })
         return 1

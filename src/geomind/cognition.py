@@ -188,8 +188,8 @@ def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> Sampled
     """Draw mean + L z with L a square root of the covariance and z standard normal.
 
     Diagonal covariances use the elementwise square root, full ones the
-    Cholesky factor (eigenvalue square root if the matrix is only
-    semidefinite). The rng always advances by exactly D draws.
+    Cholesky factor (eigenvalue square root if only semidefinite); both clip
+    rounding-level negatives to zero. The rng advances by exactly D draws.
     """
     d = token.dim
     cov = token.covariance
@@ -197,17 +197,12 @@ def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> Sampled
     if not np.any(cov):
         return SampledEmbedding(token.id, token.mean.copy())
     if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
-        diag = np.diagonal(cov)
-        if np.any(diag < 0):
-            raise ValueError(f"token {token.id}: covariance is not positive semidefinite")
-        value = token.mean + np.sqrt(diag) * z
-        return SampledEmbedding(token.id, value)
+        diag = np.clip(np.diagonal(cov), 0.0, None)
+        return SampledEmbedding(token.id, token.mean + np.sqrt(diag) * z)
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
-        if np.min(eigvals) < -1e-10 * max(1.0, float(np.max(np.abs(eigvals)))):
-            raise ValueError(f"token {token.id}: covariance is not positive semidefinite")
         factor = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
     return SampledEmbedding(token.id, token.mean + factor @ z)
 

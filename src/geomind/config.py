@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cognition import CognitionParams
+from .cognition import RECENT_FRONTS_MAX, CognitionParams
 from .errors import ConfigError
 from .geodesic import ShootingOptions
 from .io import FORMATS, load_field, load_input_schedule
@@ -124,6 +124,9 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
         raise ConfigError("simulation dt must be positive")
     if steps < 1:
         raise ConfigError("simulation steps must be at least 1")
+    if params.predictor == "geometric" and round(params.geometric_window / dt) >= RECENT_FRONTS_MAX:
+        raise ConfigError(f"cognition.geometric_window {params.geometric_window} spans more than "
+                          f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
     seeds = [int(s) for s in (seed_override if seed_override else sim.get("seeds", [0]))]
     if not seeds:
         raise ConfigError("at least one seed is required")

@@ -27,12 +27,14 @@ class ChartExitError(GeomindError, RuntimeError):
 
 
 class NoGeodesicError(GeomindError, RuntimeError):
-    """The boundary-value solver did not converge within its budget."""
+    """The boundary-value solver stopped without converging; reason says why."""
 
-    def __init__(self, message: str, miss: float = float("nan"), iterations: int = 0):
+    def __init__(self, message: str, miss: float = float("nan"), iterations: int = 0,
+                 *, reason: str):
         super().__init__(message)
         self.miss = miss
         self.iterations = iterations
+        self.reason = reason
 
 
 class FieldFormatError(GeomindError, ValueError):

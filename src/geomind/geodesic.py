@@ -64,9 +64,6 @@ class Trajectory:
     def velocities(self) -> np.ndarray:
         return np.stack([s.velocity for s in self.samples])
 
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
-
 
 def zero_forcing(state: GeodesicState) -> np.ndarray:
     return np.zeros(state.dim)
@@ -173,35 +170,32 @@ class ShootingOptions:
     max_backtracks: int = 12
 
 
-def _shoot(a: np.ndarray, velocity: np.ndarray, source: MetricSource, steps: int) -> Trajectory:
-    initial = GeodesicState(a, velocity, 0.0)
-    return integrate_geodesic(initial, source, None, horizon=1.0, dt=1.0 / steps)
-
-
 def geodesic_between(a, b, source: MetricSource,
                      opts: ShootingOptions = ShootingOptions()) -> Trajectory:
     """Connect a to b by single shooting over the unit time interval.
 
     The initial velocity starts at the straight chart velocity b - a and is
     refined by damped Gauss-Newton on the endpoint miss; the step is halved
-    whenever the miss would increase. Raises NoGeodesicError when the miss
-    does not fall below opts.tol within opts.max_iters iterations, which
-    downstream analysis reads as "no connecting path found".
+    whenever the miss would increase. Raises NoGeodesicError, read downstream
+    as "no connecting path found", with the iterations run and the reason:
+    max-iters, backtracks-exhausted or singular-jacobian.
     """
     a = _as_vector(a, source.dim, "a")
     b = _as_vector(b, source.dim, "b")
     if np.array_equal(a, b):
         raise ValueError("endpoints must differ")
 
-    def miss_of(velocity):
-        traj = _shoot(a, velocity, source, opts.steps)
+    def shoot(velocity):
+        traj = integrate_geodesic(GeodesicState(a, velocity, 0.0), source, None,
+                                  horizon=1.0, dt=1.0 / opts.steps)
         if traj.truncated:
-            return None, traj
-        return traj.samples[-1].position - b, traj
+            return None, np.inf, traj
+        miss = traj.samples[-1].position - b
+        return miss, float(np.linalg.norm(miss)), traj
 
     velocity = b - a
-    miss, traj = miss_of(velocity)
-    miss_norm = np.inf if miss is None else float(np.linalg.norm(miss))
+    miss, miss_norm, traj = shoot(velocity)
+    iterations, reason = opts.max_iters, "max-iters"
     for iteration in range(opts.max_iters):
         if miss is not None and miss_norm <= opts.tol:
             logger.debug("shooting converged in %d iterations, miss %.3e", iteration, miss_norm)
@@ -209,8 +203,7 @@ def geodesic_between(a, b, source: MetricSource,
         if miss is None:
             # truncated shot: retreat toward a shorter straight guess
             velocity = 0.5 * (velocity + (b - a))
-            miss, traj = miss_of(velocity)
-            miss_norm = np.inf if miss is None else float(np.linalg.norm(miss))
+            miss, miss_norm, traj = shoot(velocity)
             continue
         d = source.dim
         jac = np.empty((d, d))
@@ -218,25 +211,26 @@ def geodesic_between(a, b, source: MetricSource,
         for k in range(d):
             e = np.zeros(d)
             e[k] = h
-            miss_k, _ = miss_of(velocity + e)
+            miss_k, _, _ = shoot(velocity + e)
             jac[:, k] = ((miss_k - miss) / h) if miss_k is not None else 0.0
         try:
             delta = np.linalg.lstsq(jac, miss, rcond=None)[0]
         except np.linalg.LinAlgError:
+            iterations, reason = iteration + 1, "singular-jacobian"
             break
         scale = 1.0
         for _ in range(opts.max_backtracks):
             trial = velocity - scale * delta
-            trial_miss, trial_traj = miss_of(trial)
-            trial_norm = np.inf if trial_miss is None else float(np.linalg.norm(trial_miss))
+            trial_miss, trial_norm, trial_traj = shoot(trial)
             if trial_norm < miss_norm:
                 velocity, miss, traj, miss_norm = trial, trial_miss, trial_traj, trial_norm
                 break
             scale *= 0.5
         else:
+            iterations, reason = iteration + 1, "backtracks-exhausted"
             break
     if miss is not None and miss_norm <= opts.tol:
         return traj
     raise NoGeodesicError(
-        f"shooting did not converge within {opts.max_iters} iterations (miss {miss_norm:.3e})",
-        miss=miss_norm, iterations=opts.max_iters)
+        f"shooting stopped after {iterations} iterations ({reason}, miss {miss_norm:.3e})",
+        miss=miss_norm, iterations=iterations, reason=reason)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FieldFormatError
 from .geodesic import GeodesicState, Trajectory
-from .manifold import TokenEmbedding, TokenField
+from .manifold import TokenField, _token_arrays
 
 FORMATS = ("json", "csv")
 
@@ -51,27 +51,22 @@ def load_field(path: Union[str, Path]) -> TokenField:
         raise FieldFormatError(f"{path}: missing 'dimension'")
     bandwidth = float(data.get("bandwidth", 1.0))
     epsilon = float(data.get("epsilon", 1.0))
-    tokens = []
-    seen_ids: set[int] = set()
-    for entry in data.get("tokens", []):
+    entries = data.get("tokens", [])
+
+    def row(entry) -> tuple:
         try:
             token_id = int(entry["id"])
             mean = np.asarray(entry["mean"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise FieldFormatError(f"{path}: token entry missing id or mean: {entry!r}") from exc
-        if token_id in seen_ids:
-            raise FieldFormatError(f"{path}: duplicate token id {token_id}")
-        seen_ids.add(token_id)
+            raise FieldFormatError(f"token entry missing id or mean: {entry!r}") from exc
         cov = entry.get("covariance")
-        cov = np.zeros((dimension, dimension)) if cov is None else np.asarray(cov, dtype=float)
-        weight = float(entry.get("weight", 1.0))
-        try:
-            tokens.append(TokenEmbedding(token_id, mean, cov, weight))
-        except ValueError as exc:
-            raise FieldFormatError(f"{path}: token {token_id}: {exc}") from exc
+        cov = np.zeros((dimension, dimension)) if cov is None else cov
+        return token_id, mean, cov, float(entry.get("weight", 1.0))
+
     try:
-        return TokenField(tuple(tokens), dimension, bandwidth, epsilon)
-    except ValueError as exc:
+        empty = TokenField((), dimension, bandwidth, epsilon)
+        return empty._replace(**_token_arrays(map(row, entries), len(entries), dimension))
+    except (ValueError, OverflowError) as exc:  # ids are stored as int64
         raise FieldFormatError(f"{path}: {exc}") from exc
 
 
@@ -81,13 +76,9 @@ def field_to_dict(field: TokenField) -> dict:
         "bandwidth": field.bandwidth,
         "epsilon": field.epsilon,
         "tokens": [
-            {
-                "id": t.id,
-                "mean": t.mean.tolist(),
-                "covariance": t.covariance.tolist(),
-                "weight": t.weight,
-            }
-            for t in field.tokens
+            {"id": i, "mean": mean, "covariance": cov, "weight": w}
+            for i, mean, cov, w in zip(field.ids.tolist(), field.means.tolist(),
+                                       field.covariances.tolist(), field.weights.tolist())
         ],
     }
 

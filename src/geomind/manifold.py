@@ -10,6 +10,7 @@ metric source.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,12 +22,52 @@ from .errors import ChartDomainError, SingularMetricError
 # reused for the Christoffel derivatives inside the curvature tensor.
 FD_STEP = 1e-4
 
+# Covariances are validated this many rows at a time: the checks' temporaries
+# for all 10^4 16x16 matrices at once would add tens of MB to peak memory.
+VALIDATE_BLOCK = 512
+
 
 def _as_vector(x, dim: int, name: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"{name} must have dimension {dim}, got shape {x.shape}")
     return x
+
+
+def _token_arrays(rows, n: int, dimension: int) -> dict[str, np.ndarray]:
+    """Validated arrays ids (n,), means (n, D), covariances (n, D, D) and
+    weights (n,) from n (id, mean, covariance, weight) rows, where a 1-D
+    covariance is the diagonal. ValueError names the first offending id."""
+    ids, weights = np.empty(n, dtype=np.int64), np.empty(n)
+    means, covariances = np.empty((n, dimension)), np.empty((n, dimension, dimension))
+    for k, (token_id, mean, cov, weight) in enumerate(rows):
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+        if mean.ndim != 1:
+            raise ValueError(f"token {token_id}: mean must be a vector")
+        if mean.shape[0] != dimension:
+            raise ValueError(f"token {token_id}: mean dimension {mean.shape[0]} != field dimension {dimension}")
+        if cov.ndim == 1:
+            if cov.shape != (dimension,):
+                raise ValueError(f"token {token_id}: diagonal covariance length != {dimension}")
+            cov = np.diag(cov)
+        if cov.shape != (dimension, dimension):
+            raise ValueError(f"token {token_id}: covariance must be {dimension}x{dimension}")
+        ids[k], means[k], covariances[k], weights[k] = token_id, mean, cov, weight
+    unique, counts = np.unique(ids, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")
+    for lo in range(0, n, VALIDATE_BLOCK):
+        cov = covariances[lo:lo + VALIDATE_BLOCK]
+        eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
+        scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
+        for bad, rule in (
+                (~np.isclose(cov, cov.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2)),
+                 "covariance must be symmetric"),
+                (eigmin < -1e-10 * scale, "covariance must be positive semidefinite"),
+                (weights[lo:lo + VALIDATE_BLOCK] < 0, "weight must be non-negative")):
+            if np.any(bad):
+                raise ValueError(f"token {ids[lo + np.argmax(bad)]}: {rule}")
+    return {"ids": ids, "means": means, "covariances": covariances, "weights": weights}
 
 
 @dataclass(frozen=True)
@@ -39,94 +80,93 @@ class TokenEmbedding:
     weight: float = 1.0
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.covariance, dtype=float)
-        d = mean.shape[0]
-        if mean.ndim != 1:
-            raise ValueError(f"token {self.id}: mean must be a vector")
-        if cov.ndim == 1:
-            # diagonal storage, expanded to the full matrix
-            if cov.shape != (d,):
-                raise ValueError(f"token {self.id}: diagonal covariance length != {d}")
-            cov = np.diag(cov)
-        if cov.shape != (d, d):
-            raise ValueError(f"token {self.id}: covariance must be {d}x{d}")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError(f"token {self.id}: covariance must be symmetric")
-        eigmin = float(np.min(np.linalg.eigvalsh(cov))) if d else 0.0
-        if eigmin < -1e-10 * max(1.0, float(np.max(np.abs(cov), initial=0.0))):
-            raise ValueError(f"token {self.id}: covariance must be positive semidefinite")
-        if self.weight < 0:
-            raise ValueError(f"token {self.id}: weight must be non-negative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "weight", float(self.weight))
+        # np.size is the dimension of a vector mean; any other mean is refused
+        arrays = _token_arrays([(self.id, self.mean, self.covariance, self.weight)], 1,
+                               np.size(self.mean))
+        object.__setattr__(self, "mean", arrays["means"][0])
+        object.__setattr__(self, "covariance", arrays["covariances"][0])
+        object.__setattr__(self, "weight", float(arrays["weights"][0]))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TokenField:
-    """A set of token embeddings plus the kernel parameters of the density.
+    """A set of token embeddings, stored once as read-only arrays, plus the
+    kernel parameters of the density.
 
     bandwidth is the shared Gaussian length scale h; epsilon regularises the
     conformal factor 1/(rho + eps) so the metric stays finite away from data.
     """
 
-    tokens: tuple[TokenEmbedding, ...]
+    ids: np.ndarray  # (n,)
+    means: np.ndarray  # (n, D)
+    covariances: np.ndarray  # (n, D, D)
+    weights: np.ndarray  # (n,)
     dimension: int
-    bandwidth: float = 1.0
-    epsilon: float = 1.0
+    bandwidth: float
+    epsilon: float
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, tokens: Sequence[TokenEmbedding], dimension: int,
+                 bandwidth: float = 1.0, epsilon: float = 1.0):
+        if dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.bandwidth <= 0:
+        if bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.epsilon <= 0:
+        if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        tokens = tuple(self.tokens)
-        ids = [t.id for t in tokens]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate token id(s): {dup}")
-        for t in tokens:
-            if t.dim != self.dimension:
-                raise ValueError(f"token {t.id}: mean dimension {t.dim} != field dimension {self.dimension}")
-        object.__setattr__(self, "tokens", tokens)
+        self.__dict__.update(dimension=dimension, bandwidth=bandwidth, epsilon=epsilon)
+        tokens = tuple(tokens)
+        self._store(_token_arrays([(t.id, t.mean, t.covariance, t.weight) for t in tokens],
+                                  len(tokens), dimension))
+
+    def _store(self, arrays: dict[str, np.ndarray]) -> None:
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            self.__dict__[name] = array
+
+    def _replace(self, **arrays: np.ndarray) -> "TokenField":
+        """A copy that takes over the given, already valid arrays, read-only."""
+        field = copy.copy(self)
+        field._store(arrays)
+        return field
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.ids)
 
-    def token_by_id(self, token_id: int) -> TokenEmbedding:
-        for t in self.tokens:
-            if t.id == token_id:
-                return t
-        raise ValueError(f"unknown token id {token_id}")
+    def _row(self, i) -> TokenEmbedding:
+        row = object.__new__(TokenEmbedding)
+        row.__dict__.update(id=int(self.ids[i]), mean=self.means[i],
+                            covariance=self.covariances[i], weight=float(self.weights[i]))
+        return row
 
-    def means(self) -> np.ndarray:
-        """Token means stacked as an (n, D) array (empty -> (0, D))."""
-        if not self.tokens:
-            return np.zeros((0, self.dimension))
-        return np.stack([t.mean for t in self.tokens])
+    @property
+    def tokens(self) -> tuple[TokenEmbedding, ...]:
+        """Unvalidated row views of the token arrays, in storage order."""
+        return tuple(self._row(i) for i in range(len(self)))
 
-    def weights(self) -> np.ndarray:
-        return np.array([t.weight for t in self.tokens], dtype=float)
+    def rows(self, ids) -> np.ndarray:
+        """Row index of each given token id, in the given order."""
+        ids = np.array(list(ids), dtype=np.int64)
+        unknown = sorted(set(ids[~np.isin(ids, self.ids)].tolist()))
+        if unknown:
+            raise ValueError(f"unknown token id(s): {unknown}")
+        order = np.argsort(self.ids)
+        return order[np.searchsorted(self.ids, ids, sorter=order)]
 
     def nearest(self, x) -> TokenEmbedding:
         """Token whose mean is Euclidean-nearest to x; ties go to the lowest id."""
-        if not self.tokens:
+        if not len(self):
             raise ValueError("nearest() on an empty field")
         x = _as_vector(x, self.dimension)
-        best = None
-        best_key = None
-        for t in self.tokens:
-            key = (float(np.linalg.norm(t.mean - x)), t.id)
-            if best_key is None or key < best_key:
-                best, best_key = t, key
-        return best
+        diffs = self.means - x
+        # vecdot is the per-row BLAS dot that np.linalg.norm uses on one vector
+        dist = np.sqrt(np.vecdot(diffs, diffs))
+        tied = np.flatnonzero(dist == dist.min())
+        # a non-finite x makes every distance NaN, which ties with nothing
+        return self._row(tied[np.argmin(self.ids[tied])] if tied.size else 0)
 
     def with_tokens(self, tokens: Sequence[TokenEmbedding]) -> "TokenField":
         return TokenField(tuple(tokens), self.dimension, self.bandwidth, self.epsilon)
@@ -135,21 +175,17 @@ class TokenField:
 def density_at(field: TokenField, x) -> float:
     """Weighted Gaussian kernel density rho(x) = sum_i w_i exp(-|x-v_i|^2 / 2h^2)."""
     x = _as_vector(x, field.dimension)
-    if not field.tokens:
-        return 0.0
-    diffs = field.means() - x
+    diffs = field.means - x
     sq = np.einsum("nd,nd->n", diffs, diffs)
-    return float(np.dot(field.weights(), np.exp(-sq / (2.0 * field.bandwidth**2))))
+    return float(np.dot(field.weights, np.exp(-sq / (2.0 * field.bandwidth**2))))
 
 
 def density_gradient(field: TokenField, x) -> np.ndarray:
     """Closed-form gradient of density_at with respect to x."""
     x = _as_vector(x, field.dimension)
-    if not field.tokens:
-        return np.zeros(field.dimension)
-    diffs = field.means() - x
+    diffs = field.means - x
     sq = np.einsum("nd,nd->n", diffs, diffs)
-    kern = field.weights() * np.exp(-sq / (2.0 * field.bandwidth**2))
+    kern = field.weights * np.exp(-sq / (2.0 * field.bandwidth**2))
     return np.einsum("n,nd->d", kern, diffs) / field.bandwidth**2
 
 

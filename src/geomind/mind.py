@@ -16,7 +16,7 @@ import numpy as np
 
 from .cognition import CognitionParams, MindState, cycle_step, perceive
 from .errors import ChartExitError
-from .geodesic import GeodesicState, Trajectory
+from .geodesic import Trajectory
 from .manifold import (ConformalFieldMetric, MetricSource, TokenEmbedding,
                        TokenField, _as_vector, curvature_at, density_at)
 
@@ -144,20 +144,13 @@ def learn_update(field: TokenField, perceived, rate: float) -> TokenField:
     Returns a new field; ids, weights and covariances are untouched, so the
     only change is the repositioned mean (and therefore the derived metric).
     """
-    if not len(field):
-        raise ValueError("cannot learn on an empty field")
     if not 0.0 <= rate <= 1.0:
         raise ValueError("learning rate must lie in [0, 1]")
     perceived = _as_vector(perceived, field.dimension, "perceived")
-    target = field.nearest(perceived)
-    tokens = []
-    for t in field.tokens:
-        if t.id == target.id:
-            new_mean = t.mean + rate * (perceived - t.mean)
-            tokens.append(TokenEmbedding(t.id, new_mean, t.covariance, t.weight))
-        else:
-            tokens.append(t)
-    return field.with_tokens(tokens)
+    (row,) = field.rows([field.nearest(perceived).id])
+    means = field.means.copy()
+    means[row] = means[row] + rate * (perceived - means[row])
+    return field._replace(means=means)
 
 
 def run_learning(field: TokenField, params: CognitionParams, input_vec,
@@ -187,37 +180,29 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
 
 def feature_vector(field: TokenField, ids: Sequence[int]) -> np.ndarray:
     """Weighted aggregate sum w_i v_i over the selected tokens."""
-    ids = list(ids)
-    if not ids:
+    rows = field.rows(ids)
+    if not rows.size:
         raise ValueError("feature requires at least one token id")
-    total = np.zeros(field.dimension)
-    for token_id in ids:
-        t = field.token_by_id(token_id)
-        total = total + t.weight * t.mean
-    return total
+    # initial=0.0 and the row order give the same sum as adding token by token
+    return np.sum(field.weights[rows, None] * field.means[rows], axis=0, initial=0.0)
 
 
 def manipulate_feature(field: TokenField, ids: Sequence[int], scale: float) -> TokenField:
     """Rescale the weights of the selected tokens; the input field is untouched."""
     if scale < 0:
         raise ValueError("scale must be non-negative")
-    id_set = set(ids)
-    known = {t.id for t in field.tokens}
-    unknown = sorted(id_set - known)
-    if unknown:
-        raise ValueError(f"unknown token id(s): {unknown}")
-    tokens = [
-        TokenEmbedding(t.id, t.mean, t.covariance, scale * t.weight) if t.id in id_set else t
-        for t in field.tokens
-    ]
-    return field.with_tokens(tokens)
+    rows = field.rows(ids)
+    weights = field.weights.copy()
+    weights[rows] = scale * weights[rows]
+    return field._replace(weights=weights)
 
 
 def _connected_components(field: TokenField, rho_min: float, segment_samples: int) -> list[list[int]]:
     """Brute-force token graph: an edge exists when the density along the
     straight segment between two means never drops below rho_min."""
-    tokens = sorted(field.tokens, key=lambda t: t.id)
-    n = len(tokens)
+    order = np.argsort(field.ids)
+    ids, means = field.ids[order].tolist(), field.means[order]
+    n = len(ids)
     parent = list(range(n))
 
     def find(i):
@@ -229,15 +214,15 @@ def _connected_components(field: TokenField, rho_min: float, segment_samples: in
     ts = np.linspace(0.0, 1.0, segment_samples)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = tokens[i].mean, tokens[j].mean
+            a, b = means[i], means[j]
             min_rho = min(density_at(field, a + t * (b - a)) for t in ts)
             if min_rho >= rho_min:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[rj] = ri
     groups: dict[int, list[int]] = {}
-    for i, t in enumerate(tokens):
-        groups.setdefault(find(i), []).append(t.id)
+    for i, token_id in enumerate(ids):
+        groups.setdefault(find(i), []).append(token_id)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
@@ -245,8 +230,7 @@ def intrinsic_dimension(field: TokenField, variance_threshold: float = 0.95) -> 
     """Smallest PCA rank explaining the threshold share of token-mean variance."""
     if len(field) < 2:
         return 1
-    means = field.means()
-    centered = means - means.mean(axis=0)
+    centered = field.means - field.means.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     power = svals**2
     total = float(np.sum(power))
@@ -261,15 +245,13 @@ def pca_projection(field: TokenField) -> dict[int, np.ndarray]:
     """Token means projected on the top two principal axes (plot-ready)."""
     if not len(field):
         return {}
-    means = field.means()
-    center = means.mean(axis=0)
-    centered = means - center
+    centered = field.means - field.means.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     axes = vt[:2]
     coords = centered @ axes.T
     if coords.shape[1] < 2:
         coords = np.hstack([coords, np.zeros((coords.shape[0], 2 - coords.shape[1]))])
-    return {t.id: coords[i] for i, t in enumerate(field.tokens)}
+    return dict(zip(field.ids.tolist(), coords))
 
 
 def analyze_field(field: TokenField, source: MetricSource,
@@ -282,9 +264,8 @@ def analyze_field(field: TokenField, source: MetricSource,
     """
     d = field.dimension
     if len(field):
-        means = field.means()
-        lo = means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
-        hi = means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
+        lo = field.means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
+        hi = field.means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
     else:
         lo, hi = -np.ones(d), np.ones(d)
     axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(d)]

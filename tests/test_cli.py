@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,9 @@ import pytest
 from geomind import (FieldFormatError, GeodesicState, Trajectory,
                      export_trajectory, import_trajectory, load_field,
                      load_input_schedule, save_field)
+import geomind
 from geomind.cli import main
+from geomind.config import load_config
 from geomind.mind import demo_field
 
 
@@ -48,6 +53,20 @@ def test_load_field_duplicate_id_names_offender(tmp_path):
     write_json(path, {"dimension": 2, "tokens": [
         {"id": 4, "mean": [0.0, 0.0]}, {"id": 4, "mean": [1.0, 1.0]}]})
     with pytest.raises(FieldFormatError, match="4"):
+        load_field(path)
+
+
+@pytest.mark.parametrize("bad, rule", [
+    ({"covariance": [[1.0, 2.0], [2.0, 1.0]]}, "covariance must be positive semidefinite"),
+    ({"weight": -0.5}, "weight must be non-negative"),
+])
+def test_load_field_names_offender_past_first_block(tmp_path, bad, rule):
+    # row 600 of 1,000 lies in the second validation block
+    tokens = [{"id": 5000 - k, "mean": [0.01 * k, 0.0]} for k in range(1000)]
+    tokens[600].update(bad)
+    path = tmp_path / "field.json"
+    write_json(path, {"dimension": 2, "tokens": tokens})
+    with pytest.raises(FieldFormatError, match=f"token 4400: {rule}"):
         load_field(path)
 
 
@@ -185,6 +204,28 @@ def test_duplicate_seeds_exit_2(workdir):
     assert main(["simulate", "--config", str(workdir / "cfg_dup.json")]) == 2
 
 
+def test_oversized_geometric_window_exits_2(workdir):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["cognition"].update(predictor="geometric", geometric_window=2.56)
+    write_json(workdir / "cfg_window.json", cfg)
+    load_config(workdir / "cfg_window.json")  # 256 steps of dt 0.01 fit the front buffer
+    cfg["cognition"]["geometric_window"] = 3.0
+    write_json(workdir / "cfg_window.json", cfg)
+    out = workdir / "window"
+    rc = main(["simulate", "--config", str(workdir / "cfg_window.json"), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(geomind.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "geomind", "--help"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: geomind")
+
+
 def test_compete_writes_selection(workdir):
     out = workdir / "compete"
     rc = main(["compete", "--config", str(workdir / "config.json"), "--out", str(out)])
@@ -242,7 +283,8 @@ def test_geodesic_writes_path(workdir):
     assert summary["length"] > 0
 
 
-def test_geodesic_failure_writes_report_and_exits_1(workdir, tmp_path):
+def _two_cluster_geodesic(workdir, max_iters):
+    """Run geodesic between two far clusters; returns the exit status and report."""
     means = [[0.05 * i, 0.0] for i in range(3)] + [[10.0 + 0.05 * i, 0.0] for i in range(3)]
     write_json(workdir / "clusters.json", {
         "dimension": 2, "bandwidth": 0.1, "epsilon": 0.01,
@@ -251,13 +293,42 @@ def test_geodesic_failure_writes_report_and_exits_1(workdir, tmp_path):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["field"] = "clusters.json"
     cfg["geodesic"] = {"start": [0.0, 0.0], "end": [10.0, 0.0],
-                       "max_iters": 3, "steps": 150}
+                       "max_iters": max_iters, "steps": 150}
     write_json(workdir / "cfg_fail.json", cfg)
     out = workdir / "geo_fail"
     rc = main(["geodesic", "--config", str(workdir / "cfg_fail.json"), "--out", str(out)])
+    return rc, json.loads((out / "no_geodesic.json").read_text())
+
+
+def test_geodesic_failure_writes_report_and_exits_1(workdir, tmp_path):
+    rc, report = _two_cluster_geodesic(workdir, max_iters=3)
     assert rc == 1
-    report = json.loads((out / "no_geodesic.json").read_text())
     assert report["error"] == "no-geodesic-found"
+    assert (report["reason"], report["iterations"]) == ("max-iters", 3)
+
+
+def test_geodesic_failure_reports_real_iterations_and_reason(workdir):
+    # backtracking runs out on the fifth Gauss-Newton iteration, long before 50
+    rc, report = _two_cluster_geodesic(workdir, max_iters=50)
+    assert rc == 1
+    assert (report["reason"], report["iterations"]) == ("backtracks-exhausted", 5)
+    assert 0.0 < report["miss"] < float("inf")
+
+
+def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
+    # the end lies past the sphere chart's pole, so every shot is truncated
+    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    write_json(workdir / "cfg_pole_geo.json", {
+        "field": "empty.json", "metric": {"kind": "sphere", "radius": 1.0},
+        "geodesic": {"start": [0.5, 0.0], "end": [-0.5, 0.0], "max_iters": 4, "steps": 50},
+    })
+    out = workdir / "geo_pole"
+    rc = main(["geodesic", "--config", str(workdir / "cfg_pole_geo.json"), "--out", str(out)])
+    assert rc == 1
+    text = (out / "no_geodesic.json").read_text()
+    assert "Infinity" not in text
+    assert json.loads(text) == {"error": "no-geodesic-found", "reason": "max-iters",
+                                "miss": None, "iterations": 4}
 
 
 def test_chart_exit_writes_failure_and_exits_1(workdir):

@@ -85,6 +85,13 @@ def test_non_psd_covariance_rejected():
         TokenEmbedding(1, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_field_arrays_are_read_only(random_field):
+    for array in (random_field.ids, random_field.means, random_field.covariances,
+                  random_field.weights, random_field.tokens[0].mean):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_diagonal_covariance_expanded():
     token = TokenEmbedding(1, np.zeros(2), np.array([0.5, 2.0]))
     assert token.covariance.shape == (2, 2)

@@ -199,6 +199,19 @@ def test_feature_hand_arithmetic():
     assert np.allclose(feature_vector(field, [1, 2]), [2.0, 2.0])
 
 
+def test_feature_matches_token_by_token_sum():
+    rng = np.random.default_rng(3)
+    field = make_field(list(rng.normal(size=(30, 3))), dim=3,
+                       weights=list(rng.uniform(0.5, 2.0, 30)),
+                       ids=[int(i) for i in rng.permutation(30) + 10])
+    ids = [int(i) for i in rng.choice(field.ids, size=12)]
+    total = np.zeros(3)
+    for token_id in ids:
+        token = next(t for t in field.tokens if t.id == token_id)
+        total = total + token.weight * token.mean
+    assert np.array_equal(feature_vector(field, ids), total)
+
+
 def test_feature_unknown_id(one_token_field):
     with pytest.raises(ValueError):
         feature_vector(one_token_field, [42])
@@ -213,10 +226,14 @@ def test_manipulate_identity_scale(one_token_field):
 
 def test_manipulate_zero_scale_kills_density(one_token_field):
     from geomind import density_at
+    means, weights = one_token_field.means.copy(), one_token_field.weights.copy()
     out = manipulate_feature(one_token_field, [1], 0.0)
     assert density_at(out, [0.0, 0.0]) == 0.0
-    # input untouched
+    # input untouched, by this and by a learning step
+    learn_update(one_token_field, [3.0, 4.0], rate=0.5)
     assert one_token_field.tokens[0].weight == 1.0
+    assert np.array_equal(one_token_field.means, means)
+    assert np.array_equal(one_token_field.weights, weights)
 
 
 def test_manipulate_inverse_restores_weights():
@@ -349,6 +366,19 @@ def test_nearest_tie_breaks_to_lowest_id():
 def test_nearest_hand_distance():
     field = make_field([[0.0, 0.0], [10.0, 0.0]], ids=[1, 2])
     assert nearest_token(field, [4.0, 0.0]) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    means = rng.normal(size=(40, dim))
+    means[20:30] = means[:10]  # exact ties between distinct tokens
+    ids = [int(i) for i in rng.permutation(1000)[:40] + 1]
+    field = make_field(list(means), dim=dim, ids=ids)
+    for x in np.vstack([rng.normal(size=(50, dim)), means[:10]]):
+        expected = min((float(np.linalg.norm(m - x)), i) for m, i in zip(means, ids))[1]
+        assert nearest_token(field, x) == expected
 
 
 def test_nearest_empty_field_rejected(empty_field):
