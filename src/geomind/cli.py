@@ -37,7 +37,7 @@ def _configure_logging() -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _run_flows(config: RunConfig):
@@ -53,13 +53,17 @@ def _run_flows(config: RunConfig):
 
 
 def _export_flows(flows, config: RunConfig) -> int:
-    """Write each flow's trajectory; exit status 1 and failure.json on a chart exit."""
+    """Write each flow's trajectory; exit status 1 and failure.json when a
+    flow was truncated. The report's error is the first truncated flow's
+    stop reason; reasons gives each listed seed's own."""
     for flow in flows:
         name = f"trajectory_seed{flow.seed}.{config.fmt}"
         export_trajectory(flow.trajectory, config.fmt, config.out_dir / name)
-    bad = [f.seed for f in flows if f.trajectory.truncated]
+    bad = [f for f in flows if f.stop_reason]
     if bad:
-        _write_json(config.out_dir / "failure.json", {"error": "chart-exit", "seeds": bad})
+        _write_json(config.out_dir / "failure.json", {
+            "error": bad[0].stop_reason, "seeds": [f.seed for f in bad],
+            "reasons": [f.stop_reason for f in bad]})
     return 1 if bad else 0
 
 
@@ -73,7 +77,8 @@ def cmd_compete(config: RunConfig) -> int:
     selection = select_conscious(flows, config.threshold)
     _write_json(config.out_dir / "selection.json", {
         "threshold": selection.threshold,
-        "scores": selection.scores,
+        # a diverged flow's squared errors overflow; JSON has no Infinity
+        "scores": [s if math.isfinite(s) else None for s in selection.scores],
         "winner_index": selection.winner,
         "winner_seed": None if selection.winner is None else config.seeds[selection.winner],
     })
@@ -96,6 +101,10 @@ def cmd_learn(config: RunConfig) -> int:
     else:
         _write_json(config.out_dir / "error_curve.json",
                     {"error_norms": [float(e) for e in error_norms]})
+    if len(error_norms) < config.learning_cycles:
+        _write_json(config.out_dir / "failure.json",
+                    {"error": "non-finite", "cycles": len(error_norms)})
+        return 1
     return 0
 
 

@@ -12,7 +12,8 @@ import numpy as np
 from .cognition import RECENT_FRONTS_MAX, CognitionParams
 from .errors import ConfigError
 from .geodesic import ShootingOptions
-from .io import FORMATS, load_field, load_input_schedule
+from .io import (FORMATS, finite_float, load_field, load_input_schedule,
+                 refuse_constant)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField)
 
@@ -73,11 +74,14 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
     """Read, validate and resolve a config file into a RunConfig."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_constant=refuse_constant,
+                         parse_float=finite_float)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
 

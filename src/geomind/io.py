@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -21,17 +22,35 @@ from .manifold import TokenField, _token_arrays
 FORMATS = ("json", "csv")
 
 
+def refuse_constant(name: str):
+    """parse_constant hook for json.loads: NaN, Infinity and -Infinity are
+    not standard JSON, and no input number may be non-finite."""
+    raise ValueError(f"{name} is not allowed; numbers must be finite")
+
+
+def finite_float(text: str) -> float:
+    """parse_float hook for json.loads that refuses a number, such as 1e999,
+    that overflows to infinity. It costs a call per number, so it is for
+    small files; the token checks cover field files."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not allowed; numbers must be finite")
+    return value
+
+
 def _read_json(path: Union[str, Path]) -> object:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=refuse_constant)
     except json.JSONDecodeError as exc:
         raise FieldFormatError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc
 
 
 def load_field(path: Union[str, Path]) -> TokenField:
@@ -61,7 +80,13 @@ def load_field(path: Union[str, Path]) -> TokenField:
             raise FieldFormatError(f"token entry missing id or mean: {entry!r}") from exc
         cov = entry.get("covariance")
         cov = np.zeros((dimension, dimension)) if cov is None else cov
-        return token_id, mean, cov, float(entry.get("weight", 1.0))
+        try:
+            weight = float(entry.get("weight", 1.0))
+        except (TypeError, ValueError) as exc:
+            # re-raised below as a FieldFormatError that names the file
+            raise ValueError(f"token {token_id}: weight must be a number, "
+                             f"got {entry['weight']!r}") from exc
+        return token_id, mean, cov, weight
 
     try:
         empty = TokenField((), dimension, bandwidth, epsilon)
@@ -84,7 +109,7 @@ def field_to_dict(field: TokenField) -> dict:
 
 
 def save_field(field: TokenField, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(field_to_dict(field), indent=2) + "\n")
+    Path(path).write_text(json.dumps(field_to_dict(field), indent=2, allow_nan=False) + "\n")
 
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
@@ -95,9 +120,12 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     schedule: dict[int, np.ndarray] = {}
     for entry in data:
         try:
-            schedule[int(entry["step"])] = np.asarray(entry["vector"], dtype=float)
+            step, vector = int(entry["step"]), np.asarray(entry["vector"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: bad schedule entry {entry!r}") from exc
+        if not np.isfinite(vector).all():
+            raise FieldFormatError(f"{path}: step {step}: vector must be finite")
+        schedule[step] = vector
     return schedule
 
 
@@ -126,7 +154,7 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             if s.time in activation_at:
                 entry["token_id"] = activation_at[s.time]
             payload["samples"].append(entry)
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     d = traj.dim
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]

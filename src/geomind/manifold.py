@@ -5,7 +5,7 @@ defines a conformal metric g(x) = I / (rho(x) + eps), so dense regions are
 metrically short and geodesics gravitate toward them. Analytic metrics
 (flat scaling, 2-sphere chart) are provided as test oracles, and a generic
 finite-difference path computes Christoffel symbols and curvature for any
-metric source.
+metric source. The density metric's scalar curvature also has a closed form.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ FD_STEP = 1e-4
 # Covariances are validated this many rows at a time: the checks' temporaries
 # for all 10^4 16x16 matrices at once would add tens of MB to peak memory.
 VALIDATE_BLOCK = 512
+
+# Batched kernel sums take points in blocks of about this many (point, token)
+# kernel elements, so their temporaries stay small whatever the batch size.
+KERNEL_BLOCK = 4096
 
 
 def _as_vector(x, dim: int, name: str = "point") -> np.ndarray:
@@ -58,6 +62,12 @@ def _token_arrays(rows, n: int, dimension: int) -> dict[str, np.ndarray]:
         raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")
     for lo in range(0, n, VALIDATE_BLOCK):
         cov = covariances[lo:lo + VALIDATE_BLOCK]
+        # before eigvalsh, which cannot take NaN or infinity
+        finite = (np.isfinite(means[lo:lo + VALIDATE_BLOCK]).all(axis=1)
+                  & np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(weights[lo:lo + VALIDATE_BLOCK]))
+        if not finite.all():
+            raise ValueError(f"token {ids[lo + np.argmin(finite)]}: mean, covariance and weight "
+                             "must be finite")
         eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
         scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
         for bad, rule in (
@@ -113,10 +123,10 @@ class TokenField:
                  bandwidth: float = 1.0, epsilon: float = 1.0):
         if dimension < 1:
             raise ValueError("dimension must be positive")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not 0 < epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         self.__dict__.update(dimension=dimension, bandwidth=bandwidth, epsilon=epsilon)
         tokens = tuple(tokens)
         self._store(_token_arrays([(t.id, t.mean, t.covariance, t.weight) for t in tokens],
@@ -189,6 +199,27 @@ def density_gradient(field: TokenField, x) -> np.ndarray:
     return np.einsum("n,nd->d", kern, diffs) / field.bandwidth**2
 
 
+def _kernel_blocks(field: TokenField, points: np.ndarray):
+    """Yield (rows, v_i - x (B, n, D), |x - v_i|^2 (B, n), k_i (B, n)) over
+    blocks of a (P, D) point array, k_i = w_i exp(-|x - v_i|^2 / 2h^2)."""
+    block = max(1, KERNEL_BLOCK // max(1, len(field)))
+    for lo in range(0, len(points), block):
+        diffs = field.means - points[lo:lo + block, None, :]
+        sq = np.einsum("bnd,bnd->bn", diffs, diffs)
+        yield (slice(lo, lo + block), diffs, sq,
+               field.weights * np.exp(-sq / (2.0 * field.bandwidth**2)))
+
+
+def densities(field: TokenField, points) -> np.ndarray:
+    """density_at for each row of a (P, D) array, as batched kernel sums; the
+    sums run in another order, so results may differ in the last digit."""
+    points = np.asarray(points, dtype=float).reshape(-1, field.dimension)
+    rho = np.empty(len(points))
+    for rows, _, _, kern in _kernel_blocks(field, points):
+        rho[rows] = kern.sum(axis=1)
+    return rho
+
+
 @dataclass(frozen=True)
 class CurvatureReport:
     """Riemann tensor R^rho_{sigma mu nu} and the scalar curvature at a point."""
@@ -200,8 +231,9 @@ class CurvatureReport:
 class MetricSource:
     """A Riemannian metric on a single global chart.
 
-    Subclasses implement metric(); christoffel() defaults to central finite
-    differences of the metric and may be overridden with a closed form.
+    Subclasses implement metric(); christoffel() and scalar_curvature()
+    default to central finite differences and may be overridden with a
+    closed form.
     """
 
     dim: int
@@ -225,6 +257,12 @@ class MetricSource:
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         return christoffel_fd(self, x)
+
+    def scalar_curvature(self, points) -> np.ndarray:
+        """Scalar curvature at each row of a (P, D) array. Default: the
+        finite-difference path of curvature_at, one point at a time."""
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        return np.array([curvature_at(self, p).scalar for p in points], dtype=float)
 
 
 def fd_step_at(x: np.ndarray) -> float:
@@ -338,6 +376,23 @@ class ConformalFieldMetric(MetricSource):
             - np.einsum("nl,m->mnl", eye, grad)
         )
         return gamma / (2.0 * lam)
+
+    def scalar_curvature(self, points) -> np.ndarray:
+        """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):
+        R = (D-1) [lap rho - (D+2) |grad rho|^2 / (4 (rho + eps))], the
+        conformal-change formula with the Gaussian kernel's own derivatives
+        grad rho = sum_i k_i (v_i - x) / h^2 and
+        lap rho = sum_i k_i (|x - v_i|^2 / h^4 - D / h^2)."""
+        field, d = self.field, self.dim
+        points = np.asarray(points, dtype=float).reshape(-1, d)
+        h2 = field.bandwidth**2
+        scalar = np.empty(len(points))
+        for rows, diffs, sq, kern in _kernel_blocks(field, points):
+            grad = np.einsum("bn,bnd->bd", kern, diffs) / h2
+            lap = np.einsum("bn,bn->b", kern, sq / h2**2 - d / h2)
+            u = kern.sum(axis=1) + field.epsilon
+            scalar[rows] = (d - 1) * (lap - (d + 2) * np.einsum("bd,bd->b", grad, grad) / (4.0 * u))
+        return scalar
 
 
 class CallableMetric(MetricSource):

@@ -15,22 +15,31 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cognition import CognitionParams, MindState, cycle_step, perceive
-from .errors import ChartExitError
+from .errors import ChartExitError, ConfigError
 from .geodesic import Trajectory
-from .manifold import (ConformalFieldMetric, MetricSource, TokenEmbedding,
-                       TokenField, _as_vector, curvature_at, density_at)
+from .manifold import (KERNEL_BLOCK, ConformalFieldMetric, MetricSource,
+                       TokenEmbedding, TokenField, _as_vector, densities)
 
 logger = logging.getLogger(__name__)
+
+# analyze_field refuses a grid of more points than this (8 per axis at D=6)
+# before allocating it.
+GRID_BUDGET = 8**6
 
 
 @dataclass(frozen=True)
 class ThoughtFlow:
-    """A completed run: trajectory, per-cycle errors, score and its seed."""
+    """A completed run: trajectory, per-cycle errors, score and its seed.
+
+    stop_reason is None for a full run, else why the flow was truncated:
+    "chart-exit" or "non-finite".
+    """
 
     trajectory: Trajectory
     errors: list[np.ndarray]
     score: float
     seed: int
+    stop_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,9 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     """Run n_steps consciousness cycles from the token nearest the start point.
 
     inputs maps cycle indices (0-based) to external input vectors; absent
-    indices mean no stimulus. A chart exit truncates the flow and flags the
-    trajectory.
+    indices mean no stimulus. A chart exit, or a cycle whose state or
+    prediction error is not finite, truncates the flow before that cycle and
+    flags the trajectory.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -103,20 +113,27 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     samples = [state.front]
     activations = list([state.last_activation] if state.last_activation else [])
     errors: list[np.ndarray] = []
-    truncated = False
+    stop_reason = None
     for k in range(n_steps):
         try:
             state = cycle_step(state, field, source, inputs.get(k), dt)
         except ChartExitError:
-            truncated = True
-            logger.warning("thought flow (seed %d) left the chart at cycle %d", seed, k)
+            stop_reason = "chart-exit"
+        else:
+            front = state.front
+            if not np.isfinite((front.position, front.velocity, state.last_error)).all():
+                stop_reason = "non-finite"
+        if stop_reason:
+            logger.warning("thought flow (seed %d) stopped at cycle %d: %s", seed, k, stop_reason)
             break
         samples.append(state.front)
         errors.append(state.last_error)
         if state.last_activation is not None:
             activations.append(state.last_activation)
-    traj = Trajectory(samples=samples, dt=dt, activations=activations, truncated=truncated)
-    flow = ThoughtFlow(trajectory=traj, errors=errors, score=0.0, seed=seed)
+    traj = Trajectory(samples=samples, dt=dt, activations=activations,
+                      truncated=stop_reason is not None)
+    flow = ThoughtFlow(trajectory=traj, errors=errors, score=0.0, seed=seed,
+                       stop_reason=stop_reason)
     if errors:
         flow = dc_replace(flow, score=score_flow(flow))
     return flow
@@ -161,6 +178,8 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     The conformal metric is rebuilt from the current field each cycle, so
     token repositioning immediately reshapes the geometry. Returns the field
     snapshots (initial plus one per cycle) and the per-cycle error norms.
+    A cycle whose state or error norm is not finite ends the run before it
+    is recorded, so both lists are then shorter than a full run's.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -172,7 +191,12 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
         source = ConformalFieldMetric(field)
         perceived = perceive(state.front.position, input_vec, params)
         state = cycle_step(state, field, source, input_vec, dt)
-        error_norms.append(float(np.linalg.norm(state.last_error)))
+        error_norm = float(np.linalg.norm(state.last_error))
+        if not (np.isfinite((state.front.position, state.front.velocity)).all()
+                and np.isfinite(error_norm)):
+            logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
+            break
+        error_norms.append(error_norm)
         field = learn_update(field, perceived, rate)
         snapshots.append(field)
     return snapshots, error_norms
@@ -198,8 +222,9 @@ def manipulate_feature(field: TokenField, ids: Sequence[int], scale: float) -> T
 
 
 def _connected_components(field: TokenField, rho_min: float, segment_samples: int) -> list[list[int]]:
-    """Brute-force token graph: an edge exists when the density along the
-    straight segment between two means never drops below rho_min."""
+    """Brute-force token graph: an edge exists when the density at every one
+    of segment_samples evenly spaced points a + t (b - a) of the straight
+    segment between two means stays at or above rho_min."""
     order = np.argsort(field.ids)
     ids, means = field.ids[order].tolist(), field.means[order]
     n = len(ids)
@@ -211,15 +236,19 @@ def _connected_components(field: TokenField, rho_min: float, segment_samples: in
             i = parent[i]
         return i
 
-    ts = np.linspace(0.0, 1.0, segment_samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = means[i], means[j]
-            min_rho = min(density_at(field, a + t * (b - a)) for t in ts)
-            if min_rho >= rho_min:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    ts = np.linspace(0.0, 1.0, segment_samples)[:, None]
+    first, second = np.triu_indices(n, 1)
+    # whole segments per block, about KERNEL_BLOCK kernel elements each
+    pairs = max(1, KERNEL_BLOCK // (n * segment_samples))
+    for lo in range(0, len(first), pairs):
+        i, j = first[lo:lo + pairs], second[lo:lo + pairs]
+        a, b = means[i, None, :], means[j, None, :]
+        rho = densities(field, a + ts * (b - a)).reshape(len(i), segment_samples)
+        edge = rho.min(axis=1) >= rho_min
+        for ri, rj in zip(i[edge].tolist(), j[edge].tolist()):
+            ri, rj = find(ri), find(rj)
+            if ri != rj:
+                parent[rj] = ri
     groups: dict[int, list[int]] = {}
     for i, token_id in enumerate(ids):
         groups.setdefault(find(i), []).append(token_id)
@@ -260,9 +289,13 @@ def analyze_field(field: TokenField, source: MetricSource,
 
     Scalar curvature is sampled on a regular grid over the padded bounding
     box; points with |scalar| strictly above the configured percentile are
-    flagged as candidate trouble regions.
+    flagged as candidate trouble regions. A grid of more than GRID_BUDGET
+    points is refused with ConfigError before anything is allocated.
     """
     d = field.dimension
+    if grid.points_per_axis**d > GRID_BUDGET:
+        raise ConfigError(f"analyze grid: points_per_axis {grid.points_per_axis} at D={d} gives "
+                          f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
     if len(field):
         lo = field.means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
         hi = field.means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
@@ -272,11 +305,8 @@ def analyze_field(field: TokenField, source: MetricSource,
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    samples: list[tuple[np.ndarray, float]] = []
-    for p in points:
-        if not source.in_domain(p):
-            continue
-        samples.append((p, curvature_at(source, p).scalar))
+    points = points[np.fromiter(map(source.in_domain, points), bool, len(points))]
+    samples = list(zip(points, source.scalar_curvature(points).tolist()))
 
     high: list[np.ndarray] = []
     cut = 0.0

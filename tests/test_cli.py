@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geomind import (FieldFormatError, GeodesicState, Trajectory,
-                     export_trajectory, import_trajectory, load_field,
-                     load_input_schedule, save_field)
+from geomind import (ConfigError, FieldFormatError, GeodesicState,
+                     Trajectory, export_trajectory, import_trajectory,
+                     load_field, load_input_schedule, save_field)
+from geomind.io import field_to_dict
 import geomind
 from geomind.cli import main
 from geomind.config import load_config
@@ -68,6 +70,73 @@ def test_load_field_names_offender_past_first_block(tmp_path, bad, rule):
     write_json(path, {"dimension": 2, "tokens": tokens})
     with pytest.raises(FieldFormatError, match=f"token 4400: {rule}"):
         load_field(path)
+
+
+@pytest.mark.parametrize("weight", [None, [1.0]], ids=["null", "list"])
+def test_load_field_non_number_weight_names_offender(tmp_path, weight):
+    field = field_to_dict(demo_field())
+    field["tokens"][1]["weight"] = weight
+    write_json(tmp_path / "field.json", field)
+    with pytest.raises(FieldFormatError, match=r"token 2: weight must be a number"):
+        load_field(tmp_path / "field.json")
+    write_json(tmp_path / "config.json", {"field": "field.json"})
+    assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_input_files_refuse_non_finite_constants(workdir, constant):
+    field = (workdir / "field.json").read_text().replace('"weight": 1.0', f'"weight": {constant}', 1)
+    assert constant in field
+    (workdir / "bad_field.json").write_text(field)
+    with pytest.raises(FieldFormatError, match=f"{constant} is not allowed"):
+        load_field(workdir / "bad_field.json")
+    (workdir / "schedule.json").write_text(f'[{{"step": 0, "vector": [0.0, {constant}]}}]')
+    with pytest.raises(FieldFormatError, match=f"{constant} is not allowed"):
+        load_input_schedule(workdir / "schedule.json")
+    config = (workdir / "config.json").read_text().replace('"dt": 0.01', f'"dt": {constant}')
+    assert constant in config
+    (workdir / "bad_config.json").write_text(config)
+    assert main(["simulate", "--config", str(workdir / "bad_config.json"),
+                 "--out", str(workdir / "bad_out")]) == 2
+
+
+@pytest.mark.parametrize("entry, rule", [
+    ('"tokens": [{"id": 7, "mean": [0.0, 1e999]}]', "token 7: mean, covariance and weight must be finite"),
+    ('"bandwidth": 1e999', "bandwidth must be positive and finite"),
+    ('"epsilon": -1e999', "epsilon must be positive and finite"),
+])
+def test_load_field_refuses_overflowing_numbers(tmp_path, entry, rule):
+    # 1e999 is standard JSON but reads as infinity
+    (tmp_path / "field.json").write_text('{"dimension": 2, ' + entry + '}')
+    with pytest.raises(FieldFormatError, match=rule):
+        load_field(tmp_path / "field.json")
+
+
+def test_load_input_schedule_refuses_overflowing_number(tmp_path):
+    (tmp_path / "inputs.json").write_text('[{"step": 3, "vector": [1e999, 0.0]}]')
+    with pytest.raises(FieldFormatError, match="step 3: vector must be finite"):
+        load_input_schedule(tmp_path / "inputs.json")
+
+
+def test_config_refuses_overflowing_number(workdir):
+    config = (workdir / "config.json").read_text().replace('"dt": 0.01', '"dt": 1e999')
+    assert "1e999" in config
+    (workdir / "bad_config.json").write_text(config)
+    with pytest.raises(ConfigError, match="1e999 is not allowed"):
+        load_config(workdir / "bad_config.json")
+    assert main(["simulate", "--config", str(workdir / "bad_config.json"),
+                 "--out", str(workdir / "bad_out")]) == 2
+
+
+def test_json_writers_refuse_non_finite_values(tmp_path):
+    # no loader accepts such a field; learn_update builds its copies the same way
+    field = demo_field()._replace(weights=np.array([np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_field(field, tmp_path / "field.json")
+    traj = Trajectory(samples=[GeodesicState([np.inf, 0.0], [0.0, 0.0], 0.0)], dt=0.1)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        export_trajectory(traj, "json", tmp_path / "traj.json")
 
 
 def test_load_field_malformed_json_reports_line(tmp_path):
@@ -348,6 +417,59 @@ def test_chart_exit_writes_failure_and_exits_1(workdir):
     assert failure["error"] == "chart-exit"
     truncated = import_trajectory(out / "trajectory_seed1.json")
     assert len(truncated) < 401
+
+
+def _strict_json(path: Path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", ["simulate", "compete"])
+def test_diverging_flow_writes_failure_and_exits_1(workdir, command):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["cognition"].update(kappa=1e6, feedback_gain=5.0)
+    cfg["simulation"]["steps"] = 300
+    write_json(workdir / "cfg_diverge.json", cfg)
+    out = workdir / "diverge"
+    assert main([command, "--config", str(workdir / "cfg_diverge.json"), "--out", str(out)]) == 1
+    assert _strict_json(out / "failure.json") == {
+        "error": "non-finite", "seeds": [1, 2], "reasons": ["non-finite", "non-finite"]}
+    for seed in (1, 2):
+        traj = _strict_json(out / f"trajectory_seed{seed}.json")
+        assert traj["truncated"] is True
+        assert 1 < len(traj["samples"]) < 301
+    if command == "compete":
+        # the kept cycles' squared errors overflow, so the scores are -inf
+        assert _strict_json(out / "selection.json")["scores"] == [None, None]
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverging_learning_writes_failure_and_exits_1(workdir):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["cognition"].update(kappa=1e6, feedback_gain=5.0)
+    cfg["learning"]["cycles"] = 300
+    write_json(workdir / "cfg_diverge.json", cfg)
+    out = workdir / "diverge_learn"
+    assert main(["learn", "--config", str(workdir / "cfg_diverge.json"), "--out", str(out)]) == 1
+    failure = _strict_json(out / "failure.json")
+    assert failure["error"] == "non-finite" and 0 < failure["cycles"] < 300
+    assert len(_strict_json(out / "error_curve.json")["error_norms"]) == failure["cycles"]
+    snapshots = sorted(out.glob("field_cycle*.json"))
+    assert len(snapshots) == failure["cycles"] + 1
+    for path in snapshots:
+        _strict_json(path)
+
+
+def test_analyze_grid_over_budget_exits_2_quickly(tmp_path):
+    write_json(tmp_path / "field.json", {"dimension": 7, "tokens": [{"id": 1, "mean": [0.0] * 7}]})
+    write_json(tmp_path / "config.json", {"field": "field.json"})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["analyze", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not (out / "field_report.json").exists()
 
 
 def _tree_digest(root: Path) -> str:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
                      FlatMetric, SingularMetricError, SphereMetric,
                      TokenEmbedding, TokenField, christoffel_at, curvature_at,
                      density_at, density_gradient, metric_at)
+from geomind.manifold import densities
 
 from conftest import make_field
 
@@ -220,3 +222,81 @@ def test_riemann_antisymmetry_last_two_indices(random_field, sphere):
         x = np.array([rng.uniform(0.5, 1.2), rng.uniform(0.5, 1.2)])
         r = curvature_at(source, x).riemann
         assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) <= 1e-6
+
+
+@pytest.mark.parametrize("mean, cov, weight", [
+    ([np.nan, 0.0], np.zeros(2), 1.0),
+    ([0.0, 0.0], [np.inf, 0.0], 1.0),
+    ([0.0, 0.0], np.zeros(2), np.nan),
+])
+def test_token_refuses_non_finite_values(mean, cov, weight):
+    with pytest.raises(ValueError, match="token 3: mean, covariance and weight must be finite"):
+        TokenEmbedding(3, np.array(mean), np.asarray(cov), weight)
+
+
+# ---------------------------------------------------------------- closed-form conformal curvature
+
+def _curvature_term_scale(field, x):
+    """Sum of the absolute terms of the conformal scalar curvature at x: the
+    size the finite-difference error is relative to, even where the terms
+    cancel and R itself passes through zero."""
+    d, h2 = field.dimension, field.bandwidth**2
+    diffs = field.means - x
+    sq = np.sum(diffs**2, axis=1)
+    kern = field.weights * np.exp(-sq / (2.0 * h2))
+    grad = kern @ diffs / h2
+    return (d - 1) * (float(kern @ (sq / h2**2 + d / h2))
+                      + (d + 2) * float(grad @ grad) / (4.0 * (kern.sum() + field.epsilon)))
+
+
+@st.composite
+def _field_and_points(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    means = [draw(st.lists(coord, min_size=d, max_size=d)) for _ in range(n)]
+    weights = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    field = make_field(means, dim=d, bandwidth=draw(st.floats(0.5, 1.5)),
+                       epsilon=draw(st.floats(0.1, 1.0)), weights=weights,
+                       covs=[np.zeros((d, d))] * n)
+    points = np.array([draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+                       for _ in range(draw(st.integers(1, 4)))])
+    return field, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_and_points())
+def test_closed_form_scalar_curvature_matches_fd(case):
+    field, points = case
+    source = ConformalFieldMetric(field)
+    closed = source.scalar_curvature(points)
+    assert closed.shape == (len(points),)
+    for x, r in zip(points, closed):
+        fd = curvature_at(source, x).scalar
+        assert r == pytest.approx(fd, rel=1e-5, abs=1e-5 * _curvature_term_scale(field, x))
+
+
+def test_closed_form_scalar_curvature_blocks_agree_with_single_points(random_field):
+    # more points than one kernel block holds
+    source = ConformalFieldMetric(random_field)
+    points = np.random.default_rng(3).uniform(-2, 2, size=(2000, 2))
+    batch = source.scalar_curvature(points)
+    assert np.array_equal(batch, np.concatenate([source.scalar_curvature(p) for p in points]))
+
+
+def test_closed_form_scalar_curvature_empty_field_is_exactly_zero(empty_field):
+    points = np.random.default_rng(4).normal(size=(7, 2))
+    assert np.array_equal(ConformalFieldMetric(empty_field).scalar_curvature(points), np.zeros(7))
+
+
+def test_scalar_curvature_default_is_the_fd_path(sphere):
+    points = np.array([[np.pi / 3, 1.0], [1.0, -2.0]])
+    expected = [curvature_at(sphere, p).scalar for p in points]
+    assert np.array_equal(sphere.scalar_curvature(points), expected)
+    assert sphere.scalar_curvature(np.empty((0, 2))).shape == (0,)
+
+
+def test_densities_match_density_at(random_field):
+    points = np.random.default_rng(5).uniform(-2, 2, size=(1500, 2))
+    expected = [density_at(random_field, p) for p in points]
+    assert np.allclose(densities(random_field, points), expected, rtol=1e-14, atol=0.0)

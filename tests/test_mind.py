@@ -1,13 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 
-from geomind import (CognitionParams, ConformalFieldMetric, GeodesicState,
-                     GridSpec, ShootingOptions, ThoughtFlow, TokenEmbedding,
-                     Trajectory, analyze_field, demo_field, feature_vector,
-                     geodesic_between, integrate_geodesic, intrinsic_dimension,
-                     learn_update, manipulate_feature, nearest_token,
-                     pca_projection, run_learning, run_thought_flow,
-                     score_flow, select_conscious)
+from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
+                     GeodesicState, GridSpec, ShootingOptions, ThoughtFlow,
+                     TokenEmbedding, Trajectory, analyze_field, curvature_at,
+                     demo_field, density_at, feature_vector, geodesic_between,
+                     integrate_geodesic, intrinsic_dimension, learn_update,
+                     manipulate_feature, nearest_token, pca_projection,
+                     run_learning, run_thought_flow, score_flow,
+                     select_conscious)
+from geomind.mind import GRID_BUDGET
 
 from conftest import make_field
 
@@ -125,6 +129,27 @@ def test_flow_sample_count(random_field, identity_params):
                             dt=0.01, seed=0)
     assert len(flow.trajectory) == 101
     assert len(flow.errors) == 100
+    assert flow.stop_reason is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_diverging_flow_stops_at_first_non_finite_cycle():
+    field = demo_field()
+    source = ConformalFieldMetric(field)
+    params = CognitionParams.defaults(2, kappa=1e6, input_blend=0.3, feedback_gain=5.0)
+    kwargs = dict(n_steps=300, dt=0.01, seed=1, start=[0.0, 0.0], velocity=[0.3, 0.2])
+    flow = run_thought_flow(field, source, params, **kwargs)
+    assert flow.stop_reason == "non-finite"
+    traj = flow.trajectory
+    assert traj.truncated
+    assert 1 < len(traj) < 301
+    assert len(flow.errors) == len(traj) - 1
+    assert np.isfinite(traj.positions()).all() and np.isfinite(traj.velocities()).all()
+    assert np.isfinite(flow.errors).all()
+    # the recorded cycles are the untruncated run's own
+    shorter = run_thought_flow(field, source, params, **dict(kwargs, n_steps=len(traj) - 1))
+    assert shorter.stop_reason is None
+    assert np.array_equal(shorter.trajectory.positions(), traj.positions())
 
 
 # ---------------------------------------------------------------- learning
@@ -282,6 +307,62 @@ def test_analyze_empty_field(empty_field):
     assert report.high_curvature == []
     assert all(abs(s) < 1e-10 for _, s in report.curvature_samples)
     assert report.intrinsic_dimension == 1
+
+
+def _survey_field(seed):
+    """16 tokens in 4 fixed clusters at D=3 with seeded offsets and weights,
+    laid out like the benchmark's survey workload."""
+    rng = np.random.default_rng([seed, 3])
+    centers = np.array([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]])
+    means = centers[np.arange(16) % 4] + rng.normal(0.0, 0.05, size=(16, 3))
+    weights = list(rng.uniform(0.8, 1.2, size=16))
+    return make_field(list(means), dim=3, bandwidth=1.0, epsilon=0.5, weights=weights,
+                      covs=[np.zeros((3, 3))] * 16)
+
+
+def _per_point_report(field, source, grid):
+    """analyze_field's curvature flags and components from one curvature_at
+    and one density_at call per point."""
+    lo = field.means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
+    hi = field.means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
+    axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(field.dimension)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    scalars = np.array([curvature_at(source, p).scalar for p in points])
+    cut = np.percentile(np.abs(scalars), grid.curvature_percentile)
+    high = points[np.abs(scalars) > cut]
+    ids, means = list(field.ids), field.means
+    edges = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
+             if min(density_at(field, means[i] + t * (means[j] - means[i]))
+                    for t in np.linspace(0.0, 1.0, grid.segment_samples)) >= field.epsilon]
+    components = {i: {i} for i in ids}
+    for i, j in edges:
+        merged = components[i] | components[j]
+        for k in merged:
+            components[k] = merged
+    unique = {frozenset(c) for c in components.values()}
+    return points, scalars, high, sorted(sorted(c) for c in unique)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_analyze_matches_per_point_path_on_survey_fields(seed):
+    field = _survey_field(seed)
+    source = ConformalFieldMetric(field)
+    report = analyze_field(field, source)
+    points, scalars, high, components = _per_point_report(field, source, GridSpec())
+    assert np.array_equal(np.array([p for p, _ in report.curvature_samples]), points)
+    assert np.allclose([s for _, s in report.curvature_samples], scalars,
+                       rtol=1e-5, atol=1e-7 * np.abs(scalars).max())
+    assert np.array_equal(np.array(report.high_curvature), high)
+    assert report.components == components
+
+
+def test_analyze_refuses_grid_over_budget_before_allocating():
+    field = make_field([[0.0] * 7], dim=7, covs=[np.zeros((7, 7))])
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=f"points_per_axis 8 at D=7 .* budget of {GRID_BUDGET}"):
+        analyze_field(field, ConformalFieldMetric(field))
+    assert time.perf_counter() - start < 1.0
+    assert GRID_BUDGET == 8**6
 
 
 def _two_cluster_field(bridge=False):
