@@ -15,8 +15,8 @@ from .errors import (ChartDomainError, ChartExitError, ConfigError,
                      FieldFormatError, GeomindError, NoGeodesicError,
                      SingularMetricError)
 from .geodesic import (GeodesicState, ShootingOptions, Trajectory,
-                       constant_forcing, geodesic_between, geodesic_step,
-                       integrate_geodesic, path_length_energy, zero_forcing)
+                       geodesic_between, geodesic_step, integrate_geodesic,
+                       path_length_energy)
 from .io import (export_trajectory, import_trajectory, load_field,
                  load_input_schedule, save_field)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
@@ -38,8 +38,8 @@ __all__ = [
     "GeomindError", "GridSpec", "MetricSource", "MindState", "NoGeodesicError",
     "SampledEmbedding", "Selection", "ShootingOptions", "SingularMetricError",
     "SphereMetric", "ThoughtFlow", "TokenEmbedding", "TokenField", "Trajectory",
-    "analyze_field", "attention_weights", "christoffel_at", "constant_forcing",
-    "context_vector", "curvature_at", "cycle_step", "demo_field", "density_at",
+    "analyze_field", "attention_weights", "christoffel_at", "context_vector",
+    "curvature_at", "cycle_step", "demo_field", "density_at",
     "density_gradient", "export_trajectory", "feature_vector",
     "feedback_forcing", "geodesic_between", "geodesic_step",
     "import_trajectory", "integrate_geodesic", "intrinsic_dimension",
@@ -47,5 +47,5 @@ __all__ = [
     "metric_at", "nearest_token", "path_length_energy", "pca_projection",
     "perceive", "predict_contextual", "predict_geometric", "prediction_error",
     "run_learning", "run_thought_flow", "sample_embedding", "save_field",
-    "score_flow", "select_conscious", "zero_forcing",
+    "score_flow", "select_conscious",
 ]

@@ -11,23 +11,23 @@ for a fixed config and seed list.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
 import sys
-from pathlib import Path
 
 
 from .config import RunConfig, load_config
-from .errors import ConfigError, FieldFormatError, NoGeodesicError
+from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
 from .geodesic import geodesic_between, path_length_energy
-from .io import export_trajectory, field_to_dict
+from .io import export_trajectory, save_field, write_json
 from .mind import (analyze_field, pca_projection, run_learning,
                    run_thought_flow, select_conscious)
 
 
 COMMANDS = ("simulate", "compete", "learn", "analyze", "geodesic")
+
+logger = logging.getLogger(__name__)
 
 
 def _configure_logging() -> None:
@@ -36,20 +36,11 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
 def _run_flows(config: RunConfig):
-    source = config.metric_source()
-    flows = []
-    for seed in config.seeds:
-        flow = run_thought_flow(
-            config.field, source, config.params, inputs=config.inputs,
-            n_steps=config.steps, dt=config.dt, seed=seed,
-            start=config.start, velocity=config.velocity)
-        flows.append(flow)
-    return flows
+    return [run_thought_flow(config.field, config.metric, config.params, inputs=config.inputs,
+                             n_steps=config.steps, dt=config.dt, seed=seed,
+                             start=config.start, velocity=config.velocity)
+            for seed in config.seeds]
 
 
 def _export_flows(flows, config: RunConfig) -> int:
@@ -61,7 +52,7 @@ def _export_flows(flows, config: RunConfig) -> int:
         export_trajectory(flow.trajectory, config.fmt, config.out_dir / name)
     bad = [f for f in flows if f.stop_reason]
     if bad:
-        _write_json(config.out_dir / "failure.json", {
+        write_json(config.out_dir / "failure.json", {
             "error": bad[0].stop_reason, "seeds": [f.seed for f in bad],
             "reasons": [f.stop_reason for f in bad]})
     return 1 if bad else 0
@@ -75,9 +66,10 @@ def cmd_compete(config: RunConfig) -> int:
     flows = _run_flows(config)
     status = _export_flows(flows, config)
     selection = select_conscious(flows, config.threshold)
-    _write_json(config.out_dir / "selection.json", {
+    write_json(config.out_dir / "selection.json", {
         "threshold": selection.threshold,
-        # a diverged flow's squared errors overflow; JSON has no Infinity
+        # -inf: a flow without a completed cycle, or whose squared errors
+        # overflowed; JSON has no Infinity
         "scores": [s if math.isfinite(s) else None for s in selection.scores],
         "winner_index": selection.winner,
         "winner_seed": None if selection.winner is None else config.seeds[selection.winner],
@@ -93,25 +85,24 @@ def cmd_learn(config: RunConfig) -> int:
         cycles=config.learning_cycles, dt=config.dt, seed=config.seeds[0],
         rate=config.learning_rate, start=config.start, velocity=config.velocity)
     for k, snap in enumerate(snapshots):
-        _write_json(config.out_dir / f"field_cycle{k:04d}.json", field_to_dict(snap))
+        save_field(snap, config.out_dir / f"field_cycle{k:04d}.json")
     if config.fmt == "csv":
         lines = ["cycle,error_norm"]
         lines += [f"{k},{repr(float(e))}" for k, e in enumerate(error_norms, start=1)]
         (config.out_dir / "error_curve.csv").write_text("\n".join(lines) + "\n")
     else:
-        _write_json(config.out_dir / "error_curve.json",
-                    {"error_norms": [float(e) for e in error_norms]})
+        write_json(config.out_dir / "error_curve.json",
+                   {"error_norms": [float(e) for e in error_norms]})
     if len(error_norms) < config.learning_cycles:
-        _write_json(config.out_dir / "failure.json",
-                    {"error": "non-finite", "cycles": len(error_norms)})
+        write_json(config.out_dir / "failure.json",
+                   {"error": "non-finite", "cycles": len(error_norms)})
         return 1
     return 0
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    source = config.metric_source()
-    report = analyze_field(config.field, source)
-    _write_json(config.out_dir / "field_report.json", {
+    report = analyze_field(config.field, config.metric)
+    write_json(config.out_dir / "field_report.json", {
         "curvature_samples": [
             {"point": p.tolist(), "scalar": s} for p, s in report.curvature_samples
         ],
@@ -127,20 +118,19 @@ def cmd_analyze(config: RunConfig) -> int:
                   for tid, c in sorted(projection.items())]
         (config.out_dir / "pca_projection.csv").write_text("\n".join(lines) + "\n")
     else:
-        _write_json(config.out_dir / "pca_projection.json",
-                    {str(tid): c.tolist() for tid, c in sorted(projection.items())})
+        write_json(config.out_dir / "pca_projection.json",
+                   {str(tid): c.tolist() for tid, c in sorted(projection.items())})
     return 0
 
 
 def cmd_geodesic(config: RunConfig) -> int:
     if config.geodesic_start is None or config.geodesic_end is None:
         raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
-    source = config.metric_source()
     try:
         traj = geodesic_between(config.geodesic_start, config.geodesic_end,
-                                source, config.shooting)
+                                config.metric, config.shooting)
     except NoGeodesicError as exc:
-        _write_json(config.out_dir / "no_geodesic.json", {
+        write_json(config.out_dir / "no_geodesic.json", {
             "error": "no-geodesic-found",
             "reason": exc.reason,
             # a miss is infinite when every shot left the chart; JSON has no Infinity
@@ -149,14 +139,16 @@ def cmd_geodesic(config: RunConfig) -> int:
         })
         return 1
     export_trajectory(traj, config.fmt, config.out_dir / f"geodesic_path.{config.fmt}")
-    length, energy = path_length_energy(traj, source)
-    _write_json(config.out_dir / "geodesic_summary.json",
-                {"length": length, "energy": energy})
+    length, energy = path_length_energy(traj, config.metric)
+    write_json(config.out_dir / "geodesic_summary.json",
+               {"length": length, "energy": energy})
     return 0
 
 
 def run(command: str, config: RunConfig) -> int:
-    """Dispatch a command against a validated config; returns the exit status."""
+    """Dispatch a command against a validated config; returns the exit status.
+    A runtime GeomindError, other than ConfigError and FieldFormatError, is
+    written to failure.json as {"error": <class name>, "message": ...}."""
     handlers = {
         "simulate": cmd_simulate,
         "compete": cmd_compete,
@@ -167,7 +159,15 @@ def run(command: str, config: RunConfig) -> int:
     if command not in handlers:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    return handlers[command](config)
+    try:
+        return handlers[command](config)
+    except (ConfigError, FieldFormatError):
+        raise
+    except GeomindError as exc:
+        logger.error("%s failed: %s", command, exc)
+        write_json(config.out_dir / "failure.json",
+                   {"error": type(exc).__name__, "message": str(exc)})
+        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

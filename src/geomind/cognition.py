@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geodesic import GeodesicState, Trajectory, constant_forcing, geodesic_step
+from .geodesic import GeodesicState, Trajectory, geodesic_step
 from .manifold import MetricSource, TokenEmbedding, TokenField, _as_vector
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
@@ -129,10 +129,6 @@ class ErrorHistory:
 
     def copy(self) -> "ErrorHistory":
         return ErrorHistory((t, v.copy()) for t, v in self._buf)
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.capacity
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -333,7 +329,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     history.push(front.time, params.feedback_gain * error)
     forcing_vec = feedback_forcing(history, params, dt)
 
-    new_front = geodesic_step(front, source, constant_forcing(forcing_vec), dt)
+    new_front = geodesic_step(front, source, forcing_vec, dt)
 
     context = state.context
     activation = None

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cognition import RECENT_FRONTS_MAX, CognitionParams
-from .errors import ConfigError
+from .errors import ConfigError, GeomindError
 from .geodesic import ShootingOptions
 from .io import (FORMATS, finite_float, load_field, load_input_schedule,
                  refuse_constant)
@@ -41,8 +41,7 @@ class RunConfig:
     """Validated configuration for one CLI command."""
 
     field: TokenField
-    metric_kind: str
-    metric_param: float
+    metric: MetricSource
     params: CognitionParams
     steps: int
     dt: float
@@ -60,18 +59,13 @@ class RunConfig:
     out_dir: Path
     fmt: str
 
-    def metric_source(self) -> MetricSource:
-        if self.metric_kind == "field":
-            return ConformalFieldMetric(self.field)
-        if self.metric_kind == "flat":
-            return FlatMetric(self.field.dimension, self.metric_param)
-        if self.metric_kind == "sphere":
-            return SphereMetric(self.metric_param)
-        raise ConfigError(f"unknown metric kind {self.metric_kind!r}")
-
 
 def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] = None) -> RunConfig:
-    """Read, validate and resolve a config file into a RunConfig."""
+    """Read, validate and resolve a config file into a RunConfig.
+
+    Any malformed value ends in ConfigError; an error in a field or input
+    schedule file stays a FieldFormatError.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(), parse_constant=refuse_constant,
@@ -84,42 +78,51 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
         raise ConfigError(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    try:
+        return _resolve(raw, path, out_override, seed_override)
+    except GeomindError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        # a value of the wrong type or range, or a section that is not an object
+        raise ConfigError(f"{path}: {exc}") from exc
 
+
+def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     field_path = raw.get("field")
     if field_path is None:
         raise ConfigError("config must name a 'field' file")
-    field = load_field((path.parent / field_path) if not Path(field_path).is_absolute()
-                       else field_path)
+    # joining an absolute path keeps it as it is
+    field = load_field(path.parent / field_path)
     dim = field.dimension
 
     metric_raw = raw.get("metric", {"kind": "field"})
     kind = metric_raw.get("kind", "field")
-    if kind not in ("field", "flat", "sphere"):
+    if kind == "field":
+        metric: MetricSource = ConformalFieldMetric(field)
+    elif kind == "flat":
+        metric = FlatMetric(dim, float(metric_raw.get("scale", 1.0)))
+    elif kind == "sphere":
+        if dim != 2:
+            raise ConfigError("sphere metric requires a 2-dimensional field")
+        metric = SphereMetric(float(metric_raw.get("radius", 1.0)))
+    else:
         raise ConfigError(f"metric kind must be field, flat or sphere, got {kind!r}")
-    if kind == "sphere" and dim != 2:
-        raise ConfigError("sphere metric requires a 2-dimensional field")
-    metric_param = float(metric_raw.get("radius" if kind == "sphere" else "scale", 1.0))
-    if metric_param <= 0:
-        raise ConfigError("metric scale/radius must be positive")
 
     cog = raw.get("cognition", {})
     temperature = cog.get("attention_temperature")
-    try:
-        params = CognitionParams(
-            value_matrix=_matrix(cog.get("value_matrix"), dim, "value_matrix"),
-            predictor_matrix=_matrix(cog.get("predictor_matrix"), dim, "predictor_matrix"),
-            bias=_vector(cog.get("bias"), dim, "bias"),
-            activation=cog.get("activation", "identity"),
-            input_blend=float(cog.get("beta", 0.0)),
-            feedback_gain=float(cog.get("feedback_gain", 1.0)),
-            kappa=float(cog.get("kappa", 0.0)),
-            attention_temperature=float(temperature) if temperature is not None else None,
-            context_capacity=int(cog.get("context_capacity", 16)),
-            predictor=cog.get("predictor", "contextual"),
-            geometric_window=float(cog.get("geometric_window", 0.1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"cognition parameters: {exc}")
+    params = CognitionParams(
+        value_matrix=_matrix(cog.get("value_matrix"), dim, "value_matrix"),
+        predictor_matrix=_matrix(cog.get("predictor_matrix"), dim, "predictor_matrix"),
+        bias=_vector(cog.get("bias"), dim, "bias"),
+        activation=cog.get("activation", "identity"),
+        input_blend=float(cog.get("beta", 0.0)),
+        feedback_gain=float(cog.get("feedback_gain", 1.0)),
+        kappa=float(cog.get("kappa", 0.0)),
+        attention_temperature=float(temperature) if temperature is not None else None,
+        context_capacity=int(cog.get("context_capacity", 16)),
+        predictor=cog.get("predictor", "contextual"),
+        geometric_window=float(cog.get("geometric_window", 0.1)),
+    )
 
     sim = raw.get("simulation", {})
     steps = int(sim.get("steps", 100))
@@ -137,15 +140,10 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique")
     schedule_path = sim.get("inputs")
-    inputs: dict[int, np.ndarray] = {}
-    if schedule_path is not None:
-        resolved = Path(schedule_path)
-        if not resolved.is_absolute():
-            resolved = path.parent / resolved
-        inputs = load_input_schedule(resolved)
-        for step, vec in inputs.items():
-            if vec.shape != (dim,):
-                raise ConfigError(f"input schedule step {step}: vector dimension != {dim}")
+    inputs = {} if schedule_path is None else load_input_schedule(path.parent / schedule_path)
+    for step, vec in inputs.items():
+        if vec.shape != (dim,):
+            raise ConfigError(f"input schedule step {step}: vector dimension != {dim}")
     start = _vector(sim["start"], dim, "start") if "start" in sim else None
     velocity = _vector(sim["velocity"], dim, "velocity") if "velocity" in sim else None
 
@@ -163,11 +161,12 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
     geo = raw.get("geodesic", {})
     geodesic_start = _vector(geo["start"], dim, "geodesic start") if "start" in geo else None
     geodesic_end = _vector(geo["end"], dim, "geodesic end") if "end" in geo else None
-    shooting = ShootingOptions(
-        tol=float(geo.get("tol", 1e-6)),
-        max_iters=int(geo.get("max_iters", 50)),
-        steps=int(geo.get("steps", 200)),
-    )
+    if (geodesic_start is not None and geodesic_end is not None
+            and np.array_equal(geodesic_start, geodesic_end)):
+        raise ConfigError("geodesic start and end must differ")
+    shooting = ShootingOptions(tol=float(geo.get("tol", 1e-6)),
+                               max_iters=int(geo.get("max_iters", 50)),
+                               steps=int(geo.get("steps", 200)))
 
     out = raw.get("output", {})
     out_dir = Path(out_override) if out_override else Path(out.get("directory", "out"))
@@ -176,7 +175,7 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
         raise ConfigError(f"output format must be one of {FORMATS}, got {fmt!r}")
 
     return RunConfig(
-        field=field, metric_kind=kind, metric_param=metric_param, params=params,
+        field=field, metric=metric, params=params,
         steps=steps, dt=dt, seeds=seeds, inputs=inputs, start=start, velocity=velocity,
         threshold=threshold, learning_rate=learning_rate, learning_cycles=learning_cycles,
         learning_input=learning_input, geodesic_start=geodesic_start,

@@ -1,15 +1,15 @@
 """Geodesic integration, path measurement and the two-point boundary solver.
 
 The flow state is integrated with fixed-step RK4 on the first-order system
-x' = v, v'^m = -Gamma^m_{nl} v^n v^l + F^m(state). The zero forcing function
-recovers the plain geodesic equation.
+x' = v, v'^m = -Gamma^m_{nl} v^n v^l + F^m, with F a forcing vector held
+constant over the step. No forcing recovers the plain geodesic equation.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,10 @@ from .manifold import MetricSource, _as_vector
 
 logger = logging.getLogger(__name__)
 
-ForcingFunction = Callable[["GeodesicState"], np.ndarray]
+# Shooting: finite-difference step of the Jacobian, relative to max(1, |v|),
+# and the number of step halvings before an iteration gives up.
+JACOBIAN_STEP = 1e-6
+MAX_BACKTRACKS = 12
 
 
 @dataclass(frozen=True)
@@ -65,30 +68,18 @@ class Trajectory:
         return np.stack([s.velocity for s in self.samples])
 
 
-def zero_forcing(state: GeodesicState) -> np.ndarray:
-    return np.zeros(state.dim)
-
-
-def constant_forcing(vector) -> ForcingFunction:
-    vec = np.asarray(vector, dtype=float)
-
-    def forcing(state: GeodesicState) -> np.ndarray:
-        return vec
-
-    return forcing
-
-
-def _acceleration(source: MetricSource, pos, vel, t, forcing: ForcingFunction) -> np.ndarray:
+def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
     source.check_domain(pos)
     gamma = source.christoffel(pos)
     acc = -np.einsum("mnl,n,l->m", gamma, vel, vel)
-    return acc + forcing(GeodesicState(pos, vel, t))
+    return acc + f
 
 
 def geodesic_step(state: GeodesicState, source: MetricSource,
-                  forcing: Optional[ForcingFunction], dt: float) -> GeodesicState:
-    """One RK4 step of the (optionally forced) geodesic equation.
+                  forcing: Optional[np.ndarray], dt: float) -> GeodesicState:
+    """One RK4 step of the geodesic equation forced by a constant vector.
 
+    forcing is a D-vector held over the whole step, or None for no forcing.
     Raises ChartExitError carrying the last valid state if any stage point
     leaves the chart domain.
     """
@@ -96,17 +87,18 @@ def geodesic_step(state: GeodesicState, source: MetricSource,
         raise ValueError("dt must be positive")
     if state.dim != source.dim:
         raise ValueError(f"state dimension {state.dim} != metric dimension {source.dim}")
-    f = forcing if forcing is not None else zero_forcing
+    # adding zeros keeps unforced and zero-forced steps bitwise equal
+    f = np.zeros(state.dim) if forcing is None else _as_vector(forcing, state.dim, "forcing")
     x, v, t = state.position, state.velocity, state.time
     try:
         k1x = v
-        k1v = _acceleration(source, x, v, t, f)
+        k1v = _acceleration(source, x, v, f)
         k2x = v + 0.5 * dt * k1v
-        k2v = _acceleration(source, x + 0.5 * dt * k1x, k2x, t + 0.5 * dt, f)
+        k2v = _acceleration(source, x + 0.5 * dt * k1x, k2x, f)
         k3x = v + 0.5 * dt * k2v
-        k3v = _acceleration(source, x + 0.5 * dt * k2x, k3x, t + 0.5 * dt, f)
+        k3v = _acceleration(source, x + 0.5 * dt * k2x, k3x, f)
         k4x = v + dt * k3v
-        k4v = _acceleration(source, x + dt * k3x, k4x, t + dt, f)
+        k4v = _acceleration(source, x + dt * k3x, k4x, f)
         x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         source.check_domain(x_new)
@@ -117,7 +109,7 @@ def geodesic_step(state: GeodesicState, source: MetricSource,
 
 
 def integrate_geodesic(initial: GeodesicState, source: MetricSource,
-                       forcing: Optional[ForcingFunction] = None,
+                       forcing: Optional[np.ndarray] = None,
                        horizon: float = 1.0, dt: float = 1e-3) -> Trajectory:
     """Integrate for floor(horizon/dt) steps, returning floor(horizon/dt)+1 samples.
 
@@ -166,8 +158,10 @@ class ShootingOptions:
     tol: float = 1e-6
     max_iters: int = 50
     steps: int = 200
-    fd_step: float = 1e-6
-    max_backtracks: int = 12
+
+    def __post_init__(self):
+        if self.steps < 1 or self.max_iters < 0 or not self.tol > 0:
+            raise ValueError(f"shooting needs steps >= 1, max_iters >= 0 and tol > 0, got {self}")
 
 
 def geodesic_between(a, b, source: MetricSource,
@@ -207,7 +201,7 @@ def geodesic_between(a, b, source: MetricSource,
             continue
         d = source.dim
         jac = np.empty((d, d))
-        h = opts.fd_step * max(1.0, float(np.linalg.norm(velocity)))
+        h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
         for k in range(d):
             e = np.zeros(d)
             e[k] = h
@@ -219,7 +213,7 @@ def geodesic_between(a, b, source: MetricSource,
             iterations, reason = iteration + 1, "singular-jacobian"
             break
         scale = 1.0
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = velocity - scale * delta
             trial_miss, trial_norm, trial_traj = shoot(trial)
             if trial_norm < miss_norm:

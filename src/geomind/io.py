@@ -38,6 +38,12 @@ def finite_float(text: str) -> float:
     return value
 
 
+def write_json(path: Union[str, Path], payload) -> None:
+    """Write an artifact as indented strict JSON; a NaN or infinity in the
+    payload raises ValueError instead of writing non-standard JSON."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
 def _read_json(path: Union[str, Path]) -> object:
     try:
         text = Path(path).read_text()
@@ -109,7 +115,7 @@ def field_to_dict(field: TokenField) -> dict:
 
 
 def save_field(field: TokenField, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(field_to_dict(field), indent=2, allow_nan=False) + "\n")
+    write_json(path, field_to_dict(field))
 
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
@@ -154,7 +160,7 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             if s.time in activation_at:
                 entry["token_id"] = activation_at[s.time]
             payload["samples"].append(entry)
-        Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        write_json(path, payload)
         return
     d = traj.dim
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
@@ -173,10 +179,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
+    samples, activations = [], []
     if fmt == "json":
         data = _read_json(path)
-        samples = []
-        activations = []
         for entry in data["samples"]:
             state = GeodesicState(np.asarray(entry["position"], dtype=float),
                                   np.asarray(entry["velocity"], dtype=float),
@@ -190,8 +195,6 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
         reader = csv.reader(fh)
         header = next(reader)
         d = (len(header) - 2) // 2
-        samples = []
-        activations = []
         for row in reader:
             t = float(row[0])
             pos = np.array([float(x) for x in row[1:1 + d]])

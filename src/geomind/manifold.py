@@ -429,12 +429,10 @@ def christoffel_at(source: MetricSource, x, method: str = "auto") -> np.ndarray:
     x = _as_vector(x, source.dim)
     if method == "fd":
         return christoffel_fd(source, x)
-    if method == "exact":
-        if not source.has_closed_form_christoffel:
-            raise ValueError(f"{type(source).__name__} has no closed-form Christoffel symbols")
-        return source.christoffel(x)
-    if method != "auto":
+    if method not in ("auto", "exact"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "exact" and not source.has_closed_form_christoffel:
+        raise ValueError(f"{type(source).__name__} has no closed-form Christoffel symbols")
     return source.christoffel(x)
 
 

@@ -25,6 +25,14 @@ logger = logging.getLogger(__name__)
 # analyze_field refuses a grid of more points than this (8 per axis at D=6)
 # before allocating it.
 GRID_BUDGET = 8**6
+# The analyze grid pads the token bounding box by this many bandwidths on
+# every side, flags points whose |scalar curvature| lies above this
+# percentile, and tests each connectivity segment at this many points.
+GRID_PADDING = 2.0
+CURVATURE_PERCENTILE = 90.0
+SEGMENT_SAMPLES = 64
+# intrinsic_dimension is the smallest PCA rank explaining this variance share.
+VARIANCE_SHARE = 0.95
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,8 @@ class ThoughtFlow:
     """A completed run: trajectory, per-cycle errors, score and its seed.
 
     stop_reason is None for a full run, else why the flow was truncated:
-    "chart-exit" or "non-finite".
+    "chart-exit" or "non-finite". A flow that never completed a cycle
+    scores -inf, so it can never win a competition.
     """
 
     trajectory: Trajectory
@@ -55,21 +64,16 @@ class Selection:
 class GridSpec:
     """Sampling specification for analyze_field.
 
-    The grid spans the token bounding box padded by padding_bandwidths * h
-    on every axis. rho_min defaults to the field's epsilon.
+    The grid spans the token bounding box padded by GRID_PADDING * h on
+    every axis. rho_min defaults to the field's epsilon.
     """
 
     points_per_axis: int = 8
-    padding_bandwidths: float = 2.0
     rho_min: Optional[float] = None
-    curvature_percentile: float = 90.0
-    segment_samples: int = 64
 
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
-        if self.padding_bandwidths < 2.0:
-            raise ValueError("grid must pad the bounding box by at least 2 bandwidths")
 
 
 @dataclass(frozen=True)
@@ -114,29 +118,30 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     activations = list([state.last_activation] if state.last_activation else [])
     errors: list[np.ndarray] = []
     stop_reason = None
-    for k in range(n_steps):
-        try:
-            state = cycle_step(state, field, source, inputs.get(k), dt)
-        except ChartExitError:
-            stop_reason = "chart-exit"
-        else:
-            front = state.front
-            if not np.isfinite((front.position, front.velocity, state.last_error)).all():
-                stop_reason = "non-finite"
-        if stop_reason:
-            logger.warning("thought flow (seed %d) stopped at cycle %d: %s", seed, k, stop_reason)
-            break
-        samples.append(state.front)
-        errors.append(state.last_error)
-        if state.last_activation is not None:
-            activations.append(state.last_activation)
-    traj = Trajectory(samples=samples, dt=dt, activations=activations,
-                      truncated=stop_reason is not None)
-    flow = ThoughtFlow(trajectory=traj, errors=errors, score=0.0, seed=seed,
-                       stop_reason=stop_reason)
-    if errors:
-        flow = dc_replace(flow, score=score_flow(flow))
-    return flow
+    # the finiteness check below reports a divergence; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            try:
+                state = cycle_step(state, field, source, inputs.get(k), dt)
+            except ChartExitError:
+                stop_reason = "chart-exit"
+            else:
+                front = state.front
+                if not np.isfinite((front.position, front.velocity, state.last_error)).all():
+                    stop_reason = "non-finite"
+            if stop_reason:
+                logger.warning("thought flow (seed %d) stopped at cycle %d: %s",
+                               seed, k, stop_reason)
+                break
+            samples.append(state.front)
+            errors.append(state.last_error)
+            if state.last_activation is not None:
+                activations.append(state.last_activation)
+        traj = Trajectory(samples=samples, dt=dt, activations=activations,
+                          truncated=stop_reason is not None)
+        flow = ThoughtFlow(trajectory=traj, errors=errors, score=-np.inf, seed=seed,
+                           stop_reason=stop_reason)
+        return dc_replace(flow, score=score_flow(flow)) if errors else flow
 
 
 def select_conscious(flows: Sequence[ThoughtFlow], threshold: float) -> Selection:
@@ -187,18 +192,19 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     state = MindState.initial(field, params, seed, start=start, velocity=velocity)
     snapshots = [field]
     error_norms: list[float] = []
-    for _ in range(cycles):
-        source = ConformalFieldMetric(field)
-        perceived = perceive(state.front.position, input_vec, params)
-        state = cycle_step(state, field, source, input_vec, dt)
-        error_norm = float(np.linalg.norm(state.last_error))
-        if not (np.isfinite((state.front.position, state.front.velocity)).all()
-                and np.isfinite(error_norm)):
-            logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
-            break
-        error_norms.append(error_norm)
-        field = learn_update(field, perceived, rate)
-        snapshots.append(field)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cycles):
+            source = ConformalFieldMetric(field)
+            perceived = perceive(state.front.position, input_vec, params)
+            state = cycle_step(state, field, source, input_vec, dt)
+            error_norm = float(np.linalg.norm(state.last_error))
+            if not (np.isfinite((state.front.position, state.front.velocity)).all()
+                    and np.isfinite(error_norm)):
+                logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
+                break
+            error_norms.append(error_norm)
+            field = learn_update(field, perceived, rate)
+            snapshots.append(field)
     return snapshots, error_norms
 
 
@@ -221,9 +227,9 @@ def manipulate_feature(field: TokenField, ids: Sequence[int], scale: float) -> T
     return field._replace(weights=weights)
 
 
-def _connected_components(field: TokenField, rho_min: float, segment_samples: int) -> list[list[int]]:
+def _connected_components(field: TokenField, rho_min: float) -> list[list[int]]:
     """Brute-force token graph: an edge exists when the density at every one
-    of segment_samples evenly spaced points a + t (b - a) of the straight
+    of SEGMENT_SAMPLES evenly spaced points a + t (b - a) of the straight
     segment between two means stays at or above rho_min."""
     order = np.argsort(field.ids)
     ids, means = field.ids[order].tolist(), field.means[order]
@@ -236,14 +242,14 @@ def _connected_components(field: TokenField, rho_min: float, segment_samples: in
             i = parent[i]
         return i
 
-    ts = np.linspace(0.0, 1.0, segment_samples)[:, None]
+    ts = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)[:, None]
     first, second = np.triu_indices(n, 1)
     # whole segments per block, about KERNEL_BLOCK kernel elements each
-    pairs = max(1, KERNEL_BLOCK // (n * segment_samples))
+    pairs = max(1, KERNEL_BLOCK // (n * SEGMENT_SAMPLES))
     for lo in range(0, len(first), pairs):
         i, j = first[lo:lo + pairs], second[lo:lo + pairs]
         a, b = means[i, None, :], means[j, None, :]
-        rho = densities(field, a + ts * (b - a)).reshape(len(i), segment_samples)
+        rho = densities(field, a + ts * (b - a)).reshape(len(i), SEGMENT_SAMPLES)
         edge = rho.min(axis=1) >= rho_min
         for ri, rj in zip(i[edge].tolist(), j[edge].tolist()):
             ri, rj = find(ri), find(rj)
@@ -255,8 +261,8 @@ def _connected_components(field: TokenField, rho_min: float, segment_samples: in
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def intrinsic_dimension(field: TokenField, variance_threshold: float = 0.95) -> int:
-    """Smallest PCA rank explaining the threshold share of token-mean variance."""
+def intrinsic_dimension(field: TokenField) -> int:
+    """Smallest PCA rank explaining VARIANCE_SHARE of the token-mean variance."""
     if len(field) < 2:
         return 1
     centered = field.means - field.means.mean(axis=0)
@@ -266,7 +272,7 @@ def intrinsic_dimension(field: TokenField, variance_threshold: float = 0.95) -> 
     if total <= 0.0:
         return 1
     cumulative = np.cumsum(power) / total
-    k = int(np.searchsorted(cumulative, variance_threshold - 1e-12) + 1)
+    k = int(np.searchsorted(cumulative, VARIANCE_SHARE - 1e-12) + 1)
     return min(max(k, 1), field.dimension)
 
 
@@ -288,7 +294,7 @@ def analyze_field(field: TokenField, source: MetricSource,
     """Survey the field: curvature map, outlier regions, connectivity, dimension.
 
     Scalar curvature is sampled on a regular grid over the padded bounding
-    box; points with |scalar| strictly above the configured percentile are
+    box; points with |scalar| strictly above CURVATURE_PERCENTILE are
     flagged as candidate trouble regions. A grid of more than GRID_BUDGET
     points is refused with ConfigError before anything is allocated.
     """
@@ -297,8 +303,8 @@ def analyze_field(field: TokenField, source: MetricSource,
         raise ConfigError(f"analyze grid: points_per_axis {grid.points_per_axis} at D={d} gives "
                           f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
     if len(field):
-        lo = field.means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
-        hi = field.means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
+        lo = field.means.min(axis=0) - GRID_PADDING * field.bandwidth
+        hi = field.means.max(axis=0) + GRID_PADDING * field.bandwidth
     else:
         lo, hi = -np.ones(d), np.ones(d)
     axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(d)]
@@ -312,11 +318,11 @@ def analyze_field(field: TokenField, source: MetricSource,
     cut = 0.0
     if samples:
         magnitudes = np.array([abs(s) for _, s in samples])
-        cut = float(np.percentile(magnitudes, grid.curvature_percentile))
+        cut = float(np.percentile(magnitudes, CURVATURE_PERCENTILE))
         high = [p for (p, s), m in zip(samples, magnitudes) if m > cut]
 
     rho_min = field.epsilon if grid.rho_min is None else grid.rho_min
-    components = _connected_components(field, rho_min, grid.segment_samples) if len(field) else []
+    components = _connected_components(field, rho_min) if len(field) else []
     return FieldReport(
         curvature_samples=samples,
         high_curvature=high,

@@ -16,11 +16,10 @@ from geomind import (CognitionParams, ConformalFieldMetric, ErrorHistory,
                      FlatMetric, GeodesicState, GridSpec, MindState,
                      ShootingOptions, SphereMetric, ThoughtFlow,
                      TokenEmbedding, TokenField, Trajectory,
-                     attention_weights, christoffel_at, constant_forcing,
-                     curvature_at, cycle_step, feedback_forcing,
-                     geodesic_between, integrate_geodesic, run_learning,
-                     sample_embedding, save_field, score_flow,
-                     select_conscious)
+                     attention_weights, christoffel_at, curvature_at,
+                     cycle_step, feedback_forcing, geodesic_between,
+                     integrate_geodesic, run_learning, sample_embedding,
+                     save_field, score_flow, select_conscious)
 from geomind.cli import main
 from geomind.mind import analyze_field, demo_field
 
@@ -156,7 +155,7 @@ def test_criterion_06_forcing_correctness():
     ok = np.array_equal(forcing, np.array([2.0]))
     flat = FlatMetric(1)
     traj = integrate_geodesic(GeodesicState([0.0], [0.0]), flat,
-                              constant_forcing([2.0]), horizon=1.0, dt=1e-3)
+                              [2.0], horizon=1.0, dt=1e-3)
     # closed form x(T) = a T^2 / 2 = 1
     ok &= abs(traj.samples[-1].position[0] - 1.0) <= 1e-4
     _report(6, "feedback forcing equals 2 and matches a*t^2/2", bool(ok))

@@ -286,6 +286,33 @@ def test_oversized_geometric_window_exits_2(workdir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, value, command", [
+    ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "steps": 0}, "geodesic"),
+    ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "steps": -3}, "geodesic"),
+    ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "max_iters": -1}, "geodesic"),
+    ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "tol": 0.0}, "geodesic"),
+    ("geodesic", {"start": [0.5, 0.5], "end": [0.5, 0.5]}, "geodesic"),
+    ("competition", {"threshold": "x"}, "compete"),
+    ("metric", {"kind": "flat", "scale": "abc"}, "simulate"),
+    ("metric", {"kind": "flat", "scale": -1.0}, "simulate"),
+    ("metric", {"kind": "sphere", "radius": 0.0}, "simulate"),
+    ("metric", "field", "simulate"),
+    ("simulation", [], "simulate"),
+    ("cognition", {"kappa": -1.0}, "simulate"),
+], ids=["steps-0", "steps-negative", "max-iters-negative", "tol-zero", "equal-endpoints",
+        "threshold-string", "scale-string", "scale-negative", "radius-zero",
+        "metric-string", "simulation-list", "kappa-negative"])
+def test_malformed_config_value_exits_2(workdir, section, value, command):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg[section] = value
+    write_json(workdir / "cfg_bad.json", cfg)
+    with pytest.raises(ConfigError):
+        load_config(workdir / "cfg_bad.json")
+    out = workdir / "bad_out"
+    assert main([command, "--config", str(workdir / "cfg_bad.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(geomind.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "geomind", "--help"],
@@ -339,6 +366,21 @@ def test_analyze_empty_field_succeeds(workdir):
     assert rc == 0
     report = json.loads((out / "field_report.json").read_text())
     assert report["components"] == []
+
+
+def test_runtime_error_writes_failure_and_exits_1(workdir):
+    # a grid point lies within one finite-difference step of the pole theta = 0
+    write_json(workdir / "near_pole.json", {"dimension": 2, "bandwidth": 1.0, "tokens": [
+        {"id": 1, "mean": [2.00001, 0.0]}, {"id": 2, "mean": [3.0, 1.0]}]})
+    write_json(workdir / "cfg_near_pole.json",
+               {"field": "near_pole.json", "metric": {"kind": "sphere"}})
+    out = workdir / "near_pole"
+    rc = main(["analyze", "--config", str(workdir / "cfg_near_pole.json"), "--out", str(out)])
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+    failure = _strict_json(out / "failure.json")
+    assert failure["error"] == "ChartDomainError"
+    assert failure["message"].startswith("sphere chart is singular")
 
 
 def test_geodesic_writes_path(workdir):
@@ -400,6 +442,20 @@ def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
                                 "miss": None, "iterations": 4}
 
 
+def test_flow_that_never_ran_scores_null_and_cannot_win(workdir):
+    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    write_json(workdir / "cfg_no_cycle.json", {
+        "field": "empty.json", "metric": {"kind": "sphere", "radius": 1.0},
+        "simulation": {"steps": 10, "dt": 0.01, "seeds": [1, 2],
+                       "start": [0.001, 0.0], "velocity": [-1.0, 0.0]},
+    })
+    out = workdir / "no_cycle"
+    assert main(["compete", "--config", str(workdir / "cfg_no_cycle.json"), "--out", str(out)]) == 1
+    assert _strict_json(out / "failure.json")["seeds"] == [1, 2]
+    assert _strict_json(out / "selection.json") == {
+        "threshold": 0.0, "scores": [None, None], "winner_index": None, "winner_seed": None}
+
+
 def test_chart_exit_writes_failure_and_exits_1(workdir):
     save_field(demo_field().with_tokens([]), workdir / "empty.json")
     cfg = {
@@ -425,7 +481,6 @@ def _strict_json(path: Path):
     return json.loads(path.read_text(), parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("command", ["simulate", "compete"])
 def test_diverging_flow_writes_failure_and_exits_1(workdir, command):
     cfg = json.loads((workdir / "config.json").read_text())
@@ -445,7 +500,6 @@ def test_diverging_flow_writes_failure_and_exits_1(workdir, command):
         assert _strict_json(out / "selection.json")["scores"] == [None, None]
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_diverging_learning_writes_failure_and_exits_1(workdir):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["cognition"].update(kappa=1e6, feedback_gain=5.0)

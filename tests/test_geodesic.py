@@ -3,9 +3,8 @@ import pytest
 
 from geomind import (ConformalFieldMetric, FlatMetric, GeodesicState,
                      NoGeodesicError, ShootingOptions, SphereMetric,
-                     Trajectory, constant_forcing, geodesic_between,
-                     geodesic_step, integrate_geodesic, path_length_energy,
-                     zero_forcing)
+                     Trajectory, geodesic_between, geodesic_step,
+                     integrate_geodesic, path_length_energy)
 
 from conftest import make_field
 
@@ -49,7 +48,7 @@ def test_rest_state_stays_at_rest(sphere, random_field):
 def test_constant_forcing_half_a_t_squared(flat):
     # oracle: x(t) = a t^2 / 2 for constant acceleration from rest
     traj = integrate_geodesic(GeodesicState([0.0, 0.0], [0.0, 0.0]), flat,
-                              constant_forcing([0.0, 1.0]), horizon=1.0, dt=1e-3)
+                              [0.0, 1.0], horizon=1.0, dt=1e-3)
     assert np.allclose(traj.samples[-1].position, [0.0, 0.5], atol=1e-4)
 
 
@@ -98,7 +97,7 @@ def test_chart_exit_truncates_and_flags(sphere):
 def test_zero_forcing_bitwise_equals_default(sphere):
     initial = GeodesicState([1.0, 0.3], [0.2, 0.5])
     a = integrate_geodesic(initial, sphere, None, horizon=1.0, dt=1e-2)
-    b = integrate_geodesic(initial, sphere, zero_forcing, horizon=1.0, dt=1e-2)
+    b = integrate_geodesic(initial, sphere, np.zeros(2), horizon=1.0, dt=1e-2)
     assert np.array_equal(a.positions(), b.positions())
     assert np.array_equal(a.velocities(), b.velocities())
 

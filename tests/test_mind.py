@@ -11,7 +11,8 @@ from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      manipulate_feature, nearest_token, pca_projection,
                      run_learning, run_thought_flow, score_flow,
                      select_conscious)
-from geomind.mind import GRID_BUDGET
+from geomind.mind import (CURVATURE_PERCENTILE, GRID_BUDGET, GRID_PADDING,
+                          SEGMENT_SAMPLES)
 
 from conftest import make_field
 
@@ -132,7 +133,6 @@ def test_flow_sample_count(random_field, identity_params):
     assert flow.stop_reason is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_diverging_flow_stops_at_first_non_finite_cycle():
     field = demo_field()
     source = ConformalFieldMetric(field)
@@ -323,17 +323,17 @@ def _survey_field(seed):
 def _per_point_report(field, source, grid):
     """analyze_field's curvature flags and components from one curvature_at
     and one density_at call per point."""
-    lo = field.means.min(axis=0) - grid.padding_bandwidths * field.bandwidth
-    hi = field.means.max(axis=0) + grid.padding_bandwidths * field.bandwidth
+    lo = field.means.min(axis=0) - GRID_PADDING * field.bandwidth
+    hi = field.means.max(axis=0) + GRID_PADDING * field.bandwidth
     axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(field.dimension)]
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     scalars = np.array([curvature_at(source, p).scalar for p in points])
-    cut = np.percentile(np.abs(scalars), grid.curvature_percentile)
+    cut = np.percentile(np.abs(scalars), CURVATURE_PERCENTILE)
     high = points[np.abs(scalars) > cut]
     ids, means = list(field.ids), field.means
     edges = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
              if min(density_at(field, means[i] + t * (means[j] - means[i]))
-                    for t in np.linspace(0.0, 1.0, grid.segment_samples)) >= field.epsilon]
+                    for t in np.linspace(0.0, 1.0, SEGMENT_SAMPLES)) >= field.epsilon]
     components = {i: {i} for i in ids}
     for i, j in edges:
         merged = components[i] | components[j]
