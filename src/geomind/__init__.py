@@ -6,9 +6,8 @@ consciousness cycle of perception, prediction, evaluation and adjustment
 closes the loop between geometry and learning.
 """
 
-from .cognition import (CognitionParams, ErrorHistory, MindState,
-                        SampledEmbedding, attention_weights, context_vector,
-                        cycle_step, feedback_forcing, perceive,
+from .cognition import (CognitionParams, MindState, attention_weights,
+                        context_vector, cycle_step, feedback_forcing, perceive,
                         predict_contextual, predict_geometric,
                         prediction_error, sample_embedding)
 from .errors import (ChartDomainError, ChartExitError, ConfigError,
@@ -21,31 +20,31 @@ from .io import (export_trajectory, import_trajectory, load_field,
                  load_input_schedule, save_field)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
                        FlatMetric, MetricSource, SphereMetric, TokenEmbedding,
-                       TokenField, christoffel_at, curvature_at, density_at,
-                       density_gradient, metric_at)
+                       TokenField, christoffel_fd, curvature_at, density_at,
+                       density_gradient)
 from .mind import (FieldReport, GridSpec, Selection, ThoughtFlow,
                    analyze_field, demo_field, feature_vector,
                    intrinsic_dimension, learn_update, manipulate_feature,
-                   nearest_token, pca_projection, run_learning,
-                   run_thought_flow, score_flow, select_conscious)
+                   pca_projection, run_learning, run_thought_flow, score_flow,
+                   select_conscious)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CallableMetric", "ChartDomainError", "ChartExitError", "CognitionParams",
-    "ConfigError", "ConformalFieldMetric", "CurvatureReport", "ErrorHistory",
+    "ConfigError", "ConformalFieldMetric", "CurvatureReport",
     "FieldFormatError", "FieldReport", "FlatMetric", "GeodesicState",
     "GeomindError", "GridSpec", "MetricSource", "MindState", "NoGeodesicError",
-    "SampledEmbedding", "Selection", "ShootingOptions", "SingularMetricError",
-    "SphereMetric", "ThoughtFlow", "TokenEmbedding", "TokenField", "Trajectory",
-    "analyze_field", "attention_weights", "christoffel_at", "context_vector",
+    "Selection", "ShootingOptions", "SingularMetricError", "SphereMetric",
+    "ThoughtFlow", "TokenEmbedding", "TokenField", "Trajectory",
+    "analyze_field", "attention_weights", "christoffel_fd", "context_vector",
     "curvature_at", "cycle_step", "demo_field", "density_at",
     "density_gradient", "export_trajectory", "feature_vector",
     "feedback_forcing", "geodesic_between", "geodesic_step",
     "import_trajectory", "integrate_geodesic", "intrinsic_dimension",
     "learn_update", "load_field", "load_input_schedule", "manipulate_feature",
-    "metric_at", "nearest_token", "path_length_energy", "pca_projection",
-    "perceive", "predict_contextual", "predict_geometric", "prediction_error",
-    "run_learning", "run_thought_flow", "sample_embedding", "save_field",
-    "score_flow", "select_conscious",
+    "path_length_energy", "pca_projection", "perceive", "predict_contextual",
+    "predict_geometric", "prediction_error", "run_learning",
+    "run_thought_flow", "sample_embedding", "save_field", "score_flow",
+    "select_conscious",
 ]

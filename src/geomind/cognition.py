@@ -9,8 +9,7 @@ index kappa. Token activation and stochastic resampling close the loop.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,17 +27,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.max(logits)
     e = np.exp(shifted)
     return e / np.sum(e)
-
-
-@dataclass(frozen=True)
-class SampledEmbedding:
-    """A stochastic draw from one token's embedding distribution."""
-
-    token_id: int
-    value: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", np.asarray(self.value, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -108,36 +96,12 @@ class CognitionParams:
         return cls(**base)
 
 
-class ErrorHistory:
-    """Fixed-capacity buffer of the last three feedback vectors with timestamps."""
-
-    capacity = 3
-
-    def __init__(self, entries=()):
-        self._buf: deque[tuple[float, np.ndarray]] = deque(maxlen=self.capacity)
-        for t, vec in entries:
-            self.push(t, vec)
-
-    def push(self, t: float, vec) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if self._buf and t <= self._buf[-1][0]:
-            raise ValueError("timestamps must be strictly increasing")
-        self._buf.append((float(t), vec))
-
-    def entries(self) -> list[tuple[float, np.ndarray]]:
-        return list(self._buf)
-
-    def copy(self) -> "ErrorHistory":
-        return ErrorHistory((t, v.copy()) for t, v in self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
 @dataclass(frozen=True)
 class MindState:
     """Live state of one consciousness cycle.
 
+    context holds the sampled embeddings of the activated tokens, oldest
+    first; history holds the last three (time, feedback vector) pairs.
     Advancing the state consumes it: the rng stream is shared with the
     returned successor, so a superseded state must not be advanced again.
     """
@@ -145,15 +109,11 @@ class MindState:
     front: GeodesicState
     params: CognitionParams
     rng: np.random.Generator
-    context: tuple[SampledEmbedding, ...] = ()
-    history: ErrorHistory = dc_field(default_factory=ErrorHistory)
+    context: tuple[np.ndarray, ...] = ()
+    history: tuple[tuple[float, np.ndarray], ...] = ()
     recent_fronts: tuple[GeodesicState, ...] = ()
     last_error: Optional[np.ndarray] = None
     last_activation: Optional[tuple[float, int]] = None
-
-    @property
-    def dim(self) -> int:
-        return self.front.dim
 
     @classmethod
     def initial(cls, field: TokenField, params: CognitionParams, seed: int,
@@ -167,7 +127,7 @@ class MindState:
         start = np.zeros(d) if start is None else _as_vector(start, d, "start")
         velocity = np.zeros(d) if velocity is None else _as_vector(velocity, d, "velocity")
         rng = np.random.default_rng(seed)
-        context: tuple[SampledEmbedding, ...] = ()
+        context: tuple[np.ndarray, ...] = ()
         activation = None
         position = start
         if len(field):
@@ -180,48 +140,48 @@ class MindState:
                    recent_fronts=(front,), last_activation=activation)
 
 
-def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> SampledEmbedding:
+def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> np.ndarray:
     """Draw mean + L z with L a square root of the covariance and z standard normal.
 
     Diagonal covariances use the elementwise square root, full ones the
     Cholesky factor (eigenvalue square root if only semidefinite); both clip
-    rounding-level negatives to zero. The rng advances by exactly D draws.
+    rounding-level negatives to zero. Returns the (D,) draw; the rng advances
+    by exactly D draws.
     """
     d = token.dim
     cov = token.covariance
     z = rng.standard_normal(d)
     if not np.any(cov):
-        return SampledEmbedding(token.id, token.mean.copy())
+        return token.mean.copy()
     if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
         diag = np.clip(np.diagonal(cov), 0.0, None)
-        return SampledEmbedding(token.id, token.mean + np.sqrt(diag) * z)
+        return token.mean + np.sqrt(diag) * z
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
         factor = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-    return SampledEmbedding(token.id, token.mean + factor @ z)
+    return token.mean + factor @ z
 
 
-def attention_weights(query: SampledEmbedding, sequence: list[SampledEmbedding],
-                      params: CognitionParams) -> np.ndarray:
-    """Softmax of the temperature-scaled dot products of query against the sequence."""
-    if not sequence:
+def attention_weights(query, sequence, params: CognitionParams) -> np.ndarray:
+    """Softmax of the temperature-scaled dot products of the query vector
+    against a sequence of vectors."""
+    if not len(sequence):
         raise ValueError("attention over an empty sequence")
-    q = query.value
-    logits = np.array([float(q @ s.value) for s in sequence]) / params.attention_temperature
+    # vecdot is the per-row BLAS dot that q @ s uses on one pair of vectors
+    logits = np.vecdot(sequence, query) / params.attention_temperature
     return softmax(logits)
 
 
-def context_vector(weights, sequence: list[SampledEmbedding],
-                   params: CognitionParams) -> np.ndarray:
+def context_vector(weights, sequence, params: CognitionParams) -> np.ndarray:
     """Attention-weighted sum of the value-mapped sequence embeddings."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(sequence),):
         raise ValueError("weights and sequence lengths differ")
     if abs(float(np.sum(weights)) - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    values = np.stack([params.value_matrix @ s.value for s in sequence])
+    values = np.stack([params.value_matrix @ s for s in sequence])
     return np.einsum("n,nd->d", weights, values)
 
 
@@ -273,17 +233,17 @@ def prediction_error(perceived, predicted) -> np.ndarray:
     return perceived - predicted
 
 
-def feedback_forcing(history: ErrorHistory, params: CognitionParams, dt: float) -> np.ndarray:
-    """kappa times the three-point second difference of the feedback vectors.
+def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
+    """kappa times the three-point second difference of the feedback vectors,
+    given as a sequence of at most three (time, vector) pairs, oldest first.
 
     Underfull histories (warm-up) contribute exactly zero forcing.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    entries = history.entries()
-    if len(entries) < 3:
+    if len(history) < 3:
         return np.zeros(params.dim)
-    (t0, psi0), (t1, psi1), (t2, psi2) = entries
+    (t0, psi0), (t1, psi1), (t2, psi2) = history
     if abs((t1 - t0) - dt) > 1e-9 * max(1.0, dt) or abs((t2 - t1) - dt) > 1e-9 * max(1.0, dt):
         raise ValueError("history timestamps are not uniform with spacing dt")
     return params.kappa * (psi2 - 2.0 * psi1 + psi0) / dt**2
@@ -300,10 +260,8 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
             return predict_geometric(recent, params.geometric_window)
         return perceived.copy()
     if state.context:
-        query = state.context[-1]
-        weights = attention_weights(query, list(state.context), params)
-        ctx = context_vector(weights, list(state.context), params)
-        return predict_contextual(ctx, params)
+        weights = attention_weights(state.context[-1], state.context, params)
+        return predict_contextual(context_vector(weights, state.context, params), params)
     # nothing to attend over yet: predict the perceived state itself
     return perceived.copy()
 
@@ -325,8 +283,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     predicted = _predict(state, perceived, dt)
     error = prediction_error(perceived, predicted)
 
-    history = state.history.copy()
-    history.push(front.time, params.feedback_gain * error)
+    history = (state.history + ((front.time, params.feedback_gain * error),))[-3:]
     forcing_vec = feedback_forcing(history, params, dt)
 
     new_front = geodesic_step(front, source, forcing_vec, dt)
@@ -335,8 +292,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     activation = None
     if len(field):
         token = field.nearest(new_front.position)
-        sample = sample_embedding(token, state.rng)
-        context = (context + (sample,))[-params.context_capacity:]
+        context = (context + (sample_embedding(token, state.rng),))[-params.context_capacity:]
         activation = (new_front.time, token.id)
 
     recent = (state.recent_fronts + (new_front,))[-RECENT_FRONTS_MAX:]

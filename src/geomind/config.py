@@ -139,6 +139,8 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         raise ConfigError("at least one seed is required")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be unique")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {min(seeds)}")
     schedule_path = sim.get("inputs")
     inputs = {} if schedule_path is None else load_input_schedule(path.parent / schedule_path)
     for step, vec in inputs.items():

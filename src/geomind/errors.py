@@ -16,14 +16,7 @@ class SingularMetricError(GeomindError, ValueError):
 
 
 class ChartExitError(GeomindError, RuntimeError):
-    """An integration step left the chart domain.
-
-    Carries the last valid state so callers can truncate cleanly.
-    """
-
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
+    """An integration step left the chart domain."""
 
 
 class NoGeodesicError(GeomindError, RuntimeError):

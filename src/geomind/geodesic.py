@@ -80,8 +80,8 @@ def geodesic_step(state: GeodesicState, source: MetricSource,
     """One RK4 step of the geodesic equation forced by a constant vector.
 
     forcing is a D-vector held over the whole step, or None for no forcing.
-    Raises ChartExitError carrying the last valid state if any stage point
-    leaves the chart domain.
+    Raises ChartExitError if any stage point leaves the chart domain; the
+    given state is then the last valid one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -103,8 +103,7 @@ def geodesic_step(state: GeodesicState, source: MetricSource,
         v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         source.check_domain(x_new)
     except ChartDomainError as exc:
-        raise ChartExitError(f"left chart domain during step at t={t}: {exc}",
-                             last_state=state) from exc
+        raise ChartExitError(f"left chart domain during step at t={t}: {exc}") from exc
     return GeodesicState(x_new, v_new, t + dt)
 
 

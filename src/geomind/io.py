@@ -119,7 +119,8 @@ def save_field(field: TokenField, path: Union[str, Path]) -> None:
 
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
-    """Parse a sparse input schedule: a JSON list of {"step", "vector"} pairs."""
+    """Parse a sparse input schedule: a JSON list of {"step", "vector"} pairs
+    with distinct, non-negative steps."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise FieldFormatError(f"{path}: input schedule must be a JSON list")
@@ -131,6 +132,9 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
             raise FieldFormatError(f"{path}: bad schedule entry {entry!r}") from exc
         if not np.isfinite(vector).all():
             raise FieldFormatError(f"{path}: step {step}: vector must be finite")
+        if step < 0 or step in schedule:
+            rule = "is negative" if step < 0 else "appears more than once"
+            raise FieldFormatError(f"{path}: step {step} {rule}")
         schedule[step] = vector
     return schedule
 
@@ -140,7 +144,9 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
 
     JSON holds one object per sample {t, position, velocity, token_id?};
     CSV uses the header t,p0..p{D-1},v0..v{D-1},token_id with an empty
-    token_id on samples without an activation.
+    token_id on samples without an activation. A truncated trajectory's CSV
+    ends with the line truncated,<dt>, which also keeps dt when fewer than
+    two samples remain.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
@@ -172,6 +178,8 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             row = ([repr(float(s.time))] + [repr(float(x)) for x in s.position]
                    + [repr(float(x)) for x in s.velocity] + [token])
             writer.writerow(row)
+        if traj.truncated:
+            writer.writerow(["truncated", repr(float(traj.dt))])
 
 
 def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
@@ -195,12 +203,18 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
         reader = csv.reader(fh)
         header = next(reader)
         d = (len(header) - 2) // 2
+        dt = None
         for row in reader:
+            if row[0] == "truncated":
+                dt = float(row[1])
+                break
             t = float(row[0])
             pos = np.array([float(x) for x in row[1:1 + d]])
             vel = np.array([float(x) for x in row[1 + d:1 + 2 * d]])
             samples.append(GeodesicState(pos, vel, t))
             if row[-1] != "":
                 activations.append((t, int(row[-1])))
-    dt = samples[1].time - samples[0].time if len(samples) > 1 else 1.0
-    return Trajectory(samples=samples, dt=dt, activations=activations)
+    truncated = dt is not None
+    if not truncated:
+        dt = samples[1].time - samples[0].time if len(samples) > 1 else 1.0
+    return Trajectory(samples=samples, dt=dt, activations=activations, truncated=truncated)

@@ -251,10 +251,6 @@ class MetricSource:
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def has_closed_form_christoffel(self) -> bool:
-        return type(self).christoffel is not MetricSource.christoffel
-
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         return christoffel_fd(self, x)
 
@@ -275,10 +271,12 @@ def _inverse_metric(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def christoffel_fd(source: MetricSource, x: np.ndarray) -> np.ndarray:
-    """Gamma^m_{nl} = 1/2 g^{mr} (d_l g_{rn} + d_n g_{rl} - d_r g_{nl}), with
-    the metric derivatives taken by central differences."""
+def christoffel_fd(source: MetricSource, x) -> np.ndarray:
+    """Gamma^m_{nl} = 1/2 g^{mr} (d_l g_{rn} + d_n g_{rl} - d_r g_{nl}) at x as
+    a (D, D, D) array, with the metric derivatives taken by central
+    differences. Every source's christoffel() defaults to this path."""
     d = source.dim
+    x = _as_vector(x, d)
     delta = fd_step_at(x)
     dg = np.empty((d, d, d))
     for k in range(d):
@@ -413,27 +411,6 @@ class CallableMetric(MetricSource):
         x = _as_vector(x, self.dim)
         self.check_domain(x)
         return np.asarray(self.fn(x), dtype=float)
-
-
-def metric_at(source: MetricSource, x) -> np.ndarray:
-    """Metric tensor g_{mu nu} at x as a (D, D) array."""
-    return source.metric(_as_vector(x, source.dim))
-
-
-def christoffel_at(source: MetricSource, x, method: str = "auto") -> np.ndarray:
-    """Christoffel symbols Gamma^mu_{nu lambda} at x as a (D, D, D) array.
-
-    method "auto" prefers a closed form when the source has one, "exact"
-    requires it, and "fd" forces the finite-difference path.
-    """
-    x = _as_vector(x, source.dim)
-    if method == "fd":
-        return christoffel_fd(source, x)
-    if method not in ("auto", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" and not source.has_closed_form_christoffel:
-        raise ValueError(f"{type(source).__name__} has no closed-form Christoffel symbols")
-    return source.christoffel(x)
 
 
 def curvature_at(source: MetricSource, x) -> CurvatureReport:

@@ -87,11 +87,6 @@ class FieldReport:
     percentile_cut: float = 0.0
 
 
-def nearest_token(field: TokenField, x) -> int:
-    """Id of the token whose mean is nearest to x (ties to the lowest id)."""
-    return field.nearest(x).id
-
-
 def score_flow(flow: ThoughtFlow) -> float:
     """Negative mean squared prediction error; zero-error flows score highest."""
     if not flow.errors:

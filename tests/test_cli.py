@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from geomind import (ConfigError, FieldFormatError, GeodesicState,
-                     Trajectory, export_trajectory, import_trajectory,
-                     load_field, load_input_schedule, save_field)
-from geomind.io import field_to_dict
+                     SphereMetric, Trajectory, export_trajectory,
+                     import_trajectory, integrate_geodesic, load_field,
+                     load_input_schedule, save_field)
+from geomind.io import FORMATS, field_to_dict
 import geomind
 from geomind.cli import main
 from geomind.config import load_config
@@ -169,6 +170,26 @@ def test_load_input_schedule(tmp_path):
     assert np.array_equal(schedule[7], np.array([0.0, 0.5]))
 
 
+@pytest.mark.parametrize("steps, rule", [([2, 5, 2], "step 2 appears more than once"),
+                                         ([0, -1], "step -1 is negative")],
+                         ids=["duplicate", "negative"])
+def test_malformed_input_schedule_exits_2(workdir, steps, rule):
+    write_json(workdir / "schedule.json", [{"step": k, "vector": [0.1, 0.2]} for k in steps])
+    with pytest.raises(FieldFormatError, match=f"schedule.json: {rule}"):
+        load_input_schedule(workdir / "schedule.json")
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["simulation"]["inputs"] = "schedule.json"
+    write_json(workdir / "cfg_schedule.json", cfg)
+    out = workdir / "schedule_out"
+    assert main(["simulate", "--config", str(workdir / "cfg_schedule.json"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    # a step at or past simulation.steps is kept and never applied
+    write_json(workdir / "schedule.json", [{"step": 100, "vector": [0.1, 0.2]}])
+    assert main(["simulate", "--config", str(workdir / "cfg_schedule.json"),
+                 "--out", str(out)]) == 0
+
+
 # ---------------------------------------------------------------- trajectory export
 
 def _sample_trajectory():
@@ -203,6 +224,26 @@ def test_csv_round_trip_exact(tmp_path):
         assert np.array_equal(a.position, b.position)
         assert np.array_equal(a.velocity, b.velocity)
     assert back.activations == traj.activations
+    assert back.dt == traj.dt
+    assert back.truncated is False
+    # header and one row per sample, nothing else
+    assert len(path.read_text().splitlines()) == 1 + len(traj)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("start, samples", [([0.5, 0.0], 50), ([0.001, 0.0], 1)])
+def test_truncated_round_trip_keeps_flag_and_dt(tmp_path, fmt, start, samples):
+    # both leave the sphere chart through theta = 0
+    traj = integrate_geodesic(GeodesicState(start, [-1.0, 0.0]), SphereMetric(1.0),
+                              horizon=2.0, dt=0.01)
+    assert traj.truncated and len(traj) == samples
+    path = tmp_path / f"traj.{fmt}"
+    export_trajectory(traj, fmt, path)
+    back = import_trajectory(path)
+    assert back.truncated is True
+    assert back.dt == 0.01
+    assert [s.time for s in back.samples] == [s.time for s in traj.samples]
+    assert np.array_equal(back.positions(), traj.positions())
 
 
 def test_csv_column_count(tmp_path):
@@ -299,9 +340,10 @@ def test_oversized_geometric_window_exits_2(workdir):
     ("metric", "field", "simulate"),
     ("simulation", [], "simulate"),
     ("cognition", {"kappa": -1.0}, "simulate"),
+    ("simulation", {"seeds": [-1]}, "simulate"),
 ], ids=["steps-0", "steps-negative", "max-iters-negative", "tol-zero", "equal-endpoints",
         "threshold-string", "scale-string", "scale-negative", "radius-zero",
-        "metric-string", "simulation-list", "kappa-negative"])
+        "metric-string", "simulation-list", "kappa-negative", "seed-negative"])
 def test_malformed_config_value_exits_2(workdir, section, value, command):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg[section] = value
@@ -311,6 +353,15 @@ def test_malformed_config_value_exits_2(workdir, section, value, command):
     out = workdir / "bad_out"
     assert main([command, "--config", str(workdir / "cfg_bad.json"), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(workdir, capsys):
+    out = workdir / "neg_seed"
+    rc = main(["simulate", "--config", str(workdir / "config.json"), "--out", str(out),
+               "--seed", "-1"])
+    assert rc == 2
+    assert not out.exists()
+    assert "seeds must be non-negative" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from geomind import (CognitionParams, ConformalFieldMetric, ErrorHistory,
-                     FlatMetric, GeodesicState, MindState, SampledEmbedding,
-                     TokenEmbedding, Trajectory, attention_weights,
+from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
+                     GeodesicState, MindState, TokenEmbedding, Trajectory,
+                     attention_weights,
                      context_vector, cycle_step, feedback_forcing,
                      integrate_geodesic, perceive, predict_contextual,
                      predict_geometric, prediction_error, sample_embedding)
@@ -18,15 +18,14 @@ from conftest import make_field
 def test_zero_covariance_returns_mean_exactly():
     token = TokenEmbedding(1, np.array([0.3, -0.7]), np.zeros((2, 2)))
     out = sample_embedding(token, np.random.default_rng(0))
-    assert np.array_equal(out.value, token.mean)
-    assert out.token_id == 1
+    assert np.array_equal(out, token.mean)
 
 
 def test_sampling_deterministic_for_equal_rng_state():
     token = TokenEmbedding(1, np.zeros(2), np.diag([0.5, 2.0]))
     a = sample_embedding(token, np.random.default_rng(123))
     b = sample_embedding(token, np.random.default_rng(123))
-    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a, b)
 
 
 def test_sampling_advances_rng():
@@ -34,7 +33,7 @@ def test_sampling_advances_rng():
     rng = np.random.default_rng(123)
     a = sample_embedding(token, rng)
     b = sample_embedding(token, rng)
-    assert not np.array_equal(a.value, b.value)
+    assert not np.array_equal(a, b)
 
 
 def test_sample_mean_clt_bound():
@@ -43,7 +42,7 @@ def test_sample_mean_clt_bound():
     token = TokenEmbedding(1, np.array([1.0, -2.0]), np.eye(2))
     rng = np.random.default_rng(2024)
     n = 10_000
-    draws = np.stack([sample_embedding(token, rng).value for _ in range(n)])
+    draws = np.stack([sample_embedding(token, rng) for _ in range(n)])
     assert np.all(np.abs(draws.mean(axis=0) - token.mean) < 4.0 / math.sqrt(n))
 
 
@@ -51,28 +50,27 @@ def test_full_covariance_cholesky_path():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     token = TokenEmbedding(1, np.zeros(2), cov)
     rng = np.random.default_rng(5)
-    draws = np.stack([sample_embedding(token, rng).value for _ in range(20_000)])
+    draws = np.stack([sample_embedding(token, rng) for _ in range(20_000)])
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.1
 
 
 # ---------------------------------------------------------------- attention
 
 def test_identical_values_give_uniform_weights(identity_params):
-    seq = [SampledEmbedding(i, [0.4, 0.6]) for i in range(4)]
-    w = attention_weights(SampledEmbedding(0, [1.0, 2.0]), seq, identity_params)
+    seq = [np.array([0.4, 0.6])] * 4
+    w = attention_weights(np.array([1.0, 2.0]), seq, identity_params)
     assert np.allclose(w, 0.25)
 
 
 def test_singleton_sequence(identity_params):
-    w = attention_weights(SampledEmbedding(0, [1.0, 2.0]),
-                          [SampledEmbedding(1, [0.0, 1.0])], identity_params)
+    w = attention_weights(np.array([1.0, 2.0]), [np.array([0.0, 1.0])], identity_params)
     assert np.array_equal(w, np.array([1.0]))
 
 
 def test_hand_evaluated_softmax(identity_params):
     # oracle: softmax(1/sqrt(2), 0) computed from math.exp
-    seq = [SampledEmbedding(1, [1.0, 0.0]), SampledEmbedding(2, [0.0, 1.0])]
-    w = attention_weights(SampledEmbedding(0, [1.0, 0.0]), seq, identity_params)
+    seq = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    w = attention_weights(np.array([1.0, 0.0]), seq, identity_params)
     e = math.exp(1.0 / math.sqrt(2.0))
     assert np.allclose(w, [e / (e + 1.0), 1.0 / (e + 1.0)], atol=1e-12)
 
@@ -81,9 +79,8 @@ def test_weights_sum_to_one_random_sequences(identity_params):
     rng = np.random.default_rng(9)
     for _ in range(200):
         n = rng.integers(1, 12)
-        seq = [SampledEmbedding(i, rng.standard_normal(2) * 3) for i in range(n)]
-        w = attention_weights(SampledEmbedding(0, rng.standard_normal(2)), seq,
-                              identity_params)
+        seq = [rng.standard_normal(2) * 3 for _ in range(n)]
+        w = attention_weights(rng.standard_normal(2), seq, identity_params)
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
         assert np.all(w > 0.0)
 
@@ -96,50 +93,48 @@ def test_softmax_shift_invariance(identity_params):
         q2 = rng.standard_normal(2)
         seq2 = [rng.standard_normal(2) for _ in range(5)]
         shift = rng.uniform(-5, 5)
-        w_base = attention_weights(SampledEmbedding(0, q2),
-                                   [SampledEmbedding(i, v) for i, v in enumerate(seq2)],
-                                   identity_params)
+        w_base = attention_weights(q2, seq2, identity_params)
         q3 = np.append(q2, 1.0)
         offset = shift * identity_params.attention_temperature
-        seq3 = [SampledEmbedding(i, np.append(v, offset)) for i, v in enumerate(seq2)]
-        w_shift = attention_weights(SampledEmbedding(0, q3), seq3, params3)
+        seq3 = [np.append(v, offset) for v in seq2]
+        w_shift = attention_weights(q3, seq3, params3)
         assert np.allclose(w_base, w_shift, atol=1e-12)
 
 
 def test_empty_sequence_rejected(identity_params):
     with pytest.raises(ValueError):
-        attention_weights(SampledEmbedding(0, [1.0, 0.0]), [], identity_params)
+        attention_weights(np.array([1.0, 0.0]), [], identity_params)
 
 
 # ---------------------------------------------------------------- context vector
 
 def test_uniform_weights_identity_matrix_mean(identity_params):
-    seq = [SampledEmbedding(1, [1.0, 0.0]), SampledEmbedding(2, [0.0, 1.0])]
+    seq = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     ctx = context_vector([0.5, 0.5], seq, identity_params)
     assert np.allclose(ctx, [0.5, 0.5])
 
 
 def test_one_hot_weight_selects_value(identity_params):
-    seq = [SampledEmbedding(1, [1.0, 0.0]), SampledEmbedding(2, [0.3, 0.9])]
+    seq = [np.array([1.0, 0.0]), np.array([0.3, 0.9])]
     ctx = context_vector([0.0, 1.0], seq, identity_params)
     assert np.allclose(ctx, [0.3, 0.9])
 
 
 def test_context_vector_hand_arithmetic():
     params = CognitionParams.defaults(2, value_matrix=2.0 * np.eye(2))
-    seq = [SampledEmbedding(1, [1.0, 0.0]), SampledEmbedding(2, [0.0, 1.0])]
+    seq = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     ctx = context_vector([0.25, 0.75], seq, params)
     assert np.allclose(ctx, [0.5, 1.5])
 
 
 def test_context_vector_length_mismatch(identity_params):
     with pytest.raises(ValueError):
-        context_vector([1.0], [SampledEmbedding(1, [1.0, 0.0])] * 2, identity_params)
+        context_vector([1.0], [np.array([1.0, 0.0])] * 2, identity_params)
 
 
 def test_context_vector_unnormalized_weights(identity_params):
     with pytest.raises(ValueError):
-        context_vector([0.5, 0.6], [SampledEmbedding(1, [1.0, 0.0])] * 2, identity_params)
+        context_vector([0.5, 0.6], [np.array([1.0, 0.0])] * 2, identity_params)
 
 
 # ---------------------------------------------------------------- predictors
@@ -241,44 +236,48 @@ def test_prediction_error_basics():
 
 def test_constant_history_zero_forcing():
     params = CognitionParams.defaults(1, kappa=2.0)
-    hist = ErrorHistory([(0.0, [0.7]), (1.0, [0.7]), (2.0, [0.7])])
+    hist = [(0.0, np.array([0.7])), (1.0, np.array([0.7])), (2.0, np.array([0.7]))]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(1))
 
 
 def test_zero_kappa_zero_forcing():
     params = CognitionParams.defaults(1, kappa=0.0)
-    hist = ErrorHistory([(0.0, [0.0]), (1.0, [5.0]), (2.0, [1.0])])
+    hist = [(0.0, np.array([0.0])), (1.0, np.array([5.0])), (2.0, np.array([1.0]))]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(1))
 
 
 def test_quadratic_history_second_difference():
     # oracle: second difference of t^2 sampled at unit spacing is exactly 2
     params = CognitionParams.defaults(1, kappa=1.0, feedback_gain=1.0)
-    hist = ErrorHistory([(0.0, [0.0]), (1.0, [1.0]), (2.0, [4.0])])
+    hist = [(0.0, np.array([0.0])), (1.0, np.array([1.0])), (2.0, np.array([4.0]))]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.array([2.0]))
 
 
 def test_underfull_history_warmup():
     params = CognitionParams.defaults(2, kappa=3.0)
-    hist = ErrorHistory([(0.0, [1.0, 1.0])])
+    hist = [(0.0, np.array([1.0, 1.0]))]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(2))
 
 
 def test_non_uniform_timestamps_rejected():
     params = CognitionParams.defaults(1, kappa=1.0)
-    hist = ErrorHistory([(0.0, [0.0]), (1.0, [1.0]), (2.5, [4.0])])
+    hist = [(0.0, np.array([0.0])), (1.0, np.array([1.0])), (2.5, np.array([4.0]))]
     with pytest.raises(ValueError):
         feedback_forcing(hist, params, 1.0)
 
 
-def test_history_eviction_and_ordering():
-    hist = ErrorHistory()
-    for t in range(5):
-        hist.push(float(t), [float(t)])
-    assert len(hist) == 3
-    assert [t for t, _ in hist.entries()] == [2.0, 3.0, 4.0]
-    with pytest.raises(ValueError):
-        hist.push(3.5, [0.0])
+def test_history_eviction_and_ordering(random_field):
+    # the cycle keeps the last three (time, feedback) pairs, oldest first
+    source = ConformalFieldMetric(random_field)
+    params = CognitionParams.defaults(2, feedback_gain=0.5, input_blend=1.0)
+    state = MindState.initial(random_field, params, seed=1)
+    errors = []
+    for _ in range(5):
+        state = cycle_step(state, random_field, source, [0.3, -0.2], 0.25)
+        errors.append(state.last_error)
+    assert [t for t, _ in state.history] == [0.5, 0.75, 1.0]
+    for (_, psi), error in zip(state.history, errors[2:]):
+        assert np.array_equal(psi, 0.5 * error)
 
 
 # ---------------------------------------------------------------- full cycle
@@ -317,7 +316,7 @@ def test_cycle_forced_velocity_kick_one_dimensional():
         1, kappa=1.0, feedback_gain=1.0, input_blend=1.0,
         predictor_matrix=np.zeros((1, 1)))
     source = FlatMetric(1)
-    history = ErrorHistory([(-2.0, [0.0]), (-1.0, [1.0])])
+    history = ((-2.0, np.array([0.0])), (-1.0, np.array([1.0])))
     state = MindState.initial(field, params, seed=0, start=[0.0], velocity=[0.0])
     state = MindState(front=state.front, params=params, rng=state.rng,
                       context=state.context, history=history,

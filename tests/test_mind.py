@@ -8,9 +8,8 @@ from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      TokenEmbedding, Trajectory, analyze_field, curvature_at,
                      demo_field, density_at, feature_vector, geodesic_between,
                      integrate_geodesic, intrinsic_dimension, learn_update,
-                     manipulate_feature, nearest_token, pca_projection,
-                     run_learning, run_thought_flow, score_flow,
-                     select_conscious)
+                     manipulate_feature, pca_projection, run_learning,
+                     run_thought_flow, score_flow, select_conscious)
 from geomind.mind import (CURVATURE_PERCENTILE, GRID_BUDGET, GRID_PADDING,
                           SEGMENT_SAMPLES)
 
@@ -98,7 +97,7 @@ def test_empty_field_flow_is_straight_line(empty_field, identity_params):
     assert flow.score == 0.0
 
 
-def test_flow_activations_match_nearest_token_labels(random_field):
+def test_flow_activations_match_nearest_labels(random_field):
     # brute-force oracle: integrate the same free geodesic and label each
     # sample with the nearest token mean
     source = ConformalFieldMetric(random_field)
@@ -107,7 +106,7 @@ def test_flow_activations_match_nearest_token_labels(random_field):
                             seed=1, start=[0.0, 0.0], velocity=[0.6, 0.2])
     reference = integrate_geodesic(flow.trajectory.samples[0], source, None,
                                    horizon=0.8, dt=0.01)
-    expected = [(s.time, nearest_token(random_field, s.position))
+    expected = [(s.time, random_field.nearest(s.position).id)
                 for s in reference.samples]
     assert flow.trajectory.activations == expected
 
@@ -174,7 +173,7 @@ def test_learn_geometric_contraction(one_token_field):
     assert d2 == pytest.approx(0.25 * d0, abs=1e-12)
 
 
-def test_learn_moves_only_nearest_token():
+def test_learn_moves_only_closest_token():
     field = make_field([[0.0, 0.0], [10.0, 0.0]])
     updated = learn_update(field, [1.0, 0.0], rate=0.5)
     assert np.array_equal(updated.tokens[0].mean, np.array([0.5, 0.0]))
@@ -436,17 +435,17 @@ def test_pca_projection_shape(random_field):
 # ---------------------------------------------------------------- nearest token
 
 def test_nearest_single_token(one_token_field):
-    assert nearest_token(one_token_field, [9.0, 9.0]) == 1
+    assert one_token_field.nearest([9.0, 9.0]).id == 1
 
 
 def test_nearest_tie_breaks_to_lowest_id():
     field = make_field([[0.0, 0.0], [2.0, 0.0]], ids=[7, 3])
-    assert nearest_token(field, [1.0, 0.0]) == 3
+    assert field.nearest([1.0, 0.0]).id == 3
 
 
 def test_nearest_hand_distance():
     field = make_field([[0.0, 0.0], [10.0, 0.0]], ids=[1, 2])
-    assert nearest_token(field, [4.0, 0.0]) == 1
+    assert field.nearest([4.0, 0.0]).id == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -459,9 +458,9 @@ def test_nearest_matches_reference_loop(seed):
     field = make_field(list(means), dim=dim, ids=ids)
     for x in np.vstack([rng.normal(size=(50, dim)), means[:10]]):
         expected = min((float(np.linalg.norm(m - x)), i) for m, i in zip(means, ids))[1]
-        assert nearest_token(field, x) == expected
+        assert field.nearest(x).id == expected
 
 
 def test_nearest_empty_field_rejected(empty_field):
     with pytest.raises(ValueError):
-        nearest_token(empty_field, [0.0, 0.0])
+        empty_field.nearest([0.0, 0.0])
