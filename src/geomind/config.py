@@ -13,7 +13,7 @@ from .cognition import RECENT_FRONTS_MAX, CognitionParams
 from .errors import ConfigError, GeomindError
 from .geodesic import ShootingOptions
 from .io import (FORMATS, finite_float, load_field, load_input_schedule,
-                 refuse_constant)
+                 refuse_constant, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField)
 
@@ -119,13 +119,14 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         feedback_gain=float(cog.get("feedback_gain", 1.0)),
         kappa=float(cog.get("kappa", 0.0)),
         attention_temperature=float(temperature) if temperature is not None else None,
-        context_capacity=int(cog.get("context_capacity", 16)),
+        context_capacity=whole_number(cog.get("context_capacity", 16),
+                                      "cognition.context_capacity"),
         predictor=cog.get("predictor", "contextual"),
         geometric_window=float(cog.get("geometric_window", 0.1)),
     )
 
     sim = raw.get("simulation", {})
-    steps = int(sim.get("steps", 100))
+    steps = whole_number(sim.get("steps", 100), "simulation.steps")
     dt = float(sim.get("dt", 0.01))
     if dt <= 0:
         raise ConfigError("simulation dt must be positive")
@@ -134,7 +135,8 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     if params.predictor == "geometric" and round(params.geometric_window / dt) >= RECENT_FRONTS_MAX:
         raise ConfigError(f"cognition.geometric_window {params.geometric_window} spans more than "
                           f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
-    seeds = [int(s) for s in (seed_override if seed_override else sim.get("seeds", [0]))]
+    seeds = [whole_number(s, "seed")
+             for s in (seed_override if seed_override else sim.get("seeds", [0]))]
     if not seeds:
         raise ConfigError("at least one seed is required")
     if len(set(seeds)) != len(seeds):
@@ -155,7 +157,7 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     learning_rate = float(learn.get("rate", 0.2))
     if not 0.0 <= learning_rate <= 1.0:
         raise ConfigError("learning rate must lie in [0, 1]")
-    learning_cycles = int(learn.get("cycles", 50))
+    learning_cycles = whole_number(learn.get("cycles", 50), "learning.cycles")
     if learning_cycles < 1:
         raise ConfigError("learning cycles must be at least 1")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
@@ -166,9 +168,10 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     if (geodesic_start is not None and geodesic_end is not None
             and np.array_equal(geodesic_start, geodesic_end)):
         raise ConfigError("geodesic start and end must differ")
-    shooting = ShootingOptions(tol=float(geo.get("tol", 1e-6)),
-                               max_iters=int(geo.get("max_iters", 50)),
-                               steps=int(geo.get("steps", 200)))
+    shooting = ShootingOptions(
+        tol=float(geo.get("tol", 1e-6)),
+        max_iters=whole_number(geo.get("max_iters", 50), "geodesic.max_iters"),
+        steps=whole_number(geo.get("steps", 200), "geodesic.steps"))
 
     out = raw.get("output", {})
     out_dir = Path(out_override) if out_override else Path(out.get("directory", "out"))

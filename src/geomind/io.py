@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -38,10 +39,80 @@ def finite_float(text: str) -> float:
     return value
 
 
+def whole_number(value, name: str) -> int:
+    """value as an int when it is an int, or a float such as 3.0 with no
+    fractional part; a bool or any other value raises ValueError."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    if "n" in text:  # nan, inf, -inf; no finite float's repr holds an "n"
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return '"' + _float(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + _encode(key, "") + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it at
+    nesting level indent. json's indented encoder is pure Python and makes
+    a call per float; a list of floats here is one str.join."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        separator = ",\n" + inner
+        try:
+            body = separator.join(map(float.__repr__, value))
+        except TypeError:  # an item is not a float
+            body = separator.join([_encode(item, inner) for item in value])
+        else:
+            if "n" in body:
+                for item in value:
+                    _float(item)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_key(k) + ": " + _encode(v, inner)
+                                     for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Union[str, Path], payload) -> None:
-    """Write an artifact as indented strict JSON; a NaN or infinity in the
-    payload raises ValueError instead of writing non-standard JSON."""
-    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    """Write an artifact as indented strict JSON, byte-equal to
+    json.dumps(payload, indent=2, allow_nan=False) plus a newline: a NaN or
+    infinity raises ValueError instead of writing non-standard JSON, and an
+    unsupported type raises TypeError."""
+    Path(path).write_text(_encode(payload, "") + "\n")
 
 
 def _read_json(path: Union[str, Path]) -> object:
@@ -71,19 +142,21 @@ def load_field(path: Union[str, Path]) -> TokenField:
     if not isinstance(data, dict):
         raise FieldFormatError(f"{path}: top level must be an object")
     try:
-        dimension = int(data["dimension"])
+        dimension = whole_number(data["dimension"], "dimension")
     except KeyError:
         raise FieldFormatError(f"{path}: missing 'dimension'")
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc
     bandwidth = float(data.get("bandwidth", 1.0))
     epsilon = float(data.get("epsilon", 1.0))
     entries = data.get("tokens", [])
 
     def row(entry) -> tuple:
         try:
-            token_id = int(entry["id"])
+            token_id = whole_number(entry["id"], "token id")
             mean = np.asarray(entry["mean"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise FieldFormatError(f"token entry missing id or mean: {entry!r}") from exc
+            raise FieldFormatError(f"bad token entry {entry!r}: {exc}") from exc
         cov = entry.get("covariance")
         cov = np.zeros((dimension, dimension)) if cov is None else cov
         try:
@@ -127,9 +200,10 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     schedule: dict[int, np.ndarray] = {}
     for entry in data:
         try:
-            step, vector = int(entry["step"]), np.asarray(entry["vector"], dtype=float)
+            step = whole_number(entry["step"], "step")
+            vector = np.asarray(entry["vector"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise FieldFormatError(f"{path}: bad schedule entry {entry!r}") from exc
+            raise FieldFormatError(f"{path}: bad schedule entry {entry!r}: {exc}") from exc
         if not np.isfinite(vector).all():
             raise FieldFormatError(f"{path}: step {step}: vector must be finite")
         if step < 0 or step in schedule:

@@ -43,7 +43,7 @@ def _token_arrays(rows, n: int, dimension: int) -> dict[str, np.ndarray]:
     weights (n,) from n (id, mean, covariance, weight) rows, where a 1-D
     covariance is the diagonal. ValueError names the first offending id."""
     ids, weights = np.empty(n, dtype=np.int64), np.empty(n)
-    means, covariances = np.empty((n, dimension)), np.empty((n, dimension, dimension))
+    means, covariances = np.empty((n, dimension)), np.zeros((n, dimension, dimension))
     for k, (token_id, mean, cov, weight) in enumerate(rows):
         mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
         if mean.ndim != 1:
@@ -53,10 +53,12 @@ def _token_arrays(rows, n: int, dimension: int) -> dict[str, np.ndarray]:
         if cov.ndim == 1:
             if cov.shape != (dimension,):
                 raise ValueError(f"token {token_id}: diagonal covariance length != {dimension}")
-            cov = np.diag(cov)
-        if cov.shape != (dimension, dimension):
+            covariances[k].flat[::dimension + 1] = cov  # off-diagonal stays zero
+        elif cov.shape != (dimension, dimension):
             raise ValueError(f"token {token_id}: covariance must be {dimension}x{dimension}")
-        ids[k], means[k], covariances[k], weights[k] = token_id, mean, cov, weight
+        else:
+            covariances[k] = cov
+        ids[k], means[k], weights[k] = token_id, mean, weight
     unique, counts = np.unique(ids, return_counts=True)
     if np.any(counts > 1):
         raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")

@@ -355,6 +355,61 @@ def test_malformed_config_value_exits_2(workdir, section, value, command):
     assert not out.exists()
 
 
+INTEGER_FIELDS = {  # where the value sits, the command that uses it, how to read it back
+    "context_capacity": ("cognition", "simulate", lambda c: c.params.context_capacity),
+    "steps": ("simulation", "simulate", lambda c: c.steps),
+    "seeds": ("simulation", "simulate", lambda c: c.seeds[0]),
+    "cycles": ("learning", "learn", lambda c: c.learning_cycles),
+    "max_iters": ("geodesic", "geodesic", lambda c: c.shooting.max_iters),
+    "shooting-steps": ("geodesic", "geodesic", lambda c: c.shooting.steps),
+    "dimension": ("field", "simulate", lambda c: c.field.dimension),
+    "id": ("field", "simulate", lambda c: int(c.field.ids[0])),
+    "step": ("schedule", "simulate", lambda c: next(iter(c.inputs))),
+}
+
+
+def _config_with_integer(workdir, name, value) -> Path:
+    cfg = json.loads((workdir / "config.json").read_text())
+    section = INTEGER_FIELDS[name][0]
+    if section == "field":
+        field = json.loads((workdir / "field.json").read_text())
+        if name == "dimension":
+            field["dimension"] = value
+        else:
+            field["tokens"][0]["id"] = value
+        write_json(workdir / "field_int.json", field)
+        cfg["field"] = "field_int.json"
+    elif section == "schedule":
+        write_json(workdir / "schedule_int.json", [{"step": value, "vector": [0.1, 0.2]}])
+        cfg["simulation"]["inputs"] = "schedule_int.json"
+    else:
+        cfg[section][name.removeprefix("shooting-")] = [value] if name == "seeds" else value
+    write_json(workdir / "cfg_int.json", cfg)
+    return workdir / "cfg_int.json"
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_non_integral_integer_field_exits_2(workdir, name, value):
+    path = _config_with_integer(workdir, name, value)
+    error = ConfigError if INTEGER_FIELDS[name][0] not in ("field", "schedule") else FieldFormatError
+    with pytest.raises(error, match="must be a whole number"):
+        load_config(path)
+    if name == "step":
+        with pytest.raises(FieldFormatError, match="step must be a whole number"):
+            load_input_schedule(workdir / "schedule_int.json")
+    out = workdir / "int_out"
+    assert main([INTEGER_FIELDS[name][1], "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_whole_float_integer_field_loads_as_int(workdir, name):
+    value = {"dimension": 2.0, "id": 7.0}.get(name, 3.0)
+    read_back = INTEGER_FIELDS[name][2](load_config(_config_with_integer(workdir, name, value)))
+    assert type(read_back) is int and read_back == value
+
+
 def test_negative_seed_flag_exits_2(workdir, capsys):
     out = workdir / "neg_seed"
     rc = main(["simulate", "--config", str(workdir / "config.json"), "--out", str(out),

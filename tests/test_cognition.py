@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
                      GeodesicState, MindState, TokenEmbedding, Trajectory,
@@ -83,6 +85,27 @@ def test_weights_sum_to_one_random_sequences(identity_params):
         w = attention_weights(rng.standard_normal(2), seq, identity_params)
         assert abs(float(np.sum(w)) - 1.0) <= 1e-12
         assert np.all(w > 0.0)
+
+
+@st.composite
+def _attention_cases(draw):
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    coords = st.floats(-100.0, 100.0)
+    query = draw(hnp.arrays(float, d, elements=coords))
+    sequence = list(draw(hnp.arrays(float, (n, d), elements=coords)))
+    params = CognitionParams.defaults(d, attention_temperature=draw(st.floats(0.05, 10.0)))
+    return query, sequence, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_attention_cases())
+def test_attention_weights_are_a_distribution(case):
+    # logits reach 1.2e6 here, so weights far below the largest underflow to 0
+    query, sequence, params = case
+    w = attention_weights(query, sequence, params)
+    assert w.shape == (len(sequence),)
+    assert np.all(w >= 0.0)
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-12
 
 
 def test_softmax_shift_invariance(identity_params):
