@@ -13,9 +13,8 @@ from .cognition import (CognitionParams, MindState, attention_weights,
 from .errors import (ChartDomainError, ChartExitError, ConfigError,
                      FieldFormatError, GeomindError, NoGeodesicError,
                      SingularMetricError)
-from .geodesic import (GeodesicState, ShootingOptions, Trajectory,
-                       geodesic_between, geodesic_step, integrate_geodesic,
-                       path_length_energy)
+from .geodesic import (ShootingOptions, Trajectory, geodesic_between,
+                       geodesic_step, integrate_geodesic, path_length_energy)
 from .io import (export_trajectory, import_trajectory, load_field,
                  load_input_schedule, save_field)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
@@ -33,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CallableMetric", "ChartDomainError", "ChartExitError", "CognitionParams",
     "ConfigError", "ConformalFieldMetric", "CurvatureReport",
-    "FieldFormatError", "FieldReport", "FlatMetric", "GeodesicState",
-    "GeomindError", "GridSpec", "MetricSource", "MindState", "NoGeodesicError",
-    "Selection", "ShootingOptions", "SingularMetricError", "SphereMetric",
-    "ThoughtFlow", "TokenEmbedding", "TokenField", "Trajectory",
+    "FieldFormatError", "FieldReport", "FlatMetric", "GeomindError",
+    "GridSpec", "MetricSource", "MindState", "NoGeodesicError", "Selection",
+    "ShootingOptions", "SingularMetricError", "SphereMetric", "ThoughtFlow",
+    "TokenEmbedding", "TokenField", "Trajectory",
     "analyze_field", "attention_weights", "christoffel_fd", "context_vector",
     "curvature_at", "cycle_step", "demo_field", "density_at",
     "density_gradient", "export_trajectory", "feature_vector",

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geodesic import GeodesicState, Trajectory, geodesic_step
+from .geodesic import geodesic_step
 from .manifold import MetricSource, TokenEmbedding, TokenField, _as_vector
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
@@ -100,18 +100,22 @@ class CognitionParams:
 class MindState:
     """Live state of one consciousness cycle.
 
-    context holds the sampled embeddings of the activated tokens, oldest
-    first; history holds the last three (time, feedback vector) pairs.
+    position, velocity and time are the moving front. context holds the
+    sampled embeddings of the activated tokens, oldest first; history holds
+    the last three (time, feedback vector) pairs and recent_fronts the last
+    RECENT_FRONTS_MAX (position, velocity) pairs.
     Advancing the state consumes it: the rng stream is shared with the
     returned successor, so a superseded state must not be advanced again.
     """
 
-    front: GeodesicState
+    position: np.ndarray
+    velocity: np.ndarray
     params: CognitionParams
     rng: np.random.Generator
+    time: float = 0.0
     context: tuple[np.ndarray, ...] = ()
     history: tuple[tuple[float, np.ndarray], ...] = ()
-    recent_fronts: tuple[GeodesicState, ...] = ()
+    recent_fronts: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     last_error: Optional[np.ndarray] = None
     last_activation: Optional[tuple[float, int]] = None
 
@@ -135,9 +139,9 @@ class MindState:
             position = token.mean.copy()
             context = (sample_embedding(token, rng),)
             activation = (0.0, token.id)
-        front = GeodesicState(position, velocity, 0.0)
-        return cls(front=front, params=params, rng=rng, context=context,
-                   recent_fronts=(front,), last_activation=activation)
+        return cls(position=position, velocity=velocity, params=params, rng=rng,
+                   context=context, recent_fronts=((position, velocity),),
+                   last_activation=activation)
 
 
 def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> np.ndarray:
@@ -194,19 +198,18 @@ def predict_contextual(context, params: CognitionParams) -> np.ndarray:
     return pre
 
 
-def predict_geometric(traj: Trajectory, window: float) -> np.ndarray:
+def predict_geometric(positions, velocities, dt: float, window: float) -> np.ndarray:
     """Base point at t - window plus the trapezoidal integral of the recorded
-    velocities over the window."""
+    velocities over the window, from (T, D) positions and velocities sampled
+    every dt, the last row at t."""
     if window <= 0:
         raise ValueError("window must be positive")
-    n_back = int(round(window / traj.dt))
-    if n_back < 1 or n_back > len(traj) - 1:
+    n_back = int(round(window / dt))
+    if n_back < 1 or n_back > len(positions) - 1:
         raise ValueError(
-            f"window {window} spans {n_back} steps but trajectory has {len(traj) - 1}")
-    states = traj.samples[len(traj) - 1 - n_back:]
-    velocities = np.stack([s.velocity for s in states])
-    integral = np.trapezoid(velocities, dx=traj.dt, axis=0)
-    return states[0].position + integral
+            f"window {window} spans {n_back} steps but trajectory has {len(positions) - 1}")
+    integral = np.trapezoid(velocities[-1 - n_back:], dx=dt, axis=0)
+    return positions[-1 - n_back] + integral
 
 
 def perceive(front, input_vec, params: CognitionParams) -> np.ndarray:
@@ -256,8 +259,8 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
         if n_back + 1 > RECENT_FRONTS_MAX:
             raise ValueError("geometric_window spans more steps than the front buffer holds")
         if len(state.recent_fronts) >= n_back + 1:
-            recent = Trajectory(samples=list(state.recent_fronts), dt=dt)
-            return predict_geometric(recent, params.geometric_window)
+            positions, velocities = map(np.stack, zip(*state.recent_fronts[-1 - n_back:]))
+            return predict_geometric(positions, velocities, dt, params.geometric_window)
         return perceived.copy()
     if state.context:
         weights = attention_weights(state.context[-1], state.context, params)
@@ -277,24 +280,24 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     if dt <= 0:
         raise ValueError("dt must be positive")
     params = state.params
-    front = state.front
 
-    perceived = perceive(front.position, input_vec, params)
+    perceived = perceive(state.position, input_vec, params)
     predicted = _predict(state, perceived, dt)
     error = prediction_error(perceived, predicted)
 
-    history = (state.history + ((front.time, params.feedback_gain * error),))[-3:]
+    history = (state.history + ((state.time, params.feedback_gain * error),))[-3:]
     forcing_vec = feedback_forcing(history, params, dt)
 
-    new_front = geodesic_step(front, source, forcing_vec, dt)
+    x, v = geodesic_step(state.position, state.velocity, source, forcing_vec, dt)
+    t = state.time + dt
 
     context = state.context
     activation = None
     if len(field):
-        token = field.nearest(new_front.position)
+        token = field.nearest(x)
         context = (context + (sample_embedding(token, state.rng),))[-params.context_capacity:]
-        activation = (new_front.time, token.id)
+        activation = (t, token.id)
 
-    recent = (state.recent_fronts + (new_front,))[-RECENT_FRONTS_MAX:]
-    return replace(state, front=new_front, context=context, history=history,
+    recent = (state.recent_fronts + ((x, v),))[-RECENT_FRONTS_MAX:]
+    return replace(state, position=x, velocity=v, time=t, context=context, history=history,
                    recent_fronts=recent, last_error=error, last_activation=activation)

@@ -24,48 +24,20 @@ JACOBIAN_STEP = 1e-6
 MAX_BACKTRACKS = 12
 
 
-@dataclass(frozen=True)
-class GeodesicState:
-    """Position, velocity and time of the moving front."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        vel = np.asarray(self.velocity, dtype=float)
-        if pos.ndim != 1 or vel.shape != pos.shape:
-            raise ValueError("position and velocity must be vectors of equal dimension")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
-
-    @property
-    def dim(self) -> int:
-        return self.position.shape[0]
-
-
 @dataclass
 class Trajectory:
-    """Uniformly sampled states plus the (time, token id) activation record."""
+    """A flow sampled every dt: (T, D) positions and velocities at the (T,)
+    times, plus the (time, token id) activation record."""
 
-    samples: list[GeodesicState]
+    positions: np.ndarray
+    velocities: np.ndarray
+    times: np.ndarray
     dt: float
     activations: list[tuple[float, int]] = dc_field(default_factory=list)
     truncated: bool = False
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def dim(self) -> int:
-        return self.samples[0].dim
-
-    def positions(self) -> np.ndarray:
-        return np.stack([s.position for s in self.samples])
-
-    def velocities(self) -> np.ndarray:
-        return np.stack([s.velocity for s in self.samples])
+        return len(self.times)
 
 
 def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
@@ -75,21 +47,20 @@ def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
     return acc + f
 
 
-def geodesic_step(state: GeodesicState, source: MetricSource,
-                  forcing: Optional[np.ndarray], dt: float) -> GeodesicState:
+def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],
+                  dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of the geodesic equation forced by a constant vector.
 
-    forcing is a D-vector held over the whole step, or None for no forcing.
-    Raises ChartExitError if any stage point leaves the chart domain; the
-    given state is then the last valid one.
+    Returns the new (position, velocity). forcing is a D-vector held over the
+    whole step, or None for no forcing. Raises ChartExitError if any stage
+    point leaves the chart domain; x and v are then the last valid state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if state.dim != source.dim:
-        raise ValueError(f"state dimension {state.dim} != metric dimension {source.dim}")
+    x = _as_vector(x, source.dim, "position")
+    v = _as_vector(v, source.dim, "velocity")
     # adding zeros keeps unforced and zero-forced steps bitwise equal
-    f = np.zeros(state.dim) if forcing is None else _as_vector(forcing, state.dim, "forcing")
-    x, v, t = state.position, state.velocity, state.time
+    f = np.zeros(source.dim) if forcing is None else _as_vector(forcing, source.dim, "forcing")
     try:
         k1x = v
         k1v = _acceleration(source, x, v, f)
@@ -103,14 +74,15 @@ def geodesic_step(state: GeodesicState, source: MetricSource,
         v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         source.check_domain(x_new)
     except ChartDomainError as exc:
-        raise ChartExitError(f"left chart domain during step at t={t}: {exc}") from exc
-    return GeodesicState(x_new, v_new, t + dt)
+        raise ChartExitError(f"left chart domain during step: {exc}") from exc
+    return x_new, v_new
 
 
-def integrate_geodesic(initial: GeodesicState, source: MetricSource,
+def integrate_geodesic(position, velocity, source: MetricSource,
                        forcing: Optional[np.ndarray] = None,
                        horizon: float = 1.0, dt: float = 1e-3) -> Trajectory:
-    """Integrate for floor(horizon/dt) steps, returning floor(horizon/dt)+1 samples.
+    """Integrate from t = 0 for floor(horizon/dt) steps, returning
+    floor(horizon/dt)+1 samples.
 
     A chart exit truncates the trajectory at the last valid state and sets
     the truncated flag instead of raising.
@@ -120,17 +92,22 @@ def integrate_geodesic(initial: GeodesicState, source: MetricSource,
     if horizon < dt:
         raise ValueError("horizon must be at least dt")
     n_steps = int(np.floor(horizon / dt + 1e-12))
-    samples = [initial]
-    state = initial
+    x = _as_vector(position, source.dim, "position")
+    v = _as_vector(velocity, source.dim, "velocity")
+    positions, velocities, times = [x], [v], [0.0]
     truncated = False
     for _ in range(n_steps):
         try:
-            state = geodesic_step(state, source, forcing, dt)
+            x, v = geodesic_step(x, v, source, forcing, dt)
         except ChartExitError:
             truncated = True
             break
-        samples.append(state)
-    return Trajectory(samples=samples, dt=dt, truncated=truncated)
+        positions.append(x)
+        velocities.append(v)
+        # t + dt, as cycle_step keeps time; k * dt differs in the last bits
+        times.append(times[-1] + dt)
+    return Trajectory(np.stack(positions), np.stack(velocities), np.array(times), dt,
+                      truncated=truncated)
 
 
 def path_length_energy(traj: Trajectory, source: MetricSource) -> tuple[float, float]:
@@ -142,7 +119,7 @@ def path_length_energy(traj: Trajectory, source: MetricSource) -> tuple[float, f
     if len(traj) < 2:
         raise ValueError("trajectory needs at least 2 samples")
     speed_sq = np.array([
-        float(s.velocity @ source.metric(s.position) @ s.velocity) for s in traj.samples
+        float(v @ source.metric(x) @ v) for x, v in zip(traj.positions, traj.velocities)
     ])
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     length = float(np.trapezoid(speed, dx=traj.dt))
@@ -179,11 +156,10 @@ def geodesic_between(a, b, source: MetricSource,
         raise ValueError("endpoints must differ")
 
     def shoot(velocity):
-        traj = integrate_geodesic(GeodesicState(a, velocity, 0.0), source, None,
-                                  horizon=1.0, dt=1.0 / opts.steps)
+        traj = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / opts.steps)
         if traj.truncated:
             return None, np.inf, traj
-        miss = traj.samples[-1].position - b
+        miss = traj.positions[-1] - b
         return miss, float(np.linalg.norm(miss)), traj
 
     velocity = b - a

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import FieldFormatError
-from .geodesic import GeodesicState, Trajectory
+from .geodesic import Trajectory
 from .manifold import TokenField, _token_arrays
 
 FORMATS = ("json", "csv")
@@ -147,8 +147,14 @@ def load_field(path: Union[str, Path]) -> TokenField:
         raise FieldFormatError(f"{path}: missing 'dimension'")
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc
-    bandwidth = float(data.get("bandwidth", 1.0))
-    epsilon = float(data.get("epsilon", 1.0))
+    constants = []
+    for name in ("bandwidth", "epsilon"):
+        value = data.get(name, 1.0)
+        try:
+            constants.append(float(value))
+        except (TypeError, ValueError) as exc:
+            raise FieldFormatError(f"{path}: {name} must be a number, got {value!r}") from exc
+    bandwidth, epsilon = constants
     entries = data.get("tokens", [])
 
     def row(entry) -> tuple:
@@ -225,70 +231,83 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
     activation_at = {t: tid for t, tid in traj.activations}
+    rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.velocities.tolist())
     if fmt == "json":
-        payload = {
-            "dt": traj.dt,
-            "truncated": traj.truncated,
-            "samples": [],
-        }
-        for s in traj.samples:
-            entry = {
-                "t": s.time,
-                "position": s.position.tolist(),
-                "velocity": s.velocity.tolist(),
-            }
-            if s.time in activation_at:
-                entry["token_id"] = activation_at[s.time]
-            payload["samples"].append(entry)
-        write_json(path, payload)
+        samples = []
+        for t, position, velocity in rows:
+            entry = {"t": t, "position": position, "velocity": velocity}
+            if t in activation_at:
+                entry["token_id"] = activation_at[t]
+            samples.append(entry)
+        write_json(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": samples})
         return
-    d = traj.dim
+    d = traj.positions.shape[1]
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for s in traj.samples:
-            token = activation_at.get(s.time, "")
-            row = ([repr(float(s.time))] + [repr(float(x)) for x in s.position]
-                   + [repr(float(x)) for x in s.velocity] + [token])
-            writer.writerow(row)
+        for t, position, velocity in rows:
+            writer.writerow([repr(t)] + list(map(repr, position)) + list(map(repr, velocity))
+                            + [activation_at.get(t, "")])
         if traj.truncated:
             writer.writerow(["truncated", repr(float(traj.dt))])
 
 
 def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
-    """Read back a trajectory written by export_trajectory."""
+    """Read back a trajectory written by export_trajectory.
+
+    fmt defaults to the file suffix: .csv is CSV, anything else JSON. An
+    unknown fmt raises ValueError. A file that cannot be read, lacks a key
+    or holds no samples, or positions and velocities of unequal lengths,
+    raises FieldFormatError naming the file.
+    """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    samples, activations = [], []
-    if fmt == "json":
-        data = _read_json(path)
-        for entry in data["samples"]:
-            state = GeodesicState(np.asarray(entry["position"], dtype=float),
-                                  np.asarray(entry["velocity"], dtype=float),
-                                  float(entry["t"]))
-            samples.append(state)
-            if "token_id" in entry:
-                activations.append((state.time, int(entry["token_id"])))
-        return Trajectory(samples=samples, dt=float(data["dt"]),
-                          activations=activations, truncated=bool(data["truncated"]))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = (len(header) - 2) // 2
-        dt = None
-        for row in reader:
-            if row[0] == "truncated":
-                dt = float(row[1])
-                break
-            t = float(row[0])
-            pos = np.array([float(x) for x in row[1:1 + d]])
-            vel = np.array([float(x) for x in row[1 + d:1 + 2 * d]])
-            samples.append(GeodesicState(pos, vel, t))
-            if row[-1] != "":
-                activations.append((t, int(row[-1])))
-    truncated = dt is not None
-    if not truncated:
-        dt = samples[1].time - samples[0].time if len(samples) > 1 else 1.0
-    return Trajectory(samples=samples, dt=dt, activations=activations, truncated=truncated)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown import format {fmt!r}; expected one of {FORMATS}")
+    data = _read_json(path) if fmt == "json" else None
+    times, positions, velocities, activations = [], [], [], []
+    dt, truncated = None, False
+    try:
+        if fmt == "json":
+            dt, truncated = float(data["dt"]), data["truncated"]
+            if not isinstance(truncated, bool):
+                raise ValueError(f"truncated must be true or false, got {truncated!r}")
+            for entry in data["samples"]:
+                times.append(float(entry["t"]))
+                positions.append(entry["position"])
+                velocities.append(entry["velocity"])
+                if "token_id" in entry:
+                    activations.append((times[-1], int(entry["token_id"])))
+        else:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                width = len(next(reader, ()))
+                d = (width - 2) // 2
+                for row in reader:
+                    if row[:1] == ["truncated"]:
+                        dt, truncated = float(row[1]), True
+                        break
+                    if len(row) != width:
+                        raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                         f"the header {width}")
+                    times.append(float(row[0]))
+                    positions.append(list(map(float, row[1:1 + d])))
+                    velocities.append(list(map(float, row[1 + d:1 + 2 * d])))
+                    if row[-1] != "":
+                        activations.append((times[-1], int(row[-1])))
+            if dt is None:
+                dt = times[1] - times[0] if len(times) > 1 else 1.0
+        positions = np.array(positions, dtype=float)
+        velocities = np.array(velocities, dtype=float)
+    except OSError as exc:
+        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
+    except KeyError as exc:
+        raise FieldFormatError(f"{path}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc
+    if positions.ndim != 2 or velocities.shape != positions.shape:
+        raise FieldFormatError(f"{path}: expected samples, each with a position "
+                               "and a velocity of one equal length")
+    return Trajectory(positions, velocities, np.array(times), dt, activations, truncated)

@@ -109,7 +109,7 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
         raise ValueError("n_steps must be at least 1")
     inputs = inputs or {}
     state = MindState.initial(field, params, seed, start=start, velocity=velocity)
-    samples = [state.front]
+    positions, velocities, times = [state.position], [state.velocity], [state.time]
     activations = list([state.last_activation] if state.last_activation else [])
     errors: list[np.ndarray] = []
     stop_reason = None
@@ -121,19 +121,20 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
             except ChartExitError:
                 stop_reason = "chart-exit"
             else:
-                front = state.front
-                if not np.isfinite((front.position, front.velocity, state.last_error)).all():
+                if not np.isfinite((state.position, state.velocity, state.last_error)).all():
                     stop_reason = "non-finite"
             if stop_reason:
                 logger.warning("thought flow (seed %d) stopped at cycle %d: %s",
                                seed, k, stop_reason)
                 break
-            samples.append(state.front)
+            positions.append(state.position)
+            velocities.append(state.velocity)
+            times.append(state.time)
             errors.append(state.last_error)
             if state.last_activation is not None:
                 activations.append(state.last_activation)
-        traj = Trajectory(samples=samples, dt=dt, activations=activations,
-                          truncated=stop_reason is not None)
+        traj = Trajectory(np.stack(positions), np.stack(velocities), np.array(times), dt,
+                          activations, truncated=stop_reason is not None)
         flow = ThoughtFlow(trajectory=traj, errors=errors, score=-np.inf, seed=seed,
                            stop_reason=stop_reason)
         return dc_replace(flow, score=score_flow(flow)) if errors else flow
@@ -190,10 +191,10 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cycles):
             source = ConformalFieldMetric(field)
-            perceived = perceive(state.front.position, input_vec, params)
+            perceived = perceive(state.position, input_vec, params)
             state = cycle_step(state, field, source, input_vec, dt)
             error_norm = float(np.linalg.norm(state.last_error))
-            if not (np.isfinite((state.front.position, state.front.velocity)).all()
+            if not (np.isfinite((state.position, state.velocity)).all()
                     and np.isfinite(error_norm)):
                 logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
                 break

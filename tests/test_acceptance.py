@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
-                     GeodesicState, GridSpec, MindState, ShootingOptions,
-                     SphereMetric, ThoughtFlow, TokenEmbedding, TokenField,
-                     Trajectory, attention_weights, christoffel_fd, curvature_at,
+                     GridSpec, MindState, ShootingOptions, SphereMetric,
+                     ThoughtFlow, TokenEmbedding, TokenField, Trajectory,
+                     attention_weights, christoffel_fd, curvature_at,
                      cycle_step, feedback_forcing, geodesic_between,
                      integrate_geodesic, run_learning, sample_embedding,
                      save_field, score_flow, select_conscious)
@@ -42,10 +42,10 @@ def test_criterion_01_flat_space_reduction():
         for gamma in (source.christoffel(x), christoffel_fd(source, x)):
             ok &= float(np.max(np.abs(gamma))) <= 1e-10
         ok &= float(np.max(np.abs(curvature_at(source, x).riemann))) <= 1e-8
-    traj = integrate_geodesic(GeodesicState([0.3, -0.2], [0.7, 0.4]), source,
+    traj = integrate_geodesic([0.3, -0.2], [0.7, 0.4], source,
                               None, horizon=1.0, dt=1e-3)
     expected = np.array([0.3, -0.2]) + np.array([0.7, 0.4])
-    ok &= float(np.linalg.norm(traj.samples[-1].position - expected)) <= 1e-9
+    ok &= float(np.linalg.norm(traj.positions[-1] - expected)) <= 1e-9
     elapsed = time.perf_counter() - started
     ok &= elapsed < 1.0
     _report(1, f"flat-space reduction (runtime {elapsed:.2f}s)", ok)
@@ -69,9 +69,9 @@ def test_criterion_02_sphere_oracle():
         ok &= abs(fd[0, 1, 1] - expect_tpp) <= 1e-4
         ok &= abs(fd[1, 0, 1] - expect_ptp) <= 1e-4
         ok &= abs(curvature_at(sphere, x).scalar - 2.0) <= 1e-3
-    traj = integrate_geodesic(GeodesicState([np.pi / 2, 0.0], [0.0, 1.0]), sphere,
+    traj = integrate_geodesic([np.pi / 2, 0.0], [0.0, 1.0], sphere,
                               None, horizon=2 * np.pi, dt=1e-3)
-    closure = float(np.linalg.norm(traj.samples[-1].position - np.array([np.pi / 2, 2 * np.pi])))
+    closure = float(np.linalg.norm(traj.positions[-1] - np.array([np.pi / 2, 2 * np.pi])))
     ok &= closure <= 1e-3
     elapsed = time.perf_counter() - started
     ok &= elapsed < 10.0
@@ -89,12 +89,12 @@ def test_criterion_03_metric_speed_conservation():
     ]
     worst = 0.0
     for source, x0, v0 in cases:
-        traj = integrate_geodesic(GeodesicState(x0, v0), source, None,
+        traj = integrate_geodesic(x0, v0, source, None,
                                   horizon=1.0, dt=1e-3)
         assert len(traj) == 1001
         speeds = np.array([
-            math.sqrt(s.velocity @ source.metric(s.position) @ s.velocity)
-            for s in traj.samples
+            math.sqrt(v @ source.metric(x) @ v)
+            for x, v in zip(traj.positions, traj.velocities)
         ])
         worst = max(worst, float(np.max(np.abs(speeds - speeds[0]))))
     _report(3, f"speed conservation over 1000 steps (max drift {worst:.1e})",
@@ -107,9 +107,9 @@ def test_criterion_04_rk4_order():
     exact = great_circle_endpoint(x0, v0, 1.0)
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        traj = integrate_geodesic(GeodesicState(x0, v0), sphere, None,
+        traj = integrate_geodesic(x0, v0, sphere, None,
                                   horizon=1.0, dt=dt)
-        errors.append(float(np.linalg.norm(traj.samples[-1].position - exact)))
+        errors.append(float(np.linalg.norm(traj.positions[-1] - exact)))
     r1, r2 = errors[0] / errors[1], errors[1] / errors[2]
     _report(4, f"RK4 convergence order (ratios {r1:.1f}, {r2:.1f})",
             r1 >= 8.0 and r2 >= 8.0)
@@ -119,12 +119,12 @@ def _cycle_positions(field, source, params, n_steps, dt, input_vec=None,
                      start=(0.1, 0.2), velocity=(0.5, 0.3)):
     state = MindState.initial(field, params, seed=1, start=list(start),
                               velocity=list(velocity))
-    out = [state.front]
+    positions, velocities = [state.position], [state.velocity]
     for _ in range(n_steps):
         state = cycle_step(state, field, source, input_vec, dt)
-        out.append(state.front)
-    return (np.stack([s.position for s in out]),
-            np.stack([s.velocity for s in out]), out[0])
+        positions.append(state.position)
+        velocities.append(state.velocity)
+    return np.stack(positions), np.stack(velocities)
 
 
 def test_criterion_05_zero_error_reduction():
@@ -135,15 +135,15 @@ def test_criterion_05_zero_error_reduction():
     ok = True
     # kappa = 0 with live errors
     params = CognitionParams.defaults(2, kappa=0.0, input_blend=0.4, feedback_gain=1.0)
-    pos, vel, initial = _cycle_positions(field, source, params, 500, 1e-3,
-                                         input_vec=np.array([2.0, -1.0]))
-    ref = integrate_geodesic(initial, source, None, horizon=0.5, dt=1e-3)
-    ok &= np.array_equal(pos, ref.positions()) and np.array_equal(vel, ref.velocities())
+    pos, vel = _cycle_positions(field, source, params, 500, 1e-3,
+                                input_vec=np.array([2.0, -1.0]))
+    ref = integrate_geodesic(pos[0], vel[0], source, None, horizon=0.5, dt=1e-3)
+    ok &= np.array_equal(pos, ref.positions) and np.array_equal(vel, ref.velocities)
     # identically zero feedback history despite kappa > 0
     params = CognitionParams.defaults(2, kappa=2.0, input_blend=0.4, feedback_gain=0.0)
-    pos, vel, initial = _cycle_positions(field, source, params, 500, 1e-3,
-                                         input_vec=np.array([2.0, -1.0]))
-    ok &= np.array_equal(pos, ref.positions()) and np.array_equal(vel, ref.velocities())
+    pos, vel = _cycle_positions(field, source, params, 500, 1e-3,
+                                input_vec=np.array([2.0, -1.0]))
+    ok &= np.array_equal(pos, ref.positions) and np.array_equal(vel, ref.velocities)
     _report(5, "zero-prediction-error reduction is bitwise identical (500 steps)", ok)
 
 
@@ -153,10 +153,10 @@ def test_criterion_06_forcing_correctness():
     forcing = feedback_forcing(history, params, 1.0)
     ok = np.array_equal(forcing, np.array([2.0]))
     flat = FlatMetric(1)
-    traj = integrate_geodesic(GeodesicState([0.0], [0.0]), flat,
+    traj = integrate_geodesic([0.0], [0.0], flat,
                               [2.0], horizon=1.0, dt=1e-3)
     # closed form x(T) = a T^2 / 2 = 1
-    ok &= abs(traj.samples[-1].position[0] - 1.0) <= 1e-4
+    ok &= abs(traj.positions[-1][0] - 1.0) <= 1e-4
     _report(6, "feedback forcing equals 2 and matches a*t^2/2", bool(ok))
 
 
@@ -186,10 +186,9 @@ def test_criterion_08_competition():
     rng = np.random.default_rng(21)
 
     def flow_with_score(score):
-        samples = [GeodesicState([0.0, 0.0], [0.0, 0.0], 0.0),
-                   GeodesicState([0.0, 0.0], [0.0, 0.0], 0.1)]
+        traj = Trajectory(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.0, 0.1]), 0.1)
         errs = [np.array([math.sqrt(-score), 0.0])]
-        flow = ThoughtFlow(Trajectory(samples=samples, dt=0.1), errs, 0.0, 0)
+        flow = ThoughtFlow(traj, errs, 0.0, 0)
         return ThoughtFlow(flow.trajectory, flow.errors, score_flow(flow), 0)
 
     ok = True
@@ -230,7 +229,7 @@ def test_criterion_10_feature_manipulation():
     token = np.zeros(2)
 
     def max_deviation_toward(traj):
-        positions = traj.positions()
+        positions = traj.positions
         u = (b - a) / np.linalg.norm(b - a)
         rel = positions - a
         perp = rel - np.outer(rel @ u, u)

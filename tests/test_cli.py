@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from geomind import (ConfigError, FieldFormatError, GeodesicState,
-                     SphereMetric, Trajectory, export_trajectory,
+from geomind import (ConfigError, FieldFormatError, SphereMetric,
+                     Trajectory, export_trajectory,
                      import_trajectory, integrate_geodesic, load_field,
                      load_input_schedule, save_field)
 from geomind.io import FORMATS, field_to_dict
@@ -85,6 +87,20 @@ def test_load_field_non_number_weight_names_offender(tmp_path, weight):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("value", ["x", None, [1]], ids=["string", "null", "list"])
+@pytest.mark.parametrize("name", ["bandwidth", "epsilon"])
+def test_load_field_non_number_constant_names_file(tmp_path, name, value):
+    field = field_to_dict(demo_field())
+    field[name] = value
+    write_json(tmp_path / "field.json", field)
+    with pytest.raises(FieldFormatError, match=rf"field\.json: {name} must be a number"):
+        load_field(tmp_path / "field.json")
+    write_json(tmp_path / "config.json", {"field": "field.json"})
+    assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_input_files_refuse_non_finite_constants(workdir, constant):
     field = (workdir / "field.json").read_text().replace('"weight": 1.0', f'"weight": {constant}', 1)
@@ -135,7 +151,7 @@ def test_json_writers_refuse_non_finite_values(tmp_path):
     field = demo_field()._replace(weights=np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_field(field, tmp_path / "field.json")
-    traj = Trajectory(samples=[GeodesicState([np.inf, 0.0], [0.0, 0.0], 0.0)], dt=0.1)
+    traj = Trajectory(np.array([[np.inf, 0.0]]), np.zeros((1, 2)), np.array([0.0]), 0.1)
     with pytest.raises(ValueError, match="not JSON compliant"):
         export_trajectory(traj, "json", tmp_path / "traj.json")
 
@@ -193,48 +209,67 @@ def test_malformed_input_schedule_exits_2(workdir, steps, rule):
 # ---------------------------------------------------------------- trajectory export
 
 def _sample_trajectory():
-    samples = [GeodesicState([0.1 * k, -0.2 * k], [1.0, -2.0], 0.1 * k)
-               for k in range(5)]
-    return Trajectory(samples=samples, dt=0.1,
-                      activations=[(0.0, 3), (samples[2].time, 4)])
+    times = [0.1 * k for k in range(5)]
+    return Trajectory(np.array([[0.1 * k, -0.2 * k] for k in range(5)]),
+                      np.array([[1.0, -2.0]] * 5), np.array(times), 0.1,
+                      activations=[(0.0, 3), (times[2], 4)])
 
 
-def test_json_round_trip_exact(tmp_path):
-    traj = _sample_trajectory()
-    path = tmp_path / "traj.json"
-    export_trajectory(traj, "json", path)
+# finite floats; hypothesis also draws +-0.0 and subnormals, and these make sure
+COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _trajectories(draw):
+    n, d = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    rows = hnp.arrays(float, (n, d), elements=COORDINATES)
+    dt = draw(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+    times = [0.0]
+    for _ in range(n - 1):
+        times.append(times[-1] + dt)
+    active = sorted(draw(st.sets(st.integers(0, n - 1))))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=len(active),
+                        max_size=len(active)))
+    return Trajectory(draw(rows), draw(rows), np.array(times), dt,
+                      activations=[(times[k], i) for k, i in zip(active, ids)],
+                      truncated=draw(st.booleans()))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# the same file is rewritten for every example
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=_trajectories())
+@example(traj=_sample_trajectory())
+def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
+    path = tmp_path / f"traj.{fmt}"
+    export_trajectory(traj, fmt, path)
     back = import_trajectory(path)
-    assert len(back) == len(traj)
-    for a, b in zip(back.samples, traj.samples):
-        assert a.time == b.time
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.velocity, b.velocity)
-    assert back.activations == traj.activations
-    assert back.dt == traj.dt
-    assert back.truncated == traj.truncated
-
-
-def test_csv_round_trip_exact(tmp_path):
-    traj = _sample_trajectory()
-    path = tmp_path / "traj.csv"
-    export_trajectory(traj, "csv", path)
-    back = import_trajectory(path)
-    for a, b in zip(back.samples, traj.samples):
-        assert a.time == b.time
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.velocity, b.velocity)
-    assert back.activations == traj.activations
-    assert back.dt == traj.dt
-    assert back.truncated is False
-    # header and one row per sample, nothing else
-    assert len(path.read_text().splitlines()) == 1 + len(traj)
+    for name in ("positions", "velocities", "times"):
+        a, b = getattr(back, name), getattr(traj, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    # CSV reads dt from the first two times, unless the truncation line holds
+    # it; a lone sample of a run that was not truncated has neither
+    lone = fmt == "csv" and len(traj) == 1 and not traj.truncated
+    assert _bits(back.dt) == _bits(1.0 if lone else traj.dt)
+    assert back.truncated is traj.truncated
+    assert ([(_bits(t), i) for t, i in back.activations]
+            == [(_bits(t), i) for t, i in traj.activations])
+    if fmt == "csv":
+        # header, one row per sample and the truncation line, nothing else
+        assert len(path.read_text().splitlines()) == 1 + len(traj) + traj.truncated
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("start, samples", [([0.5, 0.0], 50), ([0.001, 0.0], 1)])
 def test_truncated_round_trip_keeps_flag_and_dt(tmp_path, fmt, start, samples):
     # both leave the sphere chart through theta = 0
-    traj = integrate_geodesic(GeodesicState(start, [-1.0, 0.0]), SphereMetric(1.0),
+    traj = integrate_geodesic(start, [-1.0, 0.0], SphereMetric(1.0),
                               horizon=2.0, dt=0.01)
     assert traj.truncated and len(traj) == samples
     path = tmp_path / f"traj.{fmt}"
@@ -242,8 +277,8 @@ def test_truncated_round_trip_keeps_flag_and_dt(tmp_path, fmt, start, samples):
     back = import_trajectory(path)
     assert back.truncated is True
     assert back.dt == 0.01
-    assert [s.time for s in back.samples] == [s.time for s in traj.samples]
-    assert np.array_equal(back.positions(), traj.positions())
+    assert back.times.tolist() == traj.times.tolist()
+    assert np.array_equal(back.positions, traj.positions)
 
 
 def test_csv_column_count(tmp_path):
@@ -259,6 +294,49 @@ def test_unknown_format_rejected_before_write(tmp_path):
     with pytest.raises(ValueError):
         export_trajectory(_sample_trajectory(), "xml", path)
     assert not path.exists()
+
+
+def test_import_refuses_unknown_format(tmp_path):
+    path = tmp_path / "traj.json"
+    export_trajectory(_sample_trajectory(), "json", path)
+    with pytest.raises(ValueError, match="unknown import format 'xml'"):
+        import_trajectory(path, "xml")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_import_missing_file_names_it(tmp_path, fmt):
+    with pytest.raises(FieldFormatError, match=f"cannot read .*absent.{fmt}"):
+        import_trajectory(tmp_path / f"absent.{fmt}")
+
+
+@pytest.mark.parametrize("edit, rule", [
+    (lambda data: data.pop("samples"), "missing key 'samples'"),
+    (lambda data: data.pop("truncated"), "missing key 'truncated'"),
+    (lambda data: data.pop("dt"), "missing key 'dt'"),
+    (lambda data: data["samples"][3].pop("velocity"), "missing key 'velocity'"),
+    (lambda data: data.update(truncated="false"), "truncated must be true or false"),
+    (lambda data: data["samples"][2]["velocity"].append(0.5), ""),
+    (lambda data: [s["velocity"].append(0.5) for s in data["samples"]],
+     "a position and a velocity of one equal length"),
+], ids=["samples", "truncated", "dt", "velocity", "string-flag", "one-longer", "all-longer"])
+def test_import_json_refusal_names_file(tmp_path, edit, rule):
+    path = tmp_path / "traj.json"
+    export_trajectory(_sample_trajectory(), "json", path)
+    data = json.loads(path.read_text())
+    edit(data)
+    write_json(path, data)
+    with pytest.raises(FieldFormatError, match=f"traj.json: .*{rule}"):
+        import_trajectory(path)
+
+
+def test_import_csv_refuses_short_row(tmp_path):
+    path = tmp_path / "traj.csv"
+    export_trajectory(_sample_trajectory(), "csv", path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 2)[0]  # drop v1 and token_id
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FieldFormatError, match="traj.csv: line 4 has 4 fields, the header 6"):
+        import_trajectory(path)
 
 
 # ---------------------------------------------------------------- command driver
@@ -494,8 +572,8 @@ def test_geodesic_writes_path(workdir):
     rc = main(["geodesic", "--config", str(workdir / "config.json"), "--out", str(out)])
     assert rc == 0
     traj = import_trajectory(out / "geodesic_path.json")
-    assert np.allclose(traj.samples[0].position, [-1.5, 0.6])
-    assert np.allclose(traj.samples[-1].position, [1.5, 0.6], atol=1e-5)
+    assert np.allclose(traj.positions[0], [-1.5, 0.6])
+    assert np.allclose(traj.positions[-1], [1.5, 0.6], atol=1e-5)
     summary = json.loads((out / "geodesic_summary.json").read_text())
     assert summary["length"] > 0
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
-                     GeodesicState, MindState, TokenEmbedding, Trajectory,
-                     attention_weights,
+                     MindState, TokenEmbedding, attention_weights,
                      context_vector, cycle_step, feedback_forcing,
                      integrate_geodesic, perceive, predict_contextual,
                      predict_geometric, prediction_error, sample_embedding)
@@ -179,52 +178,52 @@ def test_tanh_zero_map():
     assert np.array_equal(predict_contextual([3.0, -4.0], params), np.zeros(2))
 
 
-def _trajectory_from(times, positions, velocities):
-    samples = [GeodesicState(p, v, t) for t, p, v in zip(times, positions, velocities)]
-    return Trajectory(samples=samples, dt=times[1] - times[0])
+def _recorded(times, positions, velocities):
+    """(T, D) positions, (T, D) velocities and dt, as predict_geometric reads them."""
+    return np.stack(positions), np.stack(velocities), times[1] - times[0]
 
 
 def test_geometric_constant_velocity():
     dt = 0.01
     times = np.arange(0, 1.0 + dt / 2, dt)
     v = np.array([0.3, -0.2])
-    traj = _trajectory_from(times, [t * v for t in times], [v] * len(times))
-    out = predict_geometric(traj, window=0.5)
-    assert np.allclose(out, traj.samples[-1].position, atol=1e-12)
+    positions, velocities, step = _recorded(times, [t * v for t in times], [v] * len(times))
+    out = predict_geometric(positions, velocities, step, window=0.5)
+    assert np.allclose(out, positions[-1], atol=1e-12)
 
 
 def test_geometric_zero_velocity():
     dt = 0.1
     times = np.arange(0, 1.0 + dt / 2, dt)
     p = np.array([0.4, 0.4])
-    traj = _trajectory_from(times, [p] * len(times), [np.zeros(2)] * len(times))
-    assert np.allclose(predict_geometric(traj, window=0.3), p)
+    recorded = _recorded(times, [p] * len(times), [np.zeros(2)] * len(times))
+    assert np.allclose(predict_geometric(*recorded, window=0.3), p)
 
 
 def test_geometric_linear_velocity_integral():
     # oracle: integral of (t, 0) over [0, 1] is 1/2; trapezoid exact on linear
     dt = 1e-3
     times = np.arange(0, 1.0 + dt / 2, dt)
-    traj = _trajectory_from(times, [np.array([t**2 / 2, 0.0]) for t in times],
-                            [np.array([t, 0.0]) for t in times])
-    out = predict_geometric(traj, window=1.0)
+    recorded = _recorded(times, [np.array([t**2 / 2, 0.0]) for t in times],
+                         [np.array([t, 0.0]) for t in times])
+    out = predict_geometric(*recorded, window=1.0)
     assert np.allclose(out, [0.5, 0.0], atol=1e-9)
 
 
 def test_geometric_window_exceeds_history():
     dt = 0.1
     times = np.arange(0, 0.5 + dt / 2, dt)
-    traj = _trajectory_from(times, [np.zeros(2)] * len(times), [np.zeros(2)] * len(times))
+    recorded = _recorded(times, [np.zeros(2)] * len(times), [np.zeros(2)] * len(times))
     with pytest.raises(ValueError):
-        predict_geometric(traj, window=2.0)
+        predict_geometric(*recorded, window=2.0)
 
 
 def test_geometric_consistency_on_recorded_geodesic(sphere):
     dt = 1e-3
-    traj = integrate_geodesic(GeodesicState([1.0, 0.3], [0.2, 0.5]), sphere, None,
+    traj = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, None,
                               horizon=1.0, dt=dt)
-    out = predict_geometric(traj, window=0.5)
-    assert np.linalg.norm(out - traj.samples[-1].position) <= dt**2
+    out = predict_geometric(traj.positions, traj.velocities, traj.dt, window=0.5)
+    assert np.linalg.norm(out - traj.positions[-1]) <= dt**2
 
 
 # ---------------------------------------------------------------- perception and error
@@ -310,11 +309,12 @@ def test_cycle_unforced_equals_geodesic_step(random_field):
     params = CognitionParams.defaults(2, kappa=0.0, input_blend=0.0)
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
-    reference = integrate_geodesic(state.front, source, None, horizon=0.1, dt=1e-3)
+    reference = integrate_geodesic(state.position, state.velocity, source, None,
+                                   horizon=0.1, dt=1e-3)
     for k in range(100):
         state = cycle_step(state, random_field, source, None, 1e-3)
-        assert np.array_equal(state.front.position, reference.samples[k + 1].position)
-        assert np.array_equal(state.front.velocity, reference.samples[k + 1].velocity)
+        assert np.array_equal(state.position, reference.positions[k + 1])
+        assert np.array_equal(state.velocity, reference.velocities[k + 1])
 
 
 def test_cycle_zero_history_identical_to_unforced(random_field):
@@ -324,10 +324,11 @@ def test_cycle_zero_history_identical_to_unforced(random_field):
     params = CognitionParams.defaults(2, kappa=2.0, feedback_gain=0.0, input_blend=0.5)
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
-    reference = integrate_geodesic(state.front, source, None, horizon=0.1, dt=1e-3)
+    reference = integrate_geodesic(state.position, state.velocity, source, None,
+                                   horizon=0.1, dt=1e-3)
     for k in range(100):
         state = cycle_step(state, random_field, source, [5.0, -3.0], 1e-3)
-        assert np.array_equal(state.front.position, reference.samples[k + 1].position)
+        assert np.array_equal(state.position, reference.positions[k + 1])
 
 
 def test_cycle_forced_velocity_kick_one_dimensional():
@@ -341,13 +342,13 @@ def test_cycle_forced_velocity_kick_one_dimensional():
     source = FlatMetric(1)
     history = ((-2.0, np.array([0.0])), (-1.0, np.array([1.0])))
     state = MindState.initial(field, params, seed=0, start=[0.0], velocity=[0.0])
-    state = MindState(front=state.front, params=params, rng=state.rng,
-                      context=state.context, history=history,
+    state = MindState(position=state.position, velocity=state.velocity, params=params,
+                      rng=state.rng, context=state.context, history=history,
                       recent_fronts=state.recent_fronts)
     # beta = 1 and W_phi = 0 make the error equal the input exactly
     new = cycle_step(state, flat_field, source, np.array([4.0]), dt=1.0)
-    assert new.front.velocity[0] == pytest.approx(2.0, abs=1e-12)
-    assert new.front.position[0] == pytest.approx(1.0, abs=1e-12)
+    assert new.velocity[0] == pytest.approx(2.0, abs=1e-12)
+    assert new.position[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cycle_determinism_long_horizon(random_field):
@@ -363,7 +364,7 @@ def test_cycle_determinism_long_horizon(random_field):
         out = []
         for _ in range(1000):
             state = cycle_step(state, noisy, source, None, 1e-2)
-            out.append(state.front.position)
+            out.append(state.position)
         return np.stack(out)
 
     assert np.array_equal(run(), run())
@@ -375,10 +376,11 @@ def test_warmup_first_two_cycles_unforced(random_field):
     params = CognitionParams.defaults(2, kappa=50.0, input_blend=1.0, feedback_gain=5.0)
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
-    reference = integrate_geodesic(state.front, source, None, horizon=0.02, dt=1e-2)
+    reference = integrate_geodesic(state.position, state.velocity, source, None,
+                                   horizon=0.02, dt=1e-2)
     for k in range(2):
         state = cycle_step(state, random_field, source, [3.0, 3.0], 1e-2)
-        assert np.array_equal(state.front.position, reference.samples[k + 1].position)
+        assert np.array_equal(state.position, reference.positions[k + 1])
 
 
 def test_cycle_context_window_capacity(random_field):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from geomind import (ConformalFieldMetric, FlatMetric, GeodesicState,
-                     NoGeodesicError, ShootingOptions, SphereMetric,
-                     Trajectory, geodesic_between, geodesic_step,
-                     integrate_geodesic, path_length_energy)
+from geomind import (ConformalFieldMetric, FlatMetric, NoGeodesicError,
+                     ShootingOptions, SphereMetric, Trajectory,
+                     geodesic_between, geodesic_step, integrate_geodesic,
+                     path_length_energy)
 
 from conftest import make_field
 
@@ -32,74 +32,89 @@ def great_circle_endpoint(x0, v0, horizon):
 # ---------------------------------------------------------------- single step
 
 def test_flat_step_straight_line(flat):
-    state = geodesic_step(GeodesicState([0.0, 0.0], [1.0, 0.0]), flat, None, 0.1)
-    assert np.allclose(state.position, [0.1, 0.0], atol=1e-15)
-    assert np.allclose(state.velocity, [1.0, 0.0], atol=1e-15)
-    assert state.time == pytest.approx(0.1)
+    position, velocity = geodesic_step([0.0, 0.0], [1.0, 0.0], flat, None, 0.1)
+    assert np.allclose(position, [0.1, 0.0], atol=1e-15)
+    assert np.allclose(velocity, [1.0, 0.0], atol=1e-15)
 
 
 def test_rest_state_stays_at_rest(sphere, random_field):
     for source, pos in ((sphere, [1.0, 0.5]), (ConformalFieldMetric(random_field), [0.3, 0.1])):
-        state = geodesic_step(GeodesicState(pos, [0.0, 0.0]), source, None, 0.1)
-        assert np.array_equal(state.position, np.asarray(pos, dtype=float))
-        assert np.array_equal(state.velocity, np.zeros(2))
+        position, velocity = geodesic_step(pos, [0.0, 0.0], source, None, 0.1)
+        assert np.array_equal(position, np.asarray(pos, dtype=float))
+        assert np.array_equal(velocity, np.zeros(2))
 
 
 def test_constant_forcing_half_a_t_squared(flat):
     # oracle: x(t) = a t^2 / 2 for constant acceleration from rest
-    traj = integrate_geodesic(GeodesicState([0.0, 0.0], [0.0, 0.0]), flat,
+    traj = integrate_geodesic([0.0, 0.0], [0.0, 0.0], flat,
                               [0.0, 1.0], horizon=1.0, dt=1e-3)
-    assert np.allclose(traj.samples[-1].position, [0.0, 0.5], atol=1e-4)
+    assert np.allclose(traj.positions[-1], [0.0, 0.5], atol=1e-4)
 
 
 def test_step_rejects_bad_dt(flat):
     with pytest.raises(ValueError):
-        geodesic_step(GeodesicState([0.0, 0.0], [1.0, 0.0]), flat, None, 0.0)
+        geodesic_step([0.0, 0.0], [1.0, 0.0], flat, None, 0.0)
+
+
+@pytest.mark.parametrize("x, v", [([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [[1.0, 0.0]])])
+def test_step_rejects_wrong_shapes(flat, x, v):
+    with pytest.raises(ValueError, match="must have dimension 2"):
+        geodesic_step(x, v, flat, None, 0.1)
 
 
 # ---------------------------------------------------------------- integration
 
 def test_sample_count(flat):
-    traj = integrate_geodesic(GeodesicState([0.0, 0.0], [1.0, 0.0]), flat, None,
+    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None,
                               horizon=1.0, dt=0.01)
     assert len(traj) == 101
 
 
+def test_times_are_a_running_sum(flat):
+    # the cycle keeps time as t + dt, which differs from k * dt in the last bits
+    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None, horizon=1.0, dt=0.01)
+    t, expected = 0.0, [0.0]
+    for _ in range(100):
+        t += 0.01
+        expected.append(t)
+    assert traj.times.tolist() == expected
+    assert traj.positions.shape == traj.velocities.shape == (101, 2)
+
+
 def test_flat_unit_velocity_translation(flat):
-    traj = integrate_geodesic(GeodesicState([0.2, -0.1], [0.4, 0.7]), flat, None,
+    traj = integrate_geodesic([0.2, -0.1], [0.4, 0.7], flat, None,
                               horizon=1.0, dt=1e-3)
-    assert np.allclose(traj.samples[-1].position, [0.6, 0.6], atol=1e-9)
+    assert np.allclose(traj.positions[-1], [0.6, 0.6], atol=1e-9)
 
 
 def test_zero_velocity_all_samples_fixed(sphere):
-    traj = integrate_geodesic(GeodesicState([1.0, 0.2], [0.0, 0.0]), sphere, None,
+    traj = integrate_geodesic([1.0, 0.2], [0.0, 0.0], sphere, None,
                               horizon=0.5, dt=0.01)
-    for s in traj.samples:
-        assert np.array_equal(s.position, np.array([1.0, 0.2]))
+    for position in traj.positions:
+        assert np.array_equal(position, np.array([1.0, 0.2]))
 
 
 def test_equator_is_closed_geodesic(sphere):
-    traj = integrate_geodesic(GeodesicState([np.pi / 2, 0.0], [0.0, 1.0]), sphere,
+    traj = integrate_geodesic([np.pi / 2, 0.0], [0.0, 1.0], sphere,
                               None, horizon=2 * np.pi, dt=1e-3)
-    final = traj.samples[-1].position
+    final = traj.positions[-1]
     assert np.linalg.norm(final - np.array([np.pi / 2, 2 * np.pi])) < 1e-3
 
 
 def test_chart_exit_truncates_and_flags(sphere):
     # heading straight into the north pole
-    traj = integrate_geodesic(GeodesicState([0.5, 0.0], [-1.0, 0.0]), sphere, None,
+    traj = integrate_geodesic([0.5, 0.0], [-1.0, 0.0], sphere, None,
                               horizon=2.0, dt=0.01)
     assert traj.truncated
     assert len(traj) < 201
-    assert traj.samples[-1].position[0] > 0.0
+    assert traj.positions[-1][0] > 0.0
 
 
 def test_zero_forcing_bitwise_equals_default(sphere):
-    initial = GeodesicState([1.0, 0.3], [0.2, 0.5])
-    a = integrate_geodesic(initial, sphere, None, horizon=1.0, dt=1e-2)
-    b = integrate_geodesic(initial, sphere, np.zeros(2), horizon=1.0, dt=1e-2)
-    assert np.array_equal(a.positions(), b.positions())
-    assert np.array_equal(a.velocities(), b.velocities())
+    a = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, None, horizon=1.0, dt=1e-2)
+    b = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, np.zeros(2), horizon=1.0, dt=1e-2)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.velocities, b.velocities)
 
 
 def test_metric_speed_conserved(flat, sphere, random_field):
@@ -109,11 +124,11 @@ def test_metric_speed_conserved(flat, sphere, random_field):
         (ConformalFieldMetric(random_field), [0.0, 0.0], [0.7, 0.4]),
     ]
     for source, x0, v0 in cases:
-        traj = integrate_geodesic(GeodesicState(x0, v0), source, None,
+        traj = integrate_geodesic(x0, v0, source, None,
                                   horizon=1.0, dt=1e-3)
         speeds = np.array([
-            np.sqrt(s.velocity @ source.metric(s.position) @ s.velocity)
-            for s in traj.samples
+            np.sqrt(v @ source.metric(x) @ v)
+            for x, v in zip(traj.positions, traj.velocities)
         ])
         assert np.max(np.abs(speeds - speeds[0])) <= 1e-4
 
@@ -123,8 +138,8 @@ def test_rk4_order_on_great_circle(sphere):
     exact = great_circle_endpoint(x0, v0, 1.0)
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        traj = integrate_geodesic(GeodesicState(x0, v0), sphere, None, horizon=1.0, dt=dt)
-        errors.append(np.linalg.norm(traj.samples[-1].position - exact))
+        traj = integrate_geodesic(x0, v0, sphere, None, horizon=1.0, dt=dt)
+        errors.append(np.linalg.norm(traj.positions[-1] - exact))
     assert errors[0] / errors[1] >= 8.0
     assert errors[1] / errors[2] >= 8.0
 
@@ -132,7 +147,7 @@ def test_rk4_order_on_great_circle(sphere):
 # ---------------------------------------------------------------- length and energy
 
 def test_unit_speed_length_energy(flat):
-    traj = integrate_geodesic(GeodesicState([0.0, 0.0], [1.0, 0.0]), flat, None,
+    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None,
                               horizon=1.0, dt=0.01)
     length, energy = path_length_energy(traj, flat)
     assert length == pytest.approx(1.0, abs=1e-12)
@@ -142,7 +157,7 @@ def test_unit_speed_length_energy(flat):
 def test_scaled_metric_length_energy():
     # oracle: length scales by sqrt(s), energy by s
     scaled = FlatMetric(2, scale=4.0)
-    traj = integrate_geodesic(GeodesicState([0.0, 0.0], [1.0, 0.0]), scaled, None,
+    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], scaled, None,
                               horizon=1.0, dt=0.01)
     length, energy = path_length_energy(traj, scaled)
     assert length == pytest.approx(2.0, abs=1e-12)
@@ -150,9 +165,9 @@ def test_scaled_metric_length_energy():
 
 
 def test_length_invariant_under_resampling(flat):
-    coarse = integrate_geodesic(GeodesicState([0.0, 0.0], [0.6, 0.8]), flat, None,
+    coarse = integrate_geodesic([0.0, 0.0], [0.6, 0.8], flat, None,
                                 horizon=1.0, dt=0.02)
-    fine = integrate_geodesic(GeodesicState([0.0, 0.0], [0.6, 0.8]), flat, None,
+    fine = integrate_geodesic([0.0, 0.0], [0.6, 0.8], flat, None,
                               horizon=1.0, dt=0.01)
     l_coarse, _ = path_length_energy(coarse, flat)
     l_fine, _ = path_length_energy(fine, flat)
@@ -160,7 +175,7 @@ def test_length_invariant_under_resampling(flat):
 
 
 def test_too_short_trajectory_rejected(flat):
-    traj = Trajectory(samples=[GeodesicState([0.0, 0.0], [1.0, 0.0])], dt=0.1)
+    traj = Trajectory(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([0.0]), 0.1)
     with pytest.raises(ValueError):
         path_length_energy(traj, flat)
 
@@ -172,7 +187,7 @@ def test_flat_shooting_straight_segment(flat):
     length, _ = path_length_energy(traj, flat)
     assert length == pytest.approx(5.0, abs=1e-6)
     # straight line: every sample on the chord
-    positions = traj.positions()
+    positions = traj.positions
     ts = np.linspace(0, 1, len(traj))
     assert np.allclose(positions, np.outer(ts, [3.0, 4.0]), atol=1e-9)
 
@@ -186,10 +201,10 @@ def test_sphere_equatorial_arc(sphere):
 def test_sphere_shooting_with_bent_start(sphere):
     a, b = np.array([1.0, 0.2]), np.array([1.4, 1.1])
     traj = geodesic_between(a, b, sphere, ShootingOptions(tol=1e-8))
-    assert np.linalg.norm(traj.samples[-1].position - b) <= 1e-8
+    assert np.linalg.norm(traj.positions[-1] - b) <= 1e-8
     # endpoint speed constant along the connecting geodesic
-    speeds = [np.sqrt(s.velocity @ sphere.metric(s.position) @ s.velocity)
-              for s in traj.samples]
+    speeds = [np.sqrt(v @ sphere.metric(x) @ v)
+              for x, v in zip(traj.positions, traj.velocities)]
     assert np.max(np.abs(np.array(speeds) - speeds[0])) < 1e-6
 
 
@@ -229,7 +244,7 @@ def test_local_minimality_against_perturbations(flat, sphere, random_field):
 
     for source, a, b in cases:
         traj = geodesic_between(a, b, source, ShootingOptions(steps=100))
-        points = traj.positions()
+        points = traj.positions
         ts = np.linspace(0.0, 1.0, len(points))
         base = discrete_energy(points, traj.dt, source)
         for _ in range(20):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
-                     GeodesicState, GridSpec, ShootingOptions, ThoughtFlow,
-                     TokenEmbedding, Trajectory, analyze_field, curvature_at,
+                     GridSpec, ShootingOptions, ThoughtFlow, TokenEmbedding,
+                     Trajectory, analyze_field, curvature_at,
                      demo_field, density_at, feature_vector, geodesic_between,
                      integrate_geodesic, intrinsic_dimension, learn_update,
                      manipulate_feature, pca_projection, run_learning,
@@ -17,9 +17,8 @@ from conftest import make_field
 
 
 def _flow_with_errors(errors, seed=0):
-    samples = [GeodesicState([0.0, 0.0], [0.0, 0.0], 0.0),
-               GeodesicState([0.0, 0.0], [0.0, 0.0], 0.1)]
-    flow = ThoughtFlow(trajectory=Trajectory(samples=samples, dt=0.1),
+    traj = Trajectory(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.0, 0.1]), 0.1)
+    flow = ThoughtFlow(trajectory=traj,
                        errors=[np.asarray(e, dtype=float) for e in errors],
                        score=0.0, seed=seed)
     return ThoughtFlow(flow.trajectory, flow.errors, score_flow(flow), seed)
@@ -41,8 +40,8 @@ def test_score_mean_of_squared_norms():
 
 
 def test_empty_flow_rejected():
-    samples = [GeodesicState([0.0, 0.0], [0.0, 0.0], 0.0)]
-    flow = ThoughtFlow(Trajectory(samples=samples, dt=0.1), [], 0.0, 0)
+    traj = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.1)
+    flow = ThoughtFlow(traj, [], 0.0, 0)
     with pytest.raises(ValueError):
         score_flow(flow)
 
@@ -92,7 +91,7 @@ def test_empty_field_flow_is_straight_line(empty_field, identity_params):
     flow = run_thought_flow(empty_field, source, identity_params, n_steps=50,
                             dt=0.01, seed=3, start=[0.0, 0.0], velocity=[1.0, 0.0])
     assert flow.trajectory.activations == []
-    final = flow.trajectory.samples[-1].position
+    final = flow.trajectory.positions[-1]
     assert np.allclose(final, [0.5, 0.0], atol=1e-9)
     assert flow.score == 0.0
 
@@ -104,10 +103,10 @@ def test_flow_activations_match_nearest_labels(random_field):
     params = CognitionParams.defaults(2, kappa=0.0, input_blend=0.0)
     flow = run_thought_flow(random_field, source, params, n_steps=80, dt=0.01,
                             seed=1, start=[0.0, 0.0], velocity=[0.6, 0.2])
-    reference = integrate_geodesic(flow.trajectory.samples[0], source, None,
-                                   horizon=0.8, dt=0.01)
-    expected = [(s.time, random_field.nearest(s.position).id)
-                for s in reference.samples]
+    reference = integrate_geodesic(flow.trajectory.positions[0], flow.trajectory.velocities[0],
+                                   source, None, horizon=0.8, dt=0.01)
+    expected = [(t, random_field.nearest(x).id)
+                for t, x in zip(reference.times.tolist(), reference.positions)]
     assert flow.trajectory.activations == expected
 
 
@@ -118,7 +117,7 @@ def test_flow_repeatable_for_equal_seed(random_field):
                   start=[0.1, 0.1], velocity=[0.2, 0.0])
     a = run_thought_flow(random_field, source, params, **kwargs)
     b = run_thought_flow(random_field, source, params, **kwargs)
-    assert np.array_equal(a.trajectory.positions(), b.trajectory.positions())
+    assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
     assert a.score == b.score
     assert a.trajectory.activations == b.trajectory.activations
 
@@ -143,12 +142,12 @@ def test_diverging_flow_stops_at_first_non_finite_cycle():
     assert traj.truncated
     assert 1 < len(traj) < 301
     assert len(flow.errors) == len(traj) - 1
-    assert np.isfinite(traj.positions()).all() and np.isfinite(traj.velocities()).all()
+    assert np.isfinite(traj.positions).all() and np.isfinite(traj.velocities).all()
     assert np.isfinite(flow.errors).all()
     # the recorded cycles are the untruncated run's own
     shorter = run_thought_flow(field, source, params, **dict(kwargs, n_steps=len(traj) - 1))
     assert shorter.stop_reason is None
-    assert np.array_equal(shorter.trajectory.positions(), traj.positions())
+    assert np.array_equal(shorter.trajectory.positions, traj.positions)
 
 
 # ---------------------------------------------------------------- learning
@@ -278,7 +277,7 @@ def test_manipulate_bends_geodesic_toward_token():
     token = np.zeros(2)
 
     def max_deviation_toward(traj):
-        positions = traj.positions()
+        positions = traj.positions
         u = (b - a) / np.linalg.norm(b - a)
         rel = positions - a
         perp = rel - np.outer(rel @ u, u)
