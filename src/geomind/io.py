@@ -225,8 +225,8 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
     JSON holds one object per sample {t, position, velocity, token_id?};
     CSV uses the header t,p0..p{D-1},v0..v{D-1},token_id with an empty
     token_id on samples without an activation. A truncated trajectory's CSV
-    ends with the line truncated,<dt>, which also keeps dt when fewer than
-    two samples remain.
+    ends with the line truncated,<dt>, and any other trajectory of fewer than
+    two samples with dt,<dt>, so dt survives where the times cannot give it.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
@@ -251,6 +251,8 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
                             + [activation_at.get(t, "")])
         if traj.truncated:
             writer.writerow(["truncated", repr(float(traj.dt))])
+        elif len(traj) < 2:
+            writer.writerow(["dt", repr(float(traj.dt))])
 
 
 def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
@@ -259,7 +261,8 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     fmt defaults to the file suffix: .csv is CSV, anything else JSON. An
     unknown fmt raises ValueError. A file that cannot be read, lacks a key
     or holds no samples, or positions and velocities of unequal lengths,
-    raises FieldFormatError naming the file.
+    raises FieldFormatError naming the file; so does a CSV file of fewer than
+    two samples without a truncated or dt line.
     """
     path = Path(path)
     if fmt is None:
@@ -289,6 +292,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                     if row[:1] == ["truncated"]:
                         dt, truncated = float(row[1]), True
                         break
+                    if row[:1] == ["dt"]:
+                        dt = float(row[1])
+                        break
                     if len(row) != width:
                         raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
                                          f"the header {width}")
@@ -298,7 +304,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                     if row[-1] != "":
                         activations.append((times[-1], int(row[-1])))
             if dt is None:
-                dt = times[1] - times[0] if len(times) > 1 else 1.0
+                if len(times) < 2:
+                    raise ValueError("fewer than two samples and no dt line")
+                dt = times[1] - times[0]
         positions = np.array(positions, dtype=float)
         velocities = np.array(velocities, dtype=float)
     except OSError as exc:

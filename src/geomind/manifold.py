@@ -6,6 +6,16 @@ metrically short and geodesics gravitate toward them. Analytic metrics
 (flat scaling, 2-sphere chart) are provided as test oracles, and a generic
 finite-difference path computes Christoffel symbols and curvature for any
 metric source. The density metric's scalar curvature also has a closed form.
+
+density_at and density_gradient share one kernel pass over constants the
+field caches whenever it stores its means: the centroid c, the slopes
+s_i = (v_i - c) / h^2 and the offsets o_i = -|v_i - c|^2 / 2h^2. A pass is
+one matrix-vector product, k_i = w_i exp(o_i + s_i . x_c - |x_c|^2 / 2h^2)
+with x_c = x - c, and builds no (n, D) means - x array. Each k_i carries a
+relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2), which
+centring keeps small near the data. A matrix-vector product is not
+row-invariant against a batched GEMM: a batched caller that must match
+single points bitwise has to keep the per-point form.
 """
 
 from __future__ import annotations
@@ -138,6 +148,15 @@ class TokenField:
         for name, array in arrays.items():
             array.flags.writeable = False
             self.__dict__[name] = array
+        if "means" in arrays:
+            # the centred kernel constants of _kernel; max() keeps an empty
+            # field off numpy's mean-of-empty warning
+            h2 = self.bandwidth**2
+            centre = self.means.sum(axis=0) / max(1, len(self.means))
+            slopes = self.means - centre
+            offsets = -np.einsum("nd,nd->n", slopes, slopes) / (2.0 * h2)
+            slopes /= h2
+            self.__dict__.update(_centre=centre, _slopes=slopes, _offsets=offsets)
 
     def _replace(self, **arrays: np.ndarray) -> "TokenField":
         """A copy that takes over the given, already valid arrays, read-only."""
@@ -184,21 +203,32 @@ class TokenField:
         return TokenField(tuple(tokens), self.dimension, self.bandwidth, self.epsilon)
 
 
+def _kernel(field: TokenField, x) -> tuple[np.ndarray, np.ndarray]:
+    """Centred point x_c = x - c and unweighted kernel values e_i (n,) at x,
+    k_i = w_i e_i, where
+    e_i = exp(-|x - v_i|^2 / 2h^2) = exp(o_i + s_i . x_c - |x_c|^2 / 2h^2)
+    with the field's cached centroid c, slopes s_i = (v_i - c) / h^2 and
+    offsets o_i = -|v_i - c|^2 / 2h^2: one matrix-vector product, no (n, D)
+    temporary. The exponent's terms are rounded at their own size, up to
+    (|v_i - c| + |x_c|)^2 / 2h^2, not at the size of their sum, so each k_i
+    carries a relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2),
+    eps = 2^-52; centring keeps it small near the data."""
+    xc = _as_vector(x, field.dimension) - field._centre
+    return xc, np.exp(field._offsets + field._slopes @ xc
+                      - np.dot(xc, xc) / (2.0 * field.bandwidth**2))
+
+
 def density_at(field: TokenField, x) -> float:
     """Weighted Gaussian kernel density rho(x) = sum_i w_i exp(-|x-v_i|^2 / 2h^2)."""
-    x = _as_vector(x, field.dimension)
-    diffs = field.means - x
-    sq = np.einsum("nd,nd->n", diffs, diffs)
-    return float(np.dot(field.weights, np.exp(-sq / (2.0 * field.bandwidth**2))))
+    return float(np.dot(field.weights, _kernel(field, x)[1]))
 
 
 def density_gradient(field: TokenField, x) -> np.ndarray:
-    """Closed-form gradient of density_at with respect to x."""
-    x = _as_vector(x, field.dimension)
-    diffs = field.means - x
-    sq = np.einsum("nd,nd->n", diffs, diffs)
-    kern = field.weights * np.exp(-sq / (2.0 * field.bandwidth**2))
-    return np.einsum("n,nd->d", kern, diffs) / field.bandwidth**2
+    """Closed-form gradient of density_at with respect to x,
+    sum_i k_i (v_i - x) / h^2 = sum_i k_i s_i - (sum_i k_i) x_c / h^2."""
+    xc, kern = _kernel(field, x)
+    kern *= field.weights
+    return kern @ field._slopes - kern.sum() / field.bandwidth**2 * xc
 
 
 def _kernel_blocks(field: TokenField, points: np.ndarray):

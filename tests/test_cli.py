@@ -246,6 +246,7 @@ def _bits(value) -> bytes:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(traj=_trajectories())
 @example(traj=_sample_trajectory())
+@example(traj=Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25))
 def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
     path = tmp_path / f"traj.{fmt}"
     export_trajectory(traj, fmt, path)
@@ -253,16 +254,15 @@ def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
     for name in ("positions", "velocities", "times"):
         a, b = getattr(back, name), getattr(traj, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-    # CSV reads dt from the first two times, unless the truncation line holds
-    # it; a lone sample of a run that was not truncated has neither
-    lone = fmt == "csv" and len(traj) == 1 and not traj.truncated
-    assert _bits(back.dt) == _bits(1.0 if lone else traj.dt)
+    assert _bits(back.dt) == _bits(traj.dt)
     assert back.truncated is traj.truncated
     assert ([(_bits(t), i) for t, i in back.activations]
             == [(_bits(t), i) for t, i in traj.activations])
     if fmt == "csv":
-        # header, one row per sample and the truncation line, nothing else
-        assert len(path.read_text().splitlines()) == 1 + len(traj) + traj.truncated
+        # header, one row per sample, and the truncated or dt line only where
+        # the times cannot give dt or the run was truncated
+        lone = len(traj) == 1 and not traj.truncated
+        assert len(path.read_text().splitlines()) == 1 + len(traj) + traj.truncated + lone
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -326,6 +326,17 @@ def test_import_json_refusal_names_file(tmp_path, edit, rule):
     edit(data)
     write_json(path, data)
     with pytest.raises(FieldFormatError, match=f"traj.json: .*{rule}"):
+        import_trajectory(path)
+
+
+def test_import_csv_refuses_lone_sample_without_dt(tmp_path):
+    path = tmp_path / "traj.csv"
+    export_trajectory(Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25),
+                      "csv", path)
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "dt,0.25"
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(FieldFormatError, match="traj.csv: fewer than two samples and no dt line"):
         import_trajectory(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
                      FlatMetric, SingularMetricError, SphereMetric,
                      TokenEmbedding, TokenField, christoffel_fd, curvature_at,
-                     density_at, density_gradient)
+                     density_at, density_gradient, learn_update, load_field,
+                     manipulate_feature, save_field)
 from geomind.manifold import densities
 
 from conftest import make_field
@@ -55,6 +57,72 @@ def test_density_gradient_matches_finite_differences(random_field):
         e[k] = h
         fd = (density_at(random_field, x + e) - density_at(random_field, x - e)) / (2 * h)
         assert grad[k] == pytest.approx(fd, abs=1e-8)
+
+
+@st.composite
+def _kernel_cases(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    # a shift far from the origin makes an uncentred expansion lose digits
+    shift = draw(st.sampled_from([0.0, 50.0, -1e3]))
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    means = shift + np.array([draw(st.lists(coord, min_size=d, max_size=d)) for _ in range(n)])
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=n, max_size=n))
+    h = draw(st.floats(0.3, 2.0))
+    field = make_field(means, dim=d, bandwidth=h, weights=weights)
+    # from inside the data to 12 bandwidths past the centroid, where the
+    # kernel is down to about exp(-72 D)
+    reach = draw(st.sampled_from([0.1, 1.0, 4.0, 12.0])) * h
+    x = means.mean(axis=0) + np.array(draw(st.lists(st.floats(-reach, reach), min_size=d,
+                                                    max_size=d)))
+    return field, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_cases())
+def test_kernel_within_its_error_bound(case):
+    # reference: the direct means - x form; the bound is twice the one in
+    # the kernel's docstring, D eps (1 + (|v_i - c| + |x_c|)^2 / h^2) per k_i
+    field, x = case
+    d, h2 = field.dimension, field.bandwidth**2
+    diffs = field.means - x
+    kern = field.weights * np.exp(-np.einsum("nd,nd->n", diffs, diffs) / (2.0 * h2))
+    centre = field.means.mean(axis=0)
+    r = np.linalg.norm(field.means - centre, axis=1) + np.linalg.norm(x - centre)
+    bound = 2.0 * d * np.finfo(float).eps * (1.0 + r**2 / h2)
+    # a few subnormal spacings: a k_i that underflows keeps no relative precision
+    underflow = 4.0 * (len(field) + 1) * np.finfo(float).smallest_subnormal / h2
+    assert abs(density_at(field, x) - kern.sum()) <= np.sum(bound * kern) + underflow
+    # each k_i's error times its direction, plus the rounding of s_i and x_c
+    grad_tol = np.sum(kern * (bound * np.linalg.norm(diffs, axis=1)
+                              + 2.0 * d * np.finfo(float).eps * r)) / h2
+    assert (np.max(np.abs(density_gradient(field, x) - kern @ diffs / h2))
+            <= grad_tol + underflow)
+
+
+@pytest.mark.parametrize("change", ["learn_update", "manipulate_feature", "with_tokens",
+                                    "load_field", "empty"])
+def test_kernel_constants_follow_the_field(random_field, tmp_path, change):
+    # a field from any of these gives the densities of one built afresh
+    if change == "learn_update":
+        field = learn_update(random_field, [0.9, -0.4], 0.5)
+        assert not np.array_equal(field.means, random_field.means)
+    elif change == "manipulate_feature":
+        field = manipulate_feature(random_field, random_field.ids[:2].tolist(), 3.0)
+    elif change == "with_tokens":
+        field = random_field.with_tokens(random_field.tokens[1:4])
+    elif change == "load_field":
+        save_field(random_field, tmp_path / "field.json")
+        field = load_field(tmp_path / "field.json")
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = random_field.with_tokens([])
+            assert density_at(field, [0.5, 0.5]) == 0.0
+    fresh = TokenField(field.tokens, field.dimension, field.bandwidth, field.epsilon)
+    for x in np.random.default_rng(6).uniform(-2, 2, size=(5, 2)):
+        assert density_at(field, x) == density_at(fresh, x)
+        assert density_gradient(field, x).tobytes() == density_gradient(fresh, x).tobytes()
 
 
 # ---------------------------------------------------------------- field invariants
