@@ -88,16 +88,19 @@ def test_kernel_within_its_error_bound(case):
     diffs = field.means - x
     kern = field.weights * np.exp(-np.einsum("nd,nd->n", diffs, diffs) / (2.0 * h2))
     centre = field.means.mean(axis=0)
-    r = np.linalg.norm(field.means - centre, axis=1) + np.linalg.norm(x - centre)
+    # hypot does not square its way to zero for coordinates below 1e-154
+    r = np.hypot.reduce(field.means - centre, axis=1) + np.hypot.reduce(x - centre)
     bound = 2.0 * d * np.finfo(float).eps * (1.0 + r**2 / h2)
     # a few subnormal spacings: a k_i that underflows keeps no relative precision
     underflow = 4.0 * (len(field) + 1) * np.finfo(float).smallest_subnormal / h2
     assert abs(density_at(field, x) - kern.sum()) <= np.sum(bound * kern) + underflow
     # each k_i's error times its direction, plus the rounding of s_i and x_c
-    grad_tol = np.sum(kern * (bound * np.linalg.norm(diffs, axis=1)
+    grad_tol = np.sum(kern * (bound * np.hypot.reduce(diffs, axis=1)
                               + 2.0 * d * np.finfo(float).eps * r)) / h2
+    # an underflowed k_i or sum k_i / h^2 is off by whole subnormal spacings,
+    # which the gradient carries along s_i and x_c / h^2, up to r_i / h^2
     assert (np.max(np.abs(density_gradient(field, x) - kern @ diffs / h2))
-            <= grad_tol + underflow)
+            <= grad_tol + underflow * (1.0 + r.max()))
 
 
 @pytest.mark.parametrize("change", ["learn_update", "manipulate_feature", "with_tokens",
