@@ -18,8 +18,8 @@ from .geodesic import (ShootingOptions, Trajectory, geodesic_between,
 from .io import (export_trajectory, import_trajectory, load_field,
                  load_input_schedule, save_field)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
-                       FlatMetric, MetricSource, SphereMetric, TokenEmbedding,
-                       TokenField, christoffel_fd, curvature_at, density_at,
+                       FlatMetric, MetricSource, SphereMetric, TokenField,
+                       christoffel_fd, curvature_at, density_at,
                        density_gradient)
 from .mind import (FieldReport, GridSpec, Selection, ThoughtFlow,
                    analyze_field, demo_field, feature_vector,
@@ -35,7 +35,7 @@ __all__ = [
     "FieldFormatError", "FieldReport", "FlatMetric", "GeomindError",
     "GridSpec", "MetricSource", "MindState", "NoGeodesicError", "Selection",
     "ShootingOptions", "SingularMetricError", "SphereMetric", "ThoughtFlow",
-    "TokenEmbedding", "TokenField", "Trajectory",
+    "TokenField", "Trajectory",
     "analyze_field", "attention_weights", "christoffel_fd", "context_vector",
     "curvature_at", "cycle_step", "demo_field", "density_at",
     "density_gradient", "export_trajectory", "feature_vector",

@@ -78,8 +78,6 @@ def cmd_compete(config: RunConfig) -> int:
 
 
 def cmd_learn(config: RunConfig) -> int:
-    if config.learning_input is None:
-        raise ConfigError("learn command requires learning.input in the config")
     snapshots, error_norms = run_learning(
         config.field, config.params, config.learning_input,
         cycles=config.learning_cycles, dt=config.dt, seed=config.seeds[0],
@@ -124,8 +122,6 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_geodesic(config: RunConfig) -> int:
-    if config.geodesic_start is None or config.geodesic_end is None:
-        raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
     try:
         traj = geodesic_between(config.geodesic_start, config.geodesic_end,
                                 config.metric, config.shooting)
@@ -158,6 +154,11 @@ def run(command: str, config: RunConfig) -> int:
     }
     if command not in handlers:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    # before mkdir, so a refused run leaves no output directory
+    if command == "learn" and config.learning_input is None:
+        raise ConfigError("learn command requires learning.input in the config")
+    if command == "geodesic" and (config.geodesic_start is None or config.geodesic_end is None):
+        raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
     config.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return handlers[command](config)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geodesic import geodesic_step
-from .manifold import MetricSource, TokenEmbedding, TokenField, _as_vector
+from .manifold import MetricSource, TokenField, _as_vector
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
 RECENT_FRONTS_MAX = 257
@@ -135,37 +135,37 @@ class MindState:
         activation = None
         position = start
         if len(field):
-            token = field.nearest(start)
-            position = token.mean.copy()
-            context = (sample_embedding(token, rng),)
-            activation = (0.0, token.id)
+            row = field.nearest(start)
+            position = field.means[row].copy()
+            context = (sample_embedding(field.means[row], field.covariances[row], rng),)
+            activation = (0.0, int(field.ids[row]))
         return cls(position=position, velocity=velocity, params=params, rng=rng,
                    context=context, recent_fronts=((position, velocity),),
                    last_activation=activation)
 
 
-def sample_embedding(token: TokenEmbedding, rng: np.random.Generator) -> np.ndarray:
-    """Draw mean + L z with L a square root of the covariance and z standard normal.
+def sample_embedding(mean, covariance, rng: np.random.Generator) -> np.ndarray:
+    """Draw mean + L z for a (D,) mean and a (D, D) covariance, with L a
+    square root of the covariance and z standard normal.
 
     Diagonal covariances use the elementwise square root, full ones the
     Cholesky factor (eigenvalue square root if only semidefinite); both clip
     rounding-level negatives to zero. Returns the (D,) draw; the rng advances
     by exactly D draws.
     """
-    d = token.dim
-    cov = token.covariance
-    z = rng.standard_normal(d)
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(covariance, dtype=float)
+    z = rng.standard_normal(len(mean))
     if not np.any(cov):
-        return token.mean.copy()
+        return mean.copy()
     if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
         diag = np.clip(np.diagonal(cov), 0.0, None)
-        return token.mean + np.sqrt(diag) * z
+        return mean + np.sqrt(diag) * z
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         eigvals, eigvecs = np.linalg.eigh(cov)
         factor = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-    return token.mean + factor @ z
+    return mean + factor @ z
 
 
 def attention_weights(query, sequence, params: CognitionParams) -> np.ndarray:
@@ -294,9 +294,10 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     context = state.context
     activation = None
     if len(field):
-        token = field.nearest(x)
-        context = (context + (sample_embedding(token, state.rng),))[-params.context_capacity:]
-        activation = (t, token.id)
+        row = field.nearest(x)
+        sample = sample_embedding(field.means[row], field.covariances[row], state.rng)
+        context = (context + (sample,))[-params.context_capacity:]
+        activation = (t, int(field.ids[row]))
 
     recent = (state.recent_fronts + ((x, v),))[-RECENT_FRONTS_MAX:]
     return replace(state, position=x, velocity=v, time=t, context=context, history=history,

@@ -12,28 +12,30 @@ import numpy as np
 from .cognition import RECENT_FRONTS_MAX, CognitionParams
 from .errors import ConfigError, GeomindError
 from .geodesic import ShootingOptions
-from .io import (FORMATS, finite_float, load_field, load_input_schedule,
-                 refuse_constant, whole_number)
+from .io import (FORMATS, finite_float, finite_number, load_field,
+                 load_input_schedule, refuse_constant, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField)
+
+
+def _numbers(raw, shape: tuple, name: str) -> np.ndarray:
+    """raw as a float array of the given shape, from JSON numbers only."""
+    cells = np.asarray(raw, dtype=object)
+    if cells.shape != shape:
+        raise ConfigError(f"{name} must be an array of shape {shape}")
+    return np.array([finite_number(v, name) for v in cells.flat]).reshape(shape)
 
 
 def _matrix(raw, dim: int, name: str) -> np.ndarray:
     if raw is None or raw == "identity":
         return np.eye(dim)
-    m = np.asarray(raw, dtype=float)
-    if m.shape != (dim, dim):
-        raise ConfigError(f"{name} must be {dim}x{dim}")
-    return m
+    return _numbers(raw, (dim, dim), name)
 
 
 def _vector(raw, dim: int, name: str) -> np.ndarray:
     if raw is None or raw == "zero":
         return np.zeros(dim)
-    v = np.asarray(raw, dtype=float)
-    if v.shape != (dim,):
-        raise ConfigError(f"{name} must have dimension {dim}")
-    return v
+    return _numbers(raw, (dim,), name)
 
 
 @dataclass
@@ -100,11 +102,11 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     if kind == "field":
         metric: MetricSource = ConformalFieldMetric(field)
     elif kind == "flat":
-        metric = FlatMetric(dim, float(metric_raw.get("scale", 1.0)))
+        metric = FlatMetric(dim, finite_number(metric_raw.get("scale", 1.0), "metric.scale"))
     elif kind == "sphere":
         if dim != 2:
             raise ConfigError("sphere metric requires a 2-dimensional field")
-        metric = SphereMetric(float(metric_raw.get("radius", 1.0)))
+        metric = SphereMetric(finite_number(metric_raw.get("radius", 1.0), "metric.radius"))
     else:
         raise ConfigError(f"metric kind must be field, flat or sphere, got {kind!r}")
 
@@ -115,19 +117,21 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         predictor_matrix=_matrix(cog.get("predictor_matrix"), dim, "predictor_matrix"),
         bias=_vector(cog.get("bias"), dim, "bias"),
         activation=cog.get("activation", "identity"),
-        input_blend=float(cog.get("beta", 0.0)),
-        feedback_gain=float(cog.get("feedback_gain", 1.0)),
-        kappa=float(cog.get("kappa", 0.0)),
-        attention_temperature=float(temperature) if temperature is not None else None,
+        input_blend=finite_number(cog.get("beta", 0.0), "cognition.beta"),
+        feedback_gain=finite_number(cog.get("feedback_gain", 1.0), "cognition.feedback_gain"),
+        kappa=finite_number(cog.get("kappa", 0.0), "cognition.kappa"),
+        attention_temperature=(None if temperature is None else
+                               finite_number(temperature, "cognition.attention_temperature")),
         context_capacity=whole_number(cog.get("context_capacity", 16),
                                       "cognition.context_capacity"),
         predictor=cog.get("predictor", "contextual"),
-        geometric_window=float(cog.get("geometric_window", 0.1)),
+        geometric_window=finite_number(cog.get("geometric_window", 0.1),
+                                       "cognition.geometric_window"),
     )
 
     sim = raw.get("simulation", {})
     steps = whole_number(sim.get("steps", 100), "simulation.steps")
-    dt = float(sim.get("dt", 0.01))
+    dt = finite_number(sim.get("dt", 0.01), "simulation.dt")
     if dt <= 0:
         raise ConfigError("simulation dt must be positive")
     if steps < 1:
@@ -151,10 +155,11 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     start = _vector(sim["start"], dim, "start") if "start" in sim else None
     velocity = _vector(sim["velocity"], dim, "velocity") if "velocity" in sim else None
 
-    threshold = float(raw.get("competition", {}).get("threshold", 0.0))
+    threshold = finite_number(raw.get("competition", {}).get("threshold", 0.0),
+                              "competition.threshold")
 
     learn = raw.get("learning", {})
-    learning_rate = float(learn.get("rate", 0.2))
+    learning_rate = finite_number(learn.get("rate", 0.2), "learning.rate")
     if not 0.0 <= learning_rate <= 1.0:
         raise ConfigError("learning rate must lie in [0, 1]")
     learning_cycles = whole_number(learn.get("cycles", 50), "learning.cycles")
@@ -169,7 +174,7 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
             and np.array_equal(geodesic_start, geodesic_end)):
         raise ConfigError("geodesic start and end must differ")
     shooting = ShootingOptions(
-        tol=float(geo.get("tol", 1e-6)),
+        tol=finite_number(geo.get("tol", 1e-6), "geodesic.tol"),
         max_iters=whole_number(geo.get("max_iters", 50), "geodesic.max_iters"),
         steps=whole_number(geo.get("steps", 200), "geodesic.steps"))
 

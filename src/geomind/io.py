@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FieldFormatError
 from .geodesic import Trajectory
-from .manifold import TokenField, _token_arrays
+from .manifold import TokenField
 
 FORMATS = ("json", "csv")
 
@@ -46,6 +46,20 @@ def whole_number(value, name: str) -> int:
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def finite_number(value, name: str) -> float:
+    """value as a float when it is an int or a float, not a bool; a bool, a
+    string, any other value, or an int too large for a float raises
+    ValueError. A float is taken as it is: the config parser refuses a
+    number that overflows to infinity, and a token field refuses its own
+    non-finite numbers, with the rule they break."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number within float range, got {value!r}") from None
 
 
 def _float(value: float) -> str:
@@ -136,46 +150,52 @@ def load_field(path: Union[str, Path]) -> TokenField:
     Expected shape: {"dimension": D, "bandwidth": h, "epsilon": eps,
     "tokens": [{"id", "mean", "covariance"?, "weight"?}, ...]} where a
     covariance is either a diagonal list of length D or a full DxD matrix.
-    Missing covariance defaults to zero, missing weight to 1.0.
+    Missing covariance defaults to zero, missing weight to 1.0. The rows are
+    assembled here and checked by the TokenField constructor, which takes
+    the arrays over without a copy. Any error is a FieldFormatError naming
+    the file.
     """
     data = _read_json(path)
     if not isinstance(data, dict):
         raise FieldFormatError(f"{path}: top level must be an object")
     try:
         dimension = whole_number(data["dimension"], "dimension")
+        bandwidth, epsilon = (finite_number(data.get(name, 1.0), name)
+                              for name in ("bandwidth", "epsilon"))
     except KeyError:
         raise FieldFormatError(f"{path}: missing 'dimension'")
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc
-    constants = []
-    for name in ("bandwidth", "epsilon"):
-        value = data.get(name, 1.0)
-        try:
-            constants.append(float(value))
-        except (TypeError, ValueError) as exc:
-            raise FieldFormatError(f"{path}: {name} must be a number, got {value!r}") from exc
-    bandwidth, epsilon = constants
+    if dimension < 1:
+        raise FieldFormatError(f"{path}: dimension must be positive, got {dimension}")
     entries = data.get("tokens", [])
-
-    def row(entry) -> tuple:
-        try:
-            token_id = whole_number(entry["id"], "token id")
-            mean = np.asarray(entry["mean"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FieldFormatError(f"bad token entry {entry!r}: {exc}") from exc
-        cov = entry.get("covariance")
-        cov = np.zeros((dimension, dimension)) if cov is None else cov
-        try:
-            weight = float(entry.get("weight", 1.0))
-        except (TypeError, ValueError) as exc:
-            # re-raised below as a FieldFormatError that names the file
-            raise ValueError(f"token {token_id}: weight must be a number, "
-                             f"got {entry['weight']!r}") from exc
-        return token_id, mean, cov, weight
-
+    if not isinstance(entries, list):
+        raise FieldFormatError(f"{path}: tokens must be a list, got {type(entries).__name__}")
+    n = len(entries)
+    ids, weights = np.empty(n, dtype=np.int64), np.empty(n)
+    means, covariances = np.empty((n, dimension)), np.zeros((n, dimension, dimension))
     try:
-        empty = TokenField((), dimension, bandwidth, epsilon)
-        return empty._replace(**_token_arrays(map(row, entries), len(entries), dimension))
+        for k, entry in enumerate(entries):
+            try:
+                token_id = whole_number(entry["id"], "token id")
+                mean = np.asarray(entry["mean"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad token entry {entry!r}: {exc}") from exc
+            if mean.shape != (dimension,):
+                raise ValueError(f"token {token_id}: mean must be a vector of length {dimension}")
+            cov = entry.get("covariance")
+            if cov is not None:  # a missing covariance stays zero
+                cov = np.asarray(cov, dtype=float)
+                if cov.shape == (dimension,):
+                    covariances[k].flat[::dimension + 1] = cov  # off-diagonal stays zero
+                elif cov.shape == (dimension, dimension):
+                    covariances[k] = cov
+                else:
+                    raise ValueError(f"token {token_id}: covariance must be a diagonal of length "
+                                     f"{dimension} or a {dimension}x{dimension} matrix")
+            weight = finite_number(entry.get("weight", 1.0), f"token {token_id}: weight")
+            ids[k], means[k], weights[k] = token_id, mean, weight
+        return TokenField(ids, means, covariances, weights, bandwidth, epsilon)
     except (ValueError, OverflowError) as exc:  # ids are stored as int64
         raise FieldFormatError(f"{path}: {exc}") from exc
 

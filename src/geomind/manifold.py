@@ -1,28 +1,31 @@
 """Token fields and the metric geometry they induce.
 
-A token field is a weighted set of Gaussian kernels in R^D. Its density
+A token field is a weighted set of Gaussian kernels in R^D, held as arrays:
+ids (n,), means (n, D), covariances (n, D, D) and weights (n,). Its density
 defines a conformal metric g(x) = I / (rho(x) + eps), so dense regions are
 metrically short and geodesics gravitate toward them. Analytic metrics
 (flat scaling, 2-sphere chart) are provided as test oracles, and a generic
 finite-difference path computes Christoffel symbols and curvature for any
 metric source. The density metric's scalar curvature also has a closed form.
 
-density_at and density_gradient share one kernel pass over constants the
-field caches whenever it stores its means: the centroid c, the slopes
-s_i = (v_i - c) / h^2 and the offsets o_i = -|v_i - c|^2 / 2h^2. A pass is
-one matrix-vector product, k_i = w_i exp(o_i + s_i . x_c - |x_c|^2 / 2h^2)
-with x_c = x - c, and builds no (n, D) means - x array. Each k_i carries a
-relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2), which
-centring keeps small near the data. A matrix-vector product is not
-row-invariant against a batched GEMM: a batched caller that must match
-single points bitwise has to keep the per-point form.
+Every kernel pass runs on constants the field caches whenever it stores its
+means: the centroid c, the slopes s_i = (v_i - c) / h^2 and the offsets
+o_i = -|v_i - c|^2 / 2h^2. With x_c = x - c the kernel exponent is
+E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2, so
+k_i = w_i exp(E_i), and no (n, D) means - x array is built. Each k_i carries
+a relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2), which
+centring keeps small near the data. density_at and density_gradient take
+one matrix-vector product per point. The batched densities and
+scalar_curvature take stacked per-point products instead: a matrix-vector
+product is not row-invariant against a batched GEMM, and a batch must give
+each point the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -48,79 +51,21 @@ def _as_vector(x, dim: int, name: str = "point") -> np.ndarray:
     return x
 
 
-def _token_arrays(rows, n: int, dimension: int) -> dict[str, np.ndarray]:
-    """Validated arrays ids (n,), means (n, D), covariances (n, D, D) and
-    weights (n,) from n (id, mean, covariance, weight) rows, where a 1-D
-    covariance is the diagonal. ValueError names the first offending id."""
-    ids, weights = np.empty(n, dtype=np.int64), np.empty(n)
-    means, covariances = np.empty((n, dimension)), np.zeros((n, dimension, dimension))
-    for k, (token_id, mean, cov, weight) in enumerate(rows):
-        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"token {token_id}: mean must be a vector")
-        if mean.shape[0] != dimension:
-            raise ValueError(f"token {token_id}: mean dimension {mean.shape[0]} != field dimension {dimension}")
-        if cov.ndim == 1:
-            if cov.shape != (dimension,):
-                raise ValueError(f"token {token_id}: diagonal covariance length != {dimension}")
-            covariances[k].flat[::dimension + 1] = cov  # off-diagonal stays zero
-        elif cov.shape != (dimension, dimension):
-            raise ValueError(f"token {token_id}: covariance must be {dimension}x{dimension}")
-        else:
-            covariances[k] = cov
-        ids[k], means[k], weights[k] = token_id, mean, weight
-    unique, counts = np.unique(ids, return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")
-    for lo in range(0, n, VALIDATE_BLOCK):
-        cov = covariances[lo:lo + VALIDATE_BLOCK]
-        # before eigvalsh, which cannot take NaN or infinity
-        finite = (np.isfinite(means[lo:lo + VALIDATE_BLOCK]).all(axis=1)
-                  & np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(weights[lo:lo + VALIDATE_BLOCK]))
-        if not finite.all():
-            raise ValueError(f"token {ids[lo + np.argmin(finite)]}: mean, covariance and weight "
-                             "must be finite")
-        eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
-        scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
-        for bad, rule in (
-                (~np.isclose(cov, cov.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2)),
-                 "covariance must be symmetric"),
-                (eigmin < -1e-10 * scale, "covariance must be positive semidefinite"),
-                (weights[lo:lo + VALIDATE_BLOCK] < 0, "weight must be non-negative")):
-            if np.any(bad):
-                raise ValueError(f"token {ids[lo + np.argmax(bad)]}: {rule}")
-    return {"ids": ids, "means": means, "covariances": covariances, "weights": weights}
-
-
-@dataclass(frozen=True)
-class TokenEmbedding:
-    """One embedded token: mean position, covariance and density weight."""
-
-    id: int
-    mean: np.ndarray
-    covariance: np.ndarray
-    weight: float = 1.0
-
-    def __post_init__(self):
-        # np.size is the dimension of a vector mean; any other mean is refused
-        arrays = _token_arrays([(self.id, self.mean, self.covariance, self.weight)], 1,
-                               np.size(self.mean))
-        object.__setattr__(self, "mean", arrays["means"][0])
-        object.__setattr__(self, "covariance", arrays["covariances"][0])
-        object.__setattr__(self, "weight", float(arrays["weights"][0]))
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+def _owned(value, dtype) -> np.ndarray:
+    """value as an array of dtype that owns its memory: the array itself if
+    it owns its memory already, else a copy."""
+    array = np.asarray(value, dtype=dtype)
+    return array if array.flags.owndata else array.copy()
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class TokenField:
-    """A set of token embeddings, stored once as read-only arrays, plus the
-    kernel parameters of the density.
+    """A set of n Gaussian tokens in R^D, stored once as read-only arrays,
+    plus the kernel parameters of the density.
 
     bandwidth is the shared Gaussian length scale h; epsilon regularises the
     conformal factor 1/(rho + eps) so the metric stays finite away from data.
+    The dimension D is means.shape[1], so an empty field takes (0, D) means.
     """
 
     ids: np.ndarray  # (n,)
@@ -131,18 +76,49 @@ class TokenField:
     bandwidth: float
     epsilon: float
 
-    def __init__(self, tokens: Sequence[TokenEmbedding], dimension: int,
+    def __init__(self, ids, means, covariances, weights,
                  bandwidth: float = 1.0, epsilon: float = 1.0):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        """Validate and take over the token arrays: an array that owns its
+        memory becomes the field's own and read-only, also for the caller;
+        anything else, such as a list or a view into another array, is
+        copied. So no write through a given array reaches the field; only a
+        view taken of one before the call could. ValueError names the first
+        offending id."""
         if not 0 < bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
         if not 0 < epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        self.__dict__.update(dimension=dimension, bandwidth=bandwidth, epsilon=epsilon)
-        tokens = tuple(tokens)
-        self._store(_token_arrays([(t.id, t.mean, t.covariance, t.weight) for t in tokens],
-                                  len(tokens), dimension))
+        ids, means = _owned(ids, np.int64), _owned(means, float)
+        covariances, weights = _owned(covariances, float), _owned(weights, float)
+        if means.ndim != 2 or means.shape[1] < 1:
+            raise ValueError(f"means must be an (n, D) array with D >= 1, got shape {means.shape}")
+        n, d = means.shape
+        if ids.shape != (n,) or covariances.shape != (n, d, d) or weights.shape != (n,):
+            raise ValueError(f"{n} tokens in dimension {d} need ids ({n},), covariances "
+                             f"({n}, {d}, {d}) and weights ({n},), got {ids.shape}, "
+                             f"{covariances.shape} and {weights.shape}")
+        unique, counts = np.unique(ids, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")
+        for lo in range(0, n, VALIDATE_BLOCK):
+            cov = covariances[lo:lo + VALIDATE_BLOCK]
+            # before eigvalsh, which cannot take NaN or infinity
+            finite = (np.isfinite(means[lo:lo + VALIDATE_BLOCK]).all(axis=1)
+                      & np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(weights[lo:lo + VALIDATE_BLOCK]))
+            if not finite.all():
+                raise ValueError(f"token {ids[lo + np.argmin(finite)]}: mean, covariance and weight "
+                                 "must be finite")
+            eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
+            scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
+            for bad, rule in (
+                    (~np.isclose(cov, cov.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2)),
+                     "covariance must be symmetric"),
+                    (eigmin < -1e-10 * scale, "covariance must be positive semidefinite"),
+                    (weights[lo:lo + VALIDATE_BLOCK] < 0, "weight must be non-negative")):
+                if np.any(bad):
+                    raise ValueError(f"token {ids[lo + np.argmax(bad)]}: {rule}")
+        self.__dict__.update(dimension=d, bandwidth=bandwidth, epsilon=epsilon)
+        self._store({"ids": ids, "means": means, "covariances": covariances, "weights": weights})
 
     def _store(self, arrays: dict[str, np.ndarray]) -> None:
         for name, array in arrays.items():
@@ -167,17 +143,6 @@ class TokenField:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def _row(self, i) -> TokenEmbedding:
-        row = object.__new__(TokenEmbedding)
-        row.__dict__.update(id=int(self.ids[i]), mean=self.means[i],
-                            covariance=self.covariances[i], weight=float(self.weights[i]))
-        return row
-
-    @property
-    def tokens(self) -> tuple[TokenEmbedding, ...]:
-        """Unvalidated row views of the token arrays, in storage order."""
-        return tuple(self._row(i) for i in range(len(self)))
-
     def rows(self, ids) -> np.ndarray:
         """Row index of each given token id, in the given order."""
         ids = np.array(list(ids), dtype=np.int64)
@@ -187,8 +152,9 @@ class TokenField:
         order = np.argsort(self.ids)
         return order[np.searchsorted(self.ids, ids, sorter=order)]
 
-    def nearest(self, x) -> TokenEmbedding:
-        """Token whose mean is Euclidean-nearest to x; ties go to the lowest id."""
+    def nearest(self, x) -> int:
+        """Row of the token whose mean is Euclidean-nearest to x; ties go to
+        the lowest id."""
         if not len(self):
             raise ValueError("nearest() on an empty field")
         x = _as_vector(x, self.dimension)
@@ -197,10 +163,7 @@ class TokenField:
         dist = np.sqrt(np.vecdot(diffs, diffs))
         tied = np.flatnonzero(dist == dist.min())
         # a non-finite x makes every distance NaN, which ties with nothing
-        return self._row(tied[np.argmin(self.ids[tied])] if tied.size else 0)
-
-    def with_tokens(self, tokens: Sequence[TokenEmbedding]) -> "TokenField":
-        return TokenField(tuple(tokens), self.dimension, self.bandwidth, self.epsilon)
+        return int(tied[np.argmin(self.ids[tied])]) if tied.size else 0
 
 
 def _kernel(field: TokenField, x) -> tuple[np.ndarray, np.ndarray]:
@@ -231,24 +194,28 @@ def density_gradient(field: TokenField, x) -> np.ndarray:
     return kern @ field._slopes - kern.sum() / field.bandwidth**2 * xc
 
 
-def _kernel_blocks(field: TokenField, points: np.ndarray):
-    """Yield (rows, v_i - x (B, n, D), |x - v_i|^2 (B, n), k_i (B, n)) over
-    blocks of a (P, D) point array, k_i = w_i exp(-|x - v_i|^2 / 2h^2)."""
+def _exponents(field: TokenField, points: np.ndarray):
+    """Yield (rows, x_c (B, D), E (B, n)) over blocks of a (P, D) point
+    array, where E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2
+    is the exponent of _kernel, so k_i = w_i exp(E_i). The products are
+    stacked per point, which is row-invariant: a point's values do not
+    depend on the block it sits in, as they would with one (B, D) GEMM."""
     block = max(1, KERNEL_BLOCK // max(1, len(field)))
     for lo in range(0, len(points), block):
-        diffs = field.means - points[lo:lo + block, None, :]
-        sq = np.einsum("bnd,bnd->bn", diffs, diffs)
-        yield (slice(lo, lo + block), diffs, sq,
-               field.weights * np.exp(-sq / (2.0 * field.bandwidth**2)))
+        xc = points[lo:lo + block] - field._centre
+        yield (slice(lo, lo + block), xc,
+               field._offsets + np.matmul(xc[:, None, :], field._slopes.T)[:, 0]
+               - np.einsum("bd,bd->b", xc, xc)[:, None] / (2.0 * field.bandwidth**2))
 
 
 def densities(field: TokenField, points) -> np.ndarray:
     """density_at for each row of a (P, D) array, as batched kernel sums; the
-    sums run in another order, so results may differ in the last digit."""
+    products and sums run in another order, so results may differ in the
+    last digits."""
     points = np.asarray(points, dtype=float).reshape(-1, field.dimension)
     rho = np.empty(len(points))
-    for rows, _, _, kern in _kernel_blocks(field, points):
-        rho[rows] = kern.sum(axis=1)
+    for rows, _, exponent in _exponents(field, points):
+        rho[rows] = (field.weights * np.exp(exponent)).sum(axis=1)
     return rho
 
 
@@ -411,17 +378,20 @@ class ConformalFieldMetric(MetricSource):
         """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):
         R = (D-1) [lap rho - (D+2) |grad rho|^2 / (4 (rho + eps))], the
         conformal-change formula with the Gaussian kernel's own derivatives
-        grad rho = sum_i k_i (v_i - x) / h^2 and
-        lap rho = sum_i k_i (|x - v_i|^2 / h^4 - D / h^2)."""
+        grad rho = sum_i k_i (v_i - x) / h^2 = sum_i k_i s_i - (sum_i k_i) x_c / h^2
+        and lap rho = sum_i k_i (|x - v_i|^2 / h^4 - D / h^2), where
+        |x - v_i|^2 / h^4 = -2 E_i / h^2 with the centred exponent E_i."""
         field, d = self.field, self.dim
         points = np.asarray(points, dtype=float).reshape(-1, d)
         h2 = field.bandwidth**2
         scalar = np.empty(len(points))
-        for rows, diffs, sq, kern in _kernel_blocks(field, points):
-            grad = np.einsum("bn,bnd->bd", kern, diffs) / h2
-            lap = np.einsum("bn,bn->b", kern, sq / h2**2 - d / h2)
-            u = kern.sum(axis=1) + field.epsilon
-            scalar[rows] = (d - 1) * (lap - (d + 2) * np.einsum("bd,bd->b", grad, grad) / (4.0 * u))
+        for rows, xc, exponent in _exponents(field, points):
+            kern = field.weights * np.exp(exponent)
+            total = kern.sum(axis=1)
+            grad = np.matmul(kern[:, None, :], field._slopes)[:, 0] - total[:, None] * xc / h2
+            lap = np.einsum("bn,bn->b", kern, -2.0 * exponent - d) / h2
+            scalar[rows] = (d - 1) * (lap - (d + 2) * np.einsum("bd,bd->b", grad, grad)
+                                      / (4.0 * (total + field.epsilon)))
         return scalar
 
 

@@ -18,7 +18,7 @@ from .cognition import CognitionParams, MindState, cycle_step, perceive
 from .errors import ChartExitError, ConfigError
 from .geodesic import Trajectory
 from .manifold import (KERNEL_BLOCK, ConformalFieldMetric, MetricSource,
-                       TokenEmbedding, TokenField, _as_vector, densities)
+                       TokenField, _as_vector, densities)
 
 logger = logging.getLogger(__name__)
 
@@ -165,7 +165,7 @@ def learn_update(field: TokenField, perceived, rate: float) -> TokenField:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("learning rate must lie in [0, 1]")
     perceived = _as_vector(perceived, field.dimension, "perceived")
-    (row,) = field.rows([field.nearest(perceived).id])
+    row = field.nearest(perceived)
     means = field.means.copy()
     means[row] = means[row] + rate * (perceived - means[row])
     return field._replace(means=means)
@@ -330,9 +330,6 @@ def analyze_field(field: TokenField, source: MetricSource,
 
 def demo_field() -> TokenField:
     """Canonical three-token field in the plane used by docs and tests."""
-    tokens = (
-        TokenEmbedding(1, np.array([0.0, 0.0]), np.zeros((2, 2)), 1.0),
-        TokenEmbedding(2, np.array([2.0, 0.0]), np.zeros((2, 2)), 1.0),
-        TokenEmbedding(3, np.array([1.0, 1.5]), np.zeros((2, 2)), 1.0),
-    )
-    return TokenField(tokens=tokens, dimension=2, bandwidth=1.0, epsilon=0.5)
+    return TokenField(ids=[1, 2, 3], means=[[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]],
+                      covariances=np.zeros((3, 2, 2)), weights=np.ones(3),
+                      bandwidth=1.0, epsilon=0.5)

@@ -2,23 +2,21 @@ import numpy as np
 import pytest
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
-                     SphereMetric, TokenEmbedding, TokenField)
+                     SphereMetric, TokenField)
 
 
 def make_field(means, dim=2, bandwidth=1.0, epsilon=1.0, weights=None, covs=None, ids=None):
     """Build a small field from plain lists; zero covariance by default."""
-    means = [np.asarray(m, dtype=float) for m in means]
     n = len(means)
-    weights = weights if weights is not None else [1.0] * n
-    covs = covs if covs is not None else [np.zeros((dim, dim))] * n
-    ids = ids if ids is not None else list(range(1, n + 1))
-    tokens = tuple(TokenEmbedding(i, m, c, w) for i, m, c, w in zip(ids, means, covs, weights))
-    return TokenField(tokens, dim, bandwidth, epsilon)
+    return TokenField(list(range(1, n + 1)) if ids is None else ids,
+                      np.asarray(means, dtype=float).reshape(n, dim),
+                      np.zeros((n, dim, dim)) if covs is None else covs,
+                      [1.0] * n if weights is None else weights, bandwidth, epsilon)
 
 
 @pytest.fixture
 def empty_field():
-    return TokenField((), 2, 1.0, 1.0)
+    return make_field([])
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
                      GridSpec, MindState, ShootingOptions, SphereMetric,
-                     ThoughtFlow, TokenEmbedding, TokenField, Trajectory,
+                     ThoughtFlow, Trajectory,
                      attention_weights, christoffel_fd, curvature_at,
                      cycle_step, feedback_forcing, geodesic_between,
                      integrate_geodesic, run_learning, sample_embedding,
@@ -33,7 +33,7 @@ def _report(number: int, label: str, ok: bool):
 
 def test_criterion_01_flat_space_reduction():
     started = time.perf_counter()
-    field = TokenField((), 2, 1.0, 1.0)
+    field = make_field([])
     source = ConformalFieldMetric(field)
     rng = np.random.default_rng(0)
     ok = True
@@ -257,8 +257,8 @@ def test_criterion_11_connectivity():
     grid = GridSpec(points_per_axis=4, rho_min=1e-100)
     report = analyze_field(field, ConformalFieldMetric(field), grid)
     ok = len(report.components) == 2
-    bridge = TokenEmbedding(99, np.array([25.0, 0.0]), np.zeros((2, 2)), 5.0)
-    bridged = field.with_tokens(list(field.tokens) + [bridge])
+    bridged = make_field(means + [np.array([25.0, 0.0])], bandwidth=1.0, epsilon=0.5,
+                         ids=ids + [99], weights=[1.0] * 10 + [5.0])
     report2 = analyze_field(bridged, ConformalFieldMetric(bridged), grid)
     ok &= len(report2.components) == 1
     _report(11, "two clusters split, bridge token reconnects", ok)

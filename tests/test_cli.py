@@ -21,6 +21,8 @@ from geomind.cli import main
 from geomind.config import load_config
 from geomind.mind import demo_field
 
+from conftest import make_field
+
 
 # ---------------------------------------------------------------- field files
 
@@ -41,8 +43,8 @@ def test_load_field_well_formed(tmp_path):
     assert len(field) == 2
     assert field.dimension == 2
     assert field.bandwidth == 0.5
-    assert np.array_equal(field.tokens[0].covariance, np.diag([0.1, 0.2]))
-    assert field.tokens[1].weight == 1.0
+    assert np.array_equal(field.covariances[0], np.diag([0.1, 0.2]))
+    assert field.weights[1] == 1.0
 
 
 def test_load_field_missing_covariance_defaults_zero(tmp_path):
@@ -50,7 +52,7 @@ def test_load_field_missing_covariance_defaults_zero(tmp_path):
     write_json(path, {"dimension": 2, "bandwidth": 1.0, "epsilon": 1.0,
                       "tokens": [{"id": 5, "mean": [1.0, 2.0]}]})
     field = load_field(path)
-    assert np.array_equal(field.tokens[0].covariance, np.zeros((2, 2)))
+    assert np.array_equal(field.covariances[0], np.zeros((2, 2)))
 
 
 def test_load_field_duplicate_id_names_offender(tmp_path):
@@ -99,6 +101,14 @@ def test_load_field_non_number_constant_names_file(tmp_path, name, value):
     assert main(["simulate", "--config", str(tmp_path / "config.json"),
                  "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tokens", [5, {"id": 1, "mean": [0.0, 0.0]}, "ab"],
+                         ids=["int", "object", "string"])
+def test_load_field_refuses_tokens_that_are_not_a_list(tmp_path, tokens):
+    write_json(tmp_path / "field.json", {"dimension": 2, "tokens": tokens})
+    with pytest.raises(FieldFormatError, match=r"field\.json: tokens must be a list"):
+        load_field(tmp_path / "field.json")
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -170,11 +180,8 @@ def test_field_round_trip(tmp_path):
     back = load_field(path)
     assert back.dimension == field.dimension
     assert back.bandwidth == field.bandwidth
-    for a, b in zip(back.tokens, field.tokens):
-        assert a.id == b.id
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.covariance, b.covariance)
-        assert a.weight == b.weight
+    for name in ("ids", "means", "covariances", "weights"):
+        assert np.array_equal(getattr(back, name), getattr(field, name))
 
 
 def test_load_input_schedule(tmp_path):
@@ -444,6 +451,50 @@ def test_malformed_config_value_exits_2(workdir, section, value, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, name, value", [
+    ("simulation", "dt", "nan"),
+    ("simulation", "dt", 10**400),
+    ("competition", "threshold", "nan"),
+    ("metric", "scale", "nan"),
+    ("cognition", "kappa", True),
+    ("simulation", "start", ["nan", 0]),
+    ("cognition", "bias", [False, 0.0]),
+    ("cognition", "value_matrix", [[1.0, 0.0], [0.0, "1"]]),
+    ("field", "bandwidth", True),
+    ("token", "weight", "2"),
+], ids=["dt", "dt-beyond-float", "threshold", "scale", "kappa", "start", "bias",
+        "value-matrix", "bandwidth", "weight"])
+def test_quoted_or_bool_number_exits_2(workdir, capsys, section, name, value):
+    cfg = json.loads((workdir / "config.json").read_text())
+    if section in ("field", "token"):
+        field = json.loads((workdir / "field.json").read_text())
+        (field if section == "field" else field["tokens"][1])[name] = value
+        write_json(workdir / "field_number.json", field)
+        cfg["field"] = "field_number.json"
+    elif section == "metric":
+        cfg["metric"] = {"kind": "flat", name: value}
+    else:
+        cfg[section][name] = value
+    write_json(workdir / "cfg_number.json", cfg)
+    out = workdir / "number_out"
+    assert main(["compete", "--config", str(workdir / "cfg_number.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+    where = "field_number.json" if section in ("field", "token") else "cfg_number.json"
+    assert f"{where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, name", [
+    ("learn", "learning", "input"), ("geodesic", "geodesic", "start"),
+    ("geodesic", "geodesic", "end")])
+def test_run_without_its_required_input_leaves_no_output(workdir, command, section, name):
+    cfg = json.loads((workdir / "config.json").read_text())
+    del cfg[section][name]
+    write_json(workdir / "cfg_missing.json", cfg)
+    out = workdir / "missing_out"
+    assert main([command, "--config", str(workdir / "cfg_missing.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 INTEGER_FIELDS = {  # where the value sits, the command that uses it, how to read it back
     "context_capacity": ("cognition", "simulate", lambda c: c.params.context_capacity),
     "steps": ("simulation", "simulate", lambda c: c.steps),
@@ -552,7 +603,7 @@ def test_analyze_outputs_report_and_projection(workdir):
 
 
 def test_analyze_empty_field_succeeds(workdir):
-    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    save_field(make_field([], epsilon=0.5), workdir / "empty.json")
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["field"] = "empty.json"
     write_json(workdir / "cfg_empty.json", cfg)
@@ -623,7 +674,7 @@ def test_geodesic_failure_reports_real_iterations_and_reason(workdir):
 
 def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
     # the end lies past the sphere chart's pole, so every shot is truncated
-    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    save_field(make_field([], epsilon=0.5), workdir / "empty.json")
     write_json(workdir / "cfg_pole_geo.json", {
         "field": "empty.json", "metric": {"kind": "sphere", "radius": 1.0},
         "geodesic": {"start": [0.5, 0.0], "end": [-0.5, 0.0], "max_iters": 4, "steps": 50},
@@ -638,7 +689,7 @@ def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
 
 
 def test_flow_that_never_ran_scores_null_and_cannot_win(workdir):
-    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    save_field(make_field([], epsilon=0.5), workdir / "empty.json")
     write_json(workdir / "cfg_no_cycle.json", {
         "field": "empty.json", "metric": {"kind": "sphere", "radius": 1.0},
         "simulation": {"steps": 10, "dt": 0.01, "seeds": [1, 2],
@@ -652,7 +703,7 @@ def test_flow_that_never_ran_scores_null_and_cannot_win(workdir):
 
 
 def test_chart_exit_writes_failure_and_exits_1(workdir):
-    save_field(demo_field().with_tokens([]), workdir / "empty.json")
+    save_field(make_field([], epsilon=0.5), workdir / "empty.json")
     cfg = {
         "field": "empty.json",
         "metric": {"kind": "sphere", "radius": 1.0},

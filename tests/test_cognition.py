@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
-                     MindState, TokenEmbedding, attention_weights,
+                     MindState, attention_weights,
                      context_vector, cycle_step, feedback_forcing,
                      integrate_geodesic, perceive, predict_contextual,
                      predict_geometric, prediction_error, sample_embedding)
@@ -17,41 +17,40 @@ from conftest import make_field
 # ---------------------------------------------------------------- sampling
 
 def test_zero_covariance_returns_mean_exactly():
-    token = TokenEmbedding(1, np.array([0.3, -0.7]), np.zeros((2, 2)))
-    out = sample_embedding(token, np.random.default_rng(0))
-    assert np.array_equal(out, token.mean)
+    mean = np.array([0.3, -0.7])
+    out = sample_embedding(mean, np.zeros((2, 2)), np.random.default_rng(0))
+    assert np.array_equal(out, mean)
 
 
 def test_sampling_deterministic_for_equal_rng_state():
-    token = TokenEmbedding(1, np.zeros(2), np.diag([0.5, 2.0]))
-    a = sample_embedding(token, np.random.default_rng(123))
-    b = sample_embedding(token, np.random.default_rng(123))
+    mean, cov = np.zeros(2), np.diag([0.5, 2.0])
+    a = sample_embedding(mean, cov, np.random.default_rng(123))
+    b = sample_embedding(mean, cov, np.random.default_rng(123))
     assert np.array_equal(a, b)
 
 
 def test_sampling_advances_rng():
-    token = TokenEmbedding(1, np.zeros(2), np.diag([1.0, 1.0]))
+    mean, cov = np.zeros(2), np.diag([1.0, 1.0])
     rng = np.random.default_rng(123)
-    a = sample_embedding(token, rng)
-    b = sample_embedding(token, rng)
+    a = sample_embedding(mean, cov, rng)
+    b = sample_embedding(mean, cov, rng)
     assert not np.array_equal(a, b)
 
 
 def test_sample_mean_clt_bound():
     # oracle: with unit covariance, the empirical mean of n draws lands
     # within 4/sqrt(n) of the true mean per component (4 sigma)
-    token = TokenEmbedding(1, np.array([1.0, -2.0]), np.eye(2))
+    mean = np.array([1.0, -2.0])
     rng = np.random.default_rng(2024)
     n = 10_000
-    draws = np.stack([sample_embedding(token, rng) for _ in range(n)])
-    assert np.all(np.abs(draws.mean(axis=0) - token.mean) < 4.0 / math.sqrt(n))
+    draws = np.stack([sample_embedding(mean, np.eye(2), rng) for _ in range(n)])
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4.0 / math.sqrt(n))
 
 
 def test_full_covariance_cholesky_path():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-    token = TokenEmbedding(1, np.zeros(2), cov)
     rng = np.random.default_rng(5)
-    draws = np.stack([sample_embedding(token, rng) for _ in range(20_000)])
+    draws = np.stack([sample_embedding(np.zeros(2), cov, rng) for _ in range(20_000)])
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.1
 
 
@@ -354,7 +353,7 @@ def test_cycle_forced_velocity_kick_one_dimensional():
 def test_cycle_determinism_long_horizon(random_field):
     source = ConformalFieldMetric(random_field)
     covs = [np.diag([0.01, 0.01])] * 5
-    noisy = make_field([t.mean for t in random_field.tokens], bandwidth=0.8,
+    noisy = make_field(random_field.means, bandwidth=0.8,
                        epsilon=0.5, covs=covs)
     params = CognitionParams.defaults(2, kappa=0.4, input_blend=0.2, feedback_gain=0.3)
 

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from geomind import TokenField
 from geomind.io import load_field, save_field, write_json
-from geomind.manifold import _token_arrays
 
 
 class Tagged(float):
@@ -93,8 +92,8 @@ def _fields(draw):
     covariances = factors @ factors.transpose(0, 2, 1)
     covariances = (covariances + covariances.transpose(0, 2, 1)) / 2
     weights = draw(hnp.arrays(float, n, elements=st.floats(0, 1e6)))
-    empty = TokenField((), d, draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1e3)))
-    return empty._replace(**_token_arrays(zip(ids, means, covariances, weights), n, d))
+    return TokenField(ids, means, covariances, weights,
+                      draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-6, 1e3)))
 
 
 @SHARED_PATH

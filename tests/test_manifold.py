@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
                      FlatMetric, SingularMetricError, SphereMetric,
-                     TokenEmbedding, TokenField, christoffel_fd, curvature_at,
+                     TokenField, christoffel_fd, curvature_at,
                      density_at, density_gradient, learn_update, load_field,
                      manipulate_feature, save_field)
 from geomind.manifold import densities
@@ -82,7 +82,8 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 def test_kernel_within_its_error_bound(case):
     # reference: the direct means - x form; the bound is twice the one in
-    # the kernel's docstring, D eps (1 + (|v_i - c| + |x_c|)^2 / h^2) per k_i
+    # the kernel's docstring, D eps (1 + (|v_i - c| + |x_c|)^2 / h^2) per k_i,
+    # for the per-point density_at and the batched densities alike
     field, x = case
     d, h2 = field.dimension, field.bandwidth**2
     diffs = field.means - x
@@ -93,7 +94,8 @@ def test_kernel_within_its_error_bound(case):
     bound = 2.0 * d * np.finfo(float).eps * (1.0 + r**2 / h2)
     # a few subnormal spacings: a k_i that underflows keeps no relative precision
     underflow = 4.0 * (len(field) + 1) * np.finfo(float).smallest_subnormal / h2
-    assert abs(density_at(field, x) - kern.sum()) <= np.sum(bound * kern) + underflow
+    for rho in (density_at(field, x), densities(field, x)[0]):
+        assert abs(rho - kern.sum()) <= np.sum(bound * kern) + underflow
     # each k_i's error times its direction, plus the rounding of s_i and x_c
     grad_tol = np.sum(kern * (bound * np.hypot.reduce(diffs, axis=1)
                               + 2.0 * d * np.finfo(float).eps * r)) / h2
@@ -103,7 +105,12 @@ def test_kernel_within_its_error_bound(case):
             <= grad_tol + underflow * (1.0 + r.max()))
 
 
-@pytest.mark.parametrize("change", ["learn_update", "manipulate_feature", "with_tokens",
+def _rebuilt(field):
+    return TokenField(field.ids.copy(), field.means.copy(), field.covariances.copy(),
+                      field.weights.copy(), field.bandwidth, field.epsilon)
+
+
+@pytest.mark.parametrize("change", ["learn_update", "manipulate_feature", "subset",
                                     "load_field", "empty"])
 def test_kernel_constants_follow_the_field(random_field, tmp_path, change):
     # a field from any of these gives the densities of one built afresh
@@ -112,17 +119,21 @@ def test_kernel_constants_follow_the_field(random_field, tmp_path, change):
         assert not np.array_equal(field.means, random_field.means)
     elif change == "manipulate_feature":
         field = manipulate_feature(random_field, random_field.ids[:2].tolist(), 3.0)
-    elif change == "with_tokens":
-        field = random_field.with_tokens(random_field.tokens[1:4])
+    elif change == "subset":
+        field = TokenField(random_field.ids[1:4], random_field.means[1:4],
+                           random_field.covariances[1:4], random_field.weights[1:4],
+                           random_field.bandwidth, random_field.epsilon)
     elif change == "load_field":
         save_field(random_field, tmp_path / "field.json")
         field = load_field(tmp_path / "field.json")
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            field = random_field.with_tokens([])
+            field = TokenField(random_field.ids[:0], random_field.means[:0],
+                               random_field.covariances[:0], random_field.weights[:0],
+                               random_field.bandwidth, random_field.epsilon)
             assert density_at(field, [0.5, 0.5]) == 0.0
-    fresh = TokenField(field.tokens, field.dimension, field.bandwidth, field.epsilon)
+    fresh = _rebuilt(field)
     for x in np.random.default_rng(6).uniform(-2, 2, size=(5, 2)):
         assert density_at(field, x) == density_at(fresh, x)
         assert density_gradient(field, x).tobytes() == density_gradient(fresh, x).tobytes()
@@ -136,39 +147,61 @@ def test_duplicate_ids_rejected():
 
 
 def test_dimension_mismatch_rejected():
-    token = TokenEmbedding(1, np.zeros(3), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        TokenField((token,), 2, 1.0, 1.0)
+    # a 3-D covariance for 2-D means, and the reverse
+    with pytest.raises(ValueError, match="covariances"):
+        TokenField([1], np.zeros((1, 2)), np.zeros((1, 3, 3)), [1.0])
+    with pytest.raises(ValueError, match="covariances"):
+        TokenField([1], np.zeros((1, 3)), np.zeros((1, 2, 2)), [1.0])
 
 
 def test_bad_kernel_parameters_rejected():
     with pytest.raises(ValueError):
-        TokenField((), 2, bandwidth=0.0, epsilon=1.0)
+        TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], bandwidth=0.0, epsilon=1.0)
     with pytest.raises(ValueError):
-        TokenField((), 2, bandwidth=1.0, epsilon=0.0)
+        TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], bandwidth=1.0, epsilon=0.0)
 
 
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
-        TokenEmbedding(1, np.zeros(2), np.zeros((2, 2)), weight=-0.5)
+        TokenField([1], np.zeros((1, 2)), np.zeros((1, 2, 2)), [-0.5])
 
 
 def test_non_psd_covariance_rejected():
     with pytest.raises(ValueError):
-        TokenEmbedding(1, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        TokenField([1], np.zeros((1, 2)), [[[1.0, 2.0], [2.0, 1.0]]], [1.0])
 
 
 def test_field_arrays_are_read_only(random_field):
     for array in (random_field.ids, random_field.means, random_field.covariances,
-                  random_field.weights, random_field.tokens[0].mean):
+                  random_field.weights, random_field.means[0]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
 
 
-def test_diagonal_covariance_expanded():
-    token = TokenEmbedding(1, np.zeros(2), np.array([0.5, 2.0]))
-    assert token.covariance.shape == (2, 2)
-    assert np.array_equal(token.covariance, np.diag([0.5, 2.0]))
+def test_no_write_to_a_given_array_reaches_the_field():
+    rng = np.random.default_rng(8)
+    means, points = rng.normal(size=(6, 3)), rng.normal(size=(4, 3))
+    for form in ("arrays", "view", "lists"):
+        given = [np.arange(6), means.copy(), np.zeros((6, 3, 3)), rng.uniform(0.5, 2.0, 6)]
+        backing = np.vstack([means, np.zeros((2, 3))])
+        if form == "view":
+            given[1] = backing[:6]
+        elif form == "lists":
+            given = [array.tolist() for array in given]
+        field = TokenField(*given, bandwidth=0.7)
+        before = [density_gradient(field, x).tobytes() for x in points]
+        for array in given:
+            if isinstance(array, list):
+                array.clear()
+            elif array.base is None:  # taken over: read-only for the caller too
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 5.0
+        backing[:] = 9.0  # a view was copied
+        assert np.array_equal(field.means, means)
+        fresh = _rebuilt(field)
+        for x, expected in zip(points, before):
+            assert density_gradient(field, x).tobytes() == expected
+            assert density_gradient(fresh, x).tobytes() == expected
 
 
 # ---------------------------------------------------------------- metric
@@ -295,7 +328,7 @@ def test_riemann_antisymmetry_last_two_indices(random_field, sphere):
 ])
 def test_token_refuses_non_finite_values(mean, cov, weight):
     with pytest.raises(ValueError, match="token 3: mean, covariance and weight must be finite"):
-        TokenEmbedding(3, np.array(mean), np.asarray(cov), weight)
+        TokenField([3], [mean], [np.diag(cov)], [weight])
 
 
 # ---------------------------------------------------------------- closed-form conformal curvature

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
-                     GridSpec, ShootingOptions, ThoughtFlow, TokenEmbedding,
+                     GridSpec, ShootingOptions, ThoughtFlow,
                      Trajectory, analyze_field, curvature_at,
                      demo_field, density_at, feature_vector, geodesic_between,
                      integrate_geodesic, intrinsic_dimension, learn_update,
@@ -105,7 +105,7 @@ def test_flow_activations_match_nearest_labels(random_field):
                             seed=1, start=[0.0, 0.0], velocity=[0.6, 0.2])
     reference = integrate_geodesic(flow.trajectory.positions[0], flow.trajectory.velocities[0],
                                    source, None, horizon=0.8, dt=0.01)
-    expected = [(t, random_field.nearest(x).id)
+    expected = [(t, int(random_field.ids[random_field.nearest(x)]))
                 for t, x in zip(reference.times.tolist(), reference.positions)]
     assert flow.trajectory.activations == expected
 
@@ -154,30 +154,30 @@ def test_diverging_flow_stops_at_first_non_finite_cycle():
 
 def test_learn_zero_rate_keeps_field(one_token_field):
     updated = learn_update(one_token_field, [5.0, 5.0], rate=0.0)
-    assert np.array_equal(updated.tokens[0].mean, one_token_field.tokens[0].mean)
+    assert np.array_equal(updated.means[0], one_token_field.means[0])
 
 
 def test_learn_full_rate_jumps_to_target(one_token_field):
     updated = learn_update(one_token_field, [5.0, -1.0], rate=1.0)
-    assert np.array_equal(updated.tokens[0].mean, np.array([5.0, -1.0]))
+    assert np.array_equal(updated.means[0], np.array([5.0, -1.0]))
 
 
 def test_learn_geometric_contraction(one_token_field):
     # oracle: two half-rate pulls leave (1 - eta)^2 = 1/4 of the distance
     target = np.array([2.0, 0.0])
-    d0 = np.linalg.norm(one_token_field.tokens[0].mean - target)
+    d0 = np.linalg.norm(one_token_field.means[0] - target)
     field = learn_update(one_token_field, target, rate=0.5)
     field = learn_update(field, target, rate=0.5)
-    d2 = np.linalg.norm(field.tokens[0].mean - target)
+    d2 = np.linalg.norm(field.means[0] - target)
     assert d2 == pytest.approx(0.25 * d0, abs=1e-12)
 
 
 def test_learn_moves_only_closest_token():
     field = make_field([[0.0, 0.0], [10.0, 0.0]])
     updated = learn_update(field, [1.0, 0.0], rate=0.5)
-    assert np.array_equal(updated.tokens[0].mean, np.array([0.5, 0.0]))
-    assert np.array_equal(updated.tokens[1].mean, np.array([10.0, 0.0]))
-    assert [t.id for t in updated.tokens] == [t.id for t in field.tokens]
+    assert np.array_equal(updated.means[0], np.array([0.5, 0.0]))
+    assert np.array_equal(updated.means[1], np.array([10.0, 0.0]))
+    assert np.array_equal(updated.ids, field.ids)
     assert len(updated) == len(field)
 
 
@@ -209,7 +209,7 @@ def test_learning_loop_converges_on_demo_field():
 
 def test_feature_single_token(one_token_field):
     assert np.array_equal(feature_vector(one_token_field, [1]),
-                          one_token_field.tokens[0].mean)
+                          one_token_field.means[0])
 
 
 def test_feature_midpoint():
@@ -230,8 +230,8 @@ def test_feature_matches_token_by_token_sum():
     ids = [int(i) for i in rng.choice(field.ids, size=12)]
     total = np.zeros(3)
     for token_id in ids:
-        token = next(t for t in field.tokens if t.id == token_id)
-        total = total + token.weight * token.mean
+        (row,) = np.flatnonzero(field.ids == token_id)
+        total = total + field.weights[row] * field.means[row]
     assert np.array_equal(feature_vector(field, ids), total)
 
 
@@ -244,7 +244,7 @@ def test_feature_unknown_id(one_token_field):
 
 def test_manipulate_identity_scale(one_token_field):
     out = manipulate_feature(one_token_field, [1], 1.0)
-    assert out.tokens[0].weight == one_token_field.tokens[0].weight
+    assert out.weights[0] == one_token_field.weights[0]
 
 
 def test_manipulate_zero_scale_kills_density(one_token_field):
@@ -254,7 +254,7 @@ def test_manipulate_zero_scale_kills_density(one_token_field):
     assert density_at(out, [0.0, 0.0]) == 0.0
     # input untouched, by this and by a learning step
     learn_update(one_token_field, [3.0, 4.0], rate=0.5)
-    assert one_token_field.tokens[0].weight == 1.0
+    assert one_token_field.weights[0] == 1.0
     assert np.array_equal(one_token_field.means, means)
     assert np.array_equal(one_token_field.weights, weights)
 
@@ -264,8 +264,7 @@ def test_manipulate_inverse_restores_weights():
     for scale in (10.0, 0.3, 2.5):
         roundtrip = manipulate_feature(manipulate_feature(field, [1, 2], scale),
                                        [1, 2], 1.0 / scale)
-        for a, b in zip(roundtrip.tokens, field.tokens):
-            assert abs(a.weight - b.weight) <= 1e-12
+        assert np.max(np.abs(roundtrip.weights - field.weights)) <= 1e-12
 
 
 def test_manipulate_bends_geodesic_toward_token():
@@ -427,24 +426,24 @@ def test_high_curvature_cut_is_percentile_based(random_field):
 
 def test_pca_projection_shape(random_field):
     proj = pca_projection(random_field)
-    assert set(proj) == {t.id for t in random_field.tokens}
+    assert set(proj) == set(random_field.ids.tolist())
     assert all(v.shape == (2,) for v in proj.values())
 
 
 # ---------------------------------------------------------------- nearest token
 
 def test_nearest_single_token(one_token_field):
-    assert one_token_field.nearest([9.0, 9.0]).id == 1
+    assert one_token_field.nearest([9.0, 9.0]) == 0
 
 
 def test_nearest_tie_breaks_to_lowest_id():
     field = make_field([[0.0, 0.0], [2.0, 0.0]], ids=[7, 3])
-    assert field.nearest([1.0, 0.0]).id == 3
+    assert field.ids[field.nearest([1.0, 0.0])] == 3
 
 
 def test_nearest_hand_distance():
     field = make_field([[0.0, 0.0], [10.0, 0.0]], ids=[1, 2])
-    assert field.nearest([4.0, 0.0]).id == 1
+    assert field.ids[field.nearest([4.0, 0.0])] == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -457,7 +456,7 @@ def test_nearest_matches_reference_loop(seed):
     field = make_field(list(means), dim=dim, ids=ids)
     for x in np.vstack([rng.normal(size=(50, dim)), means[:10]]):
         expected = min((float(np.linalg.norm(m - x)), i) for m, i in zip(means, ids))[1]
-        assert field.nearest(x).id == expected
+        assert field.ids[field.nearest(x)] == expected
 
 
 def test_nearest_empty_field_rejected(empty_field):
