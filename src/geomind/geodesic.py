@@ -3,6 +3,13 @@
 The flow state is integrated with fixed-step RK4 on the first-order system
 x' = v, v'^m = -Gamma^m_{nl} v^n v^l + F^m, with F a forcing vector held
 constant over the step. No forcing recovers the plain geodesic equation.
+
+geodesic_step and integrate_geodesic take one (D,) state or a (B, D) batch
+of rows. A batch is row-invariant: each row gets exactly the bits of its
+own run, because the metric sources evaluate a batch with elementwise
+arithmetic and per-row stacked products only. So the shooting solver
+integrates every shot together with its D Jacobian probes as one batch of
+D + 1 rows and keeps the results of one shot and D probe shots bitwise.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ MAX_BACKTRACKS = 12
 @dataclass
 class Trajectory:
     """A flow sampled every dt: (T, D) positions and velocities at the (T,)
-    times, plus the (time, token id) activation record."""
+    times, plus the (time, token id) activation record. integrate_geodesic
+    on a (B, D) batch gives (T, B, D) positions and velocities."""
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -43,7 +51,10 @@ class Trajectory:
 def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
     source.check_domain(pos)
     gamma = source.christoffel(pos)
-    acc = -np.einsum("mnl,n,l->m", gamma, vel, vel)
+    if vel.ndim == 2:
+        acc = -np.einsum("bmnl,bn,bl->bm", gamma, vel, vel)
+    else:
+        acc = -np.einsum("mnl,n,l->m", gamma, vel, vel)
     return acc + f
 
 
@@ -51,14 +62,20 @@ def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],
                   dt: float) -> tuple[np.ndarray, np.ndarray]:
     """One RK4 step of the geodesic equation forced by a constant vector.
 
-    Returns the new (position, velocity). forcing is a D-vector held over the
-    whole step, or None for no forcing. Raises ChartExitError if any stage
-    point leaves the chart domain; x and v are then the last valid state.
+    x and v are one (D,) state or a (B, D) batch of rows, stepped together;
+    each row gets exactly the bits it gets alone. Returns the new
+    (position, velocity). forcing is a D-vector held over the whole step and
+    shared by all rows, or None for no forcing. Raises ChartExitError if any
+    stage point of any row leaves the chart domain; x and v are then the last
+    valid state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = _as_vector(x, source.dim, "position")
-    v = _as_vector(v, source.dim, "velocity")
+    x = _as_vector(x, source.dim, "position", batch=True)
+    v = _as_vector(v, source.dim, "velocity", batch=True)
+    if v.shape != x.shape:
+        raise ValueError(f"velocity must have dimension {source.dim} and the position's "
+                         f"shape {x.shape}, got shape {v.shape}")
     # adding zeros keeps unforced and zero-forced steps bitwise equal
     f = np.zeros(source.dim) if forcing is None else _as_vector(forcing, source.dim, "forcing")
     try:
@@ -84,16 +101,19 @@ def integrate_geodesic(position, velocity, source: MetricSource,
     """Integrate from t = 0 for floor(horizon/dt) steps, returning
     floor(horizon/dt)+1 samples.
 
+    A (B, D) batch of positions and velocities gives (T, B, D) positions and
+    velocities, each row bitwise equal to its own run up to the batch's end.
     A chart exit truncates the trajectory at the last valid state and sets
-    the truncated flag instead of raising.
+    the truncated flag instead of raising; in a batch, the first row to
+    leave the chart truncates them all.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if horizon < dt:
         raise ValueError("horizon must be at least dt")
     n_steps = int(np.floor(horizon / dt + 1e-12))
-    x = _as_vector(position, source.dim, "position")
-    v = _as_vector(velocity, source.dim, "velocity")
+    x = _as_vector(position, source.dim, "position", batch=True)
+    v = _as_vector(velocity, source.dim, "velocity", batch=True)
     positions, velocities, times = [x], [v], [0.0]
     truncated = False
     for _ in range(n_steps):
@@ -140,30 +160,66 @@ class ShootingOptions:
             raise ValueError(f"shooting needs steps >= 1, max_iters >= 0 and tol > 0, got {self}")
 
 
+def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSource,
+           steps: int):
+    """One shot from a with the given initial velocity, and its Jacobian probes.
+
+    The rows [v; v + h e_1; ...; v + h e_D], h = JACOBIAN_STEP max(1, |v|),
+    are integrated together over the unit interval. Returns the endpoint miss
+    of row 0 (None if it left the chart), its norm (inf then), row 0's
+    Trajectory and the finite-difference Jacobian of the miss, whose column
+    is zero for a probe that left the chart (None with row 0). If any row
+    leaves the chart, the rows run again one at a time, so every rule is the
+    one a single row follows.
+    """
+    def run(position, initial_velocity):
+        return integrate_geodesic(position, initial_velocity, source, None,
+                                  horizon=1.0, dt=1.0 / steps)
+
+    d = len(velocity)
+    h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
+    rows = np.vstack([velocity, velocity + h * np.eye(d)])
+    batch = run(np.tile(a, (d + 1, 1)), rows)
+    if not batch.truncated:
+        ends = list(batch.positions[-1])
+        # contiguous, as a single run's arrays are, for the BLAS calls on its rows
+        traj = Trajectory(np.ascontiguousarray(batch.positions[:, 0]),
+                          np.ascontiguousarray(batch.velocities[:, 0]), batch.times, batch.dt)
+    else:
+        traj = run(a, velocity)
+        if traj.truncated:
+            return None, np.inf, traj, None
+        ends = [traj.positions[-1]]
+        for row in rows[1:]:
+            probe = run(a, row)
+            ends.append(None if probe.truncated else probe.positions[-1])
+    miss = ends[0] - b
+    jac = np.zeros((d, d))
+    for k, end in enumerate(ends[1:]):
+        if end is not None:
+            jac[:, k] = ((end - b) - miss) / h
+    return miss, float(np.linalg.norm(miss)), traj, jac
+
+
 def geodesic_between(a, b, source: MetricSource,
                      opts: ShootingOptions = ShootingOptions()) -> Trajectory:
     """Connect a to b by single shooting over the unit time interval.
 
     The initial velocity starts at the straight chart velocity b - a and is
     refined by damped Gauss-Newton on the endpoint miss; the step is halved
-    whenever the miss would increase. Raises NoGeodesicError, read downstream
-    as "no connecting path found", with the iterations run and the reason:
-    max-iters, backtracks-exhausted or singular-jacobian.
+    whenever the miss would increase. Every shot carries its D Jacobian
+    probes as one batch (_shoot), so a solve of k iterations without
+    backtracking makes 1 + k shots of D + 1 rows. Raises NoGeodesicError,
+    read downstream as "no connecting path found", with the iterations run
+    and the reason: max-iters, backtracks-exhausted or singular-jacobian.
     """
     a = _as_vector(a, source.dim, "a")
     b = _as_vector(b, source.dim, "b")
     if np.array_equal(a, b):
         raise ValueError("endpoints must differ")
 
-    def shoot(velocity):
-        traj = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / opts.steps)
-        if traj.truncated:
-            return None, np.inf, traj
-        miss = traj.positions[-1] - b
-        return miss, float(np.linalg.norm(miss)), traj
-
     velocity = b - a
-    miss, miss_norm, traj = shoot(velocity)
+    miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, opts.steps)
     iterations, reason = opts.max_iters, "max-iters"
     for iteration in range(opts.max_iters):
         if miss is not None and miss_norm <= opts.tol:
@@ -172,32 +228,29 @@ def geodesic_between(a, b, source: MetricSource,
         if miss is None:
             # truncated shot: retreat toward a shorter straight guess
             velocity = 0.5 * (velocity + (b - a))
-            miss, miss_norm, traj = shoot(velocity)
+            miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, opts.steps)
+            logger.debug("shooting iteration %d: the shot left the chart, retreating toward "
+                         "b - a; miss %.3e", iteration + 1, miss_norm)
             continue
-        d = source.dim
-        jac = np.empty((d, d))
-        h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = h
-            miss_k, _, _ = shoot(velocity + e)
-            jac[:, k] = ((miss_k - miss) / h) if miss_k is not None else 0.0
         try:
             delta = np.linalg.lstsq(jac, miss, rcond=None)[0]
         except np.linalg.LinAlgError:
             iterations, reason = iteration + 1, "singular-jacobian"
             break
         scale = 1.0
-        for _ in range(MAX_BACKTRACKS):
+        for backtracks in range(MAX_BACKTRACKS):
             trial = velocity - scale * delta
-            trial_miss, trial_norm, trial_traj = shoot(trial)
-            if trial_norm < miss_norm:
-                velocity, miss, traj, miss_norm = trial, trial_miss, trial_traj, trial_norm
+            shot = _shoot(a, b, trial, source, opts.steps)
+            if shot[1] < miss_norm:
+                velocity, (miss, miss_norm, traj, jac) = trial, shot
                 break
             scale *= 0.5
         else:
             iterations, reason = iteration + 1, "backtracks-exhausted"
             break
+        logger.debug("shooting iteration %d: miss %.3e, step scale %g, %d backtracks, "
+                     "%d rows per shot", iteration + 1, miss_norm, scale, backtracks,
+                     source.dim + 1)
     if miss is not None and miss_norm <= opts.tol:
         return traj
     raise NoGeodesicError(

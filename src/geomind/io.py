@@ -219,7 +219,7 @@ def save_field(field: TokenField, path: Union[str, Path]) -> None:
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     """Parse a sparse input schedule: a JSON list of {"step", "vector"} pairs
-    with distinct, non-negative steps."""
+    with distinct, non-negative steps, each vector a list of JSON numbers."""
     data = _read_json(path)
     if not isinstance(data, list):
         raise FieldFormatError(f"{path}: input schedule must be a JSON list")
@@ -227,7 +227,9 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     for entry in data:
         try:
             step = whole_number(entry["step"], "step")
-            vector = np.asarray(entry["vector"], dtype=float)
+            if not isinstance(entry["vector"], list):
+                raise ValueError("vector must be a list of numbers")
+            vector = np.array([finite_number(v, "vector entry") for v in entry["vector"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: bad schedule entry {entry!r}: {exc}") from exc
         if not np.isfinite(vector).all():

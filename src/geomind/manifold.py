@@ -19,6 +19,17 @@ one matrix-vector product per point. The batched densities and
 scalar_curvature take stacked per-point products instead: a matrix-vector
 product is not row-invariant against a batched GEMM, and a batch must give
 each point the bits it gets alone.
+
+Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
+or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
+A batch is row-invariant: each row is bitwise what the point gives alone.
+The field metric evaluates a batch from one _exponents pass, with np.matmul
+stacked per point, np.vecdot (the bits of np.dot) and elementwise
+arithmetic, never one (B, D) @ (D, n) GEMM. A single point keeps three
+kernel passes (density_at twice and density_gradient once), because the
+benchmark's traced flows pin 4 christoffel and 12 density calls per RK4
+step. The flat and sphere metrics take batches in closed form; the base
+class, and so CallableMetric, takes christoffel_fd one row at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +55,10 @@ VALIDATE_BLOCK = 512
 KERNEL_BLOCK = 4096
 
 
-def _as_vector(x, dim: int, name: str = "point") -> np.ndarray:
+def _as_vector(x, dim: int, name: str = "point", batch: bool = False) -> np.ndarray:
+    """x as a (D,) float array; with batch, a (B, D) array of rows also passes."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
+    if x.shape != (dim,) and not (batch and x.ndim == 2 and x.shape[1] == dim):
         raise ValueError(f"{name} must have dimension {dim}, got shape {x.shape}")
     return x
 
@@ -203,9 +215,10 @@ def _exponents(field: TokenField, points: np.ndarray):
     block = max(1, KERNEL_BLOCK // max(1, len(field)))
     for lo in range(0, len(points), block):
         xc = points[lo:lo + block] - field._centre
+        # vecdot gives each row the bits of _kernel's np.dot(x_c, x_c)
         yield (slice(lo, lo + block), xc,
                field._offsets + np.matmul(xc[:, None, :], field._slopes.T)[:, 0]
-               - np.einsum("bd,bd->b", xc, xc)[:, None] / (2.0 * field.bandwidth**2))
+               - np.vecdot(xc, xc)[:, None] / (2.0 * field.bandwidth**2))
 
 
 def densities(field: TokenField, points) -> np.ndarray:
@@ -232,13 +245,16 @@ class MetricSource:
 
     Subclasses implement metric(); christoffel() and scalar_curvature()
     default to central finite differences and may be overridden with a
-    closed form.
+    closed form. check_domain() and christoffel() take one (D,) point or a
+    (B, D) batch of rows, and every row of a batch must get exactly the bits
+    it gets alone.
     """
 
     dim: int
 
     def check_domain(self, x: np.ndarray) -> None:
-        """Raise ChartDomainError if x is outside the chart. Default: all of R^D."""
+        """Raise ChartDomainError if x, or any row of a (B, D) batch, is
+        outside the chart. Default: all of R^D."""
 
     def in_domain(self, x) -> bool:
         try:
@@ -251,6 +267,11 @@ class MetricSource:
         raise NotImplementedError
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
+        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch.
+        Default: christoffel_fd, one row at a time."""
+        x = _as_vector(x, self.dim, batch=True)
+        if x.ndim == 2:
+            return np.stack([christoffel_fd(self, p) for p in x])
         return christoffel_fd(self, x)
 
     def scalar_curvature(self, points) -> np.ndarray:
@@ -305,8 +326,8 @@ class FlatMetric(MetricSource):
         return self.scale * np.eye(self.dim)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        _as_vector(x, self.dim)
-        return np.zeros((self.dim, self.dim, self.dim))
+        x = _as_vector(x, self.dim, batch=True)
+        return np.zeros(x.shape[:-1] + (self.dim,) * 3)
 
 
 class SphereMetric(MetricSource):
@@ -320,8 +341,9 @@ class SphereMetric(MetricSource):
         self.radius = float(radius)
 
     def check_domain(self, x: np.ndarray) -> None:
-        theta = x[0]
-        if not (0.0 < theta < np.pi) or abs(np.sin(theta)) < 1e-12:
+        theta = np.asarray(x)[..., 0]
+        # written so that a NaN theta fails
+        if not np.all((0.0 < theta) & (theta < np.pi) & (np.abs(np.sin(theta)) >= 1e-12)):
             raise ChartDomainError(f"sphere chart is singular at theta={theta}")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
@@ -331,14 +353,14 @@ class SphereMetric(MetricSource):
         return np.diag([r2, r2 * np.sin(x[0]) ** 2])
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, 2)
+        x = _as_vector(x, 2, batch=True)
         self.check_domain(x)
-        theta = x[0]
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 1, 1] = -np.sin(theta) * np.cos(theta)
+        theta = x[..., 0]
+        gamma = np.zeros(x.shape[:-1] + (2, 2, 2))
+        gamma[..., 0, 1, 1] = -np.sin(theta) * np.cos(theta)
         cot = np.cos(theta) / np.sin(theta)
-        gamma[1, 0, 1] = cot
-        gamma[1, 1, 0] = cot
+        gamma[..., 1, 0, 1] = cot
+        gamma[..., 1, 1, 0] = cot
         return gamma
 
 
@@ -362,7 +384,11 @@ class ConformalFieldMetric(MetricSource):
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         # closed form for a conformally flat metric lambda * I:
         # Gamma^m_{nl} = (delta^m_n d_l lam + delta^m_l d_n lam - delta_nl d_m lam) / (2 lam)
-        x = _as_vector(x, self.dim)
+        x = _as_vector(x, self.dim, batch=True)
+        if x.ndim == 2:
+            return self._christoffel_rows(x)
+        # a single point keeps three kernel passes: the benchmark's traced
+        # flows pin 4 christoffel and 12 density calls per RK4 step
         lam = self.conformal_factor(x)
         grad = self.conformal_gradient(x)
         d = self.dim
@@ -373,6 +399,29 @@ class ConformalFieldMetric(MetricSource):
             - np.einsum("nl,m->mnl", eye, grad)
         )
         return gamma / (2.0 * lam)
+
+    def _christoffel_rows(self, points: np.ndarray) -> np.ndarray:
+        """christoffel for each row of a (B, D) array from one _exponents
+        pass, with the arithmetic of density_at, density_gradient and the
+        single-point branch, so each row gets the bits it gets alone."""
+        field, eye = self.field, np.eye(self.dim)
+        lam = np.empty(len(points))
+        grad = np.empty(points.shape)
+        for rows, xc, exponent in _exponents(field, points):
+            kern = np.exp(exponent)
+            lam[rows] = 1.0 / (np.vecdot(kern, field.weights) + field.epsilon)
+            kern *= field.weights
+            grad[rows] = (np.matmul(kern[:, None, :], field._slopes)[:, 0]
+                          - (kern.sum(axis=1) / field.bandwidth**2)[:, None] * xc)
+        # the single-point branch squares a Python float, which is C pow(); it
+        # can differ from numpy's lam * lam in the last bit
+        grad *= -np.array([value**2 for value in lam.tolist()])[:, None]
+        gamma = (
+            np.einsum("mn,bl->bmnl", eye, grad)
+            + np.einsum("ml,bn->bmnl", eye, grad)
+            - np.einsum("nl,bm->bmnl", eye, grad)
+        )
+        return gamma / (2.0 * lam)[:, None, None, None]
 
     def scalar_curvature(self, points) -> np.ndarray:
         """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):
@@ -406,8 +455,11 @@ class CallableMetric(MetricSource):
         self.domain = domain
 
     def check_domain(self, x: np.ndarray) -> None:
-        if self.domain is not None and not self.domain(x):
-            raise ChartDomainError(f"point {x} outside chart domain")
+        if self.domain is None:
+            return
+        for point in np.reshape(x, (-1, self.dim)):
+            if not self.domain(point):
+                raise ChartDomainError(f"point {point} outside chart domain")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = _as_vector(x, self.dim)

@@ -213,6 +213,22 @@ def test_malformed_input_schedule_exits_2(workdir, steps, rule):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("vector", [["0.5", 0.2], [0.1, True], [None, 0.2], [[0.1], 0.2],
+                                    "0.1,0.2", 0.5],
+                         ids=["quoted", "bool", "null", "nested", "string", "number"])
+def test_schedule_vector_must_be_a_list_of_numbers(workdir, vector):
+    write_json(workdir / "schedule.json", [{"step": 1, "vector": vector}])
+    with pytest.raises(FieldFormatError, match=r"schedule\.json: bad schedule entry"):
+        load_input_schedule(workdir / "schedule.json")
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["simulation"]["inputs"] = "schedule.json"
+    write_json(workdir / "cfg_schedule.json", cfg)
+    out = workdir / "schedule_out"
+    assert main(["simulate", "--config", str(workdir / "cfg_schedule.json"),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- trajectory export
 
 def _sample_trajectory():

@@ -1,10 +1,17 @@
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from geomind import (ConformalFieldMetric, FlatMetric, NoGeodesicError,
-                     ShootingOptions, SphereMetric, Trajectory,
+import geomind.geodesic as geodesic_module
+from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric, FlatMetric,
+                     NoGeodesicError, ShootingOptions, SphereMetric, Trajectory,
                      geodesic_between, geodesic_step, integrate_geodesic,
                      path_length_energy)
+from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
 
 from conftest import make_field
 
@@ -253,3 +260,237 @@ def test_local_minimality_against_perturbations(flat, sphere, random_field):
             bump = 0.05 * np.sin(np.pi * ts)[:, None] * direction
             perturbed = points + bump
             assert base <= discrete_energy(perturbed, traj.dt, source) + 1e-12
+
+
+# ---------------------------------------------------------------- batched rows and shots
+
+def _callable_metric(d):
+    # a smooth, non-conformal metric with a bounded chart
+    return CallableMetric(lambda x: np.diag(1.0 + 0.1 * x**2) + 0.05 * np.outer(np.sin(x), np.sin(x)),
+                          d, domain=lambda x: bool(np.all(np.abs(x) < 3.0)))
+
+
+def _source(kind, d):
+    if kind == "flat":
+        return FlatMetric(d, scale=2.0)
+    if kind == "sphere":
+        return SphereMetric(1.5)
+    if kind == "callable":
+        return _callable_metric(d)
+    rng = np.random.default_rng(d)
+    return ConformalFieldMetric(make_field(rng.uniform(-1.0, 1.0, (6, d)), dim=d,
+                                           bandwidth=0.7, epsilon=0.3))
+
+
+@st.composite
+def _batches(draw):
+    kind = draw(st.sampled_from(["flat", "sphere", "callable", "conformal"]))
+    d = 2 if kind == "sphere" else draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(1, 6))
+    lo, hi = ([0.2, -3.0], [2.9, 3.0]) if kind == "sphere" else ([-1.5] * d, [1.5] * d)
+    unit = hnp.arrays(float, (rows, d), elements=st.floats(0.0, 1.0))
+    x = np.asarray(lo) + draw(unit) * (np.asarray(hi) - np.asarray(lo))
+    v = draw(hnp.arrays(float, (rows, d), elements=st.floats(-2.0, 2.0)))
+    forcing = draw(st.none() | hnp.arrays(float, d, elements=st.floats(-1.0, 1.0)))
+    return _source(kind, d), x, v, forcing
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches())
+def test_batch_rows_equal_their_solo_runs(case):
+    source, x, v, forcing = case
+    gamma = source.christoffel(x)
+    assert gamma.shape == x.shape + (source.dim,) * 2
+    for row, point in enumerate(x):
+        if source.in_domain(point):
+            assert np.array_equal(gamma[row], source.christoffel(point))
+    batch = integrate_geodesic(x, v, source, forcing, horizon=0.2, dt=0.02)
+    solos = [integrate_geodesic(p, u, source, forcing, horizon=0.2, dt=0.02) for p, u in zip(x, v)]
+    # the first row to leave the chart ends the batch
+    assert len(batch) == min(len(s) for s in solos)
+    assert batch.truncated == any(s.truncated for s in solos)
+    assert batch.positions.shape == (len(batch),) + x.shape
+    for row, solo in enumerate(solos):
+        assert np.array_equal(batch.positions[:, row], solo.positions[:len(batch)])
+        assert np.array_equal(batch.velocities[:, row], solo.velocities[:len(batch)])
+        assert np.array_equal(batch.times, solo.times[:len(batch)])
+
+
+@pytest.mark.parametrize("kind, d", [("conformal", 2), ("conformal", 3), ("conformal", 5),
+                                     ("sphere", 2)])
+def test_christoffel_rows_equal_single_points(kind, d):
+    # thousands of points, over several kernel blocks: about one field point
+    # in a thousand has a conformal factor whose square by C pow() differs
+    # from lam * lam in the last bit
+    source = _source(kind, d)
+    points = np.random.default_rng(100 + d).uniform(0.2, 2.9, (8000, d))
+    gamma = source.christoffel(points)
+    for row, point in enumerate(points):
+        assert np.array_equal(gamma[row], source.christoffel(point)), point.tolist()
+
+
+def test_chart_check_covers_every_row_of_a_batch(sphere):
+    with pytest.raises(ChartDomainError):
+        sphere.christoffel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    source = _callable_metric(2)
+    with pytest.raises(ChartDomainError):
+        source.check_domain(np.array([[0.0, 0.0], [0.0, 3.5]]))
+
+
+def _solo_between(a, b, source, opts):
+    """The shooting loop with one integration per shot and per Jacobian
+    probe: the reference that batched shots must reproduce bitwise."""
+    def shoot(velocity):
+        traj = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / opts.steps)
+        if traj.truncated:
+            return None, np.inf, traj
+        miss = traj.positions[-1] - b
+        return miss, float(np.linalg.norm(miss)), traj
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    velocity = b - a
+    miss, miss_norm, traj = shoot(velocity)
+    iterations, reason = opts.max_iters, "max-iters"
+    for iteration in range(opts.max_iters):
+        if miss is not None and miss_norm <= opts.tol:
+            return traj
+        if miss is None:
+            velocity = 0.5 * (velocity + (b - a))
+            miss, miss_norm, traj = shoot(velocity)
+            continue
+        d = source.dim
+        jac = np.empty((d, d))
+        h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
+        for k in range(d):
+            e = np.zeros(d)
+            e[k] = h
+            miss_k, _, _ = shoot(velocity + e)
+            jac[:, k] = ((miss_k - miss) / h) if miss_k is not None else 0.0
+        delta = np.linalg.lstsq(jac, miss, rcond=None)[0]
+        scale = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = velocity - scale * delta
+            trial_miss, trial_norm, trial_traj = shoot(trial)
+            if trial_norm < miss_norm:
+                velocity, miss, traj, miss_norm = trial, trial_miss, trial_traj, trial_norm
+                break
+            scale *= 0.5
+        else:
+            iterations, reason = iteration + 1, "backtracks-exhausted"
+            break
+    if miss is not None and miss_norm <= opts.tol:
+        return traj
+    raise NoGeodesicError("reference", miss=miss_norm, iterations=iterations, reason=reason)
+
+
+def _assert_same_solve(a, b, source, opts):
+    try:
+        expected = _solo_between(a, b, source, opts)
+    except NoGeodesicError as exc:
+        with pytest.raises(NoGeodesicError) as info:
+            geodesic_between(a, b, source, opts)
+        assert (info.value.reason, info.value.iterations) == (exc.reason, exc.iterations)
+        assert info.value.miss == exc.miss
+        return
+    traj = geodesic_between(a, b, source, opts)
+    assert np.array_equal(traj.positions, expected.positions)
+    assert np.array_equal(traj.velocities, expected.velocities)
+    assert np.array_equal(traj.times, expected.times)
+
+
+@pytest.fixture
+def survey_case():
+    """Four clusters of four tokens in D = 3 and a path that passes between
+    them, as in the benchmark's survey workload."""
+    rng = np.random.default_rng(11)
+    centers = np.array([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]])
+    means = centers[np.arange(16) % 4] + rng.normal(0.0, 0.05, size=(16, 3))
+    field = make_field(means, dim=3, epsilon=0.5, weights=rng.uniform(0.8, 1.2, size=16))
+    return (np.array([-1.5, 0.6, 0.0]), np.array([1.5, 0.6, 0.0]), ConformalFieldMetric(field),
+            ShootingOptions(tol=1e-10, max_iters=50, steps=100))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_shot_jacobian_equals_separate_probe_shots(d):
+    source = _source("conformal", d)
+    rng = np.random.default_rng(d)
+    a, b, velocity = rng.uniform(-1.0, 1.0, (3, d))
+    miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, 30)
+    base = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / 30)
+    assert np.array_equal(traj.positions, base.positions)
+    assert np.array_equal(traj.velocities, base.velocities)
+    assert np.array_equal(miss, base.positions[-1] - b)
+    assert miss_norm == float(np.linalg.norm(miss))
+    h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = h
+        probe = integrate_geodesic(a, velocity + e, source, None, horizon=1.0, dt=1.0 / 30)
+        assert np.array_equal(jac[:, k], ((probe.positions[-1] - b) - miss) / h)
+
+
+def test_survey_like_solve_makes_one_shot_per_iteration_plus_one(survey_case, monkeypatch, caplog):
+    a, b, source, opts = survey_case
+    shots = []
+    integrate = geodesic_module.integrate_geodesic
+
+    def counting(position, velocity, *args, **kwargs):
+        shots.append(np.shape(velocity))
+        return integrate(position, velocity, *args, **kwargs)
+
+    monkeypatch.setattr(geodesic_module, "integrate_geodesic", counting)
+    with caplog.at_level(logging.DEBUG, logger="geomind.geodesic"):
+        geodesic_between(a, b, source, opts)
+    iterations = [r for r in caplog.records if "shooting iteration" in r.getMessage()]
+    assert len(iterations) == 4
+    assert shots == [(4, 3)] * (1 + len(iterations))
+    monkeypatch.undo()
+    _assert_same_solve(a, b, source, opts)
+
+
+def test_shooting_logs_one_debug_line_per_iteration(survey_case, caplog):
+    a, b, source, opts = survey_case
+    with caplog.at_level(logging.DEBUG, logger="geomind.geodesic"):
+        traj = geodesic_between(a, b, source, opts)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert lines[-1].startswith("shooting converged in 4 iterations")
+    misses = []
+    for k, line in enumerate(lines[:-1], start=1):
+        match = re.fullmatch(r"shooting iteration (\d+): miss (\S+), step scale (\S+), "
+                             r"(\d+) backtracks, (\d+) rows per shot", line)
+        assert match, line
+        assert int(match[1]) == k and match[5] == "4"
+        misses.append(float(match[2]))
+        assert float(match[3]) == 0.5 ** int(match[4])
+    assert misses == sorted(misses, reverse=True)
+    assert misses[-1] == pytest.approx(float(np.linalg.norm(traj.positions[-1] - b)), rel=1e-3)
+
+
+def test_probe_leaving_the_chart_gives_a_zero_column(sphere):
+    # the meridian shot ends 5e-7 short of the south pole; probe 0 adds
+    # h > 1e-6 to d(theta)/dt and crosses it
+    a = np.array([1.0, 0.0])
+    velocity = np.array([np.pi - 5e-7 - 1.0, 0.0])
+    miss, _, traj, jac = _shoot(a, a, velocity, sphere, 50)
+    assert not traj.truncated and miss is not None
+    assert integrate_geodesic(a, velocity + [2e-6, 0.0], sphere, None, 1.0, 0.02).truncated
+    assert np.array_equal(jac[:, 0], np.zeros(2))
+    assert np.any(jac[:, 1] != 0.0)
+
+
+@pytest.mark.parametrize("b", [[np.pi - 1e-6, 0.01], [np.pi - 1e-6, 0.2]],
+                         ids=["converges", "backtracks-exhausted"])
+def test_solve_with_probes_leaving_the_chart_matches_separate_shots(sphere, monkeypatch, b):
+    columns = []
+    shoot = geodesic_module._shoot
+
+    def spy(*args):
+        out = shoot(*args)
+        if out[3] is not None:
+            columns.append(np.all(out[3] == 0.0, axis=0).any())
+        return out
+
+    monkeypatch.setattr(geodesic_module, "_shoot", spy)
+    opts = ShootingOptions(tol=1e-8, max_iters=30, steps=50)
+    _assert_same_solve([2.0, 0.0], b, sphere, opts)
+    assert any(columns)
