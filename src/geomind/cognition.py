@@ -64,18 +64,20 @@ class CognitionParams:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.input_blend <= 1.0:
             raise ValueError("input_blend must lie in [0, 1]")
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
+        if not -np.inf < self.feedback_gain < np.inf:
+            raise ValueError("feedback_gain must be finite")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be non-negative and finite")
         if self.attention_temperature is None:
             object.__setattr__(self, "attention_temperature", float(np.sqrt(d)))
-        if self.attention_temperature <= 0:
-            raise ValueError("attention_temperature must be positive")
+        if not 0.0 < self.attention_temperature < np.inf:
+            raise ValueError("attention_temperature must be positive and finite")
         if self.context_capacity < 1:
             raise ValueError("context_capacity must be positive")
         if self.predictor not in ("contextual", "geometric"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.geometric_window <= 0:
-            raise ValueError("geometric_window must be positive")
+        if not 0.0 < self.geometric_window < np.inf:
+            raise ValueError("geometric_window must be positive and finite")
         object.__setattr__(self, "value_matrix", w)
         object.__setattr__(self, "predictor_matrix", p)
         object.__setattr__(self, "bias", b)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -12,30 +11,24 @@ import numpy as np
 from .cognition import RECENT_FRONTS_MAX, CognitionParams
 from .errors import ConfigError, GeomindError
 from .geodesic import ShootingOptions
-from .io import (FORMATS, finite_float, finite_number, load_field,
-                 load_input_schedule, refuse_constant, whole_number)
+from .io import (FORMATS, _read_json, finite_float, finite_number, load_field,
+                 load_input_schedule, numbers, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField)
 
 
-def _numbers(raw, shape: tuple, name: str) -> np.ndarray:
-    """raw as a float array of the given shape, from JSON numbers only."""
-    cells = np.asarray(raw, dtype=object)
-    if cells.shape != shape:
-        raise ConfigError(f"{name} must be an array of shape {shape}")
-    return np.array([finite_number(v, name) for v in cells.flat]).reshape(shape)
-
-
 def _matrix(raw, dim: int, name: str) -> np.ndarray:
-    if raw is None or raw == "identity":
-        return np.eye(dim)
-    return _numbers(raw, (dim, dim), name)
+    matrix = np.eye(dim) if raw is None or raw == "identity" else numbers(raw, name)
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"{name} must be a {dim}x{dim} matrix")
+    return matrix
 
 
 def _vector(raw, dim: int, name: str) -> np.ndarray:
-    if raw is None or raw == "zero":
-        return np.zeros(dim)
-    return _numbers(raw, (dim,), name)
+    vector = np.zeros(dim) if raw is None or raw == "zero" else numbers(raw, name)
+    if vector.shape != (dim,):
+        raise ValueError(f"{name} must be a vector of length {dim}")
+    return vector
 
 
 @dataclass
@@ -69,17 +62,8 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
     schedule file stays a FieldFormatError.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(), parse_constant=refuse_constant,
-                         parse_float=finite_float)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+    # the parse hook refuses a number, such as 1e999, that overflows to infinity
+    raw = _read_json(path, dict, ConfigError, parse_float=finite_float)
     try:
         return _resolve(raw, path, out_override, seed_override)
     except GeomindError:
@@ -132,10 +116,8 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     sim = raw.get("simulation", {})
     steps = whole_number(sim.get("steps", 100), "simulation.steps")
     dt = finite_number(sim.get("dt", 0.01), "simulation.dt")
-    if dt <= 0:
-        raise ConfigError("simulation dt must be positive")
-    if steps < 1:
-        raise ConfigError("simulation steps must be at least 1")
+    if dt <= 0 or steps < 1:
+        raise ConfigError(f"simulation needs dt > 0 and steps >= 1, got {dt} and {steps}")
     if params.predictor == "geometric" and round(params.geometric_window / dt) >= RECENT_FRONTS_MAX:
         raise ConfigError(f"cognition.geometric_window {params.geometric_window} spans more than "
                           f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
@@ -160,11 +142,10 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
 
     learn = raw.get("learning", {})
     learning_rate = finite_number(learn.get("rate", 0.2), "learning.rate")
-    if not 0.0 <= learning_rate <= 1.0:
-        raise ConfigError("learning rate must lie in [0, 1]")
     learning_cycles = whole_number(learn.get("cycles", 50), "learning.cycles")
-    if learning_cycles < 1:
-        raise ConfigError("learning cycles must be at least 1")
+    if not 0.0 <= learning_rate <= 1.0 or learning_cycles < 1:
+        raise ConfigError(f"learning needs rate in [0, 1] and cycles >= 1, got "
+                          f"{learning_rate} and {learning_cycles}")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
 
     geo = raw.get("geodesic", {})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
@@ -23,16 +24,11 @@ from .manifold import TokenField
 FORMATS = ("json", "csv")
 
 
-def refuse_constant(name: str):
-    """parse_constant hook for json.loads: NaN, Infinity and -Infinity are
-    not standard JSON, and no input number may be non-finite."""
-    raise ValueError(f"{name} is not allowed; numbers must be finite")
-
-
 def finite_float(text: str) -> float:
-    """parse_float hook for json.loads that refuses a number, such as 1e999,
-    that overflows to infinity. It costs a call per number, so it is for
-    small files; the token checks cover field files."""
+    """json.loads hook that refuses a non-finite number: as parse_constant,
+    NaN, Infinity and -Infinity; as parse_float, a number such as 1e999 that
+    overflows. parse_float costs a call per number, so only config files use
+    it; the token checks cover field and schedule files."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text} is not allowed; numbers must be finite")
@@ -42,24 +38,35 @@ def finite_float(text: str) -> float:
 def whole_number(value, name: str) -> int:
     """value as an int when it is an int, or a float such as 3.0 with no
     fractional part; a bool or any other value raises ValueError."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+    if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
-def finite_number(value, name: str) -> float:
-    """value as a float when it is an int or a float, not a bool; a bool, a
-    string, any other value, or an int too large for a float raises
-    ValueError. A float is taken as it is: the config parser refuses a
-    number that overflows to infinity, and a token field refuses its own
-    non-finite numbers, with the rule they break."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def numbers(raw, name: str) -> np.ndarray:
+    """raw, a JSON number or a rectangular nest of lists of them, as a float
+    array whose shape the caller checks: the one rule of what counts as a
+    number in an input file. A bool, string, null, object, ragged list or
+    int beyond float range raises ValueError; one scan checks every leaf."""
     try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be a number within float range, got {value!r}") from None
+        array = np.asarray(raw, dtype=float)
+        leaves = raw if array.ndim else (raw,)
+        for _ in range(array.ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= {int, float}:
+            return array
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a number or a rectangular array of numbers, "
+                     f"all within float range, got {raw!r:.80}")
+
+
+def finite_number(value, name: str) -> float:
+    """value as a float when it is a single number by the rule of numbers."""
+    array = numbers(value, name)
+    if array.ndim:
+        raise ValueError(f"{name} must be a number, got {value!r:.80}")
+    return float(array)
 
 
 def _float(value: float) -> str:
@@ -129,19 +136,40 @@ def write_json(path: Union[str, Path], payload) -> None:
     Path(path).write_text(_encode(payload, "") + "\n")
 
 
-def _read_json(path: Union[str, Path]) -> object:
+def _read_json(path: Union[str, Path], top: type, error: type = FieldFormatError,
+               parse_float=None):
+    """The JSON value, a top (dict or list), in the file at path, with NaN
+    and infinities refused; any failure raises error naming the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=refuse_constant)
+        data = json.loads(text, parse_constant=finite_float, parse_float=parse_float)
     except json.JSONDecodeError as exc:
-        raise FieldFormatError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise error(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
+                    f"{exc.msg}") from exc
     except ValueError as exc:
-        raise FieldFormatError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
+    if not isinstance(data, top):
+        raise error(f"{path}: top level must be {'an object' if top is dict else 'a list'}")
+    return data
+
+
+def _token_column(values: list, ids: np.ndarray, shape: tuple, name: str, rule: str) -> np.ndarray:
+    """values, one per token, as an (n, *shape) float array read in one call;
+    if they do not fit, the first offending token is named by its id."""
+    try:
+        column = numbers(values, name)
+        if column.shape[1:] == shape:
+            return column
+    except ValueError:
+        pass
+    if not values:
+        return np.empty((0,) + shape)
+    for token_id, value in zip(ids, values):
+        if numbers(value, f"token {token_id}: {name}").shape != shape:
+            raise ValueError(f"token {token_id}: {rule}")
 
 
 def load_field(path: Union[str, Path]) -> TokenField:
@@ -150,51 +178,44 @@ def load_field(path: Union[str, Path]) -> TokenField:
     Expected shape: {"dimension": D, "bandwidth": h, "epsilon": eps,
     "tokens": [{"id", "mean", "covariance"?, "weight"?}, ...]} where a
     covariance is either a diagonal list of length D or a full DxD matrix.
-    Missing covariance defaults to zero, missing weight to 1.0. The rows are
-    assembled here and checked by the TokenField constructor, which takes
-    the arrays over without a copy. Any error is a FieldFormatError naming
-    the file.
+    Missing covariance defaults to zero, missing weight to 1.0. Means,
+    weights, diagonal and full covariances are each read as one column and
+    checked by the TokenField constructor, which takes the arrays over
+    without a copy. Any error is a FieldFormatError naming the file.
     """
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise FieldFormatError(f"{path}: top level must be an object")
+    data = _read_json(path, dict)
+    if "dimension" not in data:
+        raise FieldFormatError(f"{path}: missing 'dimension'")
+    entries = data.get("tokens", [])
+    means, full, diagonal = [], [], []
     try:
-        dimension = whole_number(data["dimension"], "dimension")
+        d = whole_number(data["dimension"], "dimension")
         bandwidth, epsilon = (finite_number(data.get(name, 1.0), name)
                               for name in ("bandwidth", "epsilon"))
-    except KeyError:
-        raise FieldFormatError(f"{path}: missing 'dimension'")
-    except ValueError as exc:
-        raise FieldFormatError(f"{path}: {exc}") from exc
-    if dimension < 1:
-        raise FieldFormatError(f"{path}: dimension must be positive, got {dimension}")
-    entries = data.get("tokens", [])
-    if not isinstance(entries, list):
-        raise FieldFormatError(f"{path}: tokens must be a list, got {type(entries).__name__}")
-    n = len(entries)
-    ids, weights = np.empty(n, dtype=np.int64), np.empty(n)
-    means, covariances = np.empty((n, dimension)), np.zeros((n, dimension, dimension))
-    try:
+        if d < 1:
+            raise ValueError(f"dimension must be positive, got {d}")
+        if not isinstance(entries, list):
+            raise ValueError(f"tokens must be a list, got {type(entries).__name__}")
+        ids = np.empty(len(entries), dtype=np.int64)
         for k, entry in enumerate(entries):
             try:
-                token_id = whole_number(entry["id"], "token id")
-                mean = np.asarray(entry["mean"], dtype=float)
+                ids[k] = whole_number(entry["id"], "token id")
+                means.append(entry["mean"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"bad token entry {entry!r}: {exc}") from exc
-            if mean.shape != (dimension,):
-                raise ValueError(f"token {token_id}: mean must be a vector of length {dimension}")
             cov = entry.get("covariance")
             if cov is not None:  # a missing covariance stays zero
-                cov = np.asarray(cov, dtype=float)
-                if cov.shape == (dimension,):
-                    covariances[k].flat[::dimension + 1] = cov  # off-diagonal stays zero
-                elif cov.shape == (dimension, dimension):
-                    covariances[k] = cov
-                else:
-                    raise ValueError(f"token {token_id}: covariance must be a diagonal of length "
-                                     f"{dimension} or a {dimension}x{dimension} matrix")
-            weight = finite_number(entry.get("weight", 1.0), f"token {token_id}: weight")
-            ids[k], means[k], weights[k] = token_id, mean, weight
+                (full if type(cov) is list and cov and type(cov[0]) is list else diagonal).append(k)
+        means = _token_column(means, ids, (d,), "mean", f"mean must be a vector of length {d}")
+        weights = _token_column([entry.get("weight", 1.0) for entry in entries], ids, (),
+                                "weight", "weight must be a number")
+        covariances = np.zeros((len(ids), d, d))
+        # an (n, D) view of the diagonals; a diagonal leaves the off-diagonals zero
+        diagonals = covariances.reshape(len(ids), d * d)[:, ::d + 1]
+        rule = f"covariance must be a diagonal of length {d} or a {d}x{d} matrix"
+        for rows, target in ((full, covariances), (diagonal, diagonals)):
+            target[rows] = _token_column([entries[k]["covariance"] for k in rows], ids[rows],
+                                         target.shape[1:], "covariance", rule)
         return TokenField(ids, means, covariances, weights, bandwidth, epsilon)
     except (ValueError, OverflowError) as exc:  # ids are stored as int64
         raise FieldFormatError(f"{path}: {exc}") from exc
@@ -220,16 +241,14 @@ def save_field(field: TokenField, path: Union[str, Path]) -> None:
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     """Parse a sparse input schedule: a JSON list of {"step", "vector"} pairs
     with distinct, non-negative steps, each vector a list of JSON numbers."""
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise FieldFormatError(f"{path}: input schedule must be a JSON list")
+    data = _read_json(path, list)
     schedule: dict[int, np.ndarray] = {}
     for entry in data:
         try:
             step = whole_number(entry["step"], "step")
-            if not isinstance(entry["vector"], list):
+            vector = numbers(entry["vector"], "vector")
+            if vector.ndim != 1:
                 raise ValueError("vector must be a list of numbers")
-            vector = np.array([finite_number(v, "vector entry") for v in entry["vector"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: bad schedule entry {entry!r}: {exc}") from exc
         if not np.isfinite(vector).all():
@@ -291,20 +310,18 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
         fmt = "csv" if path.suffix.lower() == ".csv" else "json"
     if fmt not in FORMATS:
         raise ValueError(f"unknown import format {fmt!r}; expected one of {FORMATS}")
-    data = _read_json(path) if fmt == "json" else None
+    data = _read_json(path, dict) if fmt == "json" else None
     times, positions, velocities, activations = [], [], [], []
     dt, truncated = None, False
     try:
         if fmt == "json":
-            dt, truncated = float(data["dt"]), data["truncated"]
+            dt, truncated = finite_number(data["dt"], "dt"), data["truncated"]
             if not isinstance(truncated, bool):
                 raise ValueError(f"truncated must be true or false, got {truncated!r}")
-            for entry in data["samples"]:
-                times.append(float(entry["t"]))
-                positions.append(entry["position"])
-                velocities.append(entry["velocity"])
-                if "token_id" in entry:
-                    activations.append((times[-1], int(entry["token_id"])))
+            times, positions, velocities = (numbers([entry[key] for entry in data["samples"]], key)
+                                            for key in ("t", "position", "velocity"))
+            activations = [(t, whole_number(entry["token_id"], "token_id")) for t, entry
+                           in zip(times.tolist(), data["samples"]) if "token_id" in entry]
         else:
             with open(path, newline="") as fh:
                 reader = csv.reader(fh)
@@ -329,15 +346,14 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                 if len(times) < 2:
                     raise ValueError("fewer than two samples and no dt line")
                 dt = times[1] - times[0]
-        positions = np.array(positions, dtype=float)
-        velocities = np.array(velocities, dtype=float)
+            times, positions, velocities = map(np.array, (times, positions, velocities))
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     except KeyError as exc:
         raise FieldFormatError(f"{path}: missing key {exc}") from exc
     except (IndexError, TypeError, ValueError) as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc
-    if positions.ndim != 2 or velocities.shape != positions.shape:
-        raise FieldFormatError(f"{path}: expected samples, each with a position "
-                               "and a velocity of one equal length")
-    return Trajectory(positions, velocities, np.array(times), dt, activations, truncated)
+    if positions.ndim != 2 or velocities.shape != positions.shape or times.ndim != 1:
+        raise FieldFormatError(f"{path}: expected samples, each with a number t and "
+                               "a position and a velocity of one equal length")
+    return Trajectory(positions, velocities, times, dt, activations, truncated)

@@ -72,8 +72,8 @@ class GridSpec:
     rho_min: Optional[float] = None
 
     def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be at least 2")
+        if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 2:
+            raise ValueError("points_per_axis must be a whole number of at least 2")
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,7 @@ def select_conscious(flows: Sequence[ThoughtFlow], threshold: float) -> Selectio
     if not flows:
         raise ValueError("no flows to select from")
     scores = [f.score for f in flows]
-    best = 0
-    for i, s in enumerate(scores):
-        if s > scores[best]:
-            best = i
+    best = max(range(len(scores)), key=scores.__getitem__)  # the first of equal maxima
     winner = best if scores[best] > threshold else None
     return Selection(winner=winner, scores=scores, threshold=threshold)
 
@@ -165,6 +162,8 @@ def learn_update(field: TokenField, perceived, rate: float) -> TokenField:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("learning rate must lie in [0, 1]")
     perceived = _as_vector(perceived, field.dimension, "perceived")
+    if not np.isfinite(perceived).all():
+        raise ValueError("perceived must be finite")
     row = field.nearest(perceived)
     means = field.means.copy()
     means[row] = means[row] + rate * (perceived - means[row])
@@ -215,8 +214,8 @@ def feature_vector(field: TokenField, ids: Sequence[int]) -> np.ndarray:
 
 def manipulate_feature(field: TokenField, ids: Sequence[int], scale: float) -> TokenField:
     """Rescale the weights of the selected tokens; the input field is untouched."""
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+    if not 0.0 <= scale < np.inf:
+        raise ValueError("scale must be non-negative and finite")
     rows = field.rows(ids)
     weights = field.weights.copy()
     weights[rows] = scale * weights[rows]

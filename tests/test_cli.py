@@ -332,16 +332,43 @@ def test_import_missing_file_names_it(tmp_path, fmt):
         import_trajectory(tmp_path / f"absent.{fmt}")
 
 
+def _with_bad_leaf(value, kind):
+    """value with its first number replaced by a quoted copy, true, null or a
+    one-element list of it."""
+    if isinstance(value, list):
+        return [_with_bad_leaf(value[0], kind)] + value[1:]
+    return {"quoted": str(value), "true": True, "null": None, "nested": [value]}[kind]
+
+
+BAD_LEAVES = ("quoted", "true", "null", "nested")
+
+
+def _set_trajectory_slot(data, name, kind):
+    # sample 2 carries a token_id
+    where = data if name == "dt" else data["samples"][2]
+    where[name] = _with_bad_leaf(where[name], kind)
+
+
+TRAJECTORY_SLOT_CASES = [
+    pytest.param(lambda data, name=name, kind=kind: _set_trajectory_slot(data, name, kind),
+                 rf"\b{name} must be a", id=f"{name}-{kind}")
+    for name in ("dt", "t", "position", "velocity", "token_id") for kind in BAD_LEAVES
+] + [pytest.param(lambda data: data["samples"][2].update(token_id=2.7),
+                  "token_id must be a whole number", id="token_id-fraction")]
+
+
 @pytest.mark.parametrize("edit, rule", [
-    (lambda data: data.pop("samples"), "missing key 'samples'"),
-    (lambda data: data.pop("truncated"), "missing key 'truncated'"),
-    (lambda data: data.pop("dt"), "missing key 'dt'"),
-    (lambda data: data["samples"][3].pop("velocity"), "missing key 'velocity'"),
-    (lambda data: data.update(truncated="false"), "truncated must be true or false"),
-    (lambda data: data["samples"][2]["velocity"].append(0.5), ""),
-    (lambda data: [s["velocity"].append(0.5) for s in data["samples"]],
-     "a position and a velocity of one equal length"),
-], ids=["samples", "truncated", "dt", "velocity", "string-flag", "one-longer", "all-longer"])
+    pytest.param(lambda data: data.pop("samples"), "missing key 'samples'", id="samples"),
+    pytest.param(lambda data: data.pop("truncated"), "missing key 'truncated'", id="truncated"),
+    pytest.param(lambda data: data.pop("dt"), "missing key 'dt'", id="dt"),
+    pytest.param(lambda data: data["samples"][3].pop("velocity"), "missing key 'velocity'",
+                 id="velocity"),
+    pytest.param(lambda data: data.update(truncated="false"), "truncated must be true or false",
+                 id="string-flag"),
+    pytest.param(lambda data: data["samples"][2]["velocity"].append(0.5), "", id="one-longer"),
+    pytest.param(lambda data: [s["velocity"].append(0.5) for s in data["samples"]],
+                 "a position and a velocity of one equal length", id="all-longer"),
+] + TRAJECTORY_SLOT_CASES)
 def test_import_json_refusal_names_file(tmp_path, edit, rule):
     path = tmp_path / "traj.json"
     export_trajectory(_sample_trajectory(), "json", path)
@@ -467,19 +494,32 @@ def test_malformed_config_value_exits_2(workdir, section, value, command):
     assert not out.exists()
 
 
+# every vector, matrix and token slot of the config, schedule and field files,
+# each fed a quoted number, true, null and a nested list
+NUMBER_SLOTS = {
+    "start": ("simulation", "start", [0.0, 0.0]),
+    "value-matrix": ("cognition", "value_matrix", [[1.0, 0.0], [0.0, 1.0]]),
+    "schedule-vector": ("schedule", "vector", [0.1, 0.2]),
+    "mean": ("token", "mean", [2.0, 0.0]),
+    "diagonal-covariance": ("token", "covariance", [0.1, 0.2]),
+    "full-covariance": ("token", "covariance", [[0.1, 0.0], [0.0, 0.1]]),
+    "weight": ("token", "weight", 1.0),
+}
+
+
 @pytest.mark.parametrize("section, name, value", [
-    ("simulation", "dt", "nan"),
-    ("simulation", "dt", 10**400),
-    ("competition", "threshold", "nan"),
-    ("metric", "scale", "nan"),
-    ("cognition", "kappa", True),
-    ("simulation", "start", ["nan", 0]),
-    ("cognition", "bias", [False, 0.0]),
-    ("cognition", "value_matrix", [[1.0, 0.0], [0.0, "1"]]),
-    ("field", "bandwidth", True),
-    ("token", "weight", "2"),
-], ids=["dt", "dt-beyond-float", "threshold", "scale", "kappa", "start", "bias",
-        "value-matrix", "bandwidth", "weight"])
+    pytest.param("simulation", "dt", "nan", id="dt"),
+    pytest.param("simulation", "dt", 10**400, id="dt-beyond-float"),
+    pytest.param("competition", "threshold", "nan", id="threshold"),
+    pytest.param("metric", "scale", "nan", id="scale"),
+    pytest.param("cognition", "kappa", True, id="kappa"),
+    pytest.param("simulation", "start", ["nan", 0], id="start"),
+    pytest.param("cognition", "bias", [False, 0.0], id="bias"),
+    pytest.param("cognition", "value_matrix", [[1.0, 0.0], [0.0, "1"]], id="value-matrix"),
+    pytest.param("field", "bandwidth", True, id="bandwidth"),
+    pytest.param("token", "weight", "2", id="weight"),
+] + [pytest.param(section, name, _with_bad_leaf(valid, kind), id=f"{slot}-{kind}")
+     for slot, (section, name, valid) in NUMBER_SLOTS.items() for kind in BAD_LEAVES])
 def test_quoted_or_bool_number_exits_2(workdir, capsys, section, name, value):
     cfg = json.loads((workdir / "config.json").read_text())
     if section in ("field", "token"):
@@ -487,16 +527,25 @@ def test_quoted_or_bool_number_exits_2(workdir, capsys, section, name, value):
         (field if section == "field" else field["tokens"][1])[name] = value
         write_json(workdir / "field_number.json", field)
         cfg["field"] = "field_number.json"
+    elif section == "schedule":
+        write_json(workdir / "schedule_number.json", [{"step": 1, name: value}])
+        cfg["simulation"]["inputs"] = "schedule_number.json"
     elif section == "metric":
         cfg["metric"] = {"kind": "flat", name: value}
     else:
         cfg[section][name] = value
     write_json(workdir / "cfg_number.json", cfg)
+    where = {"field": "field_number.json", "token": "field_number.json",
+             "schedule": "schedule_number.json"}.get(section, "cfg_number.json")
+    error = ConfigError if where == "cfg_number.json" else FieldFormatError
+    # the second token of the demo field has id 2
+    offender = "token 2: " if section == "token" else ""
+    with pytest.raises(error, match=rf"{where}: .*{offender}"):
+        load_config(workdir / "cfg_number.json")
     out = workdir / "number_out"
     assert main(["compete", "--config", str(workdir / "cfg_number.json"), "--out", str(out)]) == 2
     assert not out.exists()
-    where = "field_number.json" if section in ("field", "token") else "cfg_number.json"
-    assert f"{where}: " in capsys.readouterr().err
+    assert f"{where}: {offender}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, section, name", [

@@ -186,6 +186,15 @@ def test_learn_empty_field_rejected(empty_field):
         learn_update(empty_field, [0.0, 0.0], rate=0.5)
 
 
+@pytest.mark.parametrize("perceived", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]],
+                         ids=["nan", "inf", "-inf"])
+def test_learn_refuses_non_finite_perceived_point(perceived):
+    # nearest() maps a non-finite point to row 0, which would take a NaN mean
+    field = demo_field()
+    with pytest.raises(ValueError, match="perceived must be finite"):
+        learn_update(field, perceived, rate=0.5)
+
+
 def test_learn_shifts_derived_metric(one_token_field):
     probe = np.array([2.0, 0.0])
     before = ConformalFieldMetric(one_token_field).conformal_factor(probe)
@@ -257,6 +266,35 @@ def test_manipulate_zero_scale_kills_density(one_token_field):
     assert one_token_field.weights[0] == 1.0
     assert np.array_equal(one_token_field.means, means)
     assert np.array_equal(one_token_field.weights, weights)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_manipulate_refuses_scale_that_is_not_finite_and_non_negative(scale):
+    field = demo_field()
+    with pytest.raises(ValueError, match="scale must be non-negative and finite"):
+        manipulate_feature(field, [1], scale)
+    assert np.array_equal(field.weights, np.ones(3))
+
+
+@pytest.mark.parametrize("build, rule", [
+    (lambda: CognitionParams.defaults(2, kappa=np.nan), "kappa"),
+    (lambda: CognitionParams.defaults(2, kappa=np.inf), "kappa"),
+    (lambda: CognitionParams.defaults(2, attention_temperature=np.nan), "attention_temperature"),
+    (lambda: CognitionParams.defaults(2, attention_temperature=np.inf), "attention_temperature"),
+    (lambda: CognitionParams.defaults(2, geometric_window=np.nan), "geometric_window"),
+    (lambda: CognitionParams.defaults(2, feedback_gain=np.nan), "feedback_gain"),
+    (lambda: CognitionParams.defaults(2, feedback_gain=-np.inf), "feedback_gain"),
+    (lambda: CognitionParams.defaults(2, input_blend=np.nan), "input_blend"),
+    (lambda: GridSpec(points_per_axis=np.nan), "points_per_axis"),
+    (lambda: GridSpec(points_per_axis=np.inf), "points_per_axis"),
+    (lambda: GridSpec(points_per_axis=3.5), "points_per_axis"),
+    (lambda: GridSpec(points_per_axis=1), "points_per_axis"),
+], ids=["kappa-nan", "kappa-inf", "temperature-nan", "temperature-inf", "window-nan",
+        "gain-nan", "gain-inf", "blend-nan", "grid-nan", "grid-inf", "grid-fraction", "grid-1"])
+def test_parameters_refuse_nan_and_non_finite_values(build, rule):
+    # every check is written so that NaN fails it
+    with pytest.raises(ValueError, match=rule):
+        build()
 
 
 def test_manipulate_inverse_restores_weights():
