@@ -16,7 +16,7 @@ from .errors import (ChartDomainError, ChartExitError, ConfigError,
 from .geodesic import (ShootingOptions, Trajectory, geodesic_between,
                        geodesic_step, integrate_geodesic, path_length_energy)
 from .io import (export_trajectory, import_trajectory, load_field,
-                 load_input_schedule, save_field)
+                 load_input_schedule, save_field, save_snapshots)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
                        FlatMetric, MetricSource, SphereMetric, TokenField,
                        christoffel_fd, curvature_at, density_at,
@@ -44,6 +44,6 @@ __all__ = [
     "learn_update", "load_field", "load_input_schedule", "manipulate_feature",
     "path_length_energy", "pca_projection", "perceive", "predict_contextual",
     "predict_geometric", "prediction_error", "run_learning",
-    "run_thought_flow", "sample_embedding", "save_field", "score_flow",
-    "select_conscious",
+    "run_thought_flow", "sample_embedding", "save_field", "save_snapshots",
+    "score_flow", "select_conscious",
 ]

@@ -20,7 +20,7 @@ import sys
 from .config import RunConfig, load_config
 from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
 from .geodesic import geodesic_between, path_length_energy
-from .io import export_trajectory, save_field, write_json
+from .io import export_trajectory, save_snapshots, write_json
 from .mind import (analyze_field, pca_projection, run_learning,
                    run_thought_flow, select_conscious)
 
@@ -82,8 +82,8 @@ def cmd_learn(config: RunConfig) -> int:
         config.field, config.params, config.learning_input,
         cycles=config.learning_cycles, dt=config.dt, seed=config.seeds[0],
         rate=config.learning_rate, start=config.start, velocity=config.velocity)
-    for k, snap in enumerate(snapshots):
-        save_field(snap, config.out_dir / f"field_cycle{k:04d}.json")
+    save_snapshots(snapshots, [config.out_dir / f"field_cycle{k:04d}.json"
+                               for k in range(len(snapshots))])
     if config.fmt == "csv":
         lines = ["cycle,error_norm"]
         lines += [f"{k},{repr(float(e))}" for k, e in enumerate(error_norms, start=1)]

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +23,11 @@ from .geodesic import Trajectory
 from .manifold import TokenField
 
 FORMATS = ("json", "csv")
+
+# save_snapshots encodes token rows this many at a time.
+ROW_BLOCK = 256
+
+logger = logging.getLogger(__name__)
 
 
 def finite_float(text: str) -> float:
@@ -222,6 +228,7 @@ def load_field(path: Union[str, Path]) -> TokenField:
 
 
 def field_to_dict(field: TokenField) -> dict:
+    """The field as the JSON object save_snapshots writes for it."""
     return {
         "dimension": field.dimension,
         "bandwidth": field.bandwidth,
@@ -234,8 +241,60 @@ def field_to_dict(field: TokenField) -> dict:
     }
 
 
+def _changed_rows(field: TokenField, previous: Optional[TokenField]) -> np.ndarray:
+    """The rows of field whose id, mean, covariance or weight differs bitwise
+    from the same row of previous, compared as int64 so that 0.0 and -0.0
+    differ; every row when there is no previous field or n or D differ."""
+    if previous is None or field.means.shape != previous.means.shape:
+        return np.arange(len(field))
+    differs = np.zeros(len(field), dtype=bool)
+    for name in ("ids", "means", "covariances", "weights"):
+        new, old = getattr(field, name), getattr(previous, name)
+        differs |= (new.view(np.int64) != old.view(np.int64)).any(axis=tuple(range(1, new.ndim)))
+    return np.flatnonzero(differs)
+
+
+def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
+    """Write each field to its path, byte-equal to write_json(path,
+    field_to_dict(field)).
+
+    The encoded text of every token row is kept for the length of the call,
+    and a row is encoded again only when its id, mean, covariance or weight
+    differs bitwise from the same row of the previous field. The first
+    field, and a field whose n or D differs from the previous one, is
+    encoded in full; the header always is. Rows are encoded ROW_BLOCK at a
+    time and written one by one, so neither a full field's Python floats
+    nor its whole text exist at once beside the row texts.
+    """
+    if len(fields) != len(paths):
+        raise ValueError(f"{len(fields)} fields but {len(paths)} paths")
+    previous, rows = None, []
+    for field, path in zip(fields, paths):
+        changed = _changed_rows(field, previous)
+        if len(rows) != len(field):
+            rows = [""] * len(field)
+        for lo in range(0, len(changed), ROW_BLOCK):
+            block = changed[lo:lo + ROW_BLOCK]
+            for k, i, mean, cov, w in zip(
+                    block.tolist(), field.ids[block].tolist(), field.means[block].tolist(),
+                    field.covariances[block].tolist(), field.weights[block].tolist()):
+                # a token entry sits two levels down, in the tokens list of the
+                # top object, and carries the separator that goes before it
+                rows[k] = ("[" if k == 0 else ",") + "\n    " + _encode(
+                    {"id": i, "mean": mean, "covariance": cov, "weight": w}, "    ")
+        # the header object, less its closing "\n}", takes the tokens as its last key
+        head = _encode({"dimension": field.dimension, "bandwidth": field.bandwidth,
+                        "epsilon": field.epsilon}, "")[:-2]
+        with open(path, "w") as fh:
+            fh.write(head + ',\n  "tokens": ')
+            fh.writelines(rows)
+            fh.write("\n  ]\n}\n" if rows else "[]\n}\n")
+        logger.debug("wrote %s: %d of %d token rows encoded", path, len(changed), len(rows))
+        previous = field
+
+
 def save_field(field: TokenField, path: Union[str, Path]) -> None:
-    write_json(path, field_to_dict(field))
+    save_snapshots([field], [path])
 
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
@@ -260,6 +319,11 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     return schedule
 
 
+def _finite_trajectory(times, positions, velocities, dt) -> bool:
+    return bool(math.isfinite(dt) and np.isfinite(times).all()
+                and np.isfinite(positions).all() and np.isfinite(velocities).all())
+
+
 def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> None:
     """Write a trajectory as JSON or CSV; import reproduces it exactly.
 
@@ -268,6 +332,7 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
     token_id on samples without an activation. A truncated trajectory's CSV
     ends with the line truncated,<dt>, and any other trajectory of fewer than
     two samples with dt,<dt>, so dt survives where the times cannot give it.
+    In either format a NaN or infinity raises ValueError and writes no file.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
@@ -282,6 +347,8 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             samples.append(entry)
         write_json(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": samples})
         return
+    if not _finite_trajectory(traj.times, traj.positions, traj.velocities, traj.dt):
+        raise ValueError("a trajectory with a NaN or infinite number cannot be exported")
     d = traj.positions.shape[1]
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
     with open(path, "w", newline="") as fh:
@@ -302,8 +369,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     fmt defaults to the file suffix: .csv is CSV, anything else JSON. An
     unknown fmt raises ValueError. A file that cannot be read, lacks a key
     or holds no samples, or positions and velocities of unequal lengths,
-    raises FieldFormatError naming the file; so does a CSV file of fewer than
-    two samples without a truncated or dt line.
+    raises FieldFormatError naming the file; so does a NaN or infinite
+    number, and a CSV file of fewer than two samples without a truncated or
+    dt line.
     """
     path = Path(path)
     if fmt is None:
@@ -356,4 +424,6 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     if positions.ndim != 2 or velocities.shape != positions.shape or times.ndim != 1:
         raise FieldFormatError(f"{path}: expected samples, each with a number t and "
                                "a position and a velocity of one equal length")
+    if not _finite_trajectory(times, positions, velocities, dt):
+        raise FieldFormatError(f"{path}: dt, t, position and velocity must be finite")
     return Trajectory(positions, velocities, times, dt, activations, truncated)

@@ -316,8 +316,8 @@ class FlatMetric(MetricSource):
     def __init__(self, dim: int, scale: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be positive")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         self.dim = dim
         self.scale = float(scale)
 
@@ -336,8 +336,8 @@ class SphereMetric(MetricSource):
     dim = 2
 
     def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         self.radius = float(radius)
 
     def check_domain(self, x: np.ndarray) -> None:

@@ -179,7 +179,9 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     token repositioning immediately reshapes the geometry. Returns the field
     snapshots (initial plus one per cycle) and the per-cycle error norms.
     A cycle whose state or error norm is not finite ends the run before it
-    is recorded, so both lists are then shorter than a full run's.
+    is recorded, so both lists are then shorter than a full run's. Each
+    recorded cycle logs one INFO line: its number (from 1), its error norm
+    and the id of the token whose mean moved.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
@@ -198,7 +200,12 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
                 logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
                 break
             error_norms.append(error_norm)
-            field = learn_update(field, perceived, rate)
+            updated = learn_update(field, perceived, rate)
+            if logger.isEnabledFor(logging.INFO):
+                moved = field.ids[np.any(updated.means != field.means, axis=1)].tolist()
+                logger.info("learning cycle %d: error norm %.17g, moved token %s",
+                            len(error_norms), error_norm, moved[0] if moved else "none")
+            field = updated
             snapshots.append(field)
     return snapshots, error_norms
 

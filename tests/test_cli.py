@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ from geomind import (ConfigError, FieldFormatError, SphereMetric,
                      load_input_schedule, save_field)
 from geomind.io import FORMATS, field_to_dict
 import geomind
-from geomind.cli import main
+from geomind.cli import main, run
 from geomind.config import load_config
 from geomind.mind import demo_field
 
@@ -398,6 +399,55 @@ def test_import_csv_refuses_short_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match="traj.csv: line 4 has 4 fields, the header 6"):
         import_trajectory(path)
+
+
+NON_FINITE_CELLS = ("nan", "inf", "-inf", "1e999")
+
+
+@pytest.mark.parametrize("cell", NON_FINITE_CELLS)
+@pytest.mark.parametrize("where", ["t", "p0", "v1", "dt"])
+def test_import_csv_refuses_non_finite_numbers(tmp_path, where, cell):
+    path = tmp_path / "traj.csv"
+    lone = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25)
+    export_trajectory(lone if where == "dt" else _sample_trajectory(), "csv", path)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    if where == "dt":
+        lines[-1][1] = cell
+    else:
+        lines[2][lines[0].index(where)] = cell
+    path.write_text("\n".join(map(",".join, lines)) + "\n")
+    with pytest.raises(FieldFormatError, match="traj.csv: dt, t, position and velocity "
+                                               "must be finite"):
+        import_trajectory(path)
+
+
+def test_import_json_refuses_an_overflowing_number(tmp_path):
+    path = tmp_path / "traj.json"
+    export_trajectory(_sample_trajectory(), "json", path)
+    first_velocity = '"velocity": [\n        1.0,'
+    text = path.read_text().replace(first_velocity, first_velocity.replace("1.0", "1e999"), 1)
+    assert "1e999" in text
+    path.write_text(text)
+    with pytest.raises(FieldFormatError, match="traj.json: dt, t, position and velocity "
+                                               "must be finite"):
+        import_trajectory(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("where", ["positions", "velocities", "times", "dt"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_export_refuses_non_finite_trajectory_and_writes_nothing(tmp_path, fmt, where, bad):
+    traj = _sample_trajectory()
+    if where == "dt":
+        traj = dataclasses.replace(traj, dt=bad)
+    else:
+        values = getattr(traj, where).copy()
+        values.flat[3] = bad
+        traj = dataclasses.replace(traj, **{where: values})
+    path = tmp_path / f"traj.{fmt}"
+    with pytest.raises(ValueError, match="cannot be exported|not JSON compliant"):
+        export_trajectory(traj, fmt, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------- command driver
@@ -854,6 +904,16 @@ def test_runs_byte_identical(workdir):
         assert rc == 0
         digests.append(_tree_digest(out))
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_learn_runs_back_to_back_in_one_process_are_byte_identical(workdir):
+    config = load_config(workdir / "config.json")
+    digests = []
+    for k in range(2):
+        config = dataclasses.replace(config, out_dir=workdir / f"learn{k}")
+        assert run("learn", config) == 0
+        digests.append(_tree_digest(config.out_dir))
+    assert digests[0] == digests[1]
 
 
 def test_seed_override(workdir):

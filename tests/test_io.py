@@ -1,12 +1,15 @@
 import json
+import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geomind import TokenField
-from geomind.io import load_field, save_field, write_json
+from geomind import CognitionParams, TokenField, run_learning
+from geomind.io import field_to_dict, load_field, save_field, save_snapshots, write_json
+from geomind.mind import demo_field
 
 
 class Tagged(float):
@@ -123,3 +126,134 @@ def test_diagonal_covariances_equal_np_diag(tmp_path):
     expected = np.stack([np.diag(diagonals[0]), full, np.diag(diagonals[1]), np.zeros((3, 3))])
     assert np.array_equal(field.covariances, expected)
     assert field.covariances.tobytes() == expected.tobytes()  # -0.0 stays -0.0
+
+
+# ---------------------------------------------------------------- snapshot writer
+
+def _assert_snapshots_match(tmp_path, fields):
+    """save_snapshots writes every field byte-equal to the reference encoding
+    write_json(path, field_to_dict(field))."""
+    paths = [tmp_path / f"snap{k:04d}.json" for k in range(len(fields))]
+    save_snapshots(fields, paths)
+    for field, path in zip(fields, paths):
+        write_json(tmp_path / "reference.json", field_to_dict(field))
+        assert path.read_bytes() == (tmp_path / "reference.json").read_bytes(), path.name
+
+
+def _snapshot_log(caplog, tmp_path, fields) -> list[tuple[int, int]]:
+    """(rows encoded, n) of each snapshot, read from the writer's DEBUG lines."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="geomind.io"):
+        save_snapshots(fields, [tmp_path / f"log{k}.json" for k in range(len(fields))])
+    lines = [r.getMessage() for r in caplog.records if r.name == "geomind.io"]
+    assert len(lines) == len(fields)
+    counts = []
+    for k, line in enumerate(lines):
+        match = re.fullmatch(r"wrote (\S+): (\d+) of (\d+) token rows encoded", line)
+        assert match and match[1].endswith(f"log{k}.json"), line
+        counts.append((int(match[2]), int(match[3])))
+    return counts
+
+
+LEARNING_PARAMS = CognitionParams.defaults(2, kappa=1.0, input_blend=0.5, feedback_gain=1.0)
+
+
+def _learning_snapshots(cycles):
+    rng = np.random.default_rng(3)
+    n = 12
+    field = TokenField(np.arange(n) + 1, rng.normal(0.0, 1.0, (n, 2)),
+                       np.einsum("nd,de->nde", rng.uniform(0.01, 0.1, (n, 2)), np.eye(2)),
+                       rng.uniform(0.5, 1.5, n), 1.0, 0.5)
+    snapshots, errors = run_learning(field, LEARNING_PARAMS, [0.8, 0.4],
+                                     cycles=cycles, dt=0.05, seed=7, rate=0.3,
+                                     start=[0.0, 0.0], velocity=[0.2, 0.1])
+    assert len(errors) == cycles
+    return snapshots
+
+
+def test_snapshots_of_a_long_learning_run_match_the_reference(tmp_path):
+    _assert_snapshots_match(tmp_path, _learning_snapshots(40))
+
+
+def test_snapshots_reencode_only_the_moved_row(tmp_path, caplog):
+    snapshots = _learning_snapshots(40)
+    counts = _snapshot_log(caplog, tmp_path, snapshots)
+    assert counts[0] == (12, 12)
+    for (encoded, n), before, after in zip(counts[1:], snapshots, snapshots[1:]):
+        moved = int(np.any(before.means != after.means, axis=1).sum())
+        assert (encoded, n) == (moved, 12) and moved <= 1
+    assert sum(encoded for encoded, _ in counts[1:]) >= 30
+    # every call starts afresh, with no rows kept from the last one
+    assert _snapshot_log(caplog, tmp_path, snapshots[-1:]) == [(12, 12)]
+
+
+@st.composite
+def _field_sequences(draw):
+    """A field and a run of edits, each changing random rows of one array."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    coords = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324]))
+    ids = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n,
+                                 unique=True)))
+    means = draw(hnp.arrays(float, (n, d), elements=coords))
+    covariances = np.zeros((n, d, d))
+    weights = draw(hnp.arrays(float, n, elements=st.floats(0, 10)))
+    fields = [TokenField(ids, means, covariances, weights, 1.0, 0.5)]
+    for _ in range(draw(st.integers(1, 6))):
+        rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        ids, means = fields[-1].ids.copy(), fields[-1].means.copy()
+        covariances, weights = fields[-1].covariances.copy(), fields[-1].weights.copy()
+        what = draw(st.sampled_from(["ids", "means", "covariances", "weights"]))
+        if what == "ids":  # fresh ids above every current one stay unique
+            ids[rows] = [(int(ids.max()) + 1 + k) % 2**63 for k in range(len(rows))]
+            if len(set(ids.tolist())) < n:
+                continue
+        elif what == "means":
+            means[rows] = draw(hnp.arrays(float, (len(rows), d), elements=coords))
+        elif what == "covariances":
+            scale = draw(hnp.arrays(float, (len(rows), d), elements=st.floats(0, 10)))
+            covariances[rows] = np.einsum("rd,de->rde", scale, np.eye(d))
+        else:
+            weights[rows] = draw(hnp.arrays(float, len(rows), elements=st.floats(0, 10)))
+        fields.append(TokenField(ids, means, covariances, weights, 1.0, 0.5))
+    return fields
+
+
+@SHARED_PATH
+@given(_field_sequences())
+def test_snapshots_of_random_row_edits_match_the_reference(tmp_path, fields):
+    _assert_snapshots_match(tmp_path, fields)
+
+
+def test_snapshot_sees_a_mean_flip_from_zero_to_negative_zero(tmp_path, caplog):
+    # 0.0 == -0.0 as floats, but the two are written differently
+    before = TokenField([1, 2], [[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 2, 2)), [1.0, 1.0])
+    after = TokenField([1, 2], [[-0.0, 1.0], [2.0, 3.0]], np.zeros((2, 2, 2)), [1.0, 1.0])
+    _assert_snapshots_match(tmp_path, [before, after])
+    assert '"mean": [\n        -0.0,' in (tmp_path / "snap0001.json").read_text()
+    assert _snapshot_log(caplog, tmp_path, [before, after]) == [(2, 2), (1, 2)]
+
+
+def test_snapshots_across_a_change_of_n_or_dimension(tmp_path, caplog):
+    rng = np.random.default_rng(8)
+
+    def field(n, d):
+        return TokenField(np.arange(n), rng.normal(size=(n, d)), np.zeros((n, d, d)),
+                          np.ones(n), 0.7, 0.2)
+
+    fields = [field(3, 2), field(4, 2), field(4, 2), field(4, 3), field(2, 3), field(0, 3),
+              field(0, 1), field(2, 1)]
+    _assert_snapshots_match(tmp_path, fields)
+    assert _snapshot_log(caplog, tmp_path, fields) == [
+        (3, 3), (4, 4), (4, 4), (4, 4), (2, 2), (0, 0), (0, 0), (2, 2)]
+
+
+def test_snapshot_of_an_empty_field(tmp_path):
+    empty = TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], 2.0, 0.25)
+    _assert_snapshots_match(tmp_path, [empty, empty, demo_field(), empty])
+    assert json.loads((tmp_path / "snap0000.json").read_text())["tokens"] == []
+
+
+def test_save_snapshots_needs_one_path_per_field(tmp_path):
+    with pytest.raises(ValueError, match="2 fields but 1 paths"):
+        save_snapshots([demo_field(), demo_field()], [tmp_path / "one.json"])
+    assert not (tmp_path / "one.json").exists()

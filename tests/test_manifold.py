@@ -161,6 +161,15 @@ def test_bad_kernel_parameters_rejected():
         TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], bandwidth=1.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+def test_analytic_metrics_refuse_non_positive_or_non_finite_scale(value):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        FlatMetric(2, scale=value)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        SphereMetric(value)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         TokenField([1], np.zeros((1, 2)), np.zeros((1, 2, 2)), [-0.5])

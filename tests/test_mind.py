@@ -1,3 +1,5 @@
+import logging
+import re
 import time
 
 import numpy as np
@@ -201,6 +203,24 @@ def test_learn_shifts_derived_metric(one_token_field):
     updated = learn_update(one_token_field, probe, rate=1.0)
     after = ConformalFieldMetric(updated).conformal_factor(probe)
     assert after < before
+
+
+LEARNING_PARAMS = CognitionParams.defaults(2, kappa=1.0, input_blend=0.5, feedback_gain=1.0)
+
+
+def test_learning_logs_one_info_line_per_cycle(caplog):
+    with caplog.at_level(logging.INFO, logger="geomind.mind"):
+        snapshots, errors = run_learning(demo_field(), LEARNING_PARAMS, [0.8, 0.4],
+                                         cycles=6, dt=0.1, seed=11, rate=0.2,
+                                         start=[-0.2, -0.1], velocity=[0.0, 0.0])
+    lines = [r.getMessage() for r in caplog.records if r.name == "geomind.mind"]
+    assert len(lines) == len(errors) == 6
+    for k, (line, before, after) in enumerate(zip(lines, snapshots, snapshots[1:]), start=1):
+        match = re.fullmatch(r"learning cycle (\d+): error norm (\S+), moved token (\d+)", line)
+        assert match, line
+        assert int(match[1]) == k and float(match[2]) == errors[k - 1]
+        moved = before.ids[np.any(before.means != after.means, axis=1)]
+        assert moved.tolist() == [int(match[3])]
 
 
 def test_learning_loop_converges_on_demo_field():

@@ -32,3 +32,23 @@ def test_walk_measures_float_drift_and_reports_other_differences():
         drift, problems = [], []
         tree_drift._walk(old, new, "f", drift, problems)
         assert problems, (old, new)
+
+
+def test_long_learn_tree_is_the_seed_one_learn_config_at_25_cycles():
+    assert tree_drift.specs(("learn_churn",), (1, 2), ("json",)) == [
+        ("learn_churn/seed1/json", "learn_churn", 1, ("output", "format", "json")),
+        ("learn_churn/seed2/json", "learn_churn", 2, ("output", "format", "json")),
+        ("learn_churn/seed1/long", "learn_churn", 1, ("learning", "cycles", 25))]
+    assert [tree for tree, *_ in tree_drift.specs(("survey",), (1,), ("json",))] == [
+        "survey/seed1/json"]
+    assert [tree for tree, *_ in tree_drift.specs(("learn_churn",), (2,), ("json",))] == [
+        "learn_churn/seed2/json"]
+
+
+def test_tree_drift_runs_the_long_learn_tree():
+    out = io.StringIO()
+    assert tree_drift.compare(ROOT, ROOT, names=("learn_churn",), seeds=(1,), formats=(),
+                              out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines == [f"learn_churn/seed1/long/{name}: identical" for name in sorted(
+        ["error_curve.json"] + [f"field_cycle{k:04d}.json" for k in range(26)])]

@@ -5,8 +5,10 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all. Each root runs the workload's
-commands through its own geomind.cli.run in a subprocess. For every file
+with JSON and CSV output, 24 trees in all, plus one long-learn tree, the
+learn_churn seed-1 config at 25 cycles, whose many snapshots share most of
+their token rows. Each root runs the workload's commands through its own
+geomind.cli.run in a subprocess. For every file
 the report prints "identical", or the largest absolute drift of a float and
 the number of floats that moved. The exit status is 1 when the file lists
 differ or any value other than a float differs (a key, a length, an int, a
@@ -29,6 +31,7 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "csv")
+LONG_LEARN_CYCLES = 25
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
 # [config path, output directory, [command, ...]].
@@ -87,6 +90,18 @@ def _walk(a, b, where: str, drift: list, problems: list) -> None:
         problems.append(f"{where}: {a!r} != {b!r}")
 
 
+def specs(names, seeds, formats) -> list:
+    """(tree, workload, seed, (config section, key, value)) of every tree to
+    build: one per workload, seed and format, and the long-learn tree when
+    learn_churn and seed 1 are among them."""
+    trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", "format", fmt))
+             for name in names for seed in seeds for fmt in formats]
+    if "learn_churn" in names and 1 in seeds:
+        trees.append(("learn_churn/seed1/long", "learn_churn", 1,
+                      ("learning", "cycles", LONG_LEARN_CYCLES)))
+    return trees
+
+
 def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
             seeds=SEEDS, formats=FORMATS, out=sys.stdout) -> int:
     """Build the trees under both roots, print one line per file and return
@@ -95,18 +110,15 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees, jobs = [], {"parent": [], "change": []}
-        for name in names:
-            for seed in seeds:
-                for fmt in formats:
-                    tree = f"{name}/seed{seed}/{fmt}"
-                    config = workloads.generate(name, seed, work / "inputs" / tree)
-                    data = json.loads(config.read_text())
-                    data["output"]["format"] = fmt
-                    config.write_text(json.dumps(data, indent=2) + "\n")
-                    for side in jobs:
-                        jobs[side].append([str(config), str(work / side / tree),
-                                           list(workloads.WORKLOADS[name].commands)])
-                    trees.append(tree)
+        for tree, name, seed, (section, key, value) in specs(names, seeds, formats):
+            config = workloads.generate(name, seed, work / "inputs" / tree)
+            data = json.loads(config.read_text())
+            data[section][key] = value
+            config.write_text(json.dumps(data, indent=2) + "\n")
+            for side in jobs:
+                jobs[side].append([str(config), str(work / side / tree),
+                                   list(workloads.WORKLOADS[name].commands)])
+            trees.append(tree)
         _run_root(parent_root, jobs["parent"])
         _run_root(change_root, jobs["change"])
         for tree in trees:
