@@ -5,6 +5,10 @@ predict the next embedding from the attention-weighted context window,
 evaluate the prediction error, and force the geodesic with the discrete
 second time derivative of the feedback signal, scaled by the intensity
 index kappa. Token activation and stochastic resampling close the loop.
+
+Work that depends only on a drawn sample is done once per sample: the state
+keeps each context sample's value-mapped row, and the field each token's
+covariance root, without changing a bit of the cycle's results.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .geodesic import geodesic_step
-from .manifold import MetricSource, TokenField, _as_vector
+from .manifold import MetricSource, TokenField, _as_vector, covariance_root
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
 RECENT_FRONTS_MAX = 257
@@ -102,9 +106,14 @@ class CognitionParams:
 class MindState:
     """Live state of one consciousness cycle.
 
-    position, velocity and time are the moving front. context holds the
-    sampled embeddings of the activated tokens, oldest first; history holds
-    the last three (time, feedback vector) pairs and recent_fronts the last
+    position, velocity and time are the moving front. context is the (C, D)
+    array of the sampled embeddings of the activated tokens, oldest first,
+    and values the (C, D) array of their value-mapped rows
+    params.value_matrix @ context[k], each computed once, when its sample is
+    drawn. A state built without values derives them from context, which
+    may then be any sequence of (D,) embeddings; a state given values must
+    give the rows of its own context and params. history holds the last
+    three (time, feedback vector) pairs and recent_fronts the last
     RECENT_FRONTS_MAX (position, velocity) pairs.
     Advancing the state consumes it: the rng stream is shared with the
     returned successor, so a superseded state must not be advanced again.
@@ -115,11 +124,22 @@ class MindState:
     params: CognitionParams
     rng: np.random.Generator
     time: float = 0.0
-    context: tuple[np.ndarray, ...] = ()
+    context: np.ndarray = ()
+    values: Optional[np.ndarray] = None
     history: tuple[tuple[float, np.ndarray], ...] = ()
     recent_fronts: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     last_error: Optional[np.ndarray] = None
     last_activation: Optional[tuple[float, int]] = None
+
+    def __post_init__(self):
+        if self.values is None:
+            d = self.params.dim
+            context = np.asarray(self.context, dtype=float)
+            context = context if context.size else context.reshape(0, d)
+            if context.ndim != 2 or context.shape[1] != d:
+                raise ValueError(f"context must be a sequence of embeddings of dimension {d}")
+            object.__setattr__(self, "context", context)
+            object.__setattr__(self, "values", _value_rows(context, self.params))
 
     @classmethod
     def initial(cls, field: TokenField, params: CognitionParams, seed: int,
@@ -139,35 +159,38 @@ class MindState:
         if len(field):
             row = field.nearest(start)
             position = field.means[row].copy()
-            context = (sample_embedding(field.means[row], field.covariances[row], rng),)
+            context = (_sample(field, row, rng),)
             activation = (0.0, int(field.ids[row]))
         return cls(position=position, velocity=velocity, params=params, rng=rng,
                    context=context, recent_fronts=((position, velocity),),
                    last_activation=activation)
 
 
-def sample_embedding(mean, covariance, rng: np.random.Generator) -> np.ndarray:
-    """Draw mean + L z for a (D,) mean and a (D, D) covariance, with L a
-    square root of the covariance and z standard normal.
+def sample_embedding(mean, covariance, rng: np.random.Generator,
+                     root: Optional[np.ndarray] = None) -> np.ndarray:
+    """Draw mean + L z for a (D,) mean and a (D, D) covariance, with L the
+    square root covariance_root(covariance) and z standard normal.
 
     Diagonal covariances use the elementwise square root, full ones the
     Cholesky factor (eigenvalue square root if only semidefinite); both clip
-    rounding-level negatives to zero. Returns the (D,) draw; the rng advances
-    by exactly D draws.
+    rounding-level negatives to zero. A caller that keeps the root passes it
+    as root; None computes it, which for a zero covariance is one np.any.
+    Returns the (D,) draw; the rng advances by exactly D draws.
     """
-    mean, cov = np.asarray(mean, dtype=float), np.asarray(covariance, dtype=float)
+    mean = np.asarray(mean, dtype=float)
     z = rng.standard_normal(len(mean))
-    if not np.any(cov):
+    if root is None:
+        root = covariance_root(covariance)
+    if root is None:
         return mean.copy()
-    if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
-        diag = np.clip(np.diagonal(cov), 0.0, None)
-        return mean + np.sqrt(diag) * z
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        factor = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
-    return mean + factor @ z
+    return mean + (root * z if root.ndim == 1 else root @ z)
+
+
+def _sample(field: TokenField, row: int, rng: np.random.Generator) -> np.ndarray:
+    """sample_embedding of the token in the given row, with the root the
+    field keeps."""
+    return sample_embedding(field.means[row], field.covariances[row], rng,
+                            field.sampling_root(row))
 
 
 def attention_weights(query, sequence, params: CognitionParams) -> np.ndarray:
@@ -187,7 +210,17 @@ def context_vector(weights, sequence, params: CognitionParams) -> np.ndarray:
         raise ValueError("weights and sequence lengths differ")
     if abs(float(np.sum(weights)) - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    values = np.stack([params.value_matrix @ s for s in sequence])
+    return _weighted_sum(weights, _value_rows(sequence, params))
+
+
+def _value_rows(sequence, params: CognitionParams) -> np.ndarray:
+    """(C, D) array of the rows params.value_matrix @ s of a sequence of C
+    embeddings, one matrix-vector product each."""
+    return np.array([params.value_matrix @ s for s in sequence]).reshape(-1, params.dim)
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] values[k] of (C,) weights and (C, D) value rows."""
     return np.einsum("n,nd->d", weights, values)
 
 
@@ -264,9 +297,9 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
             positions, velocities = map(np.stack, zip(*state.recent_fronts[-1 - n_back:]))
             return predict_geometric(positions, velocities, dt, params.geometric_window)
         return perceived.copy()
-    if state.context:
+    if len(state.context):
         weights = attention_weights(state.context[-1], state.context, params)
-        return predict_contextual(context_vector(weights, state.context, params), params)
+        return predict_contextual(_weighted_sum(weights, state.values), params)
     # nothing to attend over yet: predict the perceived state itself
     return perceived.copy()
 
@@ -277,7 +310,9 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
 
     Order of operations: perceive, predict, evaluate the error, record the
     feedback vector, force the geodesic with its discrete second derivative,
-    then activate and resample the token nearest the new front.
+    then activate and resample the token nearest the new front. The new
+    sample and its value-mapped row join the context window, whose oldest
+    entries drop out beyond params.context_capacity.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -293,14 +328,19 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     x, v = geodesic_step(state.position, state.velocity, source, forcing_vec, dt)
     t = state.time + dt
 
-    context = state.context
+    context, values = state.context, state.values
     activation = None
     if len(field):
         row = field.nearest(x)
-        sample = sample_embedding(field.means[row], field.covariances[row], state.rng)
-        context = (context + (sample,))[-params.context_capacity:]
+        sample = _sample(field, row, state.rng)
+        # drop the oldest rows before the join, so that each window is a fresh
+        # contiguous array, as np.stack built it, and the sums keep their bits
+        keep = max(0, len(context) + 1 - params.context_capacity)
+        context = np.concatenate((context[keep:], sample[None]))
+        values = np.concatenate((values[keep:], (params.value_matrix @ sample)[None]))
         activation = (t, int(field.ids[row]))
 
     recent = (state.recent_fronts + ((x, v),))[-RECENT_FRONTS_MAX:]
-    return replace(state, position=x, velocity=v, time=t, context=context, history=history,
-                   recent_fronts=recent, last_error=error, last_activation=activation)
+    return replace(state, position=x, velocity=v, time=t, context=context, values=values,
+                   history=history, recent_fronts=recent, last_error=error,
+                   last_activation=activation)

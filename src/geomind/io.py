@@ -363,6 +363,21 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             writer.writerow(["dt", repr(float(traj.dt))])
 
 
+def _cell(text: str, kind: type, line: int):
+    """A CSV cell as the float or int whose repr it is; ValueError naming the
+    line for any other text, such as 0_5 or a cell with spaces, which float()
+    and int() would also accept. A cell such as 1e999 that reads as a
+    non-finite float is left to the caller's finiteness check."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (kind.__repr__(value) != text and math.isfinite(value)):
+        raise ValueError(f"line {line}: {text!r} is not {kind.__name__} text as "
+                         "export_trajectory writes it")
+    return value
+
+
 def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
     """Read back a trajectory written by export_trajectory.
 
@@ -370,8 +385,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     unknown fmt raises ValueError. A file that cannot be read, lacks a key
     or holds no samples, or positions and velocities of unequal lengths,
     raises FieldFormatError naming the file; so does a NaN or infinite
-    number, and a CSV file of fewer than two samples without a truncated or
-    dt line.
+    number, a CSV file of fewer than two samples without a truncated or dt
+    line, and a CSV cell that is not the repr of a float or, for token_id,
+    of an int, which names the line too.
     """
     path = Path(path)
     if fmt is None:
@@ -396,20 +412,21 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                 width = len(next(reader, ()))
                 d = (width - 2) // 2
                 for row in reader:
+                    line = reader.line_num
                     if row[:1] == ["truncated"]:
-                        dt, truncated = float(row[1]), True
+                        dt, truncated = _cell(row[1], float, line), True
                         break
                     if row[:1] == ["dt"]:
-                        dt = float(row[1])
+                        dt = _cell(row[1], float, line)
                         break
                     if len(row) != width:
-                        raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
-                                         f"the header {width}")
-                    times.append(float(row[0]))
-                    positions.append(list(map(float, row[1:1 + d])))
-                    velocities.append(list(map(float, row[1 + d:1 + 2 * d])))
+                        raise ValueError(f"line {line} has {len(row)} fields, the header {width}")
+                    values = [_cell(cell, float, line) for cell in row[:-1]]
+                    times.append(values[0])
+                    positions.append(values[1:1 + d])
+                    velocities.append(values[1 + d:])
                     if row[-1] != "":
-                        activations.append((times[-1], int(row[-1])))
+                        activations.append((times[-1], _cell(row[-1], int, line)))
             if dt is None:
                 if len(times) < 2:
                     raise ValueError("fewer than two samples and no dt line")

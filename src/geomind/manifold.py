@@ -63,6 +63,24 @@ def _as_vector(x, dim: int, name: str = "point", batch: bool = False) -> np.ndar
     return x
 
 
+def covariance_root(covariance) -> Optional[np.ndarray]:
+    """The square root L of a (D, D) covariance that a Gaussian draw mean + L z
+    uses: None for the zero matrix, the (D,) elementwise root of a diagonal,
+    else the (D, D) Cholesky factor, or the eigenvalue root if the matrix is
+    only semidefinite. Diagonal and eigenvalue roots clip rounding-level
+    negatives to zero."""
+    cov = np.asarray(covariance, dtype=float)
+    if not np.any(cov):
+        return None
+    if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
+        return np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
+
+
 def _owned(value, dtype) -> np.ndarray:
     """value as an array of dtype that owns its memory: the array itself if
     it owns its memory already, else a copy."""
@@ -136,6 +154,10 @@ class TokenField:
         for name, array in arrays.items():
             array.flags.writeable = False
             self.__dict__[name] = array
+        if "covariances" in arrays:
+            # covariance_root of each row, filled in by sampling_root; a copy
+            # that keeps the covariances shares it
+            self.__dict__["_roots"] = {}
         if "means" in arrays:
             # the centred kernel constants of _kernel; max() keeps an empty
             # field off numpy's mean-of-empty warning
@@ -163,6 +185,17 @@ class TokenField:
             raise ValueError(f"unknown token id(s): {unknown}")
         order = np.argsort(self.ids)
         return order[np.searchsorted(self.ids, ids, sorter=order)]
+
+    def sampling_root(self, row: int) -> Optional[np.ndarray]:
+        """covariance_root of the covariance in the given row, read-only,
+        computed on the row's first use and then kept."""
+        roots = self.__dict__["_roots"]
+        if row not in roots:
+            root = covariance_root(self.covariances[row])
+            if root is not None:
+                root.flags.writeable = False
+            roots[row] = root
+        return roots[row]
 
     def nearest(self, x) -> int:
         """Row of the token whose mean is Euclidean-nearest to x; ties go to

@@ -103,7 +103,8 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     inputs maps cycle indices (0-based) to external input vectors; absent
     indices mean no stimulus. A chart exit, or a cycle whose state or
     prediction error is not finite, truncates the flow before that cycle and
-    flags the trajectory.
+    flags the trajectory. Each flow logs one INFO line: its seed, score,
+    stop reason ("none" for a full run) and the number of cycles it ran.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -137,7 +138,11 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
                           activations, truncated=stop_reason is not None)
         flow = ThoughtFlow(trajectory=traj, errors=errors, score=-np.inf, seed=seed,
                            stop_reason=stop_reason)
-        return dc_replace(flow, score=score_flow(flow)) if errors else flow
+        if errors:
+            flow = dc_replace(flow, score=score_flow(flow))
+    logger.info("thought flow (seed %d): score %.17g, stop reason %s, %d cycles",
+                seed, flow.score, stop_reason or "none", len(errors))
+    return flow
 
 
 def select_conscious(flows: Sequence[ThoughtFlow], threshold: float) -> Selection:

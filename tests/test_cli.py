@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -398,6 +399,26 @@ def test_import_csv_refuses_short_row(tmp_path):
     lines[3] = lines[3].rsplit(",", 2)[0]  # drop v1 and token_id
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FieldFormatError, match="traj.csv: line 4 has 4 fields, the header 6"):
+        import_trajectory(path)
+
+
+@pytest.mark.parametrize("where, cell, kind", [
+    ("p1", "0_5", "float"), ("p1", " 0.5", "float"), ("p1", "0.50", "float"),
+    ("dt", "0_25", "float"), ("dt", "0.25 ", "float"),
+    ("token_id", "0_7", "int"), ("token_id", " 7", "int"), ("token_id", "7.0", "int")])
+def test_import_csv_refuses_a_cell_export_cannot_write(tmp_path, where, cell, kind):
+    # float() and int() accept each of these cells; 0_5 would load as 5.0
+    path = tmp_path / "traj.csv"
+    lone = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25)
+    export_trajectory(lone if where == "dt" else _sample_trajectory(), "csv", path)
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    line = len(lines) if where == "dt" else 4  # sample 2, on line 4, carries a token_id
+    column = 1 if where == "dt" else lines[0].index(where)
+    assert lines[line - 1][column] != ""
+    lines[line - 1][column] = cell
+    path.write_text("\n".join(map(",".join, lines)) + "\n")
+    with pytest.raises(FieldFormatError, match=rf"traj.csv: line {line}: '{cell}' is not "
+                                               rf"{kind} text"):
         import_trajectory(path)
 
 
@@ -914,6 +935,20 @@ def test_learn_runs_back_to_back_in_one_process_are_byte_identical(workdir):
         assert run("learn", config) == 0
         digests.append(_tree_digest(config.out_dir))
     assert digests[0] == digests[1]
+
+
+def test_compete_logs_one_info_line_per_seed_and_writes_the_same_tree(workdir, caplog):
+    config = load_config(workdir / "config.json")
+    quiet = dataclasses.replace(config, out_dir=workdir / "quiet")
+    assert run("compete", quiet) == 0
+    loud = dataclasses.replace(config, out_dir=workdir / "loud")
+    with caplog.at_level(logging.INFO, logger="geomind"):
+        assert run("compete", loud) == 0
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    scores = json.loads((loud.out_dir / "selection.json").read_text())["scores"]
+    assert lines == [f"thought flow (seed {seed}): score {score:.17g}, stop reason none, "
+                     "100 cycles" for seed, score in zip((1, 2), scores)]
+    assert _tree_digest(quiet.out_dir) == _tree_digest(loud.out_dir)
 
 
 def test_seed_override(workdir):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
                      context_vector, cycle_step, feedback_forcing,
                      integrate_geodesic, perceive, predict_contextual,
                      predict_geometric, prediction_error, sample_embedding)
+
+from geomind import cognition
 
 from conftest import make_field
 
@@ -389,3 +392,143 @@ def test_cycle_context_window_capacity(random_field):
     for _ in range(10):
         state = cycle_step(state, random_field, source, None, 1e-2)
     assert len(state.context) == 4
+
+
+# ---------------------------------------------------------------- per-sample work, once
+
+COVARIANCE_KINDS = ("zero", "diagonal", "full", "semidefinite")
+
+
+def _covariance(draw, kind, d):
+    scale = st.floats(0.0, 0.05)
+    if kind == "zero":
+        return np.zeros((d, d))
+    if kind == "diagonal":
+        return np.diag(draw(hnp.arrays(float, d, elements=scale)))
+    # full: B B^T + a ridge; semidefinite: rank d - 1, so Cholesky may fail
+    b = draw(hnp.arrays(float, (d, d if kind == "full" else d - 1), elements=st.floats(-0.2, 0.2)))
+    cov = b @ b.T + (0.01 * np.eye(d) if kind == "full" else 0.0)
+    return (cov + cov.T) / 2.0
+
+
+@st.composite
+def _cycle_cases(draw):
+    d, n, steps = draw(st.integers(2, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    means = draw(hnp.arrays(float, (n, d), elements=st.floats(-1.0, 1.0)))
+    kinds = draw(st.lists(st.sampled_from(COVARIANCE_KINDS), min_size=n, max_size=n))
+    field = make_field(means, dim=d, bandwidth=0.8, epsilon=0.5,
+                       covs=np.stack([_covariance(draw, kind, d) for kind in kinds]))
+    matrix = hnp.arrays(float, (d, d), elements=st.floats(-1.5, 1.5))
+    identity = draw(st.booleans())
+    params = CognitionParams(
+        value_matrix=np.eye(d) if identity else draw(matrix),
+        predictor_matrix=np.eye(d) if identity else draw(matrix),
+        bias=draw(hnp.arrays(float, d, elements=st.floats(-0.5, 0.5))),
+        activation=draw(st.sampled_from(("identity", "tanh"))),
+        input_blend=0.3, feedback_gain=0.2, kappa=0.5,
+        context_capacity=draw(st.one_of(st.integers(1, 5), st.just(steps + 3))))
+    inputs = draw(st.lists(st.one_of(st.none(), hnp.arrays(float, d, elements=st.floats(-1, 1))),
+                           min_size=steps, max_size=steps))
+    return field, params, inputs, draw(st.integers(0, 2**32 - 1))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cycle_cases())
+def test_cycle_prediction_context_and_draws_match_the_public_functions(case):
+    field, p, inputs, seed = case
+    source = ConformalFieldMetric(field)
+    state = MindState.initial(field, p, seed=seed, start=np.zeros(field.dimension))
+    predictions = []
+
+    def recording(context, params):
+        predictions.append(predict_contextual(context, params))
+        return predictions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cognition, "predict_contextual", recording)
+        for input_vec in inputs:
+            ctx = [row.copy() for row in state.context]
+            expected = predict_contextual(
+                context_vector(attention_weights(ctx[-1], ctx, p), ctx, p), p)
+            rng = copy.deepcopy(state.rng)
+            state = cycle_step(state, field, source, input_vec, 0.01)
+
+            assert _bits(predictions[-1]) == _bits(expected)
+            row = field.rows([state.last_activation[1]])[0]
+            draw = sample_embedding(field.means[row], field.covariances[row], rng)
+            assert _bits(state.context[-1]) == _bits(draw)
+            assert state.rng.bit_generator.state == rng.bit_generator.state
+            kept = ctx[max(0, len(ctx) + 1 - p.context_capacity):]
+            assert _bits(state.context[:-1]) == _bits(np.reshape(kept, (-1, field.dimension)))
+            assert len(state.context) == len(state.values) <= p.context_capacity
+            for sample, value in zip(state.context, state.values):
+                assert _bits(value) == _bits(p.value_matrix @ sample)
+
+
+@st.composite
+def _sampling_cases(draw):
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(COVARIANCE_KINDS))
+    mean = draw(hnp.arrays(float, d, elements=st.floats(-2.0, 2.0)))
+    field = make_field([mean], dim=d, covs=[_covariance(draw, kind, d)])
+    return field, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sampling_cases())
+def test_draws_with_the_kept_root_match_fresh_draws(case):
+    field, seed = case
+    mean, cov = field.means[0], field.covariances[0]
+    kept, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # the first draw computes the root, the others reuse it
+        a = sample_embedding(mean, cov, kept, field.sampling_root(0))
+        b = sample_embedding(mean, cov, fresh)
+        assert _bits(a) == _bits(b)
+        assert kept.bit_generator.state == fresh.bit_generator.state
+    # exactly D normals per draw
+    assert kept.bit_generator.state == _advanced(seed, 3 * field.dimension)
+
+
+def _advanced(seed, normals):
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(normals)
+    return rng.bit_generator.state
+
+
+def test_sampling_root_is_kept_read_only_and_shared_by_a_moved_copy():
+    field = make_field([[0.0, 0.0], [1.0, 0.0]], covs=[np.diag([0.04, 0.01]),
+                                                       [[0.5, 0.1], [0.1, 0.2]]])
+    diagonal, full = field.sampling_root(0), field.sampling_root(1)
+    assert np.array_equal(diagonal, [0.2, 0.1])
+    assert np.array_equal(full, np.linalg.cholesky(field.covariances[1]))
+    assert field.sampling_root(1) is full and not full.flags.writeable
+    moved = field._replace(means=field.means + 1.0)
+    assert moved.sampling_root(1) is full
+    assert make_field([[0.0, 0.0]]).sampling_root(0) is None
+
+
+def test_hand_built_state_derives_value_rows_from_a_tuple_context(random_field):
+    value = np.array([[0.5, -1.0], [2.0, 0.25]])
+    params = CognitionParams.defaults(2, value_matrix=value, activation="tanh")
+    context = (np.array([0.1, 0.2]), np.array([-0.3, 0.4]))
+    state = MindState(position=np.zeros(2), velocity=np.array([0.2, 0.1]), params=params,
+                      rng=np.random.default_rng(0), context=context)
+    assert state.context.shape == state.values.shape == (2, 2)
+    for sample, row in zip(context, state.values):
+        assert _bits(row) == _bits(value @ sample)
+    new = cycle_step(state, random_field, ConformalFieldMetric(random_field), None, 0.01)
+    expected = predict_contextual(
+        context_vector(attention_weights(context[-1], context, params), context, params), params)
+    assert _bits(new.last_error) == _bits(np.zeros(2) - expected)
+    assert len(new.context) == 3
+
+
+def test_hand_built_state_refuses_a_context_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 2"):
+        MindState(position=np.zeros(2), velocity=np.zeros(2),
+                  params=CognitionParams.defaults(2), rng=np.random.default_rng(0),
+                  context=(np.zeros(3),))

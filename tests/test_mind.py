@@ -152,6 +152,18 @@ def test_diverging_flow_stops_at_first_non_finite_cycle():
     assert np.array_equal(shorter.trajectory.positions, traj.positions)
 
 
+def test_truncated_flow_logs_its_stop_reason_and_cycles(caplog):
+    field = demo_field()
+    params = CognitionParams.defaults(2, kappa=1e6, input_blend=0.3, feedback_gain=5.0)
+    with caplog.at_level(logging.INFO, logger="geomind.mind"):
+        flow = run_thought_flow(field, ConformalFieldMetric(field), params, n_steps=300,
+                                dt=0.01, seed=1, start=[0.0, 0.0], velocity=[0.3, 0.2])
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert flow.stop_reason == "non-finite"
+    assert lines == [f"thought flow (seed 1): score {flow.score:.17g}, stop reason non-finite, "
+                     f"{len(flow.errors)} cycles"]
+
+
 # ---------------------------------------------------------------- learning
 
 def test_learn_zero_rate_keeps_field(one_token_field):

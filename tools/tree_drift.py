@@ -5,9 +5,12 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus one long-learn tree, the
-learn_churn seed-1 config at 25 cycles, whose many snapshots share most of
-their token rows. Each root runs the workload's commands through its own
+with JSON and CSV output, 24 trees in all, plus two more: a long-learn tree,
+the learn_churn seed-1 config at 25 cycles, whose many snapshots share most
+of their token rows, and a cognition tree, the flow_sparse seed-1 config
+with non-identity value and predictor matrices, a bias, tanh activation
+and a context capacity of 4, since every benchmark config keeps the
+identity pipeline. Each root runs the workload's commands through its own
 geomind.cli.run in a subprocess. For every file
 the report prints "identical", or the largest absolute drift of a float and
 the number of floats that moved. The exit status is 1 when the file lists
@@ -32,6 +35,10 @@ import workloads  # noqa: E402
 SEEDS = (1, 2, 3)
 FORMATS = ("json", "csv")
 LONG_LEARN_CYCLES = 25
+# The cognition tree's pipeline, for the flow_sparse field in D = 2.
+COGNITION = {"value_matrix": [[0.9, -0.3], [0.2, 1.1]],
+             "predictor_matrix": [[0.8, 0.25], [-0.15, 0.95]],
+             "bias": [0.05, -0.1], "activation": "tanh", "context_capacity": 4}
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
 # [config path, output directory, [command, ...]].
@@ -91,14 +98,18 @@ def _walk(a, b, where: str, drift: list, problems: list) -> None:
 
 
 def specs(names, seeds, formats) -> list:
-    """(tree, workload, seed, (config section, key, value)) of every tree to
-    build: one per workload, seed and format, and the long-learn tree when
-    learn_churn and seed 1 are among them."""
-    trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", "format", fmt))
+    """(tree, workload, seed, (config section, {key: value, ...})) of every
+    tree to build: one per workload, seed and format, the long-learn tree
+    when learn_churn and seed 1 are among them, and the cognition tree when
+    flow_sparse and seed 1 are."""
+    trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", {"format": fmt}))
              for name in names for seed in seeds for fmt in formats]
     if "learn_churn" in names and 1 in seeds:
         trees.append(("learn_churn/seed1/long", "learn_churn", 1,
-                      ("learning", "cycles", LONG_LEARN_CYCLES)))
+                      ("learning", {"cycles": LONG_LEARN_CYCLES})))
+    if "flow_sparse" in names and 1 in seeds:
+        trees.append(("flow_sparse/seed1/cognition", "flow_sparse", 1,
+                      ("cognition", COGNITION)))
     return trees
 
 
@@ -110,10 +121,10 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees, jobs = [], {"parent": [], "change": []}
-        for tree, name, seed, (section, key, value) in specs(names, seeds, formats):
+        for tree, name, seed, (section, values) in specs(names, seeds, formats):
             config = workloads.generate(name, seed, work / "inputs" / tree)
             data = json.loads(config.read_text())
-            data[section][key] = value
+            data[section].update(values)
             config.write_text(json.dumps(data, indent=2) + "\n")
             for side in jobs:
                 jobs[side].append([str(config), str(work / side / tree),
