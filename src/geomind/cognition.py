@@ -13,7 +13,7 @@ covariance root, without changing a bit of the cycle's results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -341,6 +341,8 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
         activation = (t, int(field.ids[row]))
 
     recent = (state.recent_fronts + ((x, v),))[-RECENT_FRONTS_MAX:]
-    return replace(state, position=x, velocity=v, time=t, context=context, values=values,
-                   history=history, recent_fronts=recent, last_error=error,
-                   last_activation=activation)
+    # the constructor directly: dataclasses.replace takes the generic path
+    # over every field and costs more than the feedback forcing
+    return MindState(position=x, velocity=v, params=params, rng=state.rng, time=t,
+                     context=context, values=values, history=history, recent_fronts=recent,
+                     last_error=error, last_activation=activation)

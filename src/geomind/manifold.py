@@ -26,15 +26,20 @@ A batch is row-invariant: each row is bitwise what the point gives alone.
 The field metric evaluates a batch from one _exponents pass, with np.matmul
 stacked per point, np.vecdot (the bits of np.dot) and elementwise
 arithmetic, never one (B, D) @ (D, n) GEMM. A single point keeps three
-kernel passes (density_at twice and density_gradient once), because the
+density calls (density_at twice and density_gradient once), because the
 benchmark's traced flows pin 4 christoffel and 12 density calls per RK4
-step. The flat and sphere metrics take batches in closed form; the base
+step, but the three calls share one kernel pass: each field keeps the
+exponents of the last point it was asked about. TokenField.nearest ranks
+tokens by those exponents, so in a consciousness cycle its pass at the new
+front also serves the next step's first stage, and a cycle makes 4 kernel
+passes. The flat and sphere metrics take batches in closed form; the base
 class, and so CallableMetric, takes christoffel_fd one row at a time.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -159,14 +164,18 @@ class TokenField:
             # that keeps the covariances shares it
             self.__dict__["_roots"] = {}
         if "means" in arrays:
-            # the centred kernel constants of _kernel; max() keeps an empty
+            # the centred kernel constants of _exponent; max() keeps an empty
             # field off numpy's mean-of-empty warning
             h2 = self.bandwidth**2
             centre = self.means.sum(axis=0) / max(1, len(self.means))
             slopes = self.means - centre
-            offsets = -np.einsum("nd,nd->n", slopes, slopes) / (2.0 * h2)
+            squares = np.einsum("nd,nd->n", slopes, slopes)
+            offsets = -squares / (2.0 * h2)
             slopes /= h2
-            self.__dict__.update(_centre=centre, _slopes=slopes, _offsets=offsets)
+            # _exponent's memo of its last point; the exponent does not
+            # depend on the weights, so a copy that keeps the means keeps it
+            self.__dict__.update(_centre=centre, _slopes=slopes, _offsets=offsets,
+                                 _reach=math.sqrt(squares.max(initial=0.0)), _memo=None)
 
     def _replace(self, **arrays: np.ndarray) -> "TokenField":
         """A copy that takes over the given, already valid arrays, read-only."""
@@ -199,56 +208,109 @@ class TokenField:
 
     def nearest(self, x) -> int:
         """Row of the token whose mean is Euclidean-nearest to x; ties go to
-        the lowest id."""
+        the lowest id.
+
+        The rule is exact on the computed distances a_i^(1/2), where
+        a_i = fl(|v_i - x|^2) by one BLAS dot per row, but it is applied only
+        to the rows whose kernel exponent E_i (see _exponent) lies within a
+        margin M of max E; the pass that finds E also serves the next
+        density call at x. Why no row outside the margin can win: let
+        R_i = |x - v_i|^2 exactly and H = h^2 as stored, and write
+        gamma_n = n u / (1 - n u), u = 2^-53, for the bound on n roundings
+        (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+        a_i takes D + 2 roundings of non-negative terms, so
+        a_i = R_i (1 + t_i) with |t_i| <= gamma_(D+2), and the square root
+        rounds once more, so the winning row j has, against every row m,
+        R_j <= (1 + f) R_m with f <= 2 gamma_(D+4). E_i is
+        o_i + s_i . x_c - |x_c|^2 / 2H with terms of size at most
+        K = r^2 / 2H, r = max_i |v_i - c| + |x_c| (the field caches the
+        reach max_i |v_i - c|), each taking at most D + 3 roundings, and two
+        additions, so |E_i + R_i / 2H| <= gamma_(D+5) K. With m the row of
+        max E and R_m / 2H <= K:
+        E_j >= -(1 + f) R_m / 2H - gamma_(D+5) K >= E_m - (2 gamma_(D+5) + f) K
+        >= max E - 4 gamma_(D+8) K. M is twice that, which covers the
+        rounding of K itself, plus (D + 8) 2^-1070 (1 + r) (1 + 1 / H) for
+        products that round to subnormals with an absolute error. Where
+        max E is not finite (a NaN or infinite x, or an overflow), or r
+        reaches 2^511 and a_i could overflow, every row is scanned."""
         if not len(self):
             raise ValueError("nearest() on an empty field")
         x = _as_vector(x, self.dimension)
-        diffs = self.means - x
+        xc, exponent, _ = _exponent(self, x)
+        top = int(exponent.argmax())  # the first NaN, if any, which fails isfinite
+        radius = self._reach + math.sqrt(np.dot(xc, xc))
+        if math.isfinite(exponent[top]) and radius < 2.0**511:
+            h2, d = self.bandwidth**2, self.dimension
+            gamma = (d + 8) * 2.0**-53 / (1.0 - (d + 8) * 2.0**-53)
+            margin = (8.0 * gamma * radius**2 / (2.0 * h2)
+                      + (d + 8) * 2.0**-1070 * (1.0 + radius) * (1.0 + 1.0 / h2))
+            near = exponent >= exponent[top] - margin
+            if np.count_nonzero(near) == 1:
+                return top
+            rows = np.flatnonzero(near)
+        else:
+            rows = np.arange(len(self))
+        diffs = self.means[rows] - x
         # vecdot is the per-row BLAS dot that np.linalg.norm uses on one vector
         dist = np.sqrt(np.vecdot(diffs, diffs))
-        tied = np.flatnonzero(dist == dist.min())
-        # a non-finite x makes every distance NaN, which ties with nothing
+        tied = rows[dist == dist.min()]
+        # a NaN in x makes every distance NaN, which ties with nothing
         return int(tied[np.argmin(self.ids[tied])]) if tied.size else 0
 
 
-def _kernel(field: TokenField, x) -> tuple[np.ndarray, np.ndarray]:
-    """Centred point x_c = x - c and unweighted kernel values e_i (n,) at x,
-    k_i = w_i e_i, where
-    e_i = exp(-|x - v_i|^2 / 2h^2) = exp(o_i + s_i . x_c - |x_c|^2 / 2h^2)
+def _exponent(field: TokenField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centred point x_c = x - c, kernel exponents E (n,) and unweighted
+    kernel values e = exp(E) at one (D,) point x, k_i = w_i e_i, where
+    E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2
     with the field's cached centroid c, slopes s_i = (v_i - c) / h^2 and
     offsets o_i = -|v_i - c|^2 / 2h^2: one matrix-vector product, no (n, D)
     temporary. The exponent's terms are rounded at their own size, up to
     (|v_i - c| + |x_c|)^2 / 2h^2, not at the size of their sum, so each k_i
     carries a relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2),
-    eps = 2^-52; centring keeps it small near the data."""
-    xc = _as_vector(x, field.dimension) - field._centre
-    return xc, np.exp(field._offsets + field._slopes @ xc
-                      - np.dot(xc, xc) / (2.0 * field.bandwidth**2))
+    eps = 2^-52; centring keeps it small near the data.
+
+    The field keeps the read-only result for the last point, keyed on its
+    bytes, so the density calls of one Christoffel evaluation, and a
+    nearest() followed by a density call at the same point, share one pass.
+    The entry is replaced whole, never changed."""
+    x = _as_vector(x, field.dimension)
+    key = x.tobytes()
+    memo = field._memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    xc = x - field._centre
+    exponent = field._offsets + field._slopes @ xc - np.dot(xc, xc) / (2.0 * field.bandwidth**2)
+    result = (xc, exponent, np.exp(exponent))
+    for array in result:
+        array.flags.writeable = False
+    field.__dict__["_memo"] = (key, result)
+    return result
 
 
 def density_at(field: TokenField, x) -> float:
     """Weighted Gaussian kernel density rho(x) = sum_i w_i exp(-|x-v_i|^2 / 2h^2)."""
-    return float(np.dot(field.weights, _kernel(field, x)[1]))
+    return float(np.dot(field.weights, _exponent(field, x)[2]))
 
 
 def density_gradient(field: TokenField, x) -> np.ndarray:
     """Closed-form gradient of density_at with respect to x,
     sum_i k_i (v_i - x) / h^2 = sum_i k_i s_i - (sum_i k_i) x_c / h^2."""
-    xc, kern = _kernel(field, x)
-    kern *= field.weights
+    xc, _, kern = _exponent(field, x)
+    kern = kern * field.weights
     return kern @ field._slopes - kern.sum() / field.bandwidth**2 * xc
 
 
 def _exponents(field: TokenField, points: np.ndarray):
     """Yield (rows, x_c (B, D), E (B, n)) over blocks of a (P, D) point
     array, where E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2
-    is the exponent of _kernel, so k_i = w_i exp(E_i). The products are
-    stacked per point, which is row-invariant: a point's values do not
-    depend on the block it sits in, as they would with one (B, D) GEMM."""
+    is the exponent that _exponent gives one point, so k_i = w_i exp(E_i).
+    The products are stacked per point, which is row-invariant: a point's
+    values do not depend on the block it sits in, as they would with one
+    (B, D) GEMM."""
     block = max(1, KERNEL_BLOCK // max(1, len(field)))
     for lo in range(0, len(points), block):
         xc = points[lo:lo + block] - field._centre
-        # vecdot gives each row the bits of _kernel's np.dot(x_c, x_c)
+        # vecdot gives each row the bits of _exponent's np.dot(x_c, x_c)
         yield (slice(lo, lo + block), xc,
                field._offsets + np.matmul(xc[:, None, :], field._slopes.T)[:, 0]
                - np.vecdot(xc, xc)[:, None] / (2.0 * field.bandwidth**2))
@@ -420,8 +482,9 @@ class ConformalFieldMetric(MetricSource):
         x = _as_vector(x, self.dim, batch=True)
         if x.ndim == 2:
             return self._christoffel_rows(x)
-        # a single point keeps three kernel passes: the benchmark's traced
-        # flows pin 4 christoffel and 12 density calls per RK4 step
+        # a single point keeps three density calls, which share one kernel
+        # pass: the benchmark's traced flows pin 4 christoffel and 12
+        # density calls per RK4 step
         lam = self.conformal_factor(x)
         grad = self.conformal_gradient(x)
         d = self.dim

@@ -10,7 +10,7 @@ from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
                      TokenField, christoffel_fd, curvature_at,
                      density_at, density_gradient, learn_update, load_field,
                      manipulate_feature, save_field)
-from geomind.manifold import densities
+from geomind.manifold import _exponent, densities
 
 from conftest import make_field
 
@@ -137,6 +137,50 @@ def test_kernel_constants_follow_the_field(random_field, tmp_path, change):
     for x in np.random.default_rng(6).uniform(-2, 2, size=(5, 2)):
         assert density_at(field, x) == density_at(fresh, x)
         assert density_gradient(field, x).tobytes() == density_gradient(fresh, x).tobytes()
+
+
+def _evaluations(field, x):
+    """The bytes of everything a field evaluates at one point."""
+    return (np.float64(density_at(field, x)).tobytes(), density_gradient(field, x).tobytes(),
+            ConformalFieldMetric(field).christoffel(x).tobytes(), field.nearest(x))
+
+
+def test_interleaved_points_and_fields_give_the_cold_results():
+    # each field keeps the exponent of its last point; any order of calls
+    # gives the bits of a field that has never been asked anything
+    rng = np.random.default_rng(21)
+    means = rng.normal(size=(9, 3))
+    base = make_field(list(means), dim=3, bandwidth=0.9, weights=list(rng.uniform(0.5, 2, 9)))
+    heavier = base._replace(weights=np.asarray(base.weights) * 3.0)  # shares the entry
+    other = make_field(list(means + 0.25), dim=3, bandwidth=0.6)
+    points = list(rng.normal(size=(3, 3))) + [means[4], np.array([0.0, 0.5, 1.0]),
+                                              np.array([-0.0, 0.5, 1.0])]
+    cold = {(id(f), k): _evaluations(_rebuilt(f), x)
+            for f in (base, heavier, other) for k, x in enumerate(points)}
+    for _ in range(60):
+        field = (base, heavier, other)[rng.integers(3)]
+        k = int(rng.integers(len(points)))
+        calls = _evaluations(field, points[k])
+        assert calls == cold[id(field), k]
+        # one call alone, after another field or point, in any position
+        which = int(rng.integers(4))
+        assert _evaluations(field, points[k])[which] == calls[which]
+
+
+def test_exponent_entry_is_read_only_and_follows_the_means(random_field):
+    x = np.array([0.3, -0.2])
+    for array in _exponent(random_field, x):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    before = _evaluations(random_field, x)
+    # a field with moved means starts with no entry, so never reads its parent's
+    for field in (learn_update(random_field, x, 0.5),
+                  random_field._replace(means=random_field.means + 0.125)):
+        assert field._memo is None
+        after = _evaluations(field, x)
+        assert after[:3] != before[:3]
+        assert after == _evaluations(_rebuilt(field), x)
+    assert _evaluations(random_field, x) == before
 
 
 # ---------------------------------------------------------------- field invariants

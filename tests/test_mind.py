@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      GridSpec, ShootingOptions, ThoughtFlow,
@@ -532,3 +533,128 @@ def test_nearest_matches_reference_loop(seed):
 def test_nearest_empty_field_rejected(empty_field):
     with pytest.raises(ValueError):
         empty_field.nearest([0.0, 0.0])
+
+
+def _nearest_id(field, x):
+    """Id of the brute-force nearest token: the least |v - x| by
+    np.linalg.norm, ties to the lowest id."""
+    return min((float(np.linalg.norm(m - x)), int(i)) for m, i in zip(field.means, field.ids))[1]
+
+
+def test_nearest_exact_ties_go_to_the_lowest_id():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 16):
+        means = rng.normal(size=(6, dim))
+        means = np.vstack([means, means[[2, 2, 4]]])  # three more copies of two means
+        field = make_field(list(means), dim=dim, ids=[40, 9, 31, 7, 12, 3, 25, 5, 18])
+        for row, expected in ((2, 5), (4, 12), (0, 40)):
+            for x in (means[row], means[row] + 1e-9, means[row] * (1.0 + 1e-15)):
+                assert field.ids[field.nearest(x)] == expected == _nearest_id(field, x)
+
+
+def test_nearest_on_a_bisector_goes_to_the_lower_id():
+    # v and its mirror image in the first axis are bitwise equally far from
+    # every point with a zero first coordinate
+    rng = np.random.default_rng(12)
+    for dim in (2, 16):
+        v = rng.normal(size=dim)
+        v[0] = 0.75
+        mirror = v.copy()
+        mirror[0] = -0.75
+        field = make_field([v, mirror, 50.0 + v], dim=dim, ids=[8, 2, 1])
+        for t in (0.0, 1e-12, 0.3, 4.0):
+            x = v + t * rng.normal(size=dim)
+            x[0] = 0.0
+            assert field.ids[field.nearest(x)] == 2 == _nearest_id(field, x)
+    # midpoints of means on a grid, where many distances tie or differ in
+    # the last bits only
+    for dim in (2, 16):
+        means = np.round(4.0 * rng.normal(size=(12, dim))) / 4.0
+        field = make_field(list(means), dim=dim, bandwidth=0.3, ids=list(rng.permutation(12) + 1))
+        for a in range(12):
+            for b in range(a):
+                x = 0.5 * (means[a] + means[b])
+                assert field.ids[field.nearest(x)] == _nearest_id(field, x)
+
+
+def test_nearest_far_away_where_every_kernel_value_underflows():
+    rng = np.random.default_rng(13)
+    for dim in (2, 16):
+        means = rng.normal(size=(30, dim))
+        field = make_field(list(means), dim=dim, ids=list(range(100, 70, -1)))
+        for distance in (60.0, 1e3, 1e8):
+            direction = rng.normal(size=dim)
+            x = means[0] + distance * direction / np.linalg.norm(direction)
+            assert density_at(field, x) == 0.0
+            assert field.ids[field.nearest(x)] == _nearest_id(field, x)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e300])
+def test_nearest_at_coordinates_where_squares_come_near_or_past_overflow(scale):
+    rng = np.random.default_rng(14)
+    for dim in (1, 2, 16):
+        means = rng.normal(size=(20, dim))
+        means[5] = means[9]
+        field = make_field(list(means), dim=dim, ids=list(rng.permutation(20) + 1))
+        huge = make_field(list(scale * means), dim=dim, ids=list(rng.permutation(20) + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (scale * rng.normal(size=dim), -scale * np.ones(dim)):
+                assert field.ids[field.nearest(x)] == _nearest_id(field, x)
+            for x in (scale * means[9], scale * (means[9] + 1e-3 * rng.normal(size=dim)),
+                      scale * rng.normal(size=dim), np.zeros(dim)):
+                assert huge.ids[huge.nearest(x)] == _nearest_id(huge, x)
+
+
+def test_nearest_where_one_squared_distance_overflows_and_one_exponent_does_not():
+    # |x - v_0|^2 overflows to inf while |x_c|^2 and the exponent of v_1 stay
+    # finite: the exact rule still has to see every row
+    field = make_field([[-1.2e154], [1.2e154], [3e153]], dim=1, ids=[1, 3, 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in ([1e154], [-1e154], [2.5e153]):
+            assert field.ids[field.nearest(x)] == _nearest_id(field, np.array(x))
+
+
+def test_nearest_of_an_infinite_or_nan_point():
+    # an infinite coordinate puts every token at distance inf, a tie that
+    # goes to the lowest id; a NaN distance ties with nothing, giving row 0
+    for dim in (2, 16):
+        means = np.random.default_rng(15).normal(size=(5, dim))
+        field = make_field(list(means), dim=dim, ids=[30, 10, 20, 5, 40])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bad in ([np.inf], [-np.inf], [np.inf, -np.inf]):
+                x = np.zeros(dim)
+                x[:len(bad)] = bad
+                assert field.nearest(x) == 3 and _nearest_id(field, x) == 5
+            for bad in ([np.nan], [np.nan, np.inf], [np.inf, np.nan]):
+                x = np.zeros(dim)
+                x[:len(bad)] = bad
+                assert field.nearest(x) == 0
+
+
+@st.composite
+def _nearest_cases(draw):
+    dim = draw(st.sampled_from([1, 2, 16]))
+    n = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3, 1e150]))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    means = scale * np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                           min_size=n, max_size=n)))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        means[a] = means[b]
+    ids = draw(st.permutations(range(1, 40)))[:n]
+    bandwidth = draw(st.sampled_from([1e-3, 0.5, 1.0, 30.0]))
+    field = make_field(list(means), dim=dim, bandwidth=bandwidth, ids=ids)
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    t = draw(st.sampled_from([0.0, 0.5, 1.0, draw(st.floats(-3.0, 3.0))]))
+    offset = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3, 1e200]))
+    direction = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    return field, means[a] + t * (means[b] - means[a]) + offset * direction
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nearest_cases())
+def test_nearest_matches_the_brute_force_loop(case):
+    field, x = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert field.ids[field.nearest(x)] == _nearest_id(field, x)

@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
+import bench_pairs  # noqa: E402
 import tree_drift  # noqa: E402
 import workloads  # noqa: E402
 
@@ -31,6 +33,9 @@ def test_walk_measures_float_drift_and_reports_other_differences():
     drift, problems = [], []
     tree_drift._walk({"a": [1.0, 2.0], "n": 3}, {"a": [1.0, 2.5], "n": 3}, "f", drift, problems)
     assert (drift, problems) == ([0.5], [])
+    drift, problems = [], []
+    tree_drift._walk({"a": [-0.0]}, {"a": [0.0]}, "f", drift, problems)
+    assert (drift, problems) == ([0.0], [])
     for old, new in (({"n": 3}, {"n": 4}), ({"n": 3}, {"n": 3.0}), ([1.0], [1.0, 2.0]),
                      ({"a": 1}, {"b": 1}), ({"s": "x"}, {"s": None})):
         drift, problems = [], []
@@ -80,3 +85,53 @@ def test_tree_drift_runs_the_cognition_tree(tmp_path):
         "simulation"]["seeds"]
     assert lines == [f"flow_sparse/seed1/cognition/{name}: identical" for name in sorted(
         ["selection.json"] + [f"trajectory_seed{seed}.json" for seed in seeds])]
+
+
+def _final_line(job_s, rss, failed=0):
+    return {"correct": failed == 0, "attempted": 20, "failed": failed,
+            "metrics": {"job_s": {"value": job_s, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_bench_pairs_alternates_the_sides_and_summarises_the_final_lines():
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root, seed))
+        parent = root == "P"
+        job_s = {1: (10.0, 6.0), 2: (9.0, 9.0), 3: (11.0, 5.0), 4: (8.0, 8.5)}[seed][
+            0 if parent else 1]
+        line = _final_line(job_s, 76.0 if parent else 76.5, failed=int(seed == 3 and parent))
+        return {"workload": workload, "side": root}, line
+
+    result = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "flow_dense",
+                                   bench_pairs.parse_seeds("1-4"), 25.0, run=fake_run)
+    assert calls == [("P", 1), ("C", 1), ("C", 2), ("P", 2), ("P", 3), ("C", 3),
+                     ("C", 4), ("P", 4)]
+    assert result["info"] == {"parent": {"workload": "flow_dense", "side": "P"},
+                              "change": {"workload": "flow_dense", "side": "C"}}
+    metrics = [{"name": "job_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
+    summary = bench_pairs.summarise(result["runs"], metrics)
+    # job_s: the change wins seeds 1 and 3, ties seed 2 and loses seed 4
+    assert summary["job_s"] == {
+        "pairs": 4, "change_won": 2, "parent_won": 1,
+        "parent": {"q1": 8.75, "median": 9.5, "q3": 10.25},
+        "change": {"q1": 5.75, "median": 7.25, "q3": 8.625}}
+    assert (summary["peak_rss_mb"]["change_won"], summary["peak_rss_mb"]["parent_won"]) == (0, 4)
+    assert summary["parent"] == {"attempted": 80, "failed": 1, "correct": False}
+    assert summary["change"] == {"attempted": 80, "failed": 0, "correct": True}
+    higher = bench_pairs.summarise(result["runs"], [{"name": "job_s", "better": "higher"}])
+    assert (higher["job_s"]["change_won"], higher["job_s"]["parent_won"]) == (1, 2)
+    out = io.StringIO()
+    bench_pairs.report(summary, metrics, out=out)
+    assert out.getvalue().splitlines()[1].split() == [
+        "job_s", "parent", "8.75", "9.5", "10.25", "1"]
+
+
+def test_bench_pairs_reads_seed_lists_and_ranges():
+    assert bench_pairs.parse_seeds("1-10") == list(range(1, 11))
+    assert bench_pairs.parse_seeds("1,3,11-12") == [1, 3, 11, 12]
+    assert bench_pairs.parse_seeds("7") == [7]
+    for bad in ("1-3,2", "", "a"):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_seeds(bad)

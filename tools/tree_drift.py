@@ -13,7 +13,8 @@ and a context capacity of 4, since every benchmark config keeps the
 identity pipeline. Each root runs the workload's commands through its own
 geomind.cli.run in a subprocess. For every file
 the report prints "identical", or the largest absolute drift of a float and
-the number of floats that moved. The exit status is 1 when the file lists
+the number of floats that moved, where a float moved when its repr changed,
+so a zero that changed sign counts. The exit status is 1 when the file lists
 differ or any value other than a float differs (a key, a length, an int, a
 string, a float turning into something else), else 0.
 """
@@ -79,9 +80,10 @@ def _values(path: Path):
 
 def _walk(a, b, where: str, drift: list, problems: list) -> None:
     """Append |a - b| of every float pair that moved to drift and a note on
-    every other difference to problems."""
+    every other difference to problems. A float moved when its repr changed,
+    so a zero that changed sign moves by 0."""
     if type(a) is float and type(b) is float:
-        if a != b:
+        if repr(a) != repr(b):
             drift.append(abs(a - b))
     elif isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
