@@ -96,7 +96,7 @@ def _final_line(job_s, rss, failed=0):
 def test_bench_pairs_alternates_the_sides_and_summarises_the_final_lines():
     calls = []
 
-    def fake_run(root, workload, seed, seconds):
+    def fake_run(root, workload, seed):
         calls.append((root, seed))
         parent = root == "P"
         job_s = {1: (10.0, 6.0), 2: (9.0, 9.0), 3: (11.0, 5.0), 4: (8.0, 8.5)}[seed][
@@ -105,7 +105,7 @@ def test_bench_pairs_alternates_the_sides_and_summarises_the_final_lines():
         return {"workload": workload, "side": root}, line
 
     result = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "flow_dense",
-                                   bench_pairs.parse_seeds("1-4"), 25.0, run=fake_run)
+                                   bench_pairs.parse_seeds("1-4"), run=fake_run)
     assert calls == [("P", 1), ("C", 1), ("C", 2), ("P", 2), ("P", 3), ("C", 3),
                      ("C", 4), ("P", 4)]
     assert result["info"] == {"parent": {"workload": "flow_dense", "side": "P"},

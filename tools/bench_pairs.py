@@ -2,14 +2,14 @@
 
 Usage (from the repository root):
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W --seeds 1-10
-        [--seconds S] [--out FILE]
+        [--out FILE]
 
 Each root is a checkout with perfbench/ and src/. For every seed the tool
 runs `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`
 once in each root, one after the other: the parent first on odd seeds, the
-change first on even ones. --seeds takes numbers and ranges such as
-"1-10" or "1,3,11-12"; --seconds defaults to this repository's
-BENCHMARK.json run_seconds. For every end-to-end metric that BENCHMARK.json
+change first on even ones. S is this repository's BENCHMARK.json
+run_seconds, the run length the benchmark itself uses. --seeds takes
+numbers and ranges such as "1-10" or "1,3,11-12". For every end-to-end metric that BENCHMARK.json
 names, the report prints each side's median and quartiles over the seeds
 and the number of pairs the change won, by the metric's better direction;
 a tie counts for neither side. The final lines of every run and that
@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 
 
@@ -42,11 +43,12 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """The first line (workload and machine) and the final line of one
     untraced perfbench run in root, both parsed."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+                           "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -57,13 +59,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
                            "and no final line") from None
 
 
-def run_pairs(roots: dict, workload: str, seeds, seconds: float, run=run_once) -> dict:
+def run_pairs(roots: dict, workload: str, seeds, run=run_once) -> dict:
     """{"info": {side: first line}, "runs": {side: {seed: final line}}} of
     one run per side and seed, the parent first on odd seeds."""
     info, runs = {}, {side: {} for side in SIDES}
     for seed in seeds:
         for side in (SIDES if seed % 2 else SIDES[::-1]):
-            first, final = run(roots[side], workload, seed, seconds)
+            first, final = run(roots[side], workload, seed)
             info.setdefault(side, first)
             runs[side][str(seed)] = final
             print(f"seed {seed} {side}: " + ", ".join(
@@ -117,20 +119,18 @@ def report(summary: dict, metrics: list[dict], out=sys.stdout) -> None:
 
 
 def main(argv=None) -> int:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in benchmark["workloads"]])
+                        choices=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seeds", required=True, type=parse_seeds)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    metrics = benchmark["end_to_end"]
+    metrics = BENCHMARK["end_to_end"]
     result = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
-                       args.seeds, args.seconds)
-    result = {"workload": args.workload, "seconds": args.seconds, **result,
+                       args.seeds)
+    result = {"workload": args.workload, "seconds": BENCHMARK["run_seconds"], **result,
               "summary": summarise(result["runs"], metrics)}
     report(result["summary"], metrics)
     if args.out:
