@@ -25,7 +25,12 @@ or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
 A batch is row-invariant: each row is bitwise what the point gives alone.
 The field metric evaluates a batch from one _exponents pass, with np.matmul
 stacked per point, np.vecdot (the bits of np.dot) and elementwise
-arithmetic, never one (B, D) @ (D, n) GEMM. A single point keeps three
+arithmetic, never one (B, D) @ (D, n) GEMM. Its Gamma, for a point or a
+batch, is one gather from [g, -g, 0], g = grad lambda, through a read-only
+(D, D, D) index cached per dimension (_christoffel_index), divided by
+2 lambda; a batch gathers with np.take, whose result is C-ordered, since
+the einsum that contracts Gamma sums in an order that follows the strides
+of its operands. A single point keeps three
 density calls (density_at twice and density_gradient once), because the
 benchmark's traced flows pin 4 christoffel and 12 density calls per RK4
 step, but the three calls share one kernel pass: each field keeps the
@@ -39,6 +44,7 @@ class, and so CallableMetric, takes christoffel_fd one row at a time.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -119,8 +125,11 @@ class TokenField:
         copied. So no write through a given array reaches the field; only a
         view taken of one before the call could. ValueError names the first
         offending id."""
-        if not 0 < bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        if not 2.0**-511 <= bandwidth < 2.0**511:
+            # the kernel divides by h^2 and 2 h^2, which must neither
+            # overflow nor lose bits as subnormals
+            raise ValueError("bandwidth must be positive and finite, with a normal square: "
+                             f"2^-511 <= bandwidth < 2^511, got {bandwidth!r}")
         if not 0 < epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
         ids, means = _owned(ids, np.int64), _owned(means, float)
@@ -459,6 +468,18 @@ class SphereMetric(MetricSource):
         return gamma
 
 
+@functools.cache
+def _christoffel_index(dim: int) -> np.ndarray:
+    """Read-only (D, D, D) index into [g, -g, 0], length 2D + 1, that gathers
+    the conformal Gamma^m_{nl} * 2 lambda: g_l where m = n, else g_n where
+    m = l, else -g_m where n = l, else 0. Where m = n = l the three Kronecker
+    terms sum to (g_m + g_m) - g_m, which is g_m exactly."""
+    m, n, l = np.indices((dim,) * 3)
+    index = np.where(m == n, l, np.where(m == l, n, np.where(n == l, dim + m, 2 * dim)))
+    index.flags.writeable = False
+    return index
+
+
 class ConformalFieldMetric(MetricSource):
     """Data-driven conformal metric g(x) = lambda(x) * I, lambda = 1/(rho + eps)."""
 
@@ -478,7 +499,8 @@ class ConformalFieldMetric(MetricSource):
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         # closed form for a conformally flat metric lambda * I:
-        # Gamma^m_{nl} = (delta^m_n d_l lam + delta^m_l d_n lam - delta_nl d_m lam) / (2 lam)
+        # Gamma^m_{nl} = (delta^m_n d_l lam + delta^m_l d_n lam - delta_nl d_m lam) / (2 lam),
+        # gathered from [grad lam, -grad lam, 0] by _christoffel_index
         x = _as_vector(x, self.dim, batch=True)
         if x.ndim == 2:
             return self._christoffel_rows(x)
@@ -487,20 +509,13 @@ class ConformalFieldMetric(MetricSource):
         # density calls per RK4 step
         lam = self.conformal_factor(x)
         grad = self.conformal_gradient(x)
-        d = self.dim
-        eye = np.eye(d)
-        gamma = (
-            np.einsum("mn,l->mnl", eye, grad)
-            + np.einsum("ml,n->mnl", eye, grad)
-            - np.einsum("nl,m->mnl", eye, grad)
-        )
-        return gamma / (2.0 * lam)
+        return np.concatenate((grad, -grad, [0.0]))[_christoffel_index(self.dim)] / (2.0 * lam)
 
     def _christoffel_rows(self, points: np.ndarray) -> np.ndarray:
         """christoffel for each row of a (B, D) array from one _exponents
         pass, with the arithmetic of density_at, density_gradient and the
         single-point branch, so each row gets the bits it gets alone."""
-        field, eye = self.field, np.eye(self.dim)
+        field = self.field
         lam = np.empty(len(points))
         grad = np.empty(points.shape)
         for rows, xc, exponent in _exponents(field, points):
@@ -512,11 +527,10 @@ class ConformalFieldMetric(MetricSource):
         # the single-point branch squares a Python float, which is C pow(); it
         # can differ from numpy's lam * lam in the last bit
         grad *= -np.array([value**2 for value in lam.tolist()])[:, None]
-        gamma = (
-            np.einsum("mn,bl->bmnl", eye, grad)
-            + np.einsum("ml,bn->bmnl", eye, grad)
-            - np.einsum("nl,bm->bmnl", eye, grad)
-        )
+        # np.take keeps the result C-ordered; indexing [:, index] would put the
+        # batch axis fastest
+        gamma = np.take(np.concatenate((grad, -grad, np.zeros((len(grad), 1))), axis=1),
+                        _christoffel_index(self.dim), axis=1)
         return gamma / (2.0 * lam)[:, None, None, None]
 
     def scalar_curvature(self, points) -> np.ndarray:

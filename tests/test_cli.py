@@ -134,12 +134,18 @@ def test_input_files_refuse_non_finite_constants(workdir, constant):
     ('"tokens": [{"id": 7, "mean": [0.0, 1e999]}]', "token 7: mean, covariance and weight must be finite"),
     ('"bandwidth": 1e999', "bandwidth must be positive and finite"),
     ('"epsilon": -1e999', "epsilon must be positive and finite"),
+    ('"bandwidth": 1e200', "with a normal square: .*, got 1e\\+200"),
+    ('"bandwidth": 1e-170', "with a normal square: .*, got 1e-170"),
 ])
 def test_load_field_refuses_overflowing_numbers(tmp_path, entry, rule):
-    # 1e999 is standard JSON but reads as infinity
+    # 1e999 is standard JSON but reads as infinity; 1e200 squared overflows
+    # and 1e-170 squared underflows to 0
     (tmp_path / "field.json").write_text('{"dimension": 2, ' + entry + '}')
     with pytest.raises(FieldFormatError, match=rule):
         load_field(tmp_path / "field.json")
+    write_json(tmp_path / "config.json", {"field": "field.json"})
+    assert main(["simulate", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_load_input_schedule_refuses_overflowing_number(tmp_path):

@@ -316,17 +316,20 @@ def test_batch_rows_equal_their_solo_runs(case):
         assert np.array_equal(batch.times, solo.times[:len(batch)])
 
 
-@pytest.mark.parametrize("kind, d", [("conformal", 2), ("conformal", 3), ("conformal", 5),
-                                     ("sphere", 2)])
+@pytest.mark.parametrize("kind, d", [("conformal", 1), ("conformal", 2), ("conformal", 3),
+                                     ("conformal", 5), ("conformal", 16), ("sphere", 2)])
 def test_christoffel_rows_equal_single_points(kind, d):
     # thousands of points, over several kernel blocks: about one field point
     # in a thousand has a conformal factor whose square by C pow() differs
-    # from lam * lam in the last bit
+    # from lam * lam in the last bit. Batches hold at most 2^23 Gamma entries
+    # (64 MB), so all points go in one batch below D = 16
     source = _source(kind, d)
     points = np.random.default_rng(100 + d).uniform(0.2, 2.9, (8000, d))
-    gamma = source.christoffel(points)
-    for row, point in enumerate(points):
-        assert np.array_equal(gamma[row], source.christoffel(point)), point.tolist()
+    step = 2**23 // d**3
+    for lo in range(0, len(points), step):
+        gamma = source.christoffel(points[lo:lo + step])
+        for row, point in enumerate(points[lo:lo + step]):
+            assert np.array_equal(gamma[row], source.christoffel(point)), point.tolist()
 
 
 def test_chart_check_covers_every_row_of_a_batch(sphere):

@@ -205,6 +205,24 @@ def test_bad_kernel_parameters_rejected():
         TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], bandwidth=1.0, epsilon=0.0)
 
 
+@pytest.mark.parametrize("bandwidth", [1e200, 2.0**511, 1e-170, np.nextafter(2.0**-511, 0.0)],
+                         ids=["1e200", "2^511", "1e-170", "below 2^-511"])
+def test_bandwidth_whose_square_is_not_a_normal_float_is_refused(bandwidth):
+    # 1e200 squared overflowed in the constructor; 1e-170 squared is 0, and
+    # the density divided by it. From 2^511 on, 2 h^2 overflows; below
+    # 2^-511, h^2 is subnormal
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite, with a normal square"):
+        TokenField([1, 2], [[0.0], [1.0]], np.zeros((2, 1, 1)), [1.0, 1.0], bandwidth=bandwidth)
+
+
+@pytest.mark.parametrize("bandwidth", [2.0**-511, np.nextafter(2.0**511, 0.0)],
+                         ids=["2^-511", "below 2^511"])
+def test_bandwidth_at_the_range_ends_gives_finite_densities(bandwidth):
+    field = TokenField([1, 2], [[0.0], [1.0]], np.zeros((2, 1, 1)), [1.0, 1.0], bandwidth=bandwidth)
+    source = ConformalFieldMetric(field)
+    assert np.isfinite(density_at(field, [0.5])) and np.all(np.isfinite(source.christoffel([0.5])))
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf],
                          ids=["zero", "negative", "nan", "inf", "-inf"])
 def test_analytic_metrics_refuse_non_positive_or_non_finite_scale(value):
@@ -328,6 +346,61 @@ def test_christoffel_fd_agreement_random_points():
         exact = source.christoffel(x)
         fd = christoffel_fd(source, x)
         assert np.max(np.abs(exact - fd)) <= 1e-4
+
+
+def _kronecker_christoffel(grad, lam):
+    """The conformal Gamma^m_{nl} = (delta_mn g_l + delta_ml g_n - delta_nl g_m) / 2 lam
+    as three einsum outer products with the identity: for a (D,) gradient and
+    a float, or for a (B, D) gradient and (B,) factors. The reference that
+    the gather must reproduce."""
+    eye = np.eye(grad.shape[-1])
+    if grad.ndim == 1:
+        return (np.einsum("mn,l->mnl", eye, grad) + np.einsum("ml,n->mnl", eye, grad)
+                - np.einsum("nl,m->mnl", eye, grad)) / (2.0 * lam)
+    return (np.einsum("mn,bl->bmnl", eye, grad) + np.einsum("ml,bn->bmnl", eye, grad)
+            - np.einsum("nl,bm->bmnl", eye, grad)) / (2.0 * lam)[:, None, None, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_christoffel_gather_equals_kronecker_products(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    source = ConformalFieldMetric(make_field(rng.uniform(-1.0, 1.0, (6, d)), dim=d,
+                                             bandwidth=0.7, epsilon=0.3))
+    points = rng.uniform(-1.5, 1.5, (40, d))
+    lam = np.array([source.conformal_factor(p) for p in points])
+    grad = np.array([source.conformal_gradient(p) for p in points])
+    assert np.all(grad != 0.0)
+    gamma = source.christoffel(points)
+    assert gamma.flags.c_contiguous
+    assert gamma.tobytes() == _kronecker_christoffel(grad, lam).tobytes()
+    for point, factor, row in zip(points, lam, grad):
+        assert source.christoffel(point).tobytes() == _kronecker_christoffel(row, factor).tobytes()
+
+    # a zero component: the products give +0 where the gather can give -0
+    origin = ConformalFieldMetric(make_field([[0.0] * d], dim=d))
+    points[:, 0] = rng.choice([0.0, -0.0], len(points))
+    lam = np.array([origin.conformal_factor(p) for p in points])
+    grad = np.array([origin.conformal_gradient(p) for p in points])
+    assert np.all(grad[:, 0] == 0.0)
+    assert np.array_equal(origin.christoffel(points), _kronecker_christoffel(grad, lam))
+
+    # any size and sign below 2^1022, and signed zeros, through the single
+    # point, whose patched methods return the current row and factor
+    monkeypatch.setattr(source, "conformal_gradient", lambda x: row)
+    monkeypatch.setattr(source, "conformal_factor", lambda x: factor)
+    for _ in range(50):
+        row = rng.choice([-1.0, 1.0], d) * 2.0 ** rng.uniform(-1060.0, 1021.9, d)
+        factor = 2.0 ** rng.uniform(0.0, 20.0)
+        assert source.christoffel(points[0]).tobytes() == _kronecker_christoffel(row, factor).tobytes()
+        row[rng.random(d) < 0.5] = rng.choice([0.0, -0.0])
+        assert np.array_equal(source.christoffel(points[0]), _kronecker_christoffel(row, factor))
+
+    # from |g| = 2^1023 on, the products' g_m + g_m on the diagonal
+    # m = n = l overflowed to infinity; the gather takes g_m itself
+    row, factor = np.full(d, 2.0**1023), 1.0
+    with np.errstate(over="ignore"):
+        assert np.isinf(_kronecker_christoffel(row, factor)[0, 0, 0])
+    assert source.christoffel(points[0])[0, 0, 0] == 2.0**1022
 
 
 def test_christoffel_lower_index_symmetry(random_field, sphere):
