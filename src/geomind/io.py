@@ -8,6 +8,7 @@ representation.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -97,7 +98,8 @@ def _key(key) -> str:
 def _encode(value, indent: str) -> str:
     """value as json.dumps(value, indent=2, allow_nan=False) writes it at
     nesting level indent. json's indented encoder is pure Python and makes
-    a call per float; a list of floats here is one str.join."""
+    a call per float; a list of floats here is one str.join. save_snapshots
+    fills its token rows into templates built by this function."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -254,6 +256,41 @@ def _changed_rows(field: TokenField, previous: Optional[TokenField]) -> np.ndarr
     return np.flatnonzero(differs)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_template(d: int, diagonal: bool) -> str:
+    """A %-template of one token row in dimension d: the _encode text of a
+    row of "%s" strings, so it cannot drift from write_json, with slots for
+    the separator before the row, the id, the mean, the covariance entries
+    (when diagonal, only the diagonal ones, with 0.0 written off it) and
+    the weight."""
+    cov = [["%s" if i == j or not diagonal else 0.0 for j in range(d)] for i in range(d)]
+    # a token entry sits two levels down, in the tokens list of the top object
+    row = _encode({"id": "%s", "mean": ["%s"] * d, "covariance": cov, "weight": "%s"}, "    ")
+    return "%s\n    " + row.replace('"%s"', "%s")
+
+
+def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
+    """Set rows[k], for each k of block, to the text of token row k: one
+    repr pass over the block's floats, then one template fill per row. A
+    row whose off-diagonals are all bitwise +0.0 takes the diagonal
+    template; any other, -0.0 included, takes the full one."""
+    d = field.dimension
+    table = np.concatenate((field.means[block], field.covariances[block].reshape(len(block), d * d),
+                            field.weights[block, None]), axis=1)
+    if not np.isfinite(table).all():  # floats in the reference's order: _encode raises its error
+        _encode(table.tolist(), "")
+    off = np.arange(d, d + d * d)[~np.eye(d, dtype=bool).ravel()]  # off-diagonal columns
+    diagonal = ~table[:, off].view(np.int64).any(axis=1)
+    keep = np.ones(table.shape, dtype=bool)
+    keep[:, off] = ~diagonal[:, None]
+    reprs = list(map(float.__repr__, table[keep].tolist()))
+    widths = keep.sum(axis=1)
+    templates = (_row_template(d, False), _row_template(d, True))
+    for k, i, diag, end, width in zip(block.tolist(), field.ids[block].tolist(), diagonal.tolist(),
+                                      np.cumsum(widths).tolist(), widths.tolist()):
+        rows[k] = templates[diag] % ("[" if k == 0 else ",", i, *reprs[end - width:end])
+
+
 def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
     """Write each field to its path, byte-equal to write_json(path,
     field_to_dict(field)).
@@ -263,8 +300,8 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
     differs bitwise from the same row of the previous field. The first
     field, and a field whose n or D differs from the previous one, is
     encoded in full; the header always is. Rows are encoded ROW_BLOCK at a
-    time and written one by one, so neither a full field's Python floats
-    nor its whole text exist at once beside the row texts.
+    time, each through one repr pass and cached row templates, and written
+    one by one, so a full field's whole text never exists at once.
     """
     if len(fields) != len(paths):
         raise ValueError(f"{len(fields)} fields but {len(paths)} paths")
@@ -274,14 +311,7 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
         if len(rows) != len(field):
             rows = [""] * len(field)
         for lo in range(0, len(changed), ROW_BLOCK):
-            block = changed[lo:lo + ROW_BLOCK]
-            for k, i, mean, cov, w in zip(
-                    block.tolist(), field.ids[block].tolist(), field.means[block].tolist(),
-                    field.covariances[block].tolist(), field.weights[block].tolist()):
-                # a token entry sits two levels down, in the tokens list of the
-                # top object, and carries the separator that goes before it
-                rows[k] = ("[" if k == 0 else ",") + "\n    " + _encode(
-                    {"id": i, "mean": mean, "covariance": cov, "weight": w}, "    ")
+            _encode_rows(field, changed[lo:lo + ROW_BLOCK], rows)
         # the header object, less its closing "\n}", takes the tokens as its last key
         head = _encode({"dimension": field.dimension, "bandwidth": field.bandwidth,
                         "epsilon": field.epsilon}, "")[:-2]

@@ -130,8 +130,10 @@ class TokenField:
             # overflow nor lose bits as subnormals
             raise ValueError("bandwidth must be positive and finite, with a normal square: "
                              f"2^-511 <= bandwidth < 2^511, got {bandwidth!r}")
-        if not 0 < epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not 2.0**-511 <= epsilon < np.inf:
+            # far from the data lambda = 1/epsilon, and lambda^2 must stay finite
+            raise ValueError("epsilon must be positive and finite, with a finite 1/epsilon^2: "
+                             f"2^-511 <= epsilon, got {epsilon!r}")
         ids, means = _owned(ids, np.int64), _owned(means, float)
         covariances, weights = _owned(covariances, float), _owned(weights, float)
         if means.ndim != 2 or means.shape[1] < 1:

@@ -148,6 +148,18 @@ def test_load_field_refuses_overflowing_numbers(tmp_path, entry, rule):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_geodesic_on_a_field_with_tiny_epsilon_exits_2_with_no_output(tmp_path):
+    # far from the token lambda = 1/epsilon = 1e300, whose square overflowed
+    # in the Christoffel symbols and ended the run in a traceback
+    write_json(tmp_path / "field.json", {"dimension": 1, "epsilon": 1e-300,
+                                         "tokens": [{"id": 1, "mean": [0.0]}]})
+    write_json(tmp_path / "config.json", {"field": "field.json",
+                                          "geodesic": {"start": [100.0], "end": [101.0]}})
+    assert main(["geodesic", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_input_schedule_refuses_overflowing_number(tmp_path):
     (tmp_path / "inputs.json").write_text('[{"step": 3, "vector": [1e999, 0.0]}]')
     with pytest.raises(FieldFormatError, match="step 3: vector must be finite"):

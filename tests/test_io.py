@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomind import CognitionParams, TokenField, run_learning
-from geomind.io import field_to_dict, load_field, save_field, save_snapshots, write_json
+from geomind.io import (ROW_BLOCK, field_to_dict, load_field, save_field, save_snapshots,
+                        write_json)
 from geomind.mind import demo_field
 
 
@@ -222,6 +223,85 @@ def _field_sequences(draw):
 @given(_field_sequences())
 def test_snapshots_of_random_row_edits_match_the_reference(tmp_path, fields):
     _assert_snapshots_match(tmp_path, fields)
+
+
+COVARIANCE_KINDS = ("full", "diagonal", "zero", "negative zero", "subnormal")
+
+
+def _covariance(draw, kind: str, d: int) -> np.ndarray:
+    """One symmetric PSD d x d covariance of the given kind: a full SPD
+    matrix; a diagonal one whose off-diagonals are +0.0; all zeros; or a
+    diagonal one whose (0, 1) and (1, 0) entries are -0.0 or 5e-324."""
+    if kind == "full":
+        factor = draw(hnp.arrays(float, (d, d), elements=st.floats(-3, 3)))
+        return factor @ factor.T + np.eye(d)
+    if kind == "zero":
+        return np.zeros((d, d))
+    diagonal = draw(hnp.arrays(float, d, elements=st.one_of(
+        st.floats(0, 10), st.sampled_from([0.0, -0.0, 5e-324]))))
+    cov = np.diag(diagonal)
+    if d > 1 and kind != "diagonal":
+        cov[0, 1] = cov[1, 0] = -0.0 if kind == "negative zero" else 5e-324
+    return cov
+
+
+@st.composite
+def _mixed_covariance_sequences(draw):
+    """A field whose rows mix the covariance kinds, in D = 1 to 3, and a run
+    of fields each giving random rows a covariance of a fresh kind."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    means = draw(hnp.arrays(float, (n, d), elements=st.floats(-1e3, 1e3)))
+    weights = draw(hnp.arrays(float, n, elements=st.floats(0, 10)))
+    covariances = np.stack([_covariance(draw, draw(st.sampled_from(COVARIANCE_KINDS)), d)
+                            for _ in range(n)])
+    fields = [TokenField(np.arange(n), means, covariances, weights, 1.0, 0.5)]
+    for _ in range(draw(st.integers(0, 3))):
+        covariances = fields[-1].covariances.copy()
+        for row in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            covariances[row] = _covariance(draw, draw(st.sampled_from(COVARIANCE_KINDS)), d)
+        fields.append(TokenField(np.arange(n), means, covariances, weights, 1.0, 0.5))
+    return fields
+
+
+@SHARED_PATH
+@given(_mixed_covariance_sequences())
+def test_snapshots_of_mixed_covariance_kinds_match_the_reference(tmp_path, fields):
+    _assert_snapshots_match(tmp_path, fields)
+
+
+def test_snapshots_of_mixed_covariance_kinds_across_row_blocks(tmp_path):
+    # 300 rows span two ROW_BLOCKs, with rows of every kind on both sides
+    rng = np.random.default_rng(16)
+    n, d = 300, 3
+    factors = rng.normal(size=(n, d, d))
+    covariances = np.einsum("nd,de->nde", rng.uniform(0.01, 0.05, (n, d)), np.eye(d))
+    full = np.arange(n) % 3 == 0
+    covariances[full] = factors[full] @ factors[full].transpose(0, 2, 1)
+    covariances[1::6, 0, 1] = covariances[1::6, 1, 0] = -0.0
+    covariances[2::6, 1, 2] = covariances[2::6, 2, 1] = 5e-324
+    covariances[4::12] = 0.0
+    field = TokenField(np.arange(n), rng.normal(size=(n, d)), covariances,
+                       rng.uniform(0.5, 1.5, n), 1.0, 0.5)
+    moved = TokenField(field.ids, field.means, field.covariances[::-1], field.weights, 1.0, 0.5)
+    for f in (field, moved):
+        off = f.covariances.reshape(n, d * d)[:, ~np.eye(d, dtype=bool).ravel()]
+        diagonal = ~off.view(np.int64).any(axis=1)
+        assert all(0 < rows.sum() < len(rows)
+                   for rows in (diagonal[:ROW_BLOCK], diagonal[ROW_BLOCK:]))
+    _assert_snapshots_match(tmp_path, [field, moved])
+
+
+@pytest.mark.parametrize("where", ["means", "covariances", "weights"])
+def test_snapshot_of_a_non_finite_row_raises_the_reference_error(tmp_path, where):
+    # the constructor refuses NaN, so write it into the field's own array
+    field = demo_field()
+    array = getattr(field, where)
+    array.flags.writeable = True
+    array.reshape(-1)[-1] = np.nan
+    with pytest.raises(ValueError) as reference:
+        write_json(tmp_path / "reference.json", field_to_dict(field))
+    with pytest.raises(ValueError, match=re.escape(str(reference.value))):
+        save_snapshots([field], [tmp_path / "snap.json"])
 
 
 def test_snapshot_sees_a_mean_flip_from_zero_to_negative_zero(tmp_path, caplog):

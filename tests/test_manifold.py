@@ -223,6 +223,22 @@ def test_bandwidth_at_the_range_ends_gives_finite_densities(bandwidth):
     assert np.isfinite(density_at(field, [0.5])) and np.all(np.isfinite(source.christoffel([0.5])))
 
 
+def test_epsilon_below_2_to_the_minus_511_is_refused():
+    # far from the data lambda = 1/epsilon, and the Christoffel symbols
+    # square it: from 1e-300 on that overflowed in a geodesic run
+    for epsilon in (np.nextafter(2.0**-511, 0.0), 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite, with a finite"):
+            TokenField([1], [[0.0]], np.zeros((1, 1, 1)), [1.0], epsilon=epsilon)
+
+
+def test_epsilon_of_2_to_the_minus_511_gives_finite_christoffel_symbols_far_from_data():
+    field = TokenField([1], [[0.0]], np.zeros((1, 1, 1)), [1.0], epsilon=2.0**-511)
+    assert field.epsilon == 2.0**-511
+    source = ConformalFieldMetric(field)
+    assert source.conformal_factor([100.0]) == 2.0**511
+    assert np.all(np.isfinite(source.christoffel([100.0])))
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf],
                          ids=["zero", "negative", "nan", "inf", "-inf"])
 def test_analytic_metrics_refuse_non_positive_or_non_finite_scale(value):

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+from geomind.config import load_config  # noqa: E402
 import tree_drift  # noqa: E402
 import workloads  # noqa: E402
 
@@ -47,7 +48,8 @@ def test_long_learn_tree_is_the_seed_one_learn_config_at_25_cycles():
     assert tree_drift.specs(("learn_churn",), (1, 2), ("json",)) == [
         ("learn_churn/seed1/json", "learn_churn", 1, ("output", {"format": "json"})),
         ("learn_churn/seed2/json", "learn_churn", 2, ("output", {"format": "json"})),
-        ("learn_churn/seed1/long", "learn_churn", 1, ("learning", {"cycles": 25}))]
+        ("learn_churn/seed1/long", "learn_churn", 1, ("learning", {"cycles": 25})),
+        ("learn_churn/seed1/full", "learn_churn", 1, ("field", tree_drift.full_covariances))]
     assert [tree for tree, *_ in tree_drift.specs(("survey",), (1,), ("json",))] == [
         "survey/seed1/json"]
     assert [tree for tree, *_ in tree_drift.specs(("learn_churn",), (2,), ("json",))] == [
@@ -59,8 +61,25 @@ def test_tree_drift_runs_the_long_learn_tree():
     assert tree_drift.compare(ROOT, ROOT, names=("learn_churn",), seeds=(1,), formats=(),
                               out=out) == 0
     lines = out.getvalue().splitlines()
-    assert lines == [f"learn_churn/seed1/long/{name}: identical" for name in sorted(
-        ["error_curve.json"] + [f"field_cycle{k:04d}.json" for k in range(26)])]
+    assert lines == [f"learn_churn/seed1/{tree}/{name}: identical"
+                     for tree, cycles in (("long", 25), ("full", 3)) for name in sorted(
+                         ["error_curve.json"] + [f"field_cycle{k:04d}.json"
+                                                 for k in range(cycles + 1)])]
+
+
+def test_full_covariance_tree_has_no_diagonal_covariance(tmp_path):
+    config = workloads.generate("learn_churn", 1, tmp_path)
+    field = json.loads((tmp_path / "field.json").read_text())
+    tree_drift.full_covariances(field)
+    (tmp_path / "field.json").write_text(json.dumps(field))
+    covariances = load_config(config).field.covariances
+    n, d = covariances.shape[:2]
+    off = covariances.reshape(n, d * d)[:, ~np.eye(d, dtype=bool).ravel()]
+    assert np.all(off[1:] != 0.0)
+    # the first token's off-diagonals are zero, (0, 1) and (1, 0) -0.0
+    signs = np.zeros((d, d), dtype=bool)
+    signs[0, 1] = signs[1, 0] = True
+    assert not off[0].any() and np.array_equal(np.signbit(covariances[0]), signs)
 
 
 def test_cognition_tree_is_the_seed_one_flow_config_with_a_non_identity_pipeline():

@@ -5,18 +5,21 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus two more: a long-learn tree,
-the learn_churn seed-1 config at 25 cycles, whose many snapshots share most
-of their token rows, and a cognition tree, the flow_sparse seed-1 config
-with non-identity value and predictor matrices, a bias, tanh activation
-and a context capacity of 4, since every benchmark config keeps the
-identity pipeline. Each root runs the workload's commands through its own
-geomind.cli.run in a subprocess. For every file
-the report prints "identical", or the largest absolute drift of a float and
-the number of floats that moved, where a float moved when its repr changed,
-so a zero that changed sign counts. The exit status is 1 when the file lists
-differ or any value other than a float differs (a key, a length, an int, a
-string, a float turning into something else), else 0.
+with JSON and CSV output, 24 trees in all, plus three more: a long-learn
+tree, the learn_churn seed-1 config at 25 cycles, whose many snapshots share
+most of their token rows; a full-covariance learn tree, the learn_churn
+seed-1 config with every covariance but the first turned into a full matrix
+by one fixed orthogonal matrix and the first a diagonal one with a -0.0
+off-diagonal pair, since every benchmark field's covariances are diagonal;
+and a cognition tree, the flow_sparse seed-1 config with non-identity value
+and predictor matrices, a bias, tanh activation and a context capacity of
+4, since every benchmark config keeps the identity pipeline. Each root runs
+the workload's commands through its own geomind.cli.run in a subprocess.
+For every file the report prints "identical", or the largest absolute drift
+of a float and the number of floats that moved, where a float moved when its
+repr changed, so a zero that changed sign counts. The exit status is 1 when
+the file lists differ or any value other than a float differs (a key, a
+length, an int, a string, a float turning into something else), else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -40,6 +45,19 @@ LONG_LEARN_CYCLES = 25
 COGNITION = {"value_matrix": [[0.9, -0.3], [0.2, 1.1]],
              "predictor_matrix": [[0.8, 0.25], [-0.15, 0.95]],
              "bias": [0.05, -0.1], "activation": "tanh", "context_capacity": 4}
+
+
+def full_covariances(field: dict) -> None:
+    """Give the tokens of a field file full covariances, in place: each C
+    becomes Q C Q for the Householder reflection Q = I - (2/D) 1 1^T, except
+    the first, which keeps its diagonal with -0.0 at (0, 1) and (1, 0)."""
+    d = field["dimension"]
+    q = np.eye(d) - 2.0 / d
+    for token in field["tokens"][1:]:
+        cov = q @ np.asarray(token["covariance"]) @ q
+        token["covariance"] = ((cov + cov.T) / 2).tolist()
+    field["tokens"][0]["covariance"][0][1] = field["tokens"][0]["covariance"][1][0] = -0.0
+
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
 # [config path, output directory, [command, ...]].
@@ -101,14 +119,16 @@ def _walk(a, b, where: str, drift: list, problems: list) -> None:
 
 def specs(names, seeds, formats) -> list:
     """(tree, workload, seed, (config section, {key: value, ...})) of every
-    tree to build: one per workload, seed and format, the long-learn tree
-    when learn_churn and seed 1 are among them, and the cognition tree when
-    flow_sparse and seed 1 are."""
+    tree to build: one per workload, seed and format, the long-learn and
+    full-covariance trees when learn_churn and seed 1 are among them, and
+    the cognition tree when flow_sparse and seed 1 are. The full-covariance
+    tree's edit is ("field", full_covariances), a rewrite of its field file."""
     trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", {"format": fmt}))
              for name in names for seed in seeds for fmt in formats]
     if "learn_churn" in names and 1 in seeds:
         trees.append(("learn_churn/seed1/long", "learn_churn", 1,
                       ("learning", {"cycles": LONG_LEARN_CYCLES})))
+        trees.append(("learn_churn/seed1/full", "learn_churn", 1, ("field", full_covariances)))
     if "flow_sparse" in names and 1 in seeds:
         trees.append(("flow_sparse/seed1/cognition", "flow_sparse", 1,
                       ("cognition", COGNITION)))
@@ -125,9 +145,15 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
         trees, jobs = [], {"parent": [], "change": []}
         for tree, name, seed, (section, values) in specs(names, seeds, formats):
             config = workloads.generate(name, seed, work / "inputs" / tree)
-            data = json.loads(config.read_text())
-            data[section].update(values)
-            config.write_text(json.dumps(data, indent=2) + "\n")
+            if section == "field":
+                field_path = config.parent / "field.json"
+                field = json.loads(field_path.read_text())
+                values(field)
+                field_path.write_text(json.dumps(field) + "\n")
+            else:
+                data = json.loads(config.read_text())
+                data[section].update(values)
+                config.write_text(json.dumps(data, indent=2) + "\n")
             for side in jobs:
                 jobs[side].append([str(config), str(work / side / tree),
                                    list(workloads.WORKLOADS[name].commands)])
