@@ -136,6 +136,9 @@ def cmd_geodesic(config: RunConfig) -> int:
         return 1
     export_trajectory(traj, config.fmt, config.out_dir / f"geodesic_path.{config.fmt}")
     length, energy = path_length_energy(traj, config.metric)
+    if not (math.isfinite(length) and math.isfinite(energy)):  # JSON has no Infinity
+        write_json(config.out_dir / "failure.json", {"error": "non-finite"})
+        return 1
     write_json(config.out_dir / "geodesic_summary.json",
                {"length": length, "energy": energy})
     return 0

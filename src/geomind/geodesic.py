@@ -130,11 +130,12 @@ def integrate_geodesic(position, velocity, source: MetricSource,
                       truncated=truncated)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def path_length_energy(traj: Trajectory, source: MetricSource) -> tuple[float, float]:
     """Metric length and kinetic energy of a sampled path.
 
     length = integral of sqrt(v^T g v) dt, energy = 1/2 integral of v^T g v dt,
-    both by the trapezoidal rule on the sampled integrand.
+    both by the trapezoidal rule on the sampled integrand, inf on overflow.
     """
     if len(traj) < 2:
         raise ValueError("trajectory needs at least 2 samples")
@@ -201,6 +202,7 @@ def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSou
     return miss, float(np.linalg.norm(miss)), traj, jac
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def geodesic_between(a, b, source: MetricSource,
                      opts: ShootingOptions = ShootingOptions()) -> Trajectory:
     """Connect a to b by single shooting over the unit time interval.

@@ -15,30 +15,26 @@ E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2, so
 k_i = w_i exp(E_i), and no (n, D) means - x array is built. Each k_i carries
 a relative error of about D eps (1 + (|v_i - c| + |x_c|)^2 / h^2), which
 centring keeps small near the data. density_at and density_gradient take
-one matrix-vector product per point. The batched densities and
-scalar_curvature take stacked per-point products instead: a matrix-vector
-product is not row-invariant against a batched GEMM, and a batch must give
-each point the bits it gets alone.
+one matrix-vector product per point. A batch takes rho and grad rho from
+_kernel_sums, with products stacked per point: a matrix-vector product is
+not row-invariant against a batched GEMM, and each row must get its bits.
 
 Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
 or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
 A batch is row-invariant: each row is bitwise what the point gives alone.
-The field metric evaluates a batch from one _exponents pass, with np.matmul
-stacked per point, np.vecdot (the bits of np.dot) and elementwise
-arithmetic, never one (B, D) @ (D, n) GEMM. Its Gamma, for a point or a
-batch, is one gather from [g, -g, 0], g = grad lambda, through a read-only
-(D, D, D) index cached per dimension (_christoffel_index), divided by
-2 lambda; a batch gathers with np.take, whose result is C-ordered, since
-the einsum that contracts Gamma sums in an order that follows the strides
-of its operands. A single point keeps three
-density calls (density_at twice and density_gradient once), because the
-benchmark's traced flows pin 4 christoffel and 12 density calls per RK4
-step, but the three calls share one kernel pass: each field keeps the
-exponents of the last point it was asked about. TokenField.nearest ranks
-tokens by those exponents, so in a consciousness cycle its pass at the new
-front also serves the next step's first stage, and a cycle makes 4 kernel
-passes. The flat and sphere metrics take batches in closed form; the base
-class, and so CallableMetric, takes christoffel_fd one row at a time.
+The field metric's Gamma, for a point or a batch, is one gather from
+[g, -g, 0], g = grad lambda, through a read-only (D, D, D) index cached per
+dimension (_christoffel_index), divided by 2 lambda; a batch gathers with
+np.take, whose result is C-ordered, since the einsum that contracts Gamma
+sums in an order that follows the strides of its operands. A single point
+keeps three density calls (density_at twice and density_gradient once),
+because the benchmark's traced flows pin 4 christoffel and 12 density calls
+per RK4 step, but the three calls share one kernel pass: each field keeps
+the exponents of the last point it was asked about. TokenField.nearest
+ranks tokens by those exponents, so in a consciousness cycle its pass at
+the new front also serves the next step's first stage, and a cycle makes 4
+kernel passes. The flat and sphere metrics take batches in closed form; the
+base class, and so CallableMetric, takes christoffel_fd one row at a time.
 """
 
 from __future__ import annotations
@@ -327,14 +323,26 @@ def _exponents(field: TokenField, points: np.ndarray):
                - np.vecdot(xc, xc)[:, None] / (2.0 * field.bandwidth**2))
 
 
+def _kernel_sums(field: TokenField, xc: np.ndarray, exponent: np.ndarray, gradient=True):
+    """k = w exp(E) (B, n), rho (B,) and grad rho (B, D) of an _exponents
+    block, each row bitwise what density_at and density_gradient give its
+    point (vecdot is np.dot by row); without gradient, k and grad are None."""
+    kern = np.exp(exponent)
+    rho = np.vecdot(kern, field.weights)
+    if not gradient:
+        return None, rho, None
+    kern *= field.weights
+    grad = (np.matmul(kern[:, None, :], field._slopes)[:, 0]
+            - (kern.sum(axis=1) / field.bandwidth**2)[:, None] * xc)
+    return kern, rho, grad
+
+
 def densities(field: TokenField, points) -> np.ndarray:
-    """density_at for each row of a (P, D) array, as batched kernel sums; the
-    products and sums run in another order, so results may differ in the
-    last digits."""
+    """density_at for each row of a (P, D) array, bitwise, block by block."""
     points = np.asarray(points, dtype=float).reshape(-1, field.dimension)
     rho = np.empty(len(points))
-    for rows, _, exponent in _exponents(field, points):
-        rho[rows] = (field.weights * np.exp(exponent)).sum(axis=1)
+    for rows, xc, exponent in _exponents(field, points):
+        rho[rows] = _kernel_sums(field, xc, exponent, gradient=False)[1]
     return rho
 
 
@@ -494,7 +502,7 @@ class ConformalFieldMetric(MetricSource):
 
     def conformal_gradient(self, x) -> np.ndarray:
         lam = self.conformal_factor(x)
-        return -(lam**2) * density_gradient(self.field, x)
+        return -(lam * lam) * density_gradient(self.field, x)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.conformal_factor(x) * np.eye(self.dim)
@@ -515,22 +523,12 @@ class ConformalFieldMetric(MetricSource):
 
     def _christoffel_rows(self, points: np.ndarray) -> np.ndarray:
         """christoffel for each row of a (B, D) array from one _exponents
-        pass, with the arithmetic of density_at, density_gradient and the
-        single-point branch, so each row gets the bits it gets alone."""
-        field = self.field
-        lam = np.empty(len(points))
-        grad = np.empty(points.shape)
-        for rows, xc, exponent in _exponents(field, points):
-            kern = np.exp(exponent)
-            lam[rows] = 1.0 / (np.vecdot(kern, field.weights) + field.epsilon)
-            kern *= field.weights
-            grad[rows] = (np.matmul(kern[:, None, :], field._slopes)[:, 0]
-                          - (kern.sum(axis=1) / field.bandwidth**2)[:, None] * xc)
-        # the single-point branch squares a Python float, which is C pow(); it
-        # can differ from numpy's lam * lam in the last bit
-        grad *= -np.array([value**2 for value in lam.tolist()])[:, None]
-        # np.take keeps the result C-ordered; indexing [:, index] would put the
-        # batch axis fastest
+        pass, so that each row gets the bits it gets alone."""
+        lam, grad = np.empty(len(points)), np.empty(points.shape)
+        for rows, xc, exponent in _exponents(self.field, points):
+            _, rho, grad[rows] = _kernel_sums(self.field, xc, exponent)
+            lam[rows] = 1.0 / (rho + self.field.epsilon)
+        grad *= -(lam * lam)[:, None]
         gamma = np.take(np.concatenate((grad, -grad, np.zeros((len(grad), 1))), axis=1),
                         _christoffel_index(self.dim), axis=1)
         return gamma / (2.0 * lam)[:, None, None, None]
@@ -538,21 +536,17 @@ class ConformalFieldMetric(MetricSource):
     def scalar_curvature(self, points) -> np.ndarray:
         """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):
         R = (D-1) [lap rho - (D+2) |grad rho|^2 / (4 (rho + eps))], the
-        conformal-change formula with the Gaussian kernel's own derivatives
-        grad rho = sum_i k_i (v_i - x) / h^2 = sum_i k_i s_i - (sum_i k_i) x_c / h^2
-        and lap rho = sum_i k_i (|x - v_i|^2 / h^4 - D / h^2), where
+        conformal-change formula, with rho and grad rho from _kernel_sums and
+        lap rho = sum_i k_i (|x - v_i|^2 / h^4 - D / h^2), where
         |x - v_i|^2 / h^4 = -2 E_i / h^2 with the centred exponent E_i."""
         field, d = self.field, self.dim
         points = np.asarray(points, dtype=float).reshape(-1, d)
-        h2 = field.bandwidth**2
         scalar = np.empty(len(points))
         for rows, xc, exponent in _exponents(field, points):
-            kern = field.weights * np.exp(exponent)
-            total = kern.sum(axis=1)
-            grad = np.matmul(kern[:, None, :], field._slopes)[:, 0] - total[:, None] * xc / h2
-            lap = np.einsum("bn,bn->b", kern, -2.0 * exponent - d) / h2
+            kern, rho, grad = _kernel_sums(field, xc, exponent)
+            lap = np.einsum("bn,bn->b", kern, -2.0 * exponent - d) / field.bandwidth**2
             scalar[rows] = (d - 1) * (lap - (d + 2) * np.einsum("bd,bd->b", grad, grad)
-                                      / (4.0 * (total + field.epsilon)))
+                                      / (4.0 * (rho + field.epsilon)))
         return scalar
 
 

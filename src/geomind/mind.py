@@ -109,13 +109,13 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     inputs = inputs or {}
-    state = MindState.initial(field, params, seed, start=start, velocity=velocity)
-    positions, velocities, times = [state.position], [state.velocity], [state.time]
-    activations = list([state.last_activation] if state.last_activation else [])
     errors: list[np.ndarray] = []
     stop_reason = None
     # the finiteness check below reports a divergence; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        state = MindState.initial(field, params, seed, start=start, velocity=velocity)
+        positions, velocities, times = [state.position], [state.velocity], [state.time]
+        activations = list([state.last_activation] if state.last_activation else [])
         for k in range(n_steps):
             try:
                 state = cycle_step(state, field, source, inputs.get(k), dt)
@@ -183,29 +183,29 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     The conformal metric is rebuilt from the current field each cycle, so
     token repositioning immediately reshapes the geometry. Returns the field
     snapshots (initial plus one per cycle) and the per-cycle error norms.
-    A cycle whose state or error norm is not finite ends the run before it
-    is recorded, so both lists are then shorter than a full run's. Each
-    recorded cycle logs one INFO line: its number (from 1), its error norm
-    and the id of the token whose mean moved.
+    A cycle whose state, error norm or learned mean is not finite ends the
+    run before it is recorded, so both lists are then shorter than a full
+    run's. Each recorded cycle logs one INFO line: its number (from 1), its
+    error norm and the id of the token whose mean moved.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1")
     input_vec = _as_vector(input_vec, field.dimension, "input")
-    state = MindState.initial(field, params, seed, start=start, velocity=velocity)
     snapshots = [field]
     error_norms: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
+        state = MindState.initial(field, params, seed, start=start, velocity=velocity)
         for _ in range(cycles):
             source = ConformalFieldMetric(field)
             perceived = perceive(state.position, input_vec, params)
             state = cycle_step(state, field, source, input_vec, dt)
             error_norm = float(np.linalg.norm(state.last_error))
-            if not (np.isfinite((state.position, state.velocity)).all()
-                    and np.isfinite(error_norm)):
+            finite = np.isfinite((state.position, state.velocity, perceived)).all()
+            updated = learn_update(field, perceived, rate) if finite else field
+            if not (finite and np.isfinite(error_norm) and np.isfinite(updated.means).all()):
                 logger.warning("learning stopped at cycle %d: non-finite", len(error_norms))
                 break
             error_norms.append(error_norm)
-            updated = learn_update(field, perceived, rate)
             if logger.isEnabledFor(logging.INFO):
                 moved = field.ids[np.any(updated.means != field.means, axis=1)].tolist()
                 logger.info("learning cycle %d: error norm %.17g, moved token %s",

@@ -916,6 +916,51 @@ def test_diverging_learning_writes_failure_and_exits_1(workdir):
         _strict_json(path)
 
 
+def _run_in(tmp_path, command, field, config):
+    write_json(tmp_path / "field.json", field)
+    write_json(tmp_path / "config.json", dict(config, field="field.json"))
+    out = tmp_path / "out"
+    # pyproject turns every RuntimeWarning into an error, so a warning fails here too
+    return main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]), out
+
+
+def test_learned_mean_that_overflows_ends_learn_as_non_finite(tmp_path):
+    # the state stays finite, but the first update moves the mean by -2e308
+    rc, out = _run_in(tmp_path, "learn", {"dimension": 1, "tokens": [{"id": 1, "mean": [1e308]}]}, {
+        "cognition": {"beta": 1.0, "predictor": "geometric"},
+        "learning": {"input": [-1e308], "rate": 1.0, "cycles": 3},
+        "simulation": {"start": [1e308]}})
+    assert rc == 1
+    assert _strict_json(out / "failure.json") == {"error": "non-finite", "cycles": 0}
+    assert _strict_json(out / "error_curve.json") == {"error_norms": []}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "error_curve.json", "failure.json", "field_cycle0000.json"]
+    assert _strict_json(out / "field_cycle0000.json")["tokens"][0]["mean"] == [1e308]
+
+
+def test_geodesic_whose_length_overflows_writes_failure_and_exits_1(tmp_path):
+    rc, out = _run_in(tmp_path, "geodesic", {"dimension": 1, "tokens": [{"id": 1, "mean": [0.0]}]}, {
+        "metric": {"kind": "flat"},
+        "geodesic": {"start": [-1e200], "end": [1e200], "steps": 10}})
+    assert rc == 1
+    assert _strict_json(out / "failure.json") == {"error": "non-finite"}
+    assert not (out / "geodesic_summary.json").exists()
+    path = _strict_json(out / "geodesic_path.json")["samples"]
+    assert (path[0]["position"], path[-1]["position"]) == ([-1e200], [1e200])
+
+
+@pytest.mark.parametrize("command", ["simulate", "compete"])
+def test_flow_that_overflows_at_its_start_reports_without_a_warning(tmp_path, command):
+    # the start's distances to the far token overflow before the first cycle
+    rc, out = _run_in(tmp_path, command, {"dimension": 1, "tokens": [
+        {"id": 1, "mean": [1e308]}, {"id": 2, "mean": [0.0]}]},
+        {"simulation": {"steps": 2, "start": [1e308], "seeds": [1]}})
+    assert rc == 1
+    assert _strict_json(out / "failure.json") == {
+        "error": "non-finite", "seeds": [1], "reasons": ["non-finite"]}
+    assert _strict_json(out / "trajectory_seed1.json")["truncated"] is True
+
+
 def test_analyze_grid_over_budget_exits_2_quickly(tmp_path):
     write_json(tmp_path / "field.json", {"dimension": 7, "tokens": [{"id": 1, "mean": [0.0] * 7}]})
     write_json(tmp_path / "config.json", {"field": "field.json"})

@@ -319,10 +319,10 @@ def test_batch_rows_equal_their_solo_runs(case):
 @pytest.mark.parametrize("kind, d", [("conformal", 1), ("conformal", 2), ("conformal", 3),
                                      ("conformal", 5), ("conformal", 16), ("sphere", 2)])
 def test_christoffel_rows_equal_single_points(kind, d):
-    # thousands of points, over several kernel blocks: about one field point
-    # in a thousand has a conformal factor whose square by C pow() differs
-    # from lam * lam in the last bit. Batches hold at most 2^23 Gamma entries
-    # (64 MB), so all points go in one batch below D = 16
+    # thousands of points, over several kernel blocks, so that a rounding
+    # that differs from the single point's in one row in a thousand shows.
+    # Batches hold at most 2^23 Gamma entries (64 MB), so all points go in
+    # one batch below D = 16
     source = _source(kind, d)
     points = np.random.default_rng(100 + d).uniform(0.2, 2.9, (8000, d))
     step = 2**23 // d**3

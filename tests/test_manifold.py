@@ -10,7 +10,7 @@ from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
                      TokenField, christoffel_fd, curvature_at,
                      density_at, density_gradient, learn_update, load_field,
                      manipulate_feature, save_field)
-from geomind.manifold import _exponent, densities
+from geomind.manifold import KERNEL_BLOCK, _exponent, densities
 
 from conftest import make_field
 
@@ -552,6 +552,13 @@ def test_scalar_curvature_default_is_the_fd_path(sphere):
 
 
 def test_densities_match_density_at(random_field):
-    points = np.random.default_rng(5).uniform(-2, 2, size=(1500, 2))
-    expected = [density_at(random_field, p) for p in points]
-    assert np.allclose(densities(random_field, points), expected, rtol=1e-14, atol=0.0)
+    # bitwise, at D = 1 to 16 and over several kernel blocks of points
+    fields = [random_field] + [
+        make_field(np.random.default_rng(d).uniform(-1, 1, (7, d)), dim=d, bandwidth=0.8,
+                   epsilon=0.5, weights=np.random.default_rng(d).uniform(0.1, 2.0, 7))
+        for d in (1, 3, 5, 16)]
+    for field in fields:
+        points = np.random.default_rng(5).uniform(-2, 2, size=(1500, field.dimension))
+        assert len(points) > KERNEL_BLOCK // len(field)
+        expected = [density_at(field, p) for p in points]
+        assert np.array_equal(densities(field, points), expected), field.dimension

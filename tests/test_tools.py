@@ -20,7 +20,9 @@ import workloads  # noqa: E402
 def test_tree_drift_finds_a_root_identical_to_itself():
     out = io.StringIO()
     assert tree_drift.compare(ROOT, ROOT, names=("survey",), seeds=(1,), out=out) == 0
-    lines = out.getvalue().splitlines()
+    *lines, summary = out.getvalue().splitlines()
+    assert summary == ("summary: 8 files compared, 8 identical, 0 with moved floats "
+                       "(max drift 0), 0 with other differences")
     files = {line.split(":")[0] for line in lines}
     assert files == {f"survey/seed1/{fmt}/{name}" for fmt, names in (
         ("json", ("field_report.json", "geodesic_path.json", "geodesic_summary.json",
@@ -28,6 +30,26 @@ def test_tree_drift_finds_a_root_identical_to_itself():
         ("csv", ("field_report.json", "geodesic_path.csv", "geodesic_summary.json",
                  "pca_projection.csv"))) for name in names}
     assert all(line.endswith(": identical") for line in lines)
+
+
+def test_tree_drift_summary_counts_moved_and_other_files(monkeypatch):
+    trees = {"parent": {"a.json": {"x": 1.0}, "b.json": {"n": 1}, "c.json": [2.0],
+                        "only.json": {}},
+             "change": {"a.json": {"x": 1.5}, "b.json": {"n": 2}, "c.json": [2.0]}}
+
+    def fake_run(root, jobs):
+        for _, out, _ in jobs:
+            Path(out).mkdir(parents=True)
+            for name, value in trees[root].items():
+                (Path(out) / name).write_text(json.dumps(value))
+
+    monkeypatch.setattr(tree_drift, "_run_root", fake_run)
+    out = io.StringIO()
+    assert tree_drift.compare("parent", "change", names=("survey",), seeds=(1,),
+                              formats=("json",), out=out) == 1
+    assert out.getvalue().splitlines()[-1] == (
+        "summary: 3 files compared, 1 identical, 1 with moved floats (max drift 0.5), "
+        "2 with other differences")
 
 
 def test_walk_measures_float_drift_and_reports_other_differences():
@@ -64,7 +86,9 @@ def test_tree_drift_runs_the_long_learn_tree():
     assert lines == [f"learn_churn/seed1/{tree}/{name}: identical"
                      for tree, cycles in (("long", 25), ("full", 3)) for name in sorted(
                          ["error_curve.json"] + [f"field_cycle{k:04d}.json"
-                                                 for k in range(cycles + 1)])]
+                                                 for k in range(cycles + 1)])] + [
+        "summary: 32 files compared, 32 identical, 0 with moved floats (max drift 0), "
+        "0 with other differences"]
 
 
 def test_full_covariance_tree_has_no_diagonal_covariance(tmp_path):
@@ -103,7 +127,9 @@ def test_tree_drift_runs_the_cognition_tree(tmp_path):
     seeds = json.loads(workloads.generate("flow_sparse", 1, tmp_path).read_text())[
         "simulation"]["seeds"]
     assert lines == [f"flow_sparse/seed1/cognition/{name}: identical" for name in sorted(
-        ["selection.json"] + [f"trajectory_seed{seed}.json" for seed in seeds])]
+        ["selection.json"] + [f"trajectory_seed{seed}.json" for seed in seeds])] + [
+        f"summary: {len(seeds) + 1} files compared, {len(seeds) + 1} identical, 0 with moved "
+        "floats (max drift 0), 0 with other differences"]
 
 
 def _final_line(job_s, rss, failed=0):

@@ -17,9 +17,12 @@ and predictor matrices, a bias, tanh activation and a context capacity of
 the workload's commands through its own geomind.cli.run in a subprocess.
 For every file the report prints "identical", or the largest absolute drift
 of a float and the number of floats that moved, where a float moved when its
-repr changed, so a zero that changed sign counts. The exit status is 1 when
-the file lists differ or any value other than a float differs (a key, a
-length, an int, a string, a float turning into something else), else 0.
+repr changed, so a zero that changed sign counts. A last line sums up: the
+files compared, how many are identical, how many have moved floats with the
+largest drift of all, and how many differ otherwise, counting a file that
+only one side wrote. The exit status is 1 when the file lists differ or any
+value other than a float differs (a key, a length, an int, a string, a float
+turning into something else), else 0.
 """
 
 from __future__ import annotations
@@ -137,9 +140,11 @@ def specs(names, seeds, formats) -> list:
 
 def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
             seeds=SEEDS, formats=FORMATS, out=sys.stdout) -> int:
-    """Build the trees under both roots, print one line per file and return
-    the exit status described in the module docstring."""
+    """Build the trees under both roots, print one line per file and the
+    summary line, and return the exit status described in the module
+    docstring."""
     status = 0
+    compared, identical, moved, other, largest = 0, 0, 0, 0, 0.0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees, jobs = [], {"parent": [], "change": []}
@@ -167,18 +172,26 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
             if names_old != names_new:
                 print(f"{tree}: file lists differ: {names_old} != {names_new}", file=out)
                 status = 1
+                other += len(set(names_old) ^ set(names_new))
             for file in sorted(set(names_old) & set(names_new)):
+                compared += 1
                 if (old / file).read_bytes() == (new / file).read_bytes():
                     print(f"{tree}/{file}: identical", file=out)
+                    identical += 1
                     continue
                 drift, problems = [], []
                 _walk(_values(old / file), _values(new / file), file, drift, problems)
+                moved += bool(drift)
+                other += bool(problems)
+                largest = max([largest, *drift])
                 line = (f"{tree}/{file}: max drift {max(drift, default=0.0):.3g}, "
                         f"{len(drift)} floats moved")
                 if problems:
                     status = 1
                     line += "; other values differ: " + "; ".join(problems[:5])
                 print(line, file=out)
+    print(f"summary: {compared} files compared, {identical} identical, {moved} with moved "
+          f"floats (max drift {largest:.3g}), {other} with other differences", file=out)
     return status
 
 
