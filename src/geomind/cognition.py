@@ -168,8 +168,9 @@ class MindState:
 
 def sample_embedding(mean, covariance, rng: np.random.Generator,
                      root: Optional[np.ndarray] = None) -> np.ndarray:
-    """Draw mean + L z for a (D,) mean and a (D, D) covariance, with L the
-    square root covariance_root(covariance) and z standard normal.
+    """Draw mean + L z for a (D,) mean and a (D, D) covariance or a (D,) row
+    of its diagonal, with L the square root covariance_root(covariance) and
+    z standard normal.
 
     Diagonal covariances use the elementwise square root, full ones the
     Cholesky factor (eigenvalue square root if only semidefinite); both clip

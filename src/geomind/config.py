@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -68,7 +69,7 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
         return _resolve(raw, path, out_override, seed_override)
     except GeomindError:
         raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         # a value of the wrong type or range, or a section that is not an object
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -146,6 +147,13 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     if not 0.0 <= learning_rate <= 1.0 or learning_cycles < 1:
         raise ConfigError(f"learning needs rate in [0, 1] and cycles >= 1, got "
                           f"{learning_rate} and {learning_cycles}")
+    for count, name in ((steps, "simulation.steps"), (learning_cycles, "learning.cycles")):
+        # a flow's last time is count * dt; an int past float range raises OverflowError
+        if not math.isfinite(count * dt):
+            raise ConfigError(f"simulation.dt {dt} times {name} {count} must be finite")
+    if not math.isfinite(dt * dt):
+        raise ConfigError(f"simulation.dt {dt} must have a finite square: the feedback "
+                          "forcing divides by dt**2")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
 
     geo = raw.get("geodesic", {})

@@ -178,7 +178,13 @@ def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSou
                                   horizon=1.0, dt=1.0 / steps)
 
     d = len(velocity)
-    h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
+    with np.errstate(over="ignore"):
+        speed = float(np.linalg.norm(velocity))
+    if speed == np.inf and np.isfinite(velocity).all():
+        # norm squares without scaling, so a speed above about 1.3e154 overflows
+        top = float(np.abs(velocity).max())
+        speed = top * float(np.linalg.norm(velocity / top))
+    h = JACOBIAN_STEP * max(1.0, speed)
     rows = np.vstack([velocity, velocity + h * np.eye(d)])
     batch = run(np.tile(a, (d + 1, 1)), rows)
     if not batch.truncated:

@@ -189,7 +189,9 @@ def load_field(path: Union[str, Path]) -> TokenField:
     Missing covariance defaults to zero, missing weight to 1.0. Means,
     weights, diagonal and full covariances are each read as one column and
     checked by the TokenField constructor, which takes the arrays over
-    without a copy. Any error is a FieldFormatError naming the file.
+    without a copy. The covariances are (n, D) diagonals when no token gives
+    a full matrix, else (n, D, D). Any error is a FieldFormatError naming
+    the file.
     """
     data = _read_json(path, dict)
     if "dimension" not in data:
@@ -217,9 +219,10 @@ def load_field(path: Union[str, Path]) -> TokenField:
         means = _token_column(means, ids, (d,), "mean", f"mean must be a vector of length {d}")
         weights = _token_column([entry.get("weight", 1.0) for entry in entries], ids, (),
                                 "weight", "weight must be a number")
-        covariances = np.zeros((len(ids), d, d))
-        # an (n, D) view of the diagonals; a diagonal leaves the off-diagonals zero
-        diagonals = covariances.reshape(len(ids), d * d)[:, ::d + 1]
+        covariances = np.zeros((len(ids), d, d) if full else (len(ids), d))
+        # with full matrices, an (n, D) view of their diagonals; a diagonal
+        # leaves the off-diagonals zero
+        diagonals = covariances.reshape(len(ids), d * d)[:, ::d + 1] if full else covariances
         rule = f"covariance must be a diagonal of length {d} or a {d}x{d} matrix"
         for rows, target in ((full, covariances), (diagonal, diagonals)):
             target[rows] = _token_column([entries[k]["covariance"] for k in rows], ids[rows],
@@ -230,7 +233,13 @@ def load_field(path: Union[str, Path]) -> TokenField:
 
 
 def field_to_dict(field: TokenField) -> dict:
-    """The field as the JSON object save_snapshots writes for it."""
+    """The field as the JSON object save_snapshots writes for it: each
+    covariance a D x D matrix, an (n, D) field's diagonals with +0.0 off
+    the diagonal."""
+    covariances, d = field.covariances, field.dimension
+    if covariances.ndim == 2:
+        covariances = np.zeros((len(field), d, d))
+        covariances[:, range(d), range(d)] = field.covariances
     return {
         "dimension": field.dimension,
         "bandwidth": field.bandwidth,
@@ -238,7 +247,7 @@ def field_to_dict(field: TokenField) -> dict:
         "tokens": [
             {"id": i, "mean": mean, "covariance": cov, "weight": w}
             for i, mean, cov, w in zip(field.ids.tolist(), field.means.tolist(),
-                                       field.covariances.tolist(), field.weights.tolist())
+                                       covariances.tolist(), field.weights.tolist())
         ],
     }
 
@@ -246,8 +255,10 @@ def field_to_dict(field: TokenField) -> dict:
 def _changed_rows(field: TokenField, previous: Optional[TokenField]) -> np.ndarray:
     """The rows of field whose id, mean, covariance or weight differs bitwise
     from the same row of previous, compared as int64 so that 0.0 and -0.0
-    differ; every row when there is no previous field or n or D differ."""
-    if previous is None or field.means.shape != previous.means.shape:
+    differ; every row when there is no previous field, or n, D or the shape
+    of the covariances differ."""
+    if (previous is None or field.means.shape != previous.means.shape
+            or field.covariances.shape != previous.covariances.shape):
         return np.arange(len(field))
     differs = np.zeros(len(field), dtype=bool)
     for name in ("ids", "means", "covariances", "weights"):
@@ -273,13 +284,16 @@ def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
     """Set rows[k], for each k of block, to the text of token row k: one
     repr pass over the block's floats, then one template fill per row. A
     row whose off-diagonals are all bitwise +0.0 takes the diagonal
-    template; any other, -0.0 included, takes the full one."""
+    template; any other, -0.0 included, takes the full one. A row of (n, D)
+    diagonals has no off-diagonal columns, so it takes the diagonal one."""
     d = field.dimension
-    table = np.concatenate((field.means[block], field.covariances[block].reshape(len(block), d * d),
+    covariances = field.covariances[block]
+    table = np.concatenate((field.means[block], covariances.reshape(len(block), -1),
                             field.weights[block, None]), axis=1)
     if not np.isfinite(table).all():  # floats in the reference's order: _encode raises its error
         _encode(table.tolist(), "")
-    off = np.arange(d, d + d * d)[~np.eye(d, dtype=bool).ravel()]  # off-diagonal columns
+    off = (np.arange(d, d + d * d)[~np.eye(d, dtype=bool).ravel()]  # off-diagonal columns
+           if covariances.ndim == 3 else np.arange(0))
     diagonal = ~table[:, off].view(np.int64).any(axis=1)
     keep = np.ones(table.shape, dtype=bool)
     keep[:, off] = ~diagonal[:, None]
@@ -298,10 +312,11 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
     The encoded text of every token row is kept for the length of the call,
     and a row is encoded again only when its id, mean, covariance or weight
     differs bitwise from the same row of the previous field. The first
-    field, and a field whose n or D differs from the previous one, is
-    encoded in full; the header always is. Rows are encoded ROW_BLOCK at a
-    time, each through one repr pass and cached row templates, and written
-    one by one, so a full field's whole text never exists at once.
+    field, and a field whose n, D or covariance shape differs from the
+    previous one, is encoded in full; the header always is. Rows are
+    encoded ROW_BLOCK at a time, each through one repr pass and cached row
+    templates, and written one by one, so a full field's whole text never
+    exists at once.
     """
     if len(fields) != len(paths):
         raise ValueError(f"{len(fields)} fields but {len(paths)} paths")

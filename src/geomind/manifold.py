@@ -1,7 +1,12 @@
 """Token fields and the metric geometry they induce.
 
 A token field is a weighted set of Gaussian kernels in R^D, held as arrays:
-ids (n,), means (n, D), covariances (n, D, D) and weights (n,). Its density
+ids (n,), means (n, D), covariances and weights (n,). The covariances are
+(n, D, D) matrices or (n, D) diagonals, whichever shape the caller gives: a
+field file whose covariances are all diagonal lists (or left out) loads as
+(n, D), which needs neither the dense array nor an eigenvalue check, and
+one with any full matrix as (n, D, D). Both shapes are written out as
+matrices, so a field's files do not depend on the shape. Its density
 defines a conformal metric g(x) = I / (rho(x) + eps), so dense regions are
 metrically short and geodesics gravitate toward them. Analytic metrics
 (flat scaling, 2-sphere chart) are provided as test oracles, and a generic
@@ -71,14 +76,17 @@ def _as_vector(x, dim: int, name: str = "point", batch: bool = False) -> np.ndar
 
 
 def covariance_root(covariance) -> Optional[np.ndarray]:
-    """The square root L of a (D, D) covariance that a Gaussian draw mean + L z
-    uses: None for the zero matrix, the (D,) elementwise root of a diagonal,
-    else the (D, D) Cholesky factor, or the eigenvalue root if the matrix is
-    only semidefinite. Diagonal and eigenvalue roots clip rounding-level
+    """The square root L of a covariance that a Gaussian draw mean + L z
+    uses, for a (D, D) matrix or a (D,) row of its diagonal: None for the
+    zero matrix, the (D,) elementwise root of a diagonal, else the (D, D)
+    Cholesky factor, or the eigenvalue root if the matrix is only
+    semidefinite. Diagonal and eigenvalue roots clip rounding-level
     negatives to zero."""
     cov = np.asarray(covariance, dtype=float)
     if not np.any(cov):
         return None
+    if cov.ndim == 1:
+        return np.sqrt(np.clip(cov, 0.0, None))
     if np.count_nonzero(cov - np.diag(np.diagonal(cov))) == 0:
         return np.sqrt(np.clip(np.diagonal(cov), 0.0, None))
     try:
@@ -103,11 +111,14 @@ class TokenField:
     bandwidth is the shared Gaussian length scale h; epsilon regularises the
     conformal factor 1/(rho + eps) so the metric stays finite away from data.
     The dimension D is means.shape[1], so an empty field takes (0, D) means.
+    covariances is either (n, D, D) matrices or (n, D) diagonals, each row
+    the diagonal of a matrix that is zero off it; the field keeps the shape
+    it is given and never inspects values to choose one.
     """
 
     ids: np.ndarray  # (n,)
     means: np.ndarray  # (n, D)
-    covariances: np.ndarray  # (n, D, D)
+    covariances: np.ndarray  # (n, D, D) or (n, D)
     weights: np.ndarray  # (n,)
     dimension: int
     bandwidth: float
@@ -135,30 +146,40 @@ class TokenField:
         if means.ndim != 2 or means.shape[1] < 1:
             raise ValueError(f"means must be an (n, D) array with D >= 1, got shape {means.shape}")
         n, d = means.shape
-        if ids.shape != (n,) or covariances.shape != (n, d, d) or weights.shape != (n,):
+        if (ids.shape != (n,) or covariances.shape not in ((n, d, d), (n, d))
+                or weights.shape != (n,)):
             raise ValueError(f"{n} tokens in dimension {d} need ids ({n},), covariances "
-                             f"({n}, {d}, {d}) and weights ({n},), got {ids.shape}, "
-                             f"{covariances.shape} and {weights.shape}")
+                             f"({n}, {d}, {d}) or ({n}, {d}) and weights ({n},), got "
+                             f"{ids.shape}, {covariances.shape} and {weights.shape}")
         unique, counts = np.unique(ids, return_counts=True)
         if np.any(counts > 1):
             raise ValueError(f"duplicate token id(s): {unique[counts > 1].tolist()}")
+        axes = tuple(range(1, covariances.ndim))
         for lo in range(0, n, VALIDATE_BLOCK):
             cov = covariances[lo:lo + VALIDATE_BLOCK]
             # before eigvalsh, which cannot take NaN or infinity
             finite = (np.isfinite(means[lo:lo + VALIDATE_BLOCK]).all(axis=1)
-                      & np.isfinite(cov).all(axis=(1, 2)) & np.isfinite(weights[lo:lo + VALIDATE_BLOCK]))
+                      & np.isfinite(cov).all(axis=axes) & np.isfinite(weights[lo:lo + VALIDATE_BLOCK]))
             if not finite.all():
                 raise ValueError(f"token {ids[lo + np.argmin(finite)]}: mean, covariance and weight "
                                  "must be finite")
-            eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
-            scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2), initial=0.0))
+            if cov.ndim == 3:
+                asymmetric = ~np.isclose(cov, cov.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2))
+                eigmin = np.linalg.eigvalsh(cov).min(axis=1, initial=0.0)
+            else:  # a diagonal matrix is symmetric, and its eigenvalues are its diagonal
+                asymmetric, eigmin = np.zeros(len(cov), dtype=bool), cov.min(axis=1, initial=0.0)
+            scale = np.maximum(1.0, np.abs(cov).max(axis=axes, initial=0.0))
             for bad, rule in (
-                    (~np.isclose(cov, cov.transpose(0, 2, 1), atol=1e-12).all(axis=(1, 2)),
-                     "covariance must be symmetric"),
+                    (asymmetric, "covariance must be symmetric"),
                     (eigmin < -1e-10 * scale, "covariance must be positive semidefinite"),
                     (weights[lo:lo + VALIDATE_BLOCK] < 0, "weight must be non-negative")):
                 if np.any(bad):
                     raise ValueError(f"token {ids[lo + np.argmax(bad)]}: {rule}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(means.sum(axis=0)).all():
+                # the kernel centroid would be infinite, and every density NaN
+                raise ValueError("means must have finite column sums, since the kernel is "
+                                 "centred on their centroid")
         self.__dict__.update(dimension=d, bandwidth=bandwidth, epsilon=epsilon)
         self._store({"ids": ids, "means": means, "covariances": covariances, "weights": weights})
 

@@ -54,7 +54,9 @@ def test_load_field_missing_covariance_defaults_zero(tmp_path):
     write_json(path, {"dimension": 2, "bandwidth": 1.0, "epsilon": 1.0,
                       "tokens": [{"id": 5, "mean": [1.0, 2.0]}]})
     field = load_field(path)
-    assert np.array_equal(field.covariances[0], np.zeros((2, 2)))
+    # a file with no full matrix keeps its covariances as (n, D) diagonals
+    assert field.covariances.shape == (1, 2)
+    assert np.array_equal(field.covariances[0], np.zeros(2))
 
 
 def test_load_field_duplicate_id_names_offender(tmp_path):
@@ -68,6 +70,8 @@ def test_load_field_duplicate_id_names_offender(tmp_path):
 @pytest.mark.parametrize("bad, rule", [
     ({"covariance": [[1.0, 2.0], [2.0, 1.0]]}, "covariance must be positive semidefinite"),
     ({"weight": -0.5}, "weight must be non-negative"),
+    # every covariance a diagonal (or left out): the (n, D) path
+    ({"covariance": [0.5, -1.0]}, "covariance must be positive semidefinite"),
 ])
 def test_load_field_names_offender_past_first_block(tmp_path, bad, rule):
     # row 600 of 1,000 lies in the second validation block
@@ -959,6 +963,28 @@ def test_flow_that_overflows_at_its_start_reports_without_a_warning(tmp_path, co
     assert _strict_json(out / "failure.json") == {
         "error": "non-finite", "seeds": [1], "reasons": ["non-finite"]}
     assert _strict_json(out / "trajectory_seed1.json")["truncated"] is True
+
+
+def test_means_whose_centroid_overflows_exit_2(tmp_path, capsys):
+    # every mean is finite, but the first column sums to 3.1e308
+    rc, out = _run_in(tmp_path, "analyze", {"dimension": 2, "tokens": [
+        {"id": 1, "mean": [1e307, 1e307]}, {"id": 2, "mean": [1.5e308, -1e308]},
+        {"id": 3, "mean": [1.5e308, 1e308]}]}, {})
+    assert rc == 2 and not out.exists()
+    assert "means must have finite column sums" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("simulation, rule", [
+    ({"dt": 1e308, "steps": 3}, "times simulation.steps 3 must be finite"),
+    ({"dt": 1e306, "steps": 3}, "times learning.cycles 1000 must be finite"),
+    ({"dt": 1e200, "steps": 3}, "must have a finite square"),
+], ids=["steps", "cycles", "square"])
+def test_dt_whose_times_or_square_overflow_exits_2(tmp_path, capsys, simulation, rule):
+    rc, out = _run_in(tmp_path, "simulate", {"dimension": 1, "tokens": [{"id": 1, "mean": [0.0]}]}, {
+        "metric": {"kind": "flat"}, "learning": {"cycles": 1000},
+        "simulation": dict(simulation, start=[0.0], velocity=[0.0], seeds=[1])})
+    assert rc == 2 and not out.exists()
+    assert rule in capsys.readouterr().err
 
 
 def test_analyze_grid_over_budget_exits_2_quickly(tmp_path):

@@ -432,6 +432,14 @@ def test_shot_jacobian_equals_separate_probe_shots(d):
         assert np.array_equal(jac[:, k], ((probe.positions[-1] - b) - miss) / h)
 
 
+def test_probe_step_of_a_speed_whose_square_overflows_is_finite():
+    # np.linalg.norm squares without scaling; the probe step must not be infinite
+    a, b, velocity = np.array([-1e200]), np.array([1e200]), np.array([2e200])
+    miss, miss_norm, _, jac = _shoot(a, b, velocity, FlatMetric(1), 10)
+    assert np.array_equal(miss, [0.0]) and miss_norm == 0.0
+    assert np.isfinite(jac).all() and jac[0, 0] == pytest.approx(1.0)
+
+
 def test_survey_like_solve_makes_one_shot_per_iteration_plus_one(survey_case, monkeypatch, caplog):
     a, b, source, opts = survey_case
     shots = []

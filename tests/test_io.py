@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geomind import CognitionParams, TokenField, run_learning
+from geomind import CognitionParams, FieldFormatError, TokenField, run_learning
 from geomind.io import (ROW_BLOCK, field_to_dict, load_field, save_field, save_snapshots,
                         write_json)
 from geomind.mind import demo_field
@@ -109,6 +109,8 @@ def test_field_round_trips_bitwise(tmp_path, field):
         field.dimension, field.bandwidth, field.epsilon)
     for name in ("ids", "means", "covariances", "weights"):
         a, b = getattr(back, name), getattr(field, name)
+        if name == "covariances" and not len(field):
+            b = b.reshape(0, field.dimension)  # a file with no full matrix loads as (n, D)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
 
@@ -127,6 +129,89 @@ def test_diagonal_covariances_equal_np_diag(tmp_path):
     expected = np.stack([np.diag(diagonals[0]), full, np.diag(diagonals[1]), np.zeros((3, 3))])
     assert np.array_equal(field.covariances, expected)
     assert field.covariances.tobytes() == expected.tobytes()  # -0.0 stays -0.0
+
+
+DIAGONAL_KINDS = ("random", "missing", "zero", "negative zero", "subnormal", "at the bound",
+                  "past the bound", "nan")
+
+
+@st.composite
+def _diagonal_fields(draw):
+    """(ids, means, diagonals, weights, kinds) of n tokens in D = 1 to 4,
+    each diagonal of a kind from DIAGONAL_KINDS: an entry of -0.0, 5e-324,
+    -1e-10 max(1, max |diagonal|), the float just below that, or NaN, or a
+    row left out of the file (zero), or all zeros."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    means = draw(hnp.arrays(float, (n, d), elements=st.floats(-1e3, 1e3)))
+    weights = draw(hnp.arrays(float, n, elements=st.floats(0, 10)))
+    diagonals = draw(hnp.arrays(float, (n, d), elements=st.floats(0, 1e12)))
+    kinds = [draw(st.sampled_from(DIAGONAL_KINDS)) for _ in range(n)]
+    for row, kind in enumerate(kinds):
+        j = draw(st.integers(0, d - 1))
+        if kind in ("missing", "zero"):
+            diagonals[row] = 0.0
+        elif kind != "random":
+            diagonals[row, j] = 0.0
+            bound = -1e-10 * max(1.0, float(np.abs(diagonals[row]).max()))
+            diagonals[row, j] = {"negative zero": -0.0, "subnormal": 5e-324, "at the bound": bound,
+                                 "past the bound": np.nextafter(bound, -np.inf),
+                                 "nan": np.nan}[kind]
+    return ids, means, diagonals, weights, kinds
+
+
+def _built(make):
+    """The field make() returns, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+@SHARED_PATH
+@given(_diagonal_fields())
+def test_diagonal_lists_and_full_matrices_give_the_same_field(tmp_path, case):
+    ids, means, diagonals, weights, kinds = case
+    n, d = diagonals.shape
+    matrices = np.zeros((n, d, d))
+    matrices[:, range(d), range(d)] = diagonals
+    # the constructor refuses the same token by the same rule in either shape
+    fields = [_built(lambda: TokenField(ids, means, covariances, weights, 1.0, 0.5))
+              for covariances in (diagonals, matrices)]
+    if isinstance(fields[0], str) or isinstance(fields[1], str):
+        assert fields[0] == fields[1]
+    if "nan" in kinds:  # a field file cannot hold a NaN
+        return
+    path = tmp_path / "field.json"
+    for covariances in (diagonals, matrices):
+        tokens = [{"id": i, "mean": mean, "weight": w} for i, mean, w in
+                  zip(ids, means.tolist(), weights.tolist())]
+        for token, cov, kind in zip(tokens, covariances.tolist(), kinds):
+            if kind != "missing" or covariances is matrices:  # the matrix file writes zeros
+                token["covariance"] = cov
+        path.write_text(json.dumps({"dimension": d, "bandwidth": 1.0, "epsilon": 0.5,
+                                    "tokens": tokens}))
+        try:
+            fields.append(load_field(path))
+        except FieldFormatError as exc:
+            fields.append(str(exc))
+    _, _, by_diagonal, by_matrix = fields
+    if isinstance(by_diagonal, str) or isinstance(by_matrix, str):
+        assert by_diagonal == by_matrix == f"{path}: {fields[0]}"
+        return
+    assert by_diagonal.covariances.shape == (n, d) and by_matrix.covariances.shape == (n, d, d)
+    assert by_diagonal.covariances.tobytes() == diagonals.tobytes()
+    for row in range(n):
+        roots = by_diagonal.sampling_root(row), by_matrix.sampling_root(row)
+        assert roots[0] is roots[1] is None or roots[0].tobytes() == roots[1].tobytes()
+    write_json(tmp_path / "a.json", field_to_dict(by_diagonal))
+    write_json(tmp_path / "b.json", field_to_dict(by_matrix))
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    save_field(by_diagonal, tmp_path / "a.json")
+    save_field(by_matrix, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # snapshots whose covariance shape changes from one to the next
+    _assert_snapshots_match(tmp_path, [by_diagonal, by_matrix, by_diagonal])
 
 
 # ---------------------------------------------------------------- snapshot writer

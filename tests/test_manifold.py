@@ -196,6 +196,8 @@ def test_dimension_mismatch_rejected():
         TokenField([1], np.zeros((1, 2)), np.zeros((1, 3, 3)), [1.0])
     with pytest.raises(ValueError, match="covariances"):
         TokenField([1], np.zeros((1, 3)), np.zeros((1, 2, 2)), [1.0])
+    with pytest.raises(ValueError, match=r"covariances \(1, 2, 2\) or \(1, 2\)"):
+        TokenField([1], np.zeros((1, 2)), np.zeros((1, 3)), [1.0])
 
 
 def test_bad_kernel_parameters_rejected():
@@ -471,6 +473,15 @@ def test_riemann_antisymmetry_last_two_indices(random_field, sphere):
 def test_token_refuses_non_finite_values(mean, cov, weight):
     with pytest.raises(ValueError, match="token 3: mean, covariance and weight must be finite"):
         TokenField([3], [mean], [np.diag(cov)], [weight])
+
+
+def test_token_field_refuses_means_whose_centroid_overflows():
+    # every mean is finite, but the first column sums to 3.1e308
+    means = [[1e307, 1e307], [1.5e308, -1e308], [1.5e308, 1e308]]
+    with pytest.raises(ValueError, match="means must have finite column sums"):
+        TokenField([1, 2, 3], means, np.zeros((3, 2)), [1.0] * 3)
+    field = TokenField([1, 2], [[8e307], [8e307]], np.zeros((2, 1)), [1.0, 1.0])
+    assert field._centre.tolist() == [8e307]
 
 
 # ---------------------------------------------------------------- closed-form conformal curvature

@@ -71,7 +71,8 @@ def test_long_learn_tree_is_the_seed_one_learn_config_at_25_cycles():
         ("learn_churn/seed1/json", "learn_churn", 1, ("output", {"format": "json"})),
         ("learn_churn/seed2/json", "learn_churn", 2, ("output", {"format": "json"})),
         ("learn_churn/seed1/long", "learn_churn", 1, ("learning", {"cycles": 25})),
-        ("learn_churn/seed1/full", "learn_churn", 1, ("field", tree_drift.full_covariances))]
+        ("learn_churn/seed1/full", "learn_churn", 1, ("field", tree_drift.full_covariances)),
+        ("learn_churn/seed1/diagonal", "learn_churn", 1, ("field", tree_drift.diagonal_lists))]
     assert [tree for tree, *_ in tree_drift.specs(("survey",), (1,), ("json",))] == [
         "survey/seed1/json"]
     assert [tree for tree, *_ in tree_drift.specs(("learn_churn",), (2,), ("json",))] == [
@@ -84,10 +85,10 @@ def test_tree_drift_runs_the_long_learn_tree():
                               out=out) == 0
     lines = out.getvalue().splitlines()
     assert lines == [f"learn_churn/seed1/{tree}/{name}: identical"
-                     for tree, cycles in (("long", 25), ("full", 3)) for name in sorted(
-                         ["error_curve.json"] + [f"field_cycle{k:04d}.json"
-                                                 for k in range(cycles + 1)])] + [
-        "summary: 32 files compared, 32 identical, 0 with moved floats (max drift 0), "
+                     for tree, cycles in (("long", 25), ("full", 3), ("diagonal", 3))
+                     for name in sorted(["error_curve.json"] + [f"field_cycle{k:04d}.json"
+                                                                for k in range(cycles + 1)])] + [
+        "summary: 37 files compared, 37 identical, 0 with moved floats (max drift 0), "
         "0 with other differences"]
 
 
@@ -104,6 +105,18 @@ def test_full_covariance_tree_has_no_diagonal_covariance(tmp_path):
     signs = np.zeros((d, d), dtype=bool)
     signs[0, 1] = signs[1, 0] = True
     assert not off[0].any() and np.array_equal(np.signbit(covariances[0]), signs)
+
+
+def test_diagonal_list_tree_loads_the_learn_field_as_diagonals(tmp_path):
+    config = workloads.generate("learn_churn", 1, tmp_path)
+    matrices = load_config(config).field.covariances
+    field = json.loads((tmp_path / "field.json").read_text())
+    tree_drift.diagonal_lists(field)
+    (tmp_path / "field.json").write_text(json.dumps(field))
+    diagonals = load_config(config).field.covariances
+    n, d = diagonals.shape
+    assert matrices.shape == (n, d, d) and d == 8
+    assert np.array_equal(diagonals, np.diagonal(matrices, axis1=1, axis2=2))
 
 
 def test_cognition_tree_is_the_seed_one_flow_config_with_a_non_identity_pipeline():

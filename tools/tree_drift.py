@@ -5,12 +5,15 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus three more: a long-learn
+with JSON and CSV output, 24 trees in all, plus four more: a long-learn
 tree, the learn_churn seed-1 config at 25 cycles, whose many snapshots share
 most of their token rows; a full-covariance learn tree, the learn_churn
 seed-1 config with every covariance but the first turned into a full matrix
 by one fixed orthogonal matrix and the first a diagonal one with a -0.0
 off-diagonal pair, since every benchmark field's covariances are diagonal;
+a diagonal-list learn tree, the learn_churn seed-1 config with each 8x8
+covariance written as its diagonal list, since only such a field loads its
+covariances as (n, D) diagonals and learn_churn writes its matrices;
 and a cognition tree, the flow_sparse seed-1 config with non-identity value
 and predictor matrices, a bias, tanh activation and a context capacity of
 4, since every benchmark config keeps the identity pipeline. Each root runs
@@ -60,6 +63,12 @@ def full_covariances(field: dict) -> None:
         cov = q @ np.asarray(token["covariance"]) @ q
         token["covariance"] = ((cov + cov.T) / 2).tolist()
     field["tokens"][0]["covariance"][0][1] = field["tokens"][0]["covariance"][1][0] = -0.0
+
+
+def diagonal_lists(field: dict) -> None:
+    """Write each covariance of a field file as its diagonal list, in place."""
+    for token in field["tokens"]:
+        token["covariance"] = np.diagonal(token["covariance"]).tolist()
 
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
@@ -122,16 +131,18 @@ def _walk(a, b, where: str, drift: list, problems: list) -> None:
 
 def specs(names, seeds, formats) -> list:
     """(tree, workload, seed, (config section, {key: value, ...})) of every
-    tree to build: one per workload, seed and format, the long-learn and
-    full-covariance trees when learn_churn and seed 1 are among them, and
-    the cognition tree when flow_sparse and seed 1 are. The full-covariance
-    tree's edit is ("field", full_covariances), a rewrite of its field file."""
+    tree to build: one per workload, seed and format, the long-learn,
+    full-covariance and diagonal-list trees when learn_churn and seed 1 are
+    among them, and the cognition tree when flow_sparse and seed 1 are. The
+    full-covariance and diagonal-list trees' edits are ("field", function),
+    a rewrite of their field file."""
     trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", {"format": fmt}))
              for name in names for seed in seeds for fmt in formats]
     if "learn_churn" in names and 1 in seeds:
         trees.append(("learn_churn/seed1/long", "learn_churn", 1,
                       ("learning", {"cycles": LONG_LEARN_CYCLES})))
         trees.append(("learn_churn/seed1/full", "learn_churn", 1, ("field", full_covariances)))
+        trees.append(("learn_churn/seed1/diagonal", "learn_churn", 1, ("field", diagonal_lists)))
     if "flow_sparse" in names and 1 in seeds:
         trees.append(("flow_sparse/seed1/cognition", "flow_sparse", 1,
                       ("cognition", COGNITION)))
