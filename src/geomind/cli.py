@@ -21,7 +21,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
 from .geodesic import geodesic_between, path_length_energy
 from .io import export_trajectory, save_snapshots, write_json
-from .mind import (analyze_field, pca_projection, run_learning,
+from .mind import (_check_grid, analyze_field, pca_projection, run_learning,
                    run_thought_flow, select_conscious)
 
 
@@ -162,6 +162,8 @@ def run(command: str, config: RunConfig) -> int:
         raise ConfigError("learn command requires learning.input in the config")
     if command == "geodesic" and (config.geodesic_start is None or config.geodesic_end is None):
         raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
+    if command == "analyze":
+        _check_grid(config.field.dimension)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return handlers[command](config)

@@ -2,7 +2,8 @@
 
 All JSON output is written deterministically (fixed key order, no
 timestamps) and floats round-trip exactly through their shortest decimal
-representation.
+representation. Every JSON byte comes from json.dumps(indent=2,
+allow_nan=False), directly or through the row templates of _template.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import logging
 import math
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -76,72 +76,22 @@ def finite_number(value, name: str) -> float:
     return float(array)
 
 
-def _float(value: float) -> str:
-    text = float.__repr__(value)
-    if "n" in text:  # nan, inf, -inf; no finite float's repr holds an "n"
-        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return text
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return '"' + _float(key) + '"'
-    if key is True or key is False or key is None:
-        return '"' + _encode(key, "") + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _encode(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2, allow_nan=False) writes it at
-    nesting level indent. json's indented encoder is pure Python and makes
-    a call per float; a list of floats here is one str.join. save_snapshots
-    fills its token rows into templates built by this function."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        separator = ",\n" + inner
-        try:
-            body = separator.join(map(float.__repr__, value))
-        except TypeError:  # an item is not a float
-            body = separator.join([_encode(item, inner) for item in value])
-        else:
-            if "n" in body:
-                for item in value:
-                    _float(item)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        body = (",\n" + inner).join([_key(k) + ": " + _encode(v, inner)
-                                     for k, v in value.items()])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, float):
-        return _float(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def write_json(path: Union[str, Path], payload) -> None:
-    """Write an artifact as indented strict JSON, byte-equal to
-    json.dumps(payload, indent=2, allow_nan=False) plus a newline: a NaN or
-    infinity raises ValueError instead of writing non-standard JSON, and an
-    unsupported type raises TypeError."""
-    Path(path).write_text(_encode(payload, "") + "\n")
+    """Write an artifact as json.dumps(payload, indent=2, allow_nan=False)
+    plus a newline, encoded before the file is opened: a NaN or infinity
+    raises ValueError instead of writing non-standard JSON, an unsupported
+    type raises TypeError, and neither leaves a file."""
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+
+
+def _template(row) -> str:
+    """A %-template of row, a JSON object whose "%s" strings are slots, as
+    write_json writes it two levels down, in a list of the top object, so it
+    cannot drift from write_json; led by a slot for the separator before it.
+    Snapshot token rows and trajectory samples are filled into templates
+    from one float.__repr__ pass; json's indented encoder is pure Python."""
+    text = json.dumps(row, indent=2).replace("\n", "\n    ")
+    return "%s\n    " + text.replace('"%s"', "%s")
 
 
 def _read_json(path: Union[str, Path], top: type, error: type = FieldFormatError,
@@ -269,15 +219,12 @@ def _changed_rows(field: TokenField, previous: Optional[TokenField]) -> np.ndarr
 
 @functools.lru_cache(maxsize=None)
 def _row_template(d: int, diagonal: bool) -> str:
-    """A %-template of one token row in dimension d: the _encode text of a
-    row of "%s" strings, so it cannot drift from write_json, with slots for
-    the separator before the row, the id, the mean, the covariance entries
-    (when diagonal, only the diagonal ones, with 0.0 written off it) and
-    the weight."""
+    """The _template of one token row in dimension d, with slots for the
+    separator before the row, the id, the mean, the covariance entries (when
+    diagonal, only the diagonal ones, with 0.0 written off it) and the
+    weight."""
     cov = [["%s" if i == j or not diagonal else 0.0 for j in range(d)] for i in range(d)]
-    # a token entry sits two levels down, in the tokens list of the top object
-    row = _encode({"id": "%s", "mean": ["%s"] * d, "covariance": cov, "weight": "%s"}, "    ")
-    return "%s\n    " + row.replace('"%s"', "%s")
+    return _template({"id": "%s", "mean": ["%s"] * d, "covariance": cov, "weight": "%s"})
 
 
 def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
@@ -290,8 +237,8 @@ def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
     covariances = field.covariances[block]
     table = np.concatenate((field.means[block], covariances.reshape(len(block), -1),
                             field.weights[block, None]), axis=1)
-    if not np.isfinite(table).all():  # floats in the reference's order: _encode raises its error
-        _encode(table.tolist(), "")
+    if not np.isfinite(table).all():  # floats in the reference's order: json raises its error
+        json.dumps(table.tolist(), indent=2, allow_nan=False)
     off = (np.arange(d, d + d * d)[~np.eye(d, dtype=bool).ravel()]  # off-diagonal columns
            if covariances.ndim == 3 else np.arange(0))
     diagonal = ~table[:, off].view(np.int64).any(axis=1)
@@ -303,6 +250,14 @@ def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
     for k, i, diag, end, width in zip(block.tolist(), field.ids[block].tolist(), diagonal.tolist(),
                                       np.cumsum(widths).tolist(), widths.tolist()):
         rows[k] = templates[diag] % ("[" if k == 0 else ",", i, *reprs[end - width:end])
+
+
+def _write_listed(path: Union[str, Path], head: dict, key: str, rows: Sequence[str]) -> None:
+    """Write head with key added as its last entry, as write_json would: a
+    list whose items' text, each led by its separator, is rows."""
+    text = json.dumps(head, indent=2, allow_nan=False)[:-2]  # less its closing "\n}"
+    with open(path, "w") as fh:
+        fh.writelines([text, f',\n  "{key}": ', *rows, "\n  ]\n}\n" if rows else "[]\n}\n"])
 
 
 def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
@@ -327,13 +282,8 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
             rows = [""] * len(field)
         for lo in range(0, len(changed), ROW_BLOCK):
             _encode_rows(field, changed[lo:lo + ROW_BLOCK], rows)
-        # the header object, less its closing "\n}", takes the tokens as its last key
-        head = _encode({"dimension": field.dimension, "bandwidth": field.bandwidth,
-                        "epsilon": field.epsilon}, "")[:-2]
-        with open(path, "w") as fh:
-            fh.write(head + ',\n  "tokens": ')
-            fh.writelines(rows)
-            fh.write("\n  ]\n}\n" if rows else "[]\n}\n")
+        _write_listed(path, {"dimension": field.dimension, "bandwidth": field.bandwidth,
+                             "epsilon": field.epsilon}, "tokens", rows)
         logger.debug("wrote %s: %d of %d token rows encoded", path, len(changed), len(rows))
         previous = field
 
@@ -364,44 +314,56 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
     return schedule
 
 
-def _finite_trajectory(times, positions, velocities, dt) -> bool:
-    return bool(math.isfinite(dt) and np.isfinite(times).all()
-                and np.isfinite(positions).all() and np.isfinite(velocities).all())
+@functools.lru_cache(maxsize=None)
+def _sample_template(d: int, activated: bool) -> str:
+    """The _template of one trajectory sample in dimension d, with slots for
+    the separator before it, t, the position, the velocity and, when
+    activated, the token id."""
+    sample = {"t": "%s", "position": ["%s"] * d, "velocity": ["%s"] * d}
+    return _template(dict(sample, token_id="%s") if activated else sample)
 
 
 def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> None:
     """Write a trajectory as JSON or CSV; import reproduces it exactly.
 
-    JSON holds one object per sample {t, position, velocity, token_id?};
-    CSV uses the header t,p0..p{D-1},v0..v{D-1},token_id with an empty
-    token_id on samples without an activation. A truncated trajectory's CSV
-    ends with the line truncated,<dt>, and any other trajectory of fewer than
-    two samples with dt,<dt>, so dt survives where the times cannot give it.
-    In either format a NaN or infinity raises ValueError and writes no file.
+    JSON holds one object per sample {t, position, velocity, token_id?},
+    byte-equal to write_json of that payload. CSV uses the header
+    t,p0..p{D-1},v0..v{D-1},token_id with an empty token_id on samples
+    without an activation. A truncated trajectory's CSV ends with the line
+    truncated,<dt>, and any other trajectory of fewer than two samples with
+    dt,<dt>, so dt survives where the times cannot give it. In either
+    format a NaN or infinity raises ValueError and writes no file, as do
+    times that are not (T,) or positions and velocities not both (T, D).
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
-    activation_at = {t: tid for t, tid in traj.activations}
-    rows = zip(traj.times.tolist(), traj.positions.tolist(), traj.velocities.tolist())
-    if fmt == "json":
-        samples = []
-        for t, position, velocity in rows:
-            entry = {"t": t, "position": position, "velocity": velocity}
-            if t in activation_at:
-                entry["token_id"] = activation_at[t]
-            samples.append(entry)
-        write_json(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": samples})
-        return
-    if not _finite_trajectory(traj.times, traj.positions, traj.velocities, traj.dt):
+    times, positions, velocities = traj.times, traj.positions, traj.velocities
+    if (positions.ndim != 2 or velocities.shape != positions.shape
+            or times.shape != positions.shape[:1]):
+        raise ValueError("a trajectory needs (T,) times and (T, D) positions and velocities, "
+                         f"got shapes {times.shape}, {positions.shape} and {velocities.shape}")
+    table = np.concatenate((times[:, None], positions, velocities), axis=1)
+    if not (math.isfinite(traj.dt) and np.isfinite(table).all()):
+        if fmt == "json":  # the error write_json gives: dt first, then the samples in order
+            json.dumps([traj.dt, table.tolist()], indent=2, allow_nan=False)
         raise ValueError("a trajectory with a NaN or infinite number cannot be exported")
-    d = traj.positions.shape[1]
+    d, width = positions.shape[1], table.shape[1]
+    reprs = list(map(float.__repr__, table.ravel().tolist()))
+    samples = [(t, reprs[k * width:(k + 1) * width]) for k, t in enumerate(times.tolist())]
+    activation_at = {t: tid for t, tid in traj.activations}
+    if fmt == "json":
+        rows = []
+        for k, (t, values) in enumerate(samples):
+            tail = (json.dumps(activation_at[t], allow_nan=False),) if t in activation_at else ()
+            rows.append(_sample_template(d, bool(tail)) % ("[" if k == 0 else ",", *values, *tail))
+        _write_listed(path, {"dt": traj.dt, "truncated": traj.truncated}, "samples", rows)
+        return
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, position, velocity in rows:
-            writer.writerow([repr(t)] + list(map(repr, position)) + list(map(repr, velocity))
-                            + [activation_at.get(t, "")])
+        for t, values in samples:
+            writer.writerow(values + [activation_at.get(t, "")])
         if traj.truncated:
             writer.writerow(["truncated", repr(float(traj.dt))])
         elif len(traj) < 2:
@@ -486,6 +448,6 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     if positions.ndim != 2 or velocities.shape != positions.shape or times.ndim != 1:
         raise FieldFormatError(f"{path}: expected samples, each with a number t and "
                                "a position and a velocity of one equal length")
-    if not _finite_trajectory(times, positions, velocities, dt):
+    if not all(np.isfinite(a).all() for a in (dt, times, positions, velocities)):
         raise FieldFormatError(f"{path}: dt, t, position and velocity must be finite")
     return Trajectory(positions, velocities, times, dt, activations, truncated)

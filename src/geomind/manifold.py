@@ -175,13 +175,19 @@ class TokenField:
                     (weights[lo:lo + VALIDATE_BLOCK] < 0, "weight must be non-negative")):
                 if np.any(bad):
                     raise ValueError(f"token {ids[lo + np.argmax(bad)]}: {rule}")
+        self.__dict__.update(dimension=d, bandwidth=bandwidth, epsilon=epsilon)
         with np.errstate(over="ignore"):
             if not np.isfinite(means.sum(axis=0)).all():
                 # the kernel centroid would be infinite, and every density NaN
                 raise ValueError("means must have finite column sums, since the kernel is "
                                  "centred on their centroid")
-        self.__dict__.update(dimension=d, bandwidth=bandwidth, epsilon=epsilon)
-        self._store({"ids": ids, "means": means, "covariances": covariances, "weights": weights})
+            self._store({"ids": ids, "means": means, "covariances": covariances, "weights": weights})
+        # an infinite offset makes exponents of -inf + inf, NaN densities near
+        # the token; an infinite slope (v - c) / h^2 implies one, as h^2 >= 2^-1022
+        far = ~np.isfinite(self._offsets)
+        if far.any():
+            raise ValueError(f"token {ids[np.argmax(far)]}: mean is too far from the centroid: "
+                             "its kernel offset -|v - c|^2 / 2h^2 is not finite")
 
     def _store(self, arrays: dict[str, np.ndarray]) -> None:
         for name, array in arrays.items():

@@ -296,6 +296,13 @@ def pca_projection(field: TokenField) -> dict[int, np.ndarray]:
     return dict(zip(field.ids.tolist(), coords))
 
 
+def _check_grid(d: int, grid: GridSpec = GridSpec()) -> None:
+    """ConfigError when grid has more than GRID_BUDGET points in dimension d."""
+    if grid.points_per_axis**d > GRID_BUDGET:
+        raise ConfigError(f"analyze grid: points_per_axis {grid.points_per_axis} at D={d} gives "
+                          f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
+
+
 def analyze_field(field: TokenField, source: MetricSource,
                   grid: GridSpec = GridSpec()) -> FieldReport:
     """Survey the field: curvature map, outlier regions, connectivity, dimension.
@@ -306,9 +313,7 @@ def analyze_field(field: TokenField, source: MetricSource,
     points is refused with ConfigError before anything is allocated.
     """
     d = field.dimension
-    if grid.points_per_axis**d > GRID_BUDGET:
-        raise ConfigError(f"analyze grid: points_per_axis {grid.points_per_axis} at D={d} gives "
-                          f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
+    _check_grid(d, grid)
     if len(field):
         lo = field.means.min(axis=0) - GRID_PADDING * field.bandwidth
         hi = field.means.max(axis=0) + GRID_PADDING * field.bandwidth

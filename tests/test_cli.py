@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from geomind import (ConfigError, FieldFormatError, SphereMetric,
                      Trajectory, export_trajectory,
                      import_trajectory, integrate_geodesic, load_field,
                      load_input_schedule, save_field)
-from geomind.io import FORMATS, field_to_dict
+from geomind.io import FORMATS, field_to_dict, write_json as write_artifact
 import geomind
 from geomind.cli import main, run
 from geomind.config import load_config
@@ -287,6 +288,25 @@ def _bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
+def _reference_payload(traj):
+    """The payload whose write_json bytes export_trajectory writes as JSON:
+    one dict per sample."""
+    activation_at = {t: tid for t, tid in traj.activations}
+    samples = []
+    for t, position, velocity in zip(traj.times.tolist(), traj.positions.tolist(),
+                                     traj.velocities.tolist()):
+        entry = {"t": t, "position": position, "velocity": velocity}
+        if t in activation_at:
+            entry["token_id"] = activation_at[t]
+        samples.append(entry)
+    return {"dt": traj.dt, "truncated": traj.truncated, "samples": samples}
+
+
+def _edge_trajectory(token_id):
+    return Trajectory(np.array([[-0.0, 5e-324], [1e308, -1e308]]), np.array([[0.0, -5e-324]] * 2),
+                      np.array([0.0, 0.5]), 0.5, activations=[(0.5, token_id)])
+
+
 # the same file is rewritten for every example
 @pytest.mark.parametrize("fmt", FORMATS)
 @settings(max_examples=100, deadline=None,
@@ -294,9 +314,26 @@ def _bits(value) -> bytes:
 @given(traj=_trajectories())
 @example(traj=_sample_trajectory())
 @example(traj=Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25))
+@example(traj=_edge_trajectory(-2**63))
+@example(traj=_edge_trajectory(True))
+@example(traj=_edge_trajectory(np.int64(7)))
 def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
     path = tmp_path / f"traj.{fmt}"
+    path.unlink(missing_ok=True)  # left by the previous example
+    if fmt == "json":
+        reference = tmp_path / "reference.json"
+        try:
+            write_artifact(reference, _reference_payload(traj))
+        except TypeError as exc:  # such as an np.int64 token id
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                export_trajectory(traj, fmt, path)
+            assert not path.exists()
+            return
     export_trajectory(traj, fmt, path)
+    if fmt == "json":
+        assert path.read_bytes() == reference.read_bytes()
+    if any(type(tid) is bool for _, tid in traj.activations):
+        return  # written as write_json writes a bool, which import refuses as an id
     back = import_trajectory(path)
     for name in ("positions", "velocities", "times"):
         a, b = getattr(back, name), getattr(traj, name)
@@ -340,6 +377,18 @@ def test_unknown_format_rejected_before_write(tmp_path):
     path = tmp_path / "traj.xml"
     with pytest.raises(ValueError):
         export_trajectory(_sample_trajectory(), "xml", path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_refuses_a_batch_trajectory(tmp_path, fmt):
+    # (T, B, D) positions and velocities, which neither format can hold
+    traj = integrate_geodesic([[0.5, 0.0], [0.6, 0.1]], [[0.1, 0.0], [0.0, 0.1]],
+                              SphereMetric(1.0), horizon=0.05, dt=0.01)
+    assert traj.positions.shape == (6, 2, 2)
+    path = tmp_path / f"traj.{fmt}"
+    with pytest.raises(ValueError, match=r"needs \(T,\) times and \(T, D\) positions"):
+        export_trajectory(traj, fmt, path)
     assert not path.exists()
 
 
@@ -477,18 +526,29 @@ def test_import_json_refuses_an_overflowing_number(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("where", ["positions", "velocities", "times", "dt"])
+@pytest.mark.parametrize("where", ["positions", "velocities", "times", "dt", "several"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_export_refuses_non_finite_trajectory_and_writes_nothing(tmp_path, fmt, where, bad):
     traj = _sample_trajectory()
     if where == "dt":
         traj = dataclasses.replace(traj, dt=bad)
+    elif where == "several":  # JSON names the first of them in file order
+        times, velocities = traj.times.copy(), traj.velocities.copy()
+        times[4], velocities[1, 1] = bad, -np.inf if bad == np.inf else np.inf
+        traj = dataclasses.replace(traj, times=times, velocities=velocities,
+                                   dt=np.nan if bad == np.inf else 0.1)
     else:
         values = getattr(traj, where).copy()
         values.flat[3] = bad
         traj = dataclasses.replace(traj, **{where: values})
     path = tmp_path / f"traj.{fmt}"
-    with pytest.raises(ValueError, match="cannot be exported|not JSON compliant"):
+    if fmt == "json":  # the error that write_json gives the same payload
+        with pytest.raises(ValueError) as reference:
+            write_artifact(tmp_path / "reference.json", _reference_payload(traj))
+        rule = re.escape(str(reference.value))
+    else:
+        rule = "cannot be exported"
+    with pytest.raises(ValueError, match=rule):
         export_trajectory(traj, fmt, path)
     assert not path.exists()
 
@@ -772,6 +832,29 @@ def test_analyze_empty_field_succeeds(workdir):
     assert report["components"] == []
 
 
+@pytest.mark.parametrize("command, name, header", [
+    ("learn", "error_curve", "cycle,error_norm"), ("analyze", "pca_projection", "token_id,x,y")])
+def test_csv_tables_hold_their_json_twins_values_bitwise(workdir, command, name, header):
+    cfg = json.loads((workdir / "config.json").read_text())
+    for fmt in FORMATS:
+        cfg["output"]["format"] = fmt
+        write_json(workdir / f"cfg_{fmt}.json", cfg)
+        assert main([command, "--config", str(workdir / f"cfg_{fmt}.json"),
+                     "--out", str(workdir / fmt)]) == 0
+    data = _strict_json(workdir / "json" / f"{name}.json")
+    # the JSON values in the CSV's row order: by cycle from 1, by token id
+    if command == "learn":
+        expected = [[k, e] for k, e in enumerate(data["error_norms"], start=1)]
+    else:
+        expected = [[int(tid), *xy] for tid, xy in data.items()]
+    assert [row[0] for row in expected] == list(range(1, len(expected) + 1))
+    lines = (workdir / "csv" / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:]]
+    assert [[int(row[0])] + [_bits(float(cell)) for cell in row[1:]] for row in rows] == [
+        [row[0]] + [_bits(value) for value in row[1:]] for row in expected]
+
+
 def test_runtime_error_writes_failure_and_exits_1(workdir):
     # a grid point lies within one finite-difference step of the pole theta = 0
     write_json(workdir / "near_pole.json", {"dimension": 2, "bandwidth": 1.0, "tokens": [
@@ -955,10 +1038,12 @@ def test_geodesic_whose_length_overflows_writes_failure_and_exits_1(tmp_path):
 
 @pytest.mark.parametrize("command", ["simulate", "compete"])
 def test_flow_that_overflows_at_its_start_reports_without_a_warning(tmp_path, command):
-    # the start's distances to the far token overflow before the first cycle
-    rc, out = _run_in(tmp_path, command, {"dimension": 1, "tokens": [
-        {"id": 1, "mean": [1e308]}, {"id": 2, "mean": [0.0]}]},
-        {"simulation": {"steps": 2, "start": [1e308], "seeds": [1]}})
+    # the offsets -|v - c|^2 / 2h^2 are finite, -1.5e308, but at the start
+    # token the exponent's s . x_c = |v - c|^2 / h^2 overflows before the first cycle
+    a = 8.66e153
+    rc, out = _run_in(tmp_path, command, {"dimension": 1, "bandwidth": 0.5, "tokens": [
+        {"id": 1, "mean": [a]}, {"id": 2, "mean": [-a]}]},
+        {"simulation": {"steps": 2, "start": [a], "seeds": [1]}})
     assert rc == 1
     assert _strict_json(out / "failure.json") == {
         "error": "non-finite", "seeds": [1], "reasons": ["non-finite"]}
@@ -972,6 +1057,22 @@ def test_means_whose_centroid_overflows_exit_2(tmp_path, capsys):
         {"id": 3, "mean": [1.5e308, 1e308]}]}, {})
     assert rc == 2 and not out.exists()
     assert "means must have finite column sums" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "geodesic"])
+def test_means_whose_kernel_offsets_overflow_exit_2(tmp_path, capfd, command):
+    # the centroid is 0, but |v - c|^2 = 1e400 overflows: analyze ended in a
+    # NaN traceback, and geodesic printed LAPACK's DLASCL line and reported a
+    # singular Jacobian
+    rc, out = _run_in(tmp_path, command, {"dimension": 1, "tokens": [
+        {"id": 1, "mean": [1e200]}, {"id": 2, "mean": [-1e200]}]},
+        {"geodesic": {"start": [1e200], "end": [-1e200]}})
+    assert rc == 2 and not out.exists()
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"geomind: error: {tmp_path / 'field.json'}: token 1: mean is too "
+                            "far from the centroid: its kernel offset -|v - c|^2 / 2h^2 is not "
+                            "finite\n")
 
 
 @pytest.mark.parametrize("simulation, rule", [
@@ -994,7 +1095,7 @@ def test_analyze_grid_over_budget_exits_2_quickly(tmp_path):
     start = time.perf_counter()
     assert main(["analyze", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert not (out / "field_report.json").exists()
+    assert not out.exists()
 
 
 def _tree_digest(root: Path) -> str:

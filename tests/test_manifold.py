@@ -484,6 +484,23 @@ def test_token_field_refuses_means_whose_centroid_overflows():
     assert field._centre.tolist() == [8e307]
 
 
+def test_token_field_refuses_means_whose_kernel_offsets_overflow():
+    # the centroid is finite, but |v - c|^2 overflows, so near such a token
+    # the exponent o_i + s_i . x_c was -inf + inf and the density NaN
+    with pytest.raises(ValueError, match="token 1: mean is too far from the centroid: its "
+                                         "kernel offset"):
+        TokenField([1, 2], [[1e200], [-1e200]], np.zeros((2, 1)), [1.0, 1.0])
+    with pytest.raises(ValueError, match="token 7: mean is too far"):
+        TokenField([5, 7, 9], [[0.0, 0.0], [2e154, 0.0], [0.0, -2e154]], np.zeros((3, 2)),
+                   [1.0] * 3)
+    # the offset divides by 2h^2, so the rule depends on the bandwidth
+    means = [[1e150], [-1e150]]
+    with pytest.raises(ValueError, match="token 1: mean is too far"):
+        TokenField([1, 2], means, np.zeros((2, 1)), [1.0, 1.0], bandwidth=2.0**-511)
+    field = TokenField([1, 2], means, np.zeros((2, 1)), [1.0, 1.0])
+    assert np.isfinite(field._offsets).all() and density_at(field, [1e150]) == 1.0
+
+
 # ---------------------------------------------------------------- closed-form conformal curvature
 
 def _curvature_term_scale(field, x):

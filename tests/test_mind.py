@@ -11,8 +11,8 @@ from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      Trajectory, analyze_field, curvature_at,
                      demo_field, density_at, feature_vector, geodesic_between,
                      integrate_geodesic, intrinsic_dimension, learn_update,
-                     manipulate_feature, pca_projection, run_learning,
-                     run_thought_flow, score_flow, select_conscious)
+                     manipulate_feature, pca_projection, predict_geometric,
+                     run_learning, run_thought_flow, score_flow, select_conscious)
 from geomind.mind import (CURVATURE_PERCENTILE, GRID_BUDGET, GRID_PADDING,
                           SEGMENT_SAMPLES)
 
@@ -132,6 +132,23 @@ def test_flow_sample_count(random_field, identity_params):
     assert len(flow.trajectory) == 101
     assert len(flow.errors) == 100
     assert flow.stop_reason is None
+
+
+def test_geometric_predictor_in_a_flow_reads_the_last_window_of_fronts(random_field):
+    # a window of 0.05 at dt 0.01 spans 5 steps, so 6 fronts: until cycle 5
+    # has them, the prediction is the perceived front and the error zero
+    source = ConformalFieldMetric(random_field)
+    params = CognitionParams.defaults(2, kappa=0.5, predictor="geometric", geometric_window=0.05)
+    flow = run_thought_flow(random_field, source, params, n_steps=12, dt=0.01, seed=4,
+                            start=[0.0, 0.0], velocity=[0.6, 0.2])
+    traj = flow.trajectory
+    assert flow.stop_reason is None and len(flow.errors) == 12
+    for k, error in enumerate(flow.errors):
+        # without input the perceived point is the front before cycle k
+        expected = np.zeros(2) if k < 5 else traj.positions[k] - predict_geometric(
+            traj.positions[k - 5:k + 1], traj.velocities[k - 5:k + 1], 0.01, 0.05)
+        assert error.tobytes() == expected.tobytes(), k
+    assert all(np.any(error) for error in flow.errors[5:])
 
 
 def test_diverging_flow_stops_at_first_non_finite_cycle():
@@ -596,13 +613,21 @@ def test_nearest_at_coordinates_where_squares_come_near_or_past_overflow(scale):
         means = rng.normal(size=(20, dim))
         means[5] = means[9]
         field = make_field(list(means), dim=dim, ids=list(rng.permutation(20) + 1))
-        huge = make_field(list(scale * means), dim=dim, ids=list(rng.permutation(20) + 1))
+        huge_ids = list(rng.permutation(20) + 1)
+        if scale > 1e150:
+            # |v_i - c|^2 overflows, so the field is refused; huge points
+            # still meet the unit field
+            with pytest.raises(ValueError, match="mean is too far from the centroid"):
+                make_field(list(scale * means), dim=dim, ids=huge_ids)
+            huge = None
+        else:
+            huge = make_field(list(scale * means), dim=dim, ids=huge_ids)
         with np.errstate(over="ignore", invalid="ignore"):
             for x in (scale * rng.normal(size=dim), -scale * np.ones(dim)):
                 assert field.ids[field.nearest(x)] == _nearest_id(field, x)
             for x in (scale * means[9], scale * (means[9] + 1e-3 * rng.normal(size=dim)),
                       scale * rng.normal(size=dim), np.zeros(dim)):
-                assert huge.ids[huge.nearest(x)] == _nearest_id(huge, x)
+                assert huge is None or huge.ids[huge.nearest(x)] == _nearest_id(huge, x)
 
 
 def test_nearest_where_one_squared_distance_overflows_and_one_exponent_does_not():

@@ -160,14 +160,16 @@ def test_bench_pairs_alternates_the_sides_and_summarises_the_final_lines():
         job_s = {1: (10.0, 6.0), 2: (9.0, 9.0), 3: (11.0, 5.0), 4: (8.0, 8.5)}[seed][
             0 if parent else 1]
         line = _final_line(job_s, 76.0 if parent else 76.5, failed=int(seed == 3 and parent))
-        return {"workload": workload, "side": root}, line
+        return {"workload": workload, "side": root,
+                "machine": {"src_lines": 2554 if parent else 2529}}, line
 
     result = bench_pairs.run_pairs({"parent": "P", "change": "C"}, "flow_dense",
                                    bench_pairs.parse_seeds("1-4"), run=fake_run)
     assert calls == [("P", 1), ("C", 1), ("C", 2), ("P", 2), ("P", 3), ("C", 3),
                      ("C", 4), ("P", 4)]
-    assert result["info"] == {"parent": {"workload": "flow_dense", "side": "P"},
-                              "change": {"workload": "flow_dense", "side": "C"}}
+    assert result["info"] == {
+        "parent": {"workload": "flow_dense", "side": "P", "machine": {"src_lines": 2554}},
+        "change": {"workload": "flow_dense", "side": "C", "machine": {"src_lines": 2529}}}
     metrics = [{"name": "job_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]
     summary = bench_pairs.summarise(result["runs"], metrics)
     # job_s: the change wins seeds 1 and 3, ties seed 2 and loses seed 4
@@ -181,9 +183,12 @@ def test_bench_pairs_alternates_the_sides_and_summarises_the_final_lines():
     higher = bench_pairs.summarise(result["runs"], [{"name": "job_s", "better": "higher"}])
     assert (higher["job_s"]["change_won"], higher["job_s"]["parent_won"]) == (1, 2)
     out = io.StringIO()
-    bench_pairs.report(summary, metrics, out=out)
-    assert out.getvalue().splitlines()[1].split() == [
-        "job_s", "parent", "8.75", "9.5", "10.25", "1"]
+    bench_pairs.report(summary, metrics, result["info"], out=out)
+    lines = out.getvalue().splitlines()
+    assert lines[1].split() == ["job_s", "parent", "8.75", "9.5", "10.25", "1"]
+    # each side's source length sits next to its pairs
+    assert lines[-2:] == ["parent: 1/80 failed, correct False, src_lines 2554",
+                          "change: 0/80 failed, correct True, src_lines 2529"]
 
 
 def test_bench_pairs_reads_seed_lists_and_ranges():

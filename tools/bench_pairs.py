@@ -12,7 +12,8 @@ run_seconds, the run length the benchmark itself uses. --seeds takes
 numbers and ranges such as "1-10" or "1,3,11-12". For every end-to-end metric that BENCHMARK.json
 names, the report prints each side's median and quartiles over the seeds
 and the number of pairs the change won, by the metric's better direction;
-a tie counts for neither side. The final lines of every run and that
+a tie counts for neither side. It also prints each side's src_lines, the
+line count of src/geomind that perfbench records in machine. The final lines of every run and that
 summary are printed as one JSON object on the last line, and written to
 FILE when --out is given. The exit status is 1 when any run was not
 correct, else 0.
@@ -105,7 +106,9 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
     return summary
 
 
-def report(summary: dict, metrics: list[dict], out=sys.stdout) -> None:
+def report(summary: dict, metrics: list[dict], info: dict, out=sys.stdout) -> None:
+    """Print the summary as a table, then each side's failures and its
+    machine.src_lines, the source length, from the first line of its runs."""
     print(f"{'metric':<14}{'side':>8}{'q1':>12}{'median':>12}{'q3':>12}{'won':>6}", file=out)
     for metric in metrics:
         entry = summary[metric["name"]]
@@ -115,7 +118,8 @@ def report(summary: dict, metrics: list[dict], out=sys.stdout) -> None:
                   f"{q['q3']:>12.6g}{entry[side + '_won']:>6}", file=out)
     for side in SIDES:
         s = summary[side]
-        print(f"{side}: {s['failed']}/{s['attempted']} failed, correct {s['correct']}", file=out)
+        print(f"{side}: {s['failed']}/{s['attempted']} failed, correct {s['correct']}, "
+              f"src_lines {info[side]['machine']['src_lines']}", file=out)
 
 
 def main(argv=None) -> int:
@@ -132,7 +136,7 @@ def main(argv=None) -> int:
                        args.seeds)
     result = {"workload": args.workload, "seconds": BENCHMARK["run_seconds"], **result,
               "summary": summarise(result["runs"], metrics)}
-    report(result["summary"], metrics)
+    report(result["summary"], metrics, result["info"])
     if args.out:
         args.out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result))
