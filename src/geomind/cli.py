@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-
+from itertools import chain
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
@@ -100,6 +100,12 @@ def cmd_learn(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     report = analyze_field(config.field, config.metric)
+    projection = pca_projection(config.field)
+    values = chain([report.percentile_cut], (s for _, s in report.curvature_samples),
+                   *projection.values())
+    if not all(map(math.isfinite, values)):  # JSON has no NaN or Infinity
+        write_json(config.out_dir / "failure.json", {"error": "non-finite"})
+        return 1
     write_json(config.out_dir / "field_report.json", {
         "curvature_samples": [
             {"point": p.tolist(), "scalar": s} for p, s in report.curvature_samples
@@ -109,7 +115,6 @@ def cmd_analyze(config: RunConfig) -> int:
         "components": report.components,
         "intrinsic_dimension": report.intrinsic_dimension,
     })
-    projection = pca_projection(config.field)
     if config.fmt == "csv":
         lines = ["token_id,x,y"]
         lines += [f"{tid},{repr(float(c[0]))},{repr(float(c[1]))}"

@@ -248,6 +248,14 @@ def predict_geometric(positions, velocities, dt: float, window: float) -> np.nda
     return positions[-1 - n_back] + integral
 
 
+def window_steps(window: float, dt: float) -> int:
+    """round(window / dt), a geometric window's steps of dt; ValueError past the front buffer."""
+    if not window / dt <= RECENT_FRONTS_MAX - 0.5:  # round(window / dt) >= RECENT_FRONTS_MAX or inf
+        raise ValueError(f"cognition.geometric_window {window} spans more than "
+                         f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
+    return round(window / dt)
+
+
 def perceive(front, input_vec, params: CognitionParams) -> np.ndarray:
     """Blend of the front with external input: (1 - beta) front + beta input.
 
@@ -291,9 +299,7 @@ def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
 def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
     params = state.params
     if params.predictor == "geometric":
-        n_back = int(round(params.geometric_window / dt))
-        if n_back + 1 > RECENT_FRONTS_MAX:
-            raise ValueError("geometric_window spans more steps than the front buffer holds")
+        n_back = window_steps(params.geometric_window, dt)
         if len(state.recent_fronts) >= n_back + 1:
             positions, velocities = map(np.stack, zip(*state.recent_fronts[-1 - n_back:]))
             return predict_geometric(positions, velocities, dt, params.geometric_window)

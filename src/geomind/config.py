@@ -9,11 +9,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cognition import RECENT_FRONTS_MAX, CognitionParams
+from .cognition import CognitionParams, window_steps
 from .errors import ConfigError, GeomindError
 from .geodesic import ShootingOptions
-from .io import (FORMATS, _read_json, finite_float, finite_number, load_field,
-                 load_input_schedule, numbers, whole_number)
+from .io import (FORMATS, _read_json, finite_number, load_field, load_input_schedule,
+                 numbers, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField)
 
@@ -60,11 +60,10 @@ def load_config(path, out_override=None, seed_override: Optional[Sequence[int]] 
     """Read, validate and resolve a config file into a RunConfig.
 
     Any malformed value ends in ConfigError; an error in a field or input
-    schedule file stays a FieldFormatError.
+    schedule file stays a FieldFormatError. io.numbers reads every number.
     """
     path = Path(path)
-    # the parse hook refuses a number, such as 1e999, that overflows to infinity
-    raw = _read_json(path, dict, ConfigError, parse_float=finite_float)
+    raw = _read_json(path, dict, ConfigError)
     try:
         return _resolve(raw, path, out_override, seed_override)
     except GeomindError:
@@ -119,9 +118,8 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     dt = finite_number(sim.get("dt", 0.01), "simulation.dt")
     if dt <= 0 or steps < 1:
         raise ConfigError(f"simulation needs dt > 0 and steps >= 1, got {dt} and {steps}")
-    if params.predictor == "geometric" and round(params.geometric_window / dt) >= RECENT_FRONTS_MAX:
-        raise ConfigError(f"cognition.geometric_window {params.geometric_window} spans more than "
-                          f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
+    if params.predictor == "geometric":
+        window_steps(params.geometric_window, dt)
     seeds = [whole_number(s, "seed")
              for s in (seed_override if seed_override else sim.get("seeds", [0]))]
     if not seeds:

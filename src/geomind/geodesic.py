@@ -219,7 +219,8 @@ def geodesic_between(a, b, source: MetricSource,
     probes as one batch (_shoot), so a solve of k iterations without
     backtracking makes 1 + k shots of D + 1 rows. Raises NoGeodesicError,
     read downstream as "no connecting path found", with the iterations run
-    and the reason: max-iters, backtracks-exhausted or singular-jacobian.
+    and the reason: max-iters, backtracks-exhausted or singular-jacobian,
+    which a Jacobian or miss that is not finite also gives.
     """
     a = _as_vector(a, source.dim, "a")
     b = _as_vector(b, source.dim, "b")
@@ -241,6 +242,8 @@ def geodesic_between(a, b, source: MetricSource,
                          "b - a; miss %.3e", iteration + 1, miss_norm)
             continue
         try:
+            if not (np.isfinite(jac).all() and np.isfinite(miss).all()):
+                raise np.linalg.LinAlgError  # before LAPACK prints an illegal-value line
             delta = np.linalg.lstsq(jac, miss, rcond=None)[0]
         except np.linalg.LinAlgError:
             iterations, reason = iteration + 1, "singular-jacobian"

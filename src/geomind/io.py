@@ -31,15 +31,9 @@ ROW_BLOCK = 256
 logger = logging.getLogger(__name__)
 
 
-def finite_float(text: str) -> float:
-    """json.loads hook that refuses a non-finite number: as parse_constant,
-    NaN, Infinity and -Infinity; as parse_float, a number such as 1e999 that
-    overflows. parse_float costs a call per number, so only config files use
-    it; the token checks cover field and schedule files."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not allowed; numbers must be finite")
-    return value
+def _refuse_constant(text: str):
+    """json.loads parse_constant hook: JSON has no NaN, Infinity or -Infinity."""
+    raise ValueError(f"{text} is not allowed; numbers must be finite")
 
 
 def whole_number(value, name: str) -> int:
@@ -53,23 +47,23 @@ def whole_number(value, name: str) -> int:
 def numbers(raw, name: str) -> np.ndarray:
     """raw, a JSON number or a rectangular nest of lists of them, as a float
     array whose shape the caller checks: the one rule of what counts as a
-    number in an input file. A bool, string, null, object, ragged list or
-    int beyond float range raises ValueError; one scan checks every leaf."""
+    number in a JSON input file. A bool, string, null, object, ragged list,
+    int beyond float range, NaN or infinity (1e999) raises ValueError."""
     try:
         array = np.asarray(raw, dtype=float)
         leaves = raw if array.ndim else (raw,)
         for _ in range(array.ndim - 1):
             leaves = chain.from_iterable(leaves)
-        if set(map(type, leaves)) <= {int, float}:
+        if set(map(type, leaves)) <= {int, float} and np.isfinite(array).all():
             return array
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be a number or a rectangular array of numbers, "
-                     f"all within float range, got {raw!r:.80}")
+                     f"all finite and within float range, got {raw!r:.80}")
 
 
 def finite_number(value, name: str) -> float:
-    """value as a float when it is a single number by the rule of numbers."""
+    """value as a finite float when it is a single number by the rule of numbers."""
     array = numbers(value, name)
     if array.ndim:
         raise ValueError(f"{name} must be a number, got {value!r:.80}")
@@ -94,16 +88,15 @@ def _template(row) -> str:
     return "%s\n    " + text.replace('"%s"', "%s")
 
 
-def _read_json(path: Union[str, Path], top: type, error: type = FieldFormatError,
-               parse_float=None):
-    """The JSON value, a top (dict or list), in the file at path, with NaN
-    and infinities refused; any failure raises error naming the file."""
+def _read_json(path: Union[str, Path], top: type, error: type = FieldFormatError):
+    """The JSON value, a top (dict or list), in the file at path, with the
+    literals NaN and Infinity refused; any failure raises error naming the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text, parse_constant=finite_float, parse_float=parse_float)
+        data = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from exc
@@ -305,8 +298,6 @@ def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
                 raise ValueError("vector must be a list of numbers")
         except (KeyError, TypeError, ValueError) as exc:
             raise FieldFormatError(f"{path}: bad schedule entry {entry!r}: {exc}") from exc
-        if not np.isfinite(vector).all():
-            raise FieldFormatError(f"{path}: step {step}: vector must be finite")
         if step < 0 or step in schedule:
             rule = "is negative" if step < 0 else "appears more than once"
             raise FieldFormatError(f"{path}: step {step} {rule}")
@@ -371,18 +362,17 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
 
 
 def _cell(text: str, kind: type, line: int):
-    """A CSV cell as the float or int whose repr it is; ValueError naming the
-    line for any other text, such as 0_5 or a cell with spaces, which float()
-    and int() would also accept. A cell such as 1e999 that reads as a
-    non-finite float is left to the caller's finiteness check."""
+    """A CSV cell as the finite float or the int whose repr it is: the one
+    number rule for CSV files. Any other text, such as nan, inf, 1e999, 0_5
+    or a cell with spaces, raises ValueError naming the line."""
     try:
         value = kind(text)
+        if kind.__repr__(value) == text and (kind is int or math.isfinite(value)):
+            return value
     except ValueError:
-        value = None
-    if value is None or (kind.__repr__(value) != text and math.isfinite(value)):
-        raise ValueError(f"line {line}: {text!r} is not {kind.__name__} text as "
-                         "export_trajectory writes it")
-    return value
+        pass
+    raise ValueError(f"line {line}: {text!r} is not {kind.__name__} text as "
+                     "export_trajectory writes it")
 
 
 def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
@@ -391,10 +381,10 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     fmt defaults to the file suffix: .csv is CSV, anything else JSON. An
     unknown fmt raises ValueError. A file that cannot be read, lacks a key
     or holds no samples, or positions and velocities of unequal lengths,
-    raises FieldFormatError naming the file; so does a NaN or infinite
-    number, a CSV file of fewer than two samples without a truncated or dt
-    line, and a CSV cell that is not the repr of a float or, for token_id,
-    of an int, which names the line too.
+    raises FieldFormatError naming the file; so does a JSON number that
+    numbers refuses or a token_id that is not whole, a CSV cell that _cell
+    refuses (naming the line), and a CSV file of fewer than two samples
+    without a truncated or dt line, or whose first two times give no finite dt.
     """
     path = Path(path)
     if fmt is None:
@@ -420,11 +410,8 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                 d = (width - 2) // 2
                 for row in reader:
                     line = reader.line_num
-                    if row[:1] == ["truncated"]:
-                        dt, truncated = _cell(row[1], float, line), True
-                        break
-                    if row[:1] == ["dt"]:
-                        dt = _cell(row[1], float, line)
+                    if row[:1] in (["truncated"], ["dt"]):
+                        dt, truncated = _cell(row[1], float, line), row[0] == "truncated"
                         break
                     if len(row) != width:
                         raise ValueError(f"line {line} has {len(row)} fields, the header {width}")
@@ -437,7 +424,7 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
             if dt is None:
                 if len(times) < 2:
                     raise ValueError("fewer than two samples and no dt line")
-                dt = times[1] - times[0]
+                dt = finite_number(times[1] - times[0], "dt from the first two times")
             times, positions, velocities = map(np.array, (times, positions, velocities))
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
@@ -448,6 +435,4 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     if positions.ndim != 2 or velocities.shape != positions.shape or times.ndim != 1:
         raise FieldFormatError(f"{path}: expected samples, each with a number t and "
                                "a position and a velocity of one equal length")
-    if not all(np.isfinite(a).all() for a in (dt, times, positions, velocities)):
-        raise FieldFormatError(f"{path}: dt, t, position and velocity must be finite")
     return Trajectory(positions, velocities, times, dt, activations, truncated)

@@ -303,6 +303,7 @@ def _check_grid(d: int, grid: GridSpec = GridSpec()) -> None:
                           f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def analyze_field(field: TokenField, source: MetricSource,
                   grid: GridSpec = GridSpec()) -> FieldReport:
     """Survey the field: curvature map, outlier regions, connectivity, dimension.

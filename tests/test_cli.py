@@ -1,11 +1,14 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from geomind import (ConfigError, FieldFormatError, SphereMetric,
 from geomind.io import FORMATS, field_to_dict, write_json as write_artifact
 import geomind
 from geomind.cli import main, run
+from geomind.cognition import window_steps
 from geomind.config import load_config
 from geomind.mind import demo_field
 
@@ -136,9 +140,9 @@ def test_input_files_refuse_non_finite_constants(workdir, constant):
 
 
 @pytest.mark.parametrize("entry, rule", [
-    ('"tokens": [{"id": 7, "mean": [0.0, 1e999]}]', "token 7: mean, covariance and weight must be finite"),
-    ('"bandwidth": 1e999', "bandwidth must be positive and finite"),
-    ('"epsilon": -1e999', "epsilon must be positive and finite"),
+    ('"tokens": [{"id": 7, "mean": [0.0, 1e999]}]', "token 7: mean must be a number .*, got \\[0.0, inf"),
+    ('"bandwidth": 1e999', "bandwidth must be a number .*, got inf"),
+    ('"epsilon": -1e999', "epsilon must be a number .*, got -inf"),
     ('"bandwidth": 1e200', "with a normal square: .*, got 1e\\+200"),
     ('"bandwidth": 1e-170', "with a normal square: .*, got 1e-170"),
 ])
@@ -167,7 +171,8 @@ def test_geodesic_on_a_field_with_tiny_epsilon_exits_2_with_no_output(tmp_path):
 
 def test_load_input_schedule_refuses_overflowing_number(tmp_path):
     (tmp_path / "inputs.json").write_text('[{"step": 3, "vector": [1e999, 0.0]}]')
-    with pytest.raises(FieldFormatError, match="step 3: vector must be finite"):
+    with pytest.raises(FieldFormatError, match=r"entry \{'step': 3, .*\}: vector must be "
+                                               r"a number .*, got \[inf, 0.0\]"):
         load_input_schedule(tmp_path / "inputs.json")
 
 
@@ -175,7 +180,7 @@ def test_config_refuses_overflowing_number(workdir):
     config = (workdir / "config.json").read_text().replace('"dt": 0.01', '"dt": 1e999')
     assert "1e999" in config
     (workdir / "bad_config.json").write_text(config)
-    with pytest.raises(ConfigError, match="1e999 is not allowed"):
+    with pytest.raises(ConfigError, match="simulation.dt must be a number .*, got inf"):
         load_config(workdir / "bad_config.json")
     assert main(["simulate", "--config", str(workdir / "bad_config.json"),
                  "--out", str(workdir / "bad_out")]) == 2
@@ -493,6 +498,27 @@ def test_import_csv_refuses_a_cell_export_cannot_write(tmp_path, where, cell, ki
         import_trajectory(path)
 
 
+def test_import_csv_refuses_a_signed_token_id_beyond_float_range(tmp_path):
+    # int() reads it, but its repr differs; the finiteness test for floats
+    # once ran on it and raised OverflowError
+    path = tmp_path / "traj.csv"
+    export_trajectory(_sample_trajectory(), "csv", path)
+    path.write_text(path.read_text().replace(",4\n", ",+1" + "0" * 400 + "\n", 1))
+    with pytest.raises(FieldFormatError, match=r"traj.csv: line 4: '\+10*' is not int text"):
+        import_trajectory(path)
+
+
+def test_import_csv_refuses_times_whose_difference_overflows(tmp_path):
+    # each time is finite, but the dt read from the first two is not
+    path = tmp_path / "traj.csv"
+    export_trajectory(Trajectory(np.zeros((2, 1)), np.zeros((2, 1)), np.array([-1e308, 1e308]),
+                                 0.25), "csv", path)
+    assert "dt" not in path.read_text()
+    with pytest.raises(FieldFormatError, match="traj.csv: dt from the first two times must be "
+                                               "a number .*, got inf"):
+        import_trajectory(path)
+
+
 NON_FINITE_CELLS = ("nan", "inf", "-inf", "1e999")
 
 
@@ -503,13 +529,11 @@ def test_import_csv_refuses_non_finite_numbers(tmp_path, where, cell):
     lone = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25)
     export_trajectory(lone if where == "dt" else _sample_trajectory(), "csv", path)
     lines = [line.split(",") for line in path.read_text().splitlines()]
-    if where == "dt":
-        lines[-1][1] = cell
-    else:
-        lines[2][lines[0].index(where)] = cell
+    line = len(lines) if where == "dt" else 3
+    lines[line - 1][1 if where == "dt" else lines[0].index(where)] = cell
     path.write_text("\n".join(map(",".join, lines)) + "\n")
-    with pytest.raises(FieldFormatError, match="traj.csv: dt, t, position and velocity "
-                                               "must be finite"):
+    with pytest.raises(FieldFormatError, match=rf"traj.csv: line {line}: '{cell}' is not "
+                                               "float text"):
         import_trajectory(path)
 
 
@@ -520,9 +544,151 @@ def test_import_json_refuses_an_overflowing_number(tmp_path):
     text = path.read_text().replace(first_velocity, first_velocity.replace("1.0", "1e999"), 1)
     assert "1e999" in text
     path.write_text(text)
-    with pytest.raises(FieldFormatError, match="traj.json: dt, t, position and velocity "
-                                               "must be finite"):
+    with pytest.raises(FieldFormatError, match=r"traj.json: velocity must be a number .*, "
+                                               r"got \[\[inf, -2.0\]"):
         import_trajectory(path)
+
+
+# Every way a JSON input file can put something other than a finite number
+# where a number belongs. A CSV cell may hold the same texts, quotes and all,
+# and the lower-case forms whose repr float() gives back.
+BAD_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400,
+               "true", '"1.0"', "null")
+BAD_CELLS = BAD_NUMBERS + ("nan", "inf", "-inf")
+_BAD = "@bad@"
+
+
+def _float_slots(value, path=()):
+    """The path of every float in a JSON value. Ints are left out: ids, steps,
+    seeds and counts are whole-number slots, with rules of their own."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    if type(value) is float:
+        yield path
+    for key, item in items:
+        yield from _float_slots(item, path + (key,))
+
+
+def _with_bad(payload, path, bad: str) -> str:
+    """payload as JSON text, with the raw text bad at path."""
+    payload = json.loads(json.dumps(payload))
+    target = payload
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = _BAD
+    return json.dumps(payload, indent=2).replace(f'"{_BAD}"', bad)
+
+
+@st.composite
+def _input_files(draw):
+    """A valid field, schedule and config, with every number a float."""
+    d = draw(st.integers(1, 3))
+    small = st.floats(-2.0, 2.0)
+    vector = st.lists(small, min_size=d, max_size=d)
+    positive = st.floats(0.1, 2.0)
+    eye = [[float(i == j) for j in range(d)] for i in range(d)]
+    tokens = []
+    for k in range(draw(st.integers(1, 3))):
+        token = {"id": k + 1, "mean": draw(vector), "weight": draw(positive)}
+        form = draw(st.sampled_from(["none", "diagonal", "full"]))
+        if form != "none":
+            scale = draw(positive)
+            token["covariance"] = ([scale] * d if form == "diagonal"
+                                   else [[scale * x for x in row] for row in eye])
+        tokens.append(token)
+    field = {"dimension": d, "bandwidth": draw(positive), "epsilon": draw(positive),
+             "tokens": tokens}
+    schedule = [{"step": 0, "vector": draw(vector)}, {"step": 3, "vector": draw(vector)}]
+    kinds = ["field", "flat"] + (["sphere"] if d == 2 else [])
+    metric = {"kind": draw(st.sampled_from(kinds))}
+    if metric["kind"] != "field":
+        metric["scale" if metric["kind"] == "flat" else "radius"] = draw(positive)
+    start = draw(vector)
+    config = {
+        "field": "field.json", "metric": metric,
+        "cognition": {"kappa": draw(positive), "beta": 0.5, "feedback_gain": draw(positive),
+                      "attention_temperature": draw(positive), "geometric_window": 0.05,
+                      "value_matrix": eye, "predictor_matrix": eye, "bias": draw(vector)},
+        "simulation": {"steps": 5, "dt": 0.01, "seeds": [1], "start": start,
+                       "velocity": draw(vector), "inputs": "schedule.json"},
+        "competition": {"threshold": -1.0},
+        "learning": {"rate": 0.5, "cycles": 3, "input": draw(vector)},
+        "geodesic": {"start": start, "end": [x + 1.0 for x in start], "tol": 1e-6},
+    }
+    return {"field": field, "schedule": schedule, "config": config}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=_input_files(), bad=st.lists(st.sampled_from(BAD_NUMBERS), min_size=1))
+def test_every_number_slot_of_an_input_file_refuses_what_is_not_finite(tmp_path, capsys, files,
+                                                                       bad):
+    # each float in each file in turn takes one of the bad texts, cycling
+    # through the drawn list; a run exits 2 with one error line naming the
+    # file, and makes no output directory
+    base = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, payload in files.items():
+        write_json(base / f"{name}.json", payload)
+    load_config(base / "config.json")  # the files are valid as drawn
+    k = 0
+    for name, payload in files.items():
+        for path in _float_slots(payload):
+            text, k = bad[k % len(bad)], k + 1
+            if path[-1] == "attention_temperature" and text == "null":
+                continue  # null leaves the temperature unset, as it may be
+            case = Path(tempfile.mkdtemp(dir=tmp_path))
+            for other, valid in files.items():
+                write_json(case / f"{other}.json", valid)
+            (case / f"{name}.json").write_text(_with_bad(payload, path, text))
+            assert main(["simulate", "--config", str(case / "config.json"),
+                         "--out", str(case / "out")]) == 2, (name, path)
+            assert not (case / "out").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("geomind: error: ") and err.count("\n") == 1, err
+            assert f"{name}.json" in err, err
+
+
+@st.composite
+def _exported_trajectories(draw):
+    d, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.floats(-2.0, 2.0)
+    rows = st.lists(st.lists(small, min_size=d, max_size=d), min_size=t, max_size=t)
+    return Trajectory(np.array(draw(rows)), np.array(draw(rows)), 0.25 * np.arange(t), 0.25,
+                      activations=[(0.0, 7)], truncated=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=_exported_trajectories(), bad=st.lists(st.sampled_from(BAD_CELLS), min_size=1))
+def test_every_number_slot_of_a_trajectory_file_refuses_what_is_not_finite(tmp_path, fmt, traj,
+                                                                           bad):
+    # dt, every t and every position and velocity entry, in turn, takes one
+    # of the bad texts (in JSON, the lower-case ones are malformed JSON)
+    base = Path(tempfile.mkdtemp(dir=tmp_path))
+    export_trajectory(traj, fmt, base / f"traj.{fmt}")
+    if fmt == "json":
+        payload = json.loads((base / "traj.json").read_text())
+        texts = [_with_bad(payload, path, bad[k % len(bad)])
+                 for k, path in enumerate(_float_slots(payload))]
+    else:
+        with open(base / "traj.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        texts = []
+        for i, row in enumerate(rows[1:], start=1):
+            # the token_id column and the label of a truncated or dt line are not numbers
+            for j in range(1, 2) if row[0] in ("truncated", "dt") else range(len(row) - 1):
+                cells = [list(r) for r in rows]
+                cells[i][j] = bad[len(texts) % len(bad)]
+                buffer = io.StringIO()
+                csv.writer(buffer).writerows(cells)
+                texts.append(buffer.getvalue())
+    assert texts
+    for text in texts:
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / f"traj.{fmt}"
+        path.write_text(text, newline="" if fmt == "csv" else None)
+        with pytest.raises(FieldFormatError, match=re.escape(str(path))):
+            import_trajectory(path)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -607,16 +773,24 @@ def test_duplicate_seeds_exit_2(workdir):
 
 
 def test_oversized_geometric_window_exits_2(workdir):
+    # round(2.56 / 0.01) = 256 steps of dt 0.01 fit the 257-front buffer, and
+    # 300 steps fill it, so the flow's own check sees them too; 257 steps do not fit
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["cognition"].update(predictor="geometric", geometric_window=2.56)
-    write_json(workdir / "cfg_window.json", cfg)
-    load_config(workdir / "cfg_window.json")  # 256 steps of dt 0.01 fit the front buffer
-    cfg["cognition"]["geometric_window"] = 3.0
+    cfg["simulation"].update(steps=300, seeds=[1])
     write_json(workdir / "cfg_window.json", cfg)
     out = workdir / "window"
+    assert main(["simulate", "--config", str(workdir / "cfg_window.json"), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory_seed1.json"]
+    assert len(_strict_json(out / "trajectory_seed1.json")["samples"]) == 301
+    cfg["cognition"]["geometric_window"] = 2.57
+    write_json(workdir / "cfg_window.json", cfg)
+    out = workdir / "window_too_long"
     rc = main(["simulate", "--config", str(workdir / "cfg_window.json"), "--out", str(out)])
     assert rc == 2
     assert not out.exists()
+    with pytest.raises(ValueError, match="spans more than 256 steps"):  # not round's OverflowError
+        window_steps(1e10, 1e-300)
 
 
 @pytest.mark.parametrize("section, value, command", [
@@ -1073,6 +1247,33 @@ def test_means_whose_kernel_offsets_overflow_exit_2(tmp_path, capfd, command):
     assert captured.err == (f"geomind: error: {tmp_path / 'field.json'}: token 1: mean is too "
                             "far from the centroid: its kernel offset -|v - c|^2 / 2h^2 is not "
                             "finite\n")
+
+
+# tokens the kernel offsets accept, -1.5e308, but at bandwidth 0.5 the
+# exponent's s . x_c = |v - c|^2 / h^2 overflows near them
+FAR_PAIR = {"dimension": 1, "bandwidth": 0.5, "tokens": [
+    {"id": 1, "mean": [8.66e153]}, {"id": 2, "mean": [-8.66e153]}]}
+
+
+def test_analyze_of_a_field_whose_curvature_overflows_reports_non_finite(tmp_path, capfd):
+    # ended in a "not JSON compliant: nan" traceback with an empty --out
+    rc, out = _run_in(tmp_path, "analyze", FAR_PAIR, {})
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+    assert _strict_json(out / "failure.json") == {"error": "non-finite"}
+    assert capfd.readouterr() == ("", "")
+
+
+def test_geodesic_with_a_non_finite_jacobian_stops_before_lapack(tmp_path, capfd):
+    # LAPACK printed "On entry to DLASCL parameter number 4 had an illegal value"
+    rc, out = _run_in(tmp_path, "geodesic", FAR_PAIR,
+                      {"geodesic": {"start": [8.66e153], "end": [-8.66e153]}})
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["no_geodesic.json"]
+    assert (out / "no_geodesic.json").read_text() == (
+        '{\n  "error": "no-geodesic-found",\n  "reason": "singular-jacobian",\n'
+        '  "miss": null,\n  "iterations": 1\n}\n')
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("simulation, rule", [
