@@ -20,7 +20,7 @@ from itertools import chain
 from .config import RunConfig, load_config
 from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
 from .geodesic import geodesic_between, path_length_energy
-from .io import export_trajectory, save_snapshots, write_json
+from .io import export_trajectory, save_field_report, save_snapshots, write_json
 from .mind import (_check_grid, analyze_field, pca_projection, run_learning,
                    run_thought_flow, select_conscious)
 
@@ -106,15 +106,7 @@ def cmd_analyze(config: RunConfig) -> int:
     if not all(map(math.isfinite, values)):  # JSON has no NaN or Infinity
         write_json(config.out_dir / "failure.json", {"error": "non-finite"})
         return 1
-    write_json(config.out_dir / "field_report.json", {
-        "curvature_samples": [
-            {"point": p.tolist(), "scalar": s} for p, s in report.curvature_samples
-        ],
-        "high_curvature": [p.tolist() for p in report.high_curvature],
-        "percentile_cut": report.percentile_cut,
-        "components": report.components,
-        "intrinsic_dimension": report.intrinsic_dimension,
-    })
+    save_field_report(report, config.out_dir / "field_report.json")
     if config.fmt == "csv":
         lines = ["token_id,x,y"]
         lines += [f"{tid},{repr(float(c[0]))},{repr(float(c[1]))}"

@@ -95,7 +95,6 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         raise ConfigError(f"metric kind must be field, flat or sphere, got {kind!r}")
 
     cog = raw.get("cognition", {})
-    temperature = cog.get("attention_temperature")
     params = CognitionParams(
         value_matrix=_matrix(cog.get("value_matrix"), dim, "value_matrix"),
         predictor_matrix=_matrix(cog.get("predictor_matrix"), dim, "predictor_matrix"),
@@ -104,8 +103,9 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         input_blend=finite_number(cog.get("beta", 0.0), "cognition.beta"),
         feedback_gain=finite_number(cog.get("feedback_gain", 1.0), "cognition.feedback_gain"),
         kappa=finite_number(cog.get("kappa", 0.0), "cognition.kappa"),
-        attention_temperature=(None if temperature is None else
-                               finite_number(temperature, "cognition.attention_temperature")),
+        attention_temperature=(finite_number(cog["attention_temperature"],
+                                             "cognition.attention_temperature")
+                               if "attention_temperature" in cog else None),
         context_capacity=whole_number(cog.get("context_capacity", 16),
                                       "cognition.context_capacity"),
         predictor=cog.get("predictor", "contextual"),

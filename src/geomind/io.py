@@ -1,9 +1,12 @@
-"""File formats: token fields, input schedules and trajectory export.
+"""File formats: token fields, input schedules, trajectory export and the
+field report.
 
 All JSON output is written deterministically (fixed key order, no
 timestamps) and floats round-trip exactly through their shortest decimal
 representation. Every JSON byte comes from json.dumps(indent=2,
-allow_nan=False), directly or through the row templates of _template.
+allow_nan=False), directly or through the row templates of _template, which
+the three float tables take: snapshot token rows, trajectory samples and
+the field report's curvature samples.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .errors import FieldFormatError
 from .geodesic import Trajectory
 from .manifold import TokenField
+from .mind import FieldReport
 
 FORMATS = ("json", "csv")
 
@@ -82,8 +86,9 @@ def _template(row) -> str:
     """A %-template of row, a JSON object whose "%s" strings are slots, as
     write_json writes it two levels down, in a list of the top object, so it
     cannot drift from write_json; led by a slot for the separator before it.
-    Snapshot token rows and trajectory samples are filled into templates
-    from one float.__repr__ pass; json's indented encoder is pure Python."""
+    Snapshot token rows, trajectory samples and curvature samples are
+    filled into templates from one float.__repr__ pass; json's indented
+    encoder is pure Python."""
     text = json.dumps(row, indent=2).replace("\n", "\n    ")
     return "%s\n    " + text.replace('"%s"', "%s")
 
@@ -245,12 +250,15 @@ def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
         rows[k] = templates[diag] % ("[" if k == 0 else ",", i, *reprs[end - width:end])
 
 
-def _write_listed(path: Union[str, Path], head: dict, key: str, rows: Sequence[str]) -> None:
-    """Write head with key added as its last entry, as write_json would: a
-    list whose items' text, each led by its separator, is rows."""
-    text = json.dumps(head, indent=2, allow_nan=False)[:-2]  # less its closing "\n}"
+def _write_listed(path: Union[str, Path], payload: dict, key: str, rows: Sequence[str]) -> None:
+    """Write payload as write_json would, with the None that its entry key
+    holds written as a list whose items' text, each led by its separator,
+    is rows."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    # a top-level key alone sits on a line indented by two spaces
+    head, mark, tail = text.partition(f'\n  "{key}": null')
     with open(path, "w") as fh:
-        fh.writelines([text, f',\n  "{key}": ', *rows, "\n  ]\n}\n" if rows else "[]\n}\n"])
+        fh.writelines([head, mark[:-4], *rows, "\n  ]" if rows else "[]", tail, "\n"])
 
 
 def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
@@ -276,13 +284,45 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
         for lo in range(0, len(changed), ROW_BLOCK):
             _encode_rows(field, changed[lo:lo + ROW_BLOCK], rows)
         _write_listed(path, {"dimension": field.dimension, "bandwidth": field.bandwidth,
-                             "epsilon": field.epsilon}, "tokens", rows)
+                             "epsilon": field.epsilon, "tokens": None}, "tokens", rows)
         logger.debug("wrote %s: %d of %d token rows encoded", path, len(changed), len(rows))
         previous = field
 
 
 def save_field(field: TokenField, path: Union[str, Path]) -> None:
     save_snapshots([field], [path])
+
+
+@functools.lru_cache(maxsize=None)
+def _curvature_template(d: int) -> str:
+    """The _template of one curvature sample in dimension d, with slots for
+    the separator before it, the point and the scalar."""
+    return _template({"point": ["%s"] * d, "scalar": "%s"})
+
+
+def save_field_report(report: FieldReport, path: Union[str, Path]) -> None:
+    """Write analyze's report, byte-equal to write_json(path, payload) of
+    the payload {"curvature_samples": [{"point", "scalar"}, ...],
+    "high_curvature", "percentile_cut", "components", "intrinsic_dimension"}.
+    The samples are filled into a cached template from one float.__repr__
+    pass over their points and scalars; a NaN or infinity anywhere raises
+    ValueError and writes no file."""
+    rows = []
+    if report.curvature_samples:
+        points, scalars = zip(*report.curvature_samples)
+        table = np.column_stack((np.array(points), scalars))
+        if not np.isfinite(table).all():  # floats in the payload's order: json raises its error
+            json.dumps(table.tolist(), indent=2, allow_nan=False)
+        template, width = _curvature_template(table.shape[1] - 1), table.shape[1]
+        reprs = list(map(float.__repr__, table.ravel().tolist()))
+        rows = [template % ("[" if k == 0 else ",", *reprs[k * width:(k + 1) * width])
+                for k in range(len(table))]
+    _write_listed(path, {"curvature_samples": None,
+                         "high_curvature": [p.tolist() for p in report.high_curvature],
+                         "percentile_cut": report.percentile_cut,
+                         "components": report.components,
+                         "intrinsic_dimension": report.intrinsic_dimension},
+                  "curvature_samples", rows)
 
 
 def load_input_schedule(path: Union[str, Path]) -> dict[int, np.ndarray]:
@@ -347,7 +387,8 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
         for k, (t, values) in enumerate(samples):
             tail = (json.dumps(activation_at[t], allow_nan=False),) if t in activation_at else ()
             rows.append(_sample_template(d, bool(tail)) % ("[" if k == 0 else ",", *values, *tail))
-        _write_listed(path, {"dt": traj.dt, "truncated": traj.truncated}, "samples", rows)
+        _write_listed(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": None},
+                      "samples", rows)
         return
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
     with open(path, "w", newline="") as fh:

@@ -23,6 +23,10 @@ centring keeps small near the data. density_at and density_gradient take
 one matrix-vector product per point. A batch takes rho and grad rho from
 _kernel_sums, with products stacked per point: a matrix-vector product is
 not row-invariant against a batched GEMM, and each row must get its bits.
+densities and scalar_curvature, which serve curvature grids of any size,
+take their points in blocks of KERNEL_BLOCK kernel elements; a batch
+christoffel, which a shooting stage calls with D + 1 rows, takes its whole
+batch in one pass.
 
 Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
 or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
@@ -62,8 +66,11 @@ FD_STEP = 1e-4
 # for all 10^4 16x16 matrices at once would add tens of MB to peak memory.
 VALIDATE_BLOCK = 512
 
-# Batched kernel sums take points in blocks of about this many (point, token)
-# kernel elements, so their temporaries stay small whatever the batch size.
+# densities, scalar_curvature and mind's connectivity scan take points in
+# blocks of about this many (point, token) kernel elements, so that the
+# temporaries of a grid stay small whatever its size. A batch christoffel
+# takes no blocks: its one caller in geomind, a shooting stage, passes D + 1
+# rows, so its (B, n) temporaries are small beside its (B, D, D, D) result.
 KERNEL_BLOCK = 4096
 
 
@@ -334,26 +341,31 @@ def density_gradient(field: TokenField, x) -> np.ndarray:
     return kern @ field._slopes - kern.sum() / field.bandwidth**2 * xc
 
 
+def _batch_exponents(field: TokenField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x_c (B, D) and E (B, n) of a (B, D) point array in one pass, where
+    E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2 is the
+    exponent that _exponent gives one point, so k_i = w_i exp(E_i). The
+    products are stacked per point, which is row-invariant: a point's values
+    do not depend on the batch it sits in, as they would with one (B, D) GEMM."""
+    xc = points - field._centre
+    # vecdot gives each row the bits of _exponent's np.dot(x_c, x_c)
+    return xc, (field._offsets + np.matmul(xc[:, None, :], field._slopes.T)[:, 0]
+                - np.vecdot(xc, xc)[:, None] / (2.0 * field.bandwidth**2))
+
+
 def _exponents(field: TokenField, points: np.ndarray):
-    """Yield (rows, x_c (B, D), E (B, n)) over blocks of a (P, D) point
-    array, where E_i = o_i + s_i . x_c - |x_c|^2 / 2h^2 = -|x - v_i|^2 / 2h^2
-    is the exponent that _exponent gives one point, so k_i = w_i exp(E_i).
-    The products are stacked per point, which is row-invariant: a point's
-    values do not depend on the block it sits in, as they would with one
-    (B, D) GEMM."""
+    """Yield (rows, x_c, E) of _batch_exponents over blocks of KERNEL_BLOCK
+    kernel elements of a (P, D) point array."""
     block = max(1, KERNEL_BLOCK // max(1, len(field)))
     for lo in range(0, len(points), block):
-        xc = points[lo:lo + block] - field._centre
-        # vecdot gives each row the bits of _exponent's np.dot(x_c, x_c)
-        yield (slice(lo, lo + block), xc,
-               field._offsets + np.matmul(xc[:, None, :], field._slopes.T)[:, 0]
-               - np.vecdot(xc, xc)[:, None] / (2.0 * field.bandwidth**2))
+        yield (slice(lo, lo + block), *_batch_exponents(field, points[lo:lo + block]))
 
 
 def _kernel_sums(field: TokenField, xc: np.ndarray, exponent: np.ndarray, gradient=True):
-    """k = w exp(E) (B, n), rho (B,) and grad rho (B, D) of an _exponents
-    block, each row bitwise what density_at and density_gradient give its
-    point (vecdot is np.dot by row); without gradient, k and grad are None."""
+    """k = w exp(E) (B, n), rho (B,) and grad rho (B, D) of the x_c and E of
+    _batch_exponents, each row bitwise what density_at and density_gradient
+    give its point (vecdot is np.dot by row); without gradient, k and grad
+    are None."""
     kern = np.exp(exponent)
     rho = np.vecdot(kern, field.weights)
     if not gradient:
@@ -549,12 +561,10 @@ class ConformalFieldMetric(MetricSource):
         return np.concatenate((grad, -grad, [0.0]))[_christoffel_index(self.dim)] / (2.0 * lam)
 
     def _christoffel_rows(self, points: np.ndarray) -> np.ndarray:
-        """christoffel for each row of a (B, D) array from one _exponents
-        pass, so that each row gets the bits it gets alone."""
-        lam, grad = np.empty(len(points)), np.empty(points.shape)
-        for rows, xc, exponent in _exponents(self.field, points):
-            _, rho, grad[rows] = _kernel_sums(self.field, xc, exponent)
-            lam[rows] = 1.0 / (rho + self.field.epsilon)
+        """christoffel for each row of a (B, D) array from one kernel pass
+        over the whole batch, so that each row gets the bits it gets alone."""
+        _, rho, grad = _kernel_sums(self.field, *_batch_exponents(self.field, points))
+        lam = 1.0 / (rho + self.field.epsilon)
         grad *= -(lam * lam)[:, None]
         gamma = np.take(np.concatenate((grad, -grad, np.zeros((len(grad), 1))), axis=1),
                         _christoffel_index(self.dim), axis=1)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -184,6 +185,21 @@ def test_config_refuses_overflowing_number(workdir):
         load_config(workdir / "bad_config.json")
     assert main(["simulate", "--config", str(workdir / "bad_config.json"),
                  "--out", str(workdir / "bad_out")]) == 2
+
+
+def test_config_refuses_a_null_attention_temperature(workdir, capsys):
+    # a null there is refused like in every other number slot; leaving the
+    # key out still means the default, sqrt(D)
+    config = json.loads((workdir / "config.json").read_text())
+    assert load_config(workdir / "config.json").params.attention_temperature == math.sqrt(2)
+    config["cognition"]["attention_temperature"] = None
+    write_json(workdir / "bad_config.json", config)
+    with pytest.raises(ConfigError, match="attention_temperature must be a number .*, got None"):
+        load_config(workdir / "bad_config.json")
+    assert main(["simulate", "--config", str(workdir / "bad_config.json"),
+                 "--out", str(workdir / "bad_out")]) == 2
+    assert not (workdir / "bad_out").exists()
+    assert "attention_temperature" in capsys.readouterr().err
 
 
 def test_json_writers_refuse_non_finite_values(tmp_path):
@@ -634,8 +650,6 @@ def test_every_number_slot_of_an_input_file_refuses_what_is_not_finite(tmp_path,
     for name, payload in files.items():
         for path in _float_slots(payload):
             text, k = bad[k % len(bad)], k + 1
-            if path[-1] == "attention_temperature" and text == "null":
-                continue  # null leaves the temperature unset, as it may be
             case = Path(tempfile.mkdtemp(dir=tmp_path))
             for other, valid in files.items():
                 write_json(case / f"{other}.json", valid)

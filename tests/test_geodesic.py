@@ -8,10 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 import geomind.geodesic as geodesic_module
 from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric, FlatMetric,
-                     NoGeodesicError, ShootingOptions, SphereMetric, Trajectory,
+                     NoGeodesicError, ShootingOptions, SphereMetric, TokenField, Trajectory,
                      geodesic_between, geodesic_step, integrate_geodesic,
                      path_length_energy)
 from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
+from geomind.manifold import KERNEL_BLOCK
 
 from conftest import make_field
 
@@ -319,10 +320,10 @@ def test_batch_rows_equal_their_solo_runs(case):
 @pytest.mark.parametrize("kind, d", [("conformal", 1), ("conformal", 2), ("conformal", 3),
                                      ("conformal", 5), ("conformal", 16), ("sphere", 2)])
 def test_christoffel_rows_equal_single_points(kind, d):
-    # thousands of points, over several kernel blocks, so that a rounding
-    # that differs from the single point's in one row in a thousand shows.
-    # Batches hold at most 2^23 Gamma entries (64 MB), so all points go in
-    # one batch below D = 16
+    # thousands of points, so that a rounding that differs from the single
+    # point's in one row in a thousand shows. Each batch takes one kernel
+    # pass. Batches hold at most 2^23 Gamma entries (64 MB), so all points
+    # go in one batch below D = 16
     source = _source(kind, d)
     points = np.random.default_rng(100 + d).uniform(0.2, 2.9, (8000, d))
     step = 2**23 // d**3
@@ -330,6 +331,23 @@ def test_christoffel_rows_equal_single_points(kind, d):
         gamma = source.christoffel(points[lo:lo + step])
         for row, point in enumerate(points[lo:lo + step]):
             assert np.array_equal(gamma[row], source.christoffel(point)), point.tolist()
+
+
+def test_christoffel_rows_of_the_largest_benchmark_field_equal_single_points():
+    # 10^4 tokens at D = 16, as in flow_dense, with the D + 1 rows of a
+    # shooting stage: one kernel pass of 17 x 10^4 elements, far beyond
+    # KERNEL_BLOCK, still gives each row its single point's bits
+    n, d = 10_000, 16
+    rng = np.random.default_rng(n + d)
+    field = TokenField(np.arange(n), rng.normal(size=(n, d)), rng.uniform(0.0, 0.1, (n, d)),
+                       rng.uniform(0.5, 2.0, n), 1.5, 0.1)
+    source = ConformalFieldMetric(field)
+    points = field.means[rng.choice(n, d + 1)] + rng.normal(scale=0.5, size=(d + 1, d))
+    assert (d + 1) * n > KERNEL_BLOCK
+    gamma = source.christoffel(points)
+    assert np.count_nonzero(gamma) == (d + 1) * (3 * d * d - 2 * d)
+    for row, point in enumerate(points):
+        assert np.array_equal(gamma[row], source.christoffel(point)), row
 
 
 def test_chart_check_covers_every_row_of_a_batch(sphere):

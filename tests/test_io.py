@@ -7,10 +7,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from geomind import CognitionParams, FieldFormatError, TokenField, run_learning
-from geomind.io import (ROW_BLOCK, field_to_dict, load_field, save_field, save_snapshots,
-                        write_json)
+from geomind import (CognitionParams, ConformalFieldMetric, FieldFormatError, FieldReport,
+                     FlatMetric, TokenField, analyze_field, run_learning)
+from geomind.cli import main
+from geomind.config import load_config
+from geomind.io import (ROW_BLOCK, field_to_dict, load_field, save_field, save_field_report,
+                        save_snapshots, write_json)
 from geomind.mind import demo_field
+
+from conftest import make_field
 
 
 class Tagged(float):
@@ -422,3 +427,81 @@ def test_save_snapshots_needs_one_path_per_field(tmp_path):
     with pytest.raises(ValueError, match="2 fields but 1 paths"):
         save_snapshots([demo_field(), demo_field()], [tmp_path / "one.json"])
     assert not (tmp_path / "one.json").exists()
+
+
+def _report_payload(report: FieldReport) -> dict:
+    """The field report as analyze wrote it with write_json, before its
+    curvature samples took a row template."""
+    return {
+        "curvature_samples": [
+            {"point": p.tolist(), "scalar": s} for p, s in report.curvature_samples
+        ],
+        "high_curvature": [p.tolist() for p in report.high_curvature],
+        "percentile_cut": report.percentile_cut,
+        "components": report.components,
+        "intrinsic_dimension": report.intrinsic_dimension,
+    }
+
+
+def _assert_report_matches(tmp_path, report: FieldReport) -> bytes:
+    save_field_report(report, tmp_path / "report.json")
+    write_json(tmp_path / "reference.json", _report_payload(report))
+    text = (tmp_path / "report.json").read_bytes()
+    assert text == (tmp_path / "reference.json").read_bytes()
+    return text
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_field_report_matches_the_reference(tmp_path, d):
+    rng = np.random.default_rng(d)
+    field = make_field(rng.normal(size=(12, d)), dim=d, bandwidth=0.8, epsilon=0.3,
+                       weights=rng.uniform(0.5, 2.0, 12))
+    report = analyze_field(field, ConformalFieldMetric(field))
+    # a curve is flat, so at D = 1 every scalar is 0.0 or -0.0 and none is high
+    assert len(report.curvature_samples) == 8**d and bool(report.high_curvature) == (d > 1)
+    _assert_report_matches(tmp_path, report)
+
+
+def test_field_report_of_a_one_token_field(tmp_path):
+    field = make_field([[0.5, -1.0]], epsilon=0.5)
+    _assert_report_matches(tmp_path, analyze_field(field, ConformalFieldMetric(field)))
+
+
+def test_field_report_without_high_curvature_points(tmp_path):
+    report = analyze_field(demo_field(), FlatMetric(2))
+    assert report.curvature_samples and not report.high_curvature
+    _assert_report_matches(tmp_path, report)
+
+
+def test_field_report_keeps_negative_zero_and_writes_no_samples(tmp_path):
+    report = FieldReport(curvature_samples=[(np.array([-0.0, 1.5]), 0.25),
+                                            (np.array([0.0, -0.0]), -0.0)],
+                         high_curvature=[np.array([-0.0, 1.5])], components=[[1], [2, 3]],
+                         intrinsic_dimension=2, percentile_cut=0.125)
+    assert _assert_report_matches(tmp_path, report).count(b"-0.0") == 4
+    _assert_report_matches(tmp_path, FieldReport([], [], [], 0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_field_report_refuses_a_non_finite_point_as_write_json_does(tmp_path, bad):
+    report = FieldReport([(np.array([0.5, bad]), 1.0)], [], [], 1)
+    with pytest.raises(ValueError) as expected:
+        write_json(tmp_path / "reference.json", _report_payload(report))
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        save_field_report(report, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_csv_analyze_writes_the_reference_field_report(tmp_path):
+    save_field(make_field([[0.0, 0.0], [1.5, 0.5], [0.5, 2.0]], bandwidth=0.9, epsilon=0.4),
+               tmp_path / "field.json")
+    write_json(tmp_path / "config.json", {"field": "field.json", "output": {"format": "csv"}})
+    assert main(["analyze", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    config = load_config(tmp_path / "config.json")
+    write_json(tmp_path / "reference.json",
+               _report_payload(analyze_field(config.field, config.metric)))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "field_report.json", "pca_projection.csv"]
+    assert ((tmp_path / "out" / "field_report.json").read_bytes()
+            == (tmp_path / "reference.json").read_bytes())

@@ -52,6 +52,30 @@ def test_tree_drift_summary_counts_moved_and_other_files(monkeypatch):
         "2 with other differences")
 
 
+def test_tree_drift_fails_a_file_whose_bytes_differ_while_its_values_do_not(monkeypatch):
+    # whitespace in JSON, and a float spelt otherwise in CSV: no value moves,
+    # but the bytes do, so the file counts under other differences
+    trees = {"parent": {"a.json": '{"x": [1.0, 2]}\n', "b.csv": "t,x\n0.5,1\n", "c.json": "[]"},
+             "change": {"a.json": '{"x": [1.0,  2]}\n', "b.csv": "t,x\n0.50,1\n", "c.json": "[]"}}
+
+    def fake_run(root, jobs):
+        for _, out, _ in jobs:
+            Path(out).mkdir(parents=True)
+            for name, text in trees[root].items():
+                (Path(out) / name).write_text(text)
+
+    monkeypatch.setattr(tree_drift, "_run_root", fake_run)
+    out = io.StringIO()
+    assert tree_drift.compare("parent", "change", names=("survey",), seeds=(1,),
+                              formats=("json",), out=out) == 1
+    lines = out.getvalue().splitlines()
+    for name in ("a.json", "b.csv"):
+        assert (f"survey/seed1/json/{name}: max drift 0, 0 floats moved; other differences: "
+                "the bytes differ, but no value does") in lines
+    assert lines[-1] == ("summary: 3 files compared, 1 identical, 0 with moved floats "
+                         "(max drift 0), 2 with other differences")
+
+
 def test_walk_measures_float_drift_and_reports_other_differences():
     drift, problems = [], []
     tree_drift._walk({"a": [1.0, 2.0], "n": 3}, {"a": [1.0, 2.5], "n": 3}, "f", drift, problems)

@@ -23,9 +23,11 @@ of a float and the number of floats that moved, where a float moved when its
 repr changed, so a zero that changed sign counts. A last line sums up: the
 files compared, how many are identical, how many have moved floats with the
 largest drift of all, and how many differ otherwise, counting a file that
-only one side wrote. The exit status is 1 when the file lists differ or any
-value other than a float differs (a key, a length, an int, a string, a float
-turning into something else), else 0.
+only one side wrote and a file whose bytes differ while none of its values
+does (formatting drift, such as whitespace or the spelling of a number). The exit status is
+1 when the file lists differ, any value other than a float differs (a key, a
+length, an int, a string, a float turning into something else) or a file
+differs in formatting alone, else 0.
 """
 
 from __future__ import annotations
@@ -192,6 +194,9 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
                     continue
                 drift, problems = [], []
                 _walk(_values(old / file), _values(new / file), file, drift, problems)
+                if not (drift or problems):
+                    # whitespace, escapes or the spelling of a number
+                    problems.append("the bytes differ, but no value does")
                 moved += bool(drift)
                 other += bool(problems)
                 largest = max([largest, *drift])
@@ -199,7 +204,7 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
                         f"{len(drift)} floats moved")
                 if problems:
                     status = 1
-                    line += "; other values differ: " + "; ".join(problems[:5])
+                    line += "; other differences: " + "; ".join(problems[:5])
                 print(line, file=out)
     print(f"summary: {compared} files compared, {identical} identical, {moved} with moved "
           f"floats (max drift {largest:.3g}), {other} with other differences", file=out)
