@@ -29,7 +29,8 @@ from .mind import FieldReport
 
 FORMATS = ("json", "csv")
 
-# save_snapshots encodes token rows this many at a time.
+# save_snapshots encodes token rows, and _write_listed writes the rows of
+# every listed artifact, this many at a time.
 ROW_BLOCK = 256
 
 logger = logging.getLogger(__name__)
@@ -253,12 +254,16 @@ def _encode_rows(field: TokenField, block: np.ndarray, rows: list) -> None:
 def _write_listed(path: Union[str, Path], payload: dict, key: str, rows: Sequence[str]) -> None:
     """Write payload as write_json would, with the None that its entry key
     holds written as a list whose items' text, each led by its separator,
-    is rows."""
+    is rows: one write for the head, one per ROW_BLOCK rows joined, and one
+    for the tail, so at most one block's joined text exists at a time."""
     text = json.dumps(payload, indent=2, allow_nan=False)
     # a top-level key alone sits on a line indented by two spaces
     head, mark, tail = text.partition(f'\n  "{key}": null')
     with open(path, "w") as fh:
-        fh.writelines([head, mark[:-4], *rows, "\n  ]" if rows else "[]", tail, "\n"])
+        fh.write(head + mark[:-4])
+        for lo in range(0, len(rows), ROW_BLOCK):
+            fh.write("".join(rows[lo:lo + ROW_BLOCK]))
+        fh.write(("\n  ]" if rows else "[]") + tail + "\n")
 
 
 def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
@@ -271,8 +276,8 @@ def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path
     field, and a field whose n, D or covariance shape differs from the
     previous one, is encoded in full; the header always is. Rows are
     encoded ROW_BLOCK at a time, each through one repr pass and cached row
-    templates, and written one by one, so a full field's whole text never
-    exists at once.
+    templates, and written ROW_BLOCK rows per write, so no one string ever
+    holds a full field's whole text.
     """
     if len(fields) != len(paths):
         raise ValueError(f"{len(fields)} fields but {len(paths)} paths")
@@ -424,8 +429,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
     or holds no samples, or positions and velocities of unequal lengths,
     raises FieldFormatError naming the file; so does a JSON number that
     numbers refuses or a token_id that is not whole, a CSV cell that _cell
-    refuses (naming the line), and a CSV file of fewer than two samples
-    without a truncated or dt line, or whose first two times give no finite dt.
+    refuses (naming the line), a token_id beyond int64 in either format,
+    and a CSV file of fewer than two samples without a truncated or dt
+    line, or whose first two times give no finite dt.
     """
     path = Path(path)
     if fmt is None:
@@ -467,6 +473,9 @@ def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Traj
                     raise ValueError("fewer than two samples and no dt line")
                 dt = finite_number(times[1] - times[0], "dt from the first two times")
             times, positions, velocities = map(np.array, (times, positions, velocities))
+        for _, tid in activations:  # as load_field reads a token id
+            if not -2**63 <= tid < 2**63:
+                raise ValueError(f"token_id {tid!r:.40} lies beyond int64")
     except OSError as exc:
         raise FieldFormatError(f"cannot read {path}: {exc}") from exc
     except KeyError as exc:

@@ -328,6 +328,15 @@ def _edge_trajectory(token_id):
                       np.array([0.0, 0.5]), 0.5, activations=[(0.5, token_id)])
 
 
+def _long_trajectory(n):
+    """n samples, every tenth with an activation: export writes a block of
+    ROW_BLOCK samples per write, so 256 fill one block and 257 spill a row."""
+    rng = np.random.default_rng(n)
+    times = np.arange(n) * 0.25
+    return Trajectory(rng.normal(size=(n, 2)), rng.normal(size=(n, 2)), times, 0.25,
+                      activations=[(t, 7 * k - 2**62) for k, t in enumerate(times[::10].tolist())])
+
+
 # the same file is rewritten for every example
 @pytest.mark.parametrize("fmt", FORMATS)
 @settings(max_examples=100, deadline=None,
@@ -338,6 +347,8 @@ def _edge_trajectory(token_id):
 @example(traj=_edge_trajectory(-2**63))
 @example(traj=_edge_trajectory(True))
 @example(traj=_edge_trajectory(np.int64(7)))
+@example(traj=_long_trajectory(256))
+@example(traj=_long_trajectory(257))
 def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
     path = tmp_path / f"traj.{fmt}"
     path.unlink(missing_ok=True)  # left by the previous example
@@ -522,6 +533,24 @@ def test_import_csv_refuses_a_signed_token_id_beyond_float_range(tmp_path):
     path.write_text(path.read_text().replace(",4\n", ",+1" + "0" * 400 + "\n", 1))
     with pytest.raises(FieldFormatError, match=r"traj.csv: line 4: '\+10*' is not int text"):
         import_trajectory(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("token_id, refused", [
+    (10**400, True), (2**63, True), (-2**63 - 1, True), (2**63 - 1, False), (-2**63, False)],
+    ids=["10**400", "2**63", "-2**63-1", "2**63-1", "-2**63"])
+def test_import_refuses_a_token_id_beyond_int64(tmp_path, fmt, token_id, refused):
+    # load_field stores token ids as int64, so an activation may name no other
+    path = tmp_path / f"traj.{fmt}"
+    traj = _sample_trajectory()
+    export_trajectory(Trajectory(traj.positions, traj.velocities, traj.times, traj.dt,
+                                 activations=[(0.0, 3), (traj.times[2], token_id)]), fmt, path)
+    if refused:
+        with pytest.raises(FieldFormatError, match=rf"traj.{fmt}: token_id "
+                                                   rf"{str(token_id)[:40]} lies beyond int64"):
+            import_trajectory(path)
+    else:
+        assert import_trajectory(path).activations[1][1] == token_id
 
 
 def test_import_csv_refuses_times_whose_difference_overflows(tmp_path):

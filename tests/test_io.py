@@ -381,6 +381,20 @@ def test_snapshots_of_mixed_covariance_kinds_across_row_blocks(tmp_path):
     _assert_snapshots_match(tmp_path, [field, moved])
 
 
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+def test_snapshots_at_row_block_boundaries(tmp_path, n):
+    # rows are written a block of ROW_BLOCK per write, the last block partial
+    # unless n is a multiple; the second field moves the last row only
+    rng = np.random.default_rng(n)
+    field = TokenField(np.arange(n), rng.normal(size=(n, 2)), rng.uniform(0.01, 0.1, (n, 2)),
+                       rng.uniform(0.5, 1.5, n), 1.0, 0.5)
+    means = field.means.copy()
+    means[-1] += 1.0
+    moved = TokenField(field.ids, means, field.covariances, field.weights, 1.0, 0.5)
+    _assert_snapshots_match(tmp_path, [field])
+    _assert_snapshots_match(tmp_path, [field, moved])
+
+
 @pytest.mark.parametrize("where", ["means", "covariances", "weights"])
 def test_snapshot_of_a_non_finite_row_raises_the_reference_error(tmp_path, where):
     # the constructor refuses NaN, so write it into the field's own array
@@ -459,6 +473,16 @@ def test_field_report_matches_the_reference(tmp_path, d):
     report = analyze_field(field, ConformalFieldMetric(field))
     # a curve is flat, so at D = 1 every scalar is 0.0 or -0.0 and none is high
     assert len(report.curvature_samples) == 8**d and bool(report.high_curvature) == (d > 1)
+    _assert_report_matches(tmp_path, report)
+
+
+def test_field_report_of_one_more_sample_than_a_row_block(tmp_path):
+    # the 257th sample is written alone, in a partial second block
+    rng = np.random.default_rng(257)
+    report = FieldReport([(point, float(s)) for point, s in zip(rng.normal(size=(257, 2)),
+                                                                rng.normal(size=257))],
+                         [], [[1]], 1, percentile_cut=0.5)
+    assert len(report.curvature_samples) == ROW_BLOCK + 1
     _assert_report_matches(tmp_path, report)
 
 

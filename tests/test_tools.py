@@ -2,6 +2,7 @@
 
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
+import check_run  # noqa: E402
 from geomind.config import load_config  # noqa: E402
 import tree_drift  # noqa: E402
 import workloads  # noqa: E402
@@ -222,3 +224,65 @@ def test_bench_pairs_reads_seed_lists_and_ranges():
     for bad in ("1-3,2", "", "a"):
         with pytest.raises(ValueError):
             bench_pairs.parse_seeds(bad)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_bench_pairs_refuses_a_final_line_that_is_not_strict_json(monkeypatch, constant):
+    # the benchmark refuses such a line, so a pair must not be summarised from it
+    final = json.dumps(_final_line(0.05, 72.0)).replace("0.05", constant)
+
+    def fake_subprocess_run(args, cwd, **kwargs):
+        return subprocess.CompletedProcess(args, 0, stdout='{"workload": "learn_churn"}\n'
+                                           + final + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    with pytest.raises(RuntimeError, match="fake_root: perfbench exited with status 0"):
+        bench_pairs.run_once(Path("fake_root"), "learn_churn", 1)
+
+
+def _run_output(traced: bool, names=None, **final) -> str:
+    """A perfbench stdout: its first line, a table line, and a result line
+    carrying a metric of value 1.5 per name, by default every name the
+    benchmark declares for the trace mode."""
+    if names is None:
+        names = [m["name"] for m in bench_pairs.BENCHMARK["per_layer" if traced else "end_to_end"]]
+    line = {"correct": True, "attempted": 12, "failed": 0,
+            "metrics": {name: {"value": 1.5, "unit": "s"} for name in names}, **final}
+    return "\n".join([json.dumps({"workload": "survey", "trace": int(traced)}),
+                      "fail_ratio 0/12 = 0.0000", json.dumps(line)]) + "\n"
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_check_run_accepts_a_strict_result_with_the_declared_metrics(traced):
+    assert check_run.faults(_run_output(traced)) == []
+
+
+def test_check_run_names_every_fault_of_a_result_line():
+    names = [m["name"] for m in bench_pairs.BENCHMARK["per_layer"]]
+    # a metric lost and one added, a run not correct, and values that are not finite numbers
+    text = _run_output(True, names[1:] + ["extra.calls"], correct=False)
+    for name, value in ((names[1], "1e999"), (names[2], "null"), (names[3], "true"),
+                        (names[4], '"1.5"')):
+        text = text.replace(f'"{name}": {{"value": 1.5', f'"{name}": {{"value": {value}')
+    assert check_run.faults(text) == [
+        "correct is False, not true",
+        f"metric names differ from BENCHMARK.json: missing ['{names[0]}'], extra ['extra.calls']",
+        f"{names[1]}: value inf is not a finite number",
+        f"{names[2]}: value None is not a finite number",
+        f"{names[3]}: value True is not a finite number",
+        f"{names[4]}: value '1.5' is not a finite number"]
+    # an untraced run is held to the end-to-end names
+    assert check_run.faults(_run_output(False, names))[0].startswith(
+        "metric names differ from BENCHMARK.json: missing ['job_s', 'peak_rss_mb', 'setup_s']")
+
+
+@pytest.mark.parametrize("text", [
+    _run_output(True).replace('"value": 1.5', '"value": NaN', 1),
+    _run_output(True).replace('"value": 1.5', '"value": -Infinity', 1),
+    _run_output(True) + "traceback\n",
+    _run_output(True).split("\n", 1)[1],
+    ""], ids=["nan", "-infinity", "output-after-the-line", "no-first-line", "empty"])
+def test_check_run_refuses_output_without_a_strict_result_line(text):
+    faults = check_run.faults(text)
+    assert len(faults) == 1 and faults[0].startswith(
+        "no first line with a trace flag and a strict JSON last line")

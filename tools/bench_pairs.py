@@ -16,7 +16,9 @@ a tie counts for neither side. It also prints each side's src_lines, the
 line count of src/geomind that perfbench records in machine. The final lines of every run and that
 summary are printed as one JSON object on the last line, and written to
 FILE when --out is given. The exit status is 1 when any run was not
-correct, else 0.
+correct, else 0. A run whose final line is not strict JSON, such as one
+holding NaN or Infinity, which the benchmark refuses, stops the tool with
+a RuntimeError naming its root.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checker  # noqa: E402
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 
@@ -44,20 +50,28 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def result_line(text: str) -> dict:
+    """text, the final line of a perfbench run, parsed by the benchmark's own
+    strict rule (perfbench/checker.py): NaN, Infinity and -Infinity raise
+    ValueError."""
+    return json.loads(text, parse_constant=checker._reject_constant)
+
+
 def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """The first line (workload and machine) and the final line of one
-    untraced perfbench run in root, both parsed."""
+    untraced perfbench run in root, both parsed, the final one by
+    result_line; a run without both raises RuntimeError naming root."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
                            "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[0]), json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
+        return json.loads(lines[0]), result_line(lines[-1])
+    except (IndexError, ValueError):
         sys.stderr.write(proc.stderr[-4000:])
         raise RuntimeError(f"{root}: perfbench exited with status {proc.returncode} "
-                           "and no final line") from None
+                           "and no strict JSON final line") from None
 
 
 def run_pairs(roots: dict, workload: str, seeds, run=run_once) -> dict:
