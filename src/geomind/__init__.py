@@ -15,8 +15,8 @@ from .errors import (ChartDomainError, ChartExitError, ConfigError,
                      SingularMetricError)
 from .geodesic import (ShootingOptions, Trajectory, geodesic_between,
                        geodesic_step, integrate_geodesic, path_length_energy)
-from .io import (export_trajectory, import_trajectory, load_field,
-                 load_input_schedule, save_field, save_snapshots)
+from .io import (export_trajectory, load_field, load_input_schedule,
+                 save_field, save_snapshots)
 from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
                        FlatMetric, MetricSource, SphereMetric, TokenField,
                        christoffel_fd, curvature_at, density_at,
@@ -40,7 +40,7 @@ __all__ = [
     "curvature_at", "cycle_step", "demo_field", "density_at",
     "density_gradient", "export_trajectory", "feature_vector",
     "feedback_forcing", "geodesic_between", "geodesic_step",
-    "import_trajectory", "integrate_geodesic", "intrinsic_dimension",
+    "integrate_geodesic", "intrinsic_dimension",
     "learn_update", "load_field", "load_input_schedule", "manipulate_feature",
     "path_length_energy", "pca_projection", "perceive", "predict_contextual",
     "predict_geometric", "prediction_error", "run_learning",

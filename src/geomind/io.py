@@ -360,7 +360,8 @@ def _sample_template(d: int, activated: bool) -> str:
 
 
 def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> None:
-    """Write a trajectory as JSON or CSV; import reproduces it exactly.
+    """Write a trajectory as JSON or CSV, every float as its repr, so that
+    json.loads or float() gives back its exact bits.
 
     JSON holds one object per sample {t, position, velocity, token_id?},
     byte-equal to write_json of that payload. CSV uses the header
@@ -405,84 +406,3 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
             writer.writerow(["truncated", repr(float(traj.dt))])
         elif len(traj) < 2:
             writer.writerow(["dt", repr(float(traj.dt))])
-
-
-def _cell(text: str, kind: type, line: int):
-    """A CSV cell as the finite float or the int whose repr it is: the one
-    number rule for CSV files. Any other text, such as nan, inf, 1e999, 0_5
-    or a cell with spaces, raises ValueError naming the line."""
-    try:
-        value = kind(text)
-        if kind.__repr__(value) == text and (kind is int or math.isfinite(value)):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"line {line}: {text!r} is not {kind.__name__} text as "
-                     "export_trajectory writes it")
-
-
-def import_trajectory(path: Union[str, Path], fmt: Optional[str] = None) -> Trajectory:
-    """Read back a trajectory written by export_trajectory.
-
-    fmt defaults to the file suffix: .csv is CSV, anything else JSON. An
-    unknown fmt raises ValueError. A file that cannot be read, lacks a key
-    or holds no samples, or positions and velocities of unequal lengths,
-    raises FieldFormatError naming the file; so does a JSON number that
-    numbers refuses or a token_id that is not whole, a CSV cell that _cell
-    refuses (naming the line), a token_id beyond int64 in either format,
-    and a CSV file of fewer than two samples without a truncated or dt
-    line, or whose first two times give no finite dt.
-    """
-    path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown import format {fmt!r}; expected one of {FORMATS}")
-    data = _read_json(path, dict) if fmt == "json" else None
-    times, positions, velocities, activations = [], [], [], []
-    dt, truncated = None, False
-    try:
-        if fmt == "json":
-            dt, truncated = finite_number(data["dt"], "dt"), data["truncated"]
-            if not isinstance(truncated, bool):
-                raise ValueError(f"truncated must be true or false, got {truncated!r}")
-            times, positions, velocities = (numbers([entry[key] for entry in data["samples"]], key)
-                                            for key in ("t", "position", "velocity"))
-            activations = [(t, whole_number(entry["token_id"], "token_id")) for t, entry
-                           in zip(times.tolist(), data["samples"]) if "token_id" in entry]
-        else:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                width = len(next(reader, ()))
-                d = (width - 2) // 2
-                for row in reader:
-                    line = reader.line_num
-                    if row[:1] in (["truncated"], ["dt"]):
-                        dt, truncated = _cell(row[1], float, line), row[0] == "truncated"
-                        break
-                    if len(row) != width:
-                        raise ValueError(f"line {line} has {len(row)} fields, the header {width}")
-                    values = [_cell(cell, float, line) for cell in row[:-1]]
-                    times.append(values[0])
-                    positions.append(values[1:1 + d])
-                    velocities.append(values[1 + d:])
-                    if row[-1] != "":
-                        activations.append((times[-1], _cell(row[-1], int, line)))
-            if dt is None:
-                if len(times) < 2:
-                    raise ValueError("fewer than two samples and no dt line")
-                dt = finite_number(times[1] - times[0], "dt from the first two times")
-            times, positions, velocities = map(np.array, (times, positions, velocities))
-        for _, tid in activations:  # as load_field reads a token id
-            if not -2**63 <= tid < 2**63:
-                raise ValueError(f"token_id {tid!r:.40} lies beyond int64")
-    except OSError as exc:
-        raise FieldFormatError(f"cannot read {path}: {exc}") from exc
-    except KeyError as exc:
-        raise FieldFormatError(f"{path}: missing key {exc}") from exc
-    except (IndexError, TypeError, ValueError) as exc:
-        raise FieldFormatError(f"{path}: {exc}") from exc
-    if positions.ndim != 2 or velocities.shape != positions.shape or times.ndim != 1:
-        raise FieldFormatError(f"{path}: expected samples, each with a number t and "
-                               "a position and a velocity of one equal length")
-    return Trajectory(positions, velocities, times, dt, activations, truncated)

@@ -1,4 +1,5 @@
-"""tools/tree_drift.py: the output-tree comparison between two source roots."""
+"""The tools under tools/ (tree_drift, bench_pairs, check_run), and the tracer
+targets behind the benchmark's declared metrics."""
 
 import io
 import json
@@ -11,10 +12,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bench_pairs  # noqa: E402
 import check_run  # noqa: E402
+import geomind.cli  # noqa: E402,F401 - the tracer finds its targets in loaded modules
 from geomind.config import load_config  # noqa: E402
+import tracer  # noqa: E402
 import tree_drift  # noqa: E402
 import workloads  # noqa: E402
 
@@ -286,3 +290,20 @@ def test_check_run_refuses_output_without_a_strict_result_line(text):
     faults = check_run.faults(text)
     assert len(faults) == 1 and faults[0].startswith(
         "no first line with a trace flag and a strict JSON last line")
+
+
+def test_tracer_installs_every_span_behind_a_declared_metric():
+    # the tracer skips a target that no longer resolves, such as a renamed
+    # function, and a traced run then lacks its metrics and is refused
+    spans = {"geodesic.shot"}  # behind geodesic.shots
+    for metric in bench_pairs.BENCHMARK["per_layer"]:
+        span, _, kind = metric["name"].rpartition(".")
+        if kind in ("calls", "self_s", "calls_per_rk4_step"):
+            spans.add(span)
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        installed = set(trace.installed)
+    finally:
+        trace.uninstall()
+    assert sorted(spans - installed) == []
