@@ -441,7 +441,10 @@ def test_csv_column_count(tmp_path):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["3", "", "4", "", ""]
 
 
-def test_csv_of_two_samples_has_no_dt_line_even_when_their_difference_overflows(tmp_path):
+# The next four tests keep the names they had when geomind also read these
+# files back; each now checks the half that remains, what export writes.
+
+def test_import_csv_refuses_times_whose_difference_overflows(tmp_path):
     # the trailer follows the length and the truncated flag alone, so this
     # file keeps no dt: the first two times give inf
     path = tmp_path / "traj.csv"
@@ -449,6 +452,53 @@ def test_csv_of_two_samples_has_no_dt_line_even_when_their_difference_overflows(
                                  0.25), "csv", path)
     assert path.read_text().splitlines() == ["t,p0,v0,token_id", "-1e+308,0.0,0.0,",
                                              "1e+308,0.0,0.0,"]
+
+
+def test_import_csv_refuses_lone_sample_without_dt(tmp_path):
+    # one sample cannot give dt from its times, so its CSV ends with a dt
+    # line, or with the truncated line where the run was truncated
+    path = tmp_path / "traj.csv"
+    for truncated, label in ((False, "dt"), (True, "truncated")):
+        export_trajectory(Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), 0.25,
+                                     truncated=truncated), "csv", path)
+        assert path.read_text().splitlines() == ["t,p0,p1,v0,v1,token_id", "0.0,0.0,0.0,0.0,0.0,",
+                                                 f"{label},0.25"]
+
+
+def test_import_csv_refuses_short_row(tmp_path):
+    # every sample row has the header's fields, token_id empty or not
+    path = tmp_path / "traj.csv"
+    export_trajectory(_sample_trajectory(), "csv", path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 5 and all(len(row) == len(header) == 6 for row in rows)
+
+
+@pytest.mark.parametrize("where, cell, kind", [
+    ("p1", "0_5", "float"), ("p1", " 0.5", "float"), ("p1", "0.50", "float"),
+    ("dt", "0_25", "float"), ("dt", "0.25 ", "float"),
+    ("token_id", "0_7", "int"), ("token_id", " 7", "int"), ("token_id", "7.0", "int")])
+def test_import_csv_refuses_a_cell_export_cannot_write(tmp_path, where, cell, kind):
+    # float() reads each of these cells (0_5 as 5.0), but export writes the
+    # value as its repr, one text per value, and never the cell itself
+    value = float(cell) if kind == "float" else int(float(cell))
+    traj = _sample_trajectory()
+    if where == "dt":  # a lone sample writes dt on its last line
+        traj = Trajectory(np.zeros((1, 2)), np.zeros((1, 2)), np.array([0.0]), value)
+    elif where == "p1":  # sample 2, on line 4
+        positions = traj.positions.copy()
+        positions[2, 1] = value
+        traj = dataclasses.replace(traj, positions=positions)
+    else:
+        traj = dataclasses.replace(traj, activations=[(0.0, 3), (traj.times[2], value)])
+    path = tmp_path / "traj.csv"
+    export_trajectory(traj, "csv", path)
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    line, column = (len(lines), 1) if where == "dt" else (4, lines[0].index(where))
+    written = lines[line - 1][column]
+    assert written == repr(value) and written != cell
+    assert type(value)(written) == value
 
 
 def test_unknown_format_rejected_before_write(tmp_path):
@@ -602,6 +652,40 @@ def test_export_refuses_non_finite_trajectory_and_writes_nothing(tmp_path, fmt, 
     with pytest.raises(ValueError, match=rule):
         export_trajectory(traj, fmt, path)
     assert not path.exists()
+
+
+@st.composite
+def _exported_trajectories(draw):
+    d, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.floats(-2.0, 2.0)
+    rows = st.lists(st.lists(small, min_size=d, max_size=d), min_size=t, max_size=t)
+    return Trajectory(np.array(draw(rows)), np.array(draw(rows)), 0.25 * np.arange(t), 0.25,
+                      activations=[(0.0, 7)], truncated=draw(st.booleans()))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=_exported_trajectories(),
+       bad=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1))
+def test_every_number_slot_of_a_trajectory_file_refuses_what_is_not_finite(tmp_path, fmt, traj,
+                                                                           bad):
+    # dt, every t and every position and velocity entry, in turn, takes one
+    # of the bad values; export raises and writes no file
+    path = Path(tempfile.mkdtemp(dir=tmp_path)) / f"traj.{fmt}"
+    cases = [dataclasses.replace(traj, dt=bad[0])]
+    for name in ("times", "positions", "velocities"):
+        for k in range(getattr(traj, name).size):
+            values = getattr(traj, name).copy()
+            values.flat[k] = bad[len(cases) % len(bad)]
+            cases.append(dataclasses.replace(traj, **{name: values}))
+    assert len(cases) == 1 + len(traj) * (1 + 2 * traj.positions.shape[1])
+    for case in cases:
+        with pytest.raises(ValueError):
+            export_trajectory(case, fmt, path)
+        assert not path.exists()
+    export_trajectory(traj, fmt, path)  # and the trajectory as drawn is written
+    assert path.exists()
 
 
 # ---------------------------------------------------------------- command driver
