@@ -26,11 +26,14 @@ RECENT_FRONTS_MAX = 257
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax; invariant to a constant shift of the logits."""
+    """Numerically stable softmax of a 1-D array of logits; invariant to a
+    constant shift of the logits. The ufunc reductions give np.max's and
+    np.sum's bits without their Python wrappers, which cost more than the
+    reductions on a context window."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - np.max(logits)
+    shifted = logits - np.maximum.reduce(logits)
     e = np.exp(shifted)
-    return e / np.sum(e)
+    return e / np.add.reduce(e)
 
 
 @dataclass(frozen=True)

@@ -361,7 +361,10 @@ def _sample_template(d: int, activated: bool) -> str:
 
 def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> None:
     """Write a trajectory as JSON or CSV, every float as its repr, so that
-    json.loads or float() gives back its exact bits.
+    json.loads or float() gives back its exact bits. JSON writes a token id
+    of type int by int.__repr__, json.dumps's own spelling of an int, and
+    any other id through json.dumps, so a bool is written true and an
+    np.int64 raises TypeError.
 
     JSON holds one object per sample {t, position, velocity, token_id?},
     byte-equal to write_json of that payload. CSV uses the header
@@ -391,7 +394,11 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
     if fmt == "json":
         rows = []
         for k, (t, values) in enumerate(samples):
-            tail = (json.dumps(activation_at[t], allow_nan=False),) if t in activation_at else ()
+            tail = ()
+            if t in activation_at:
+                tid = activation_at[t]
+                tail = (int.__repr__(tid) if type(tid) is int
+                        else json.dumps(tid, allow_nan=False),)
             rows.append(_sample_template(d, bool(tail)) % ("[" if k == 0 else ",", *values, *tail))
         _write_listed(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": None},
                       "samples", rows)

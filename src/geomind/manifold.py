@@ -38,12 +38,14 @@ np.take, whose result is C-ordered, since the einsum that contracts Gamma
 sums in an order that follows the strides of its operands. A single point
 keeps three density calls (density_at twice and density_gradient once),
 because the benchmark's traced flows pin 4 christoffel and 12 density calls
-per RK4 step, but the three calls share one kernel pass: each field keeps
-the exponents of the last point it was asked about. TokenField.nearest
-ranks tokens by those exponents, so in a consciousness cycle its pass at
-the new front also serves the next step's first stage, and a cycle makes 4
-kernel passes. The flat and sphere metrics take batches in closed form; the
-base class, and so CallableMetric, takes christoffel_fd one row at a time.
+per RK4 step, but the three calls share one kernel pass and one density
+sum: each field keeps an entry for the last point it was asked about, with
+the exponents, |x_c|^2 and rho, and forgets it when it stores new means or
+weights. TokenField.nearest ranks tokens by those exponents, so in a
+consciousness cycle its pass at the new front also serves the next step's
+first stage, and a cycle makes 4 kernel passes. The flat and sphere metrics
+take batches in closed form; the base class, and so CallableMetric, takes
+christoffel_fd one row at a time.
 """
 
 from __future__ import annotations
@@ -213,10 +215,13 @@ class TokenField:
             squares = np.einsum("nd,nd->n", slopes, slopes)
             offsets = -squares / (2.0 * h2)
             slopes /= h2
-            # _exponent's memo of its last point; the exponent does not
-            # depend on the weights, so a copy that keeps the means keeps it
             self.__dict__.update(_centre=centre, _slopes=slopes, _offsets=offsets,
-                                 _reach=math.sqrt(squares.max(initial=0.0)), _memo=None)
+                                 _reach=math.sqrt(squares.max(initial=0.0)))
+        if "means" in arrays or "weights" in arrays:
+            # _exponent's entry for its last point holds rho = w . e, which
+            # depends on the weights as well as the means; a copy that keeps
+            # both keeps it
+            self.__dict__["_memo"] = None
 
     def _replace(self, **arrays: np.ndarray) -> "TokenField":
         """A copy that takes over the given, already valid arrays, read-only."""
@@ -277,9 +282,9 @@ class TokenField:
         if not len(self):
             raise ValueError("nearest() on an empty field")
         x = _as_vector(x, self.dimension)
-        xc, exponent, _ = _exponent(self, x)
+        exponent = _exponent(self, x)[1]
         top = int(exponent.argmax())  # the first NaN, if any, which fails isfinite
-        radius = self._reach + math.sqrt(np.dot(xc, xc))
+        radius = self._reach + math.sqrt(self._memo[2])  # |x_c|, from _exponent's entry
         if math.isfinite(exponent[top]) and radius < 2.0**511:
             h2, d = self.bandwidth**2, self.dimension
             gamma = (d + 8) * 2.0**-53 / (1.0 - (d + 8) * 2.0**-53)
@@ -311,26 +316,33 @@ def _exponent(field: TokenField, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     eps = 2^-52; centring keeps it small near the data.
 
     The field keeps the read-only result for the last point, keyed on its
-    bytes, so the density calls of one Christoffel evaluation, and a
-    nearest() followed by a density call at the same point, share one pass.
-    The entry is replaced whole, never changed."""
+    bytes, in its entry field._memo = (key, result, |x_c|^2, rho), where
+    rho = w . e is density_at's value and |x_c|^2 gives nearest() its
+    radius. So the density calls of one Christoffel evaluation, and a
+    nearest() followed by a density call at the same point, share one pass
+    and one weighted sum. The entry is replaced whole, never changed, and
+    the field forgets it when it stores new means or weights."""
     x = _as_vector(x, field.dimension)
     key = x.tobytes()
     memo = field._memo
     if memo is not None and memo[0] == key:
         return memo[1]
     xc = x - field._centre
-    exponent = field._offsets + field._slopes @ xc - np.dot(xc, xc) / (2.0 * field.bandwidth**2)
-    result = (xc, exponent, np.exp(exponent))
+    xc2 = float(np.dot(xc, xc))
+    exponent = field._offsets + field._slopes @ xc - xc2 / (2.0 * field.bandwidth**2)
+    kern = np.exp(exponent)
+    result = (xc, exponent, kern)
     for array in result:
         array.flags.writeable = False
-    field.__dict__["_memo"] = (key, result)
+    field.__dict__["_memo"] = (key, result, xc2, float(np.dot(field.weights, kern)))
     return result
 
 
 def density_at(field: TokenField, x) -> float:
-    """Weighted Gaussian kernel density rho(x) = sum_i w_i exp(-|x-v_i|^2 / 2h^2)."""
-    return float(np.dot(field.weights, _exponent(field, x)[2]))
+    """Weighted Gaussian kernel density rho(x) = sum_i w_i exp(-|x-v_i|^2 / 2h^2),
+    one dot product w . e that the field's entry for x keeps (_exponent)."""
+    _exponent(field, x)
+    return field._memo[3]
 
 
 def density_gradient(field: TokenField, x) -> np.ndarray:
@@ -338,7 +350,8 @@ def density_gradient(field: TokenField, x) -> np.ndarray:
     sum_i k_i (v_i - x) / h^2 = sum_i k_i s_i - (sum_i k_i) x_c / h^2."""
     xc, _, kern = _exponent(field, x)
     kern = kern * field.weights
-    return kern @ field._slopes - kern.sum() / field.bandwidth**2 * xc
+    # np.add.reduce is kern.sum()'s pairwise sum without its Python wrapper
+    return kern @ field._slopes - np.add.reduce(kern) / field.bandwidth**2 * xc
 
 
 def _batch_exponents(field: TokenField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +385,7 @@ def _kernel_sums(field: TokenField, xc: np.ndarray, exponent: np.ndarray, gradie
         return None, rho, None
     kern *= field.weights
     grad = (np.matmul(kern[:, None, :], field._slopes)[:, 0]
-            - (kern.sum(axis=1) / field.bandwidth**2)[:, None] * xc)
+            - (np.add.reduce(kern, axis=1) / field.bandwidth**2)[:, None] * xc)
     return kern, rho, grad
 
 

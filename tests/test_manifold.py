@@ -151,7 +151,7 @@ def test_interleaved_points_and_fields_give_the_cold_results():
     rng = np.random.default_rng(21)
     means = rng.normal(size=(9, 3))
     base = make_field(list(means), dim=3, bandwidth=0.9, weights=list(rng.uniform(0.5, 2, 9)))
-    heavier = base._replace(weights=np.asarray(base.weights) * 3.0)  # shares the entry
+    heavier = base._replace(weights=np.asarray(base.weights) * 3.0)  # starts with no entry
     other = make_field(list(means + 0.25), dim=3, bandwidth=0.6)
     points = list(rng.normal(size=(3, 3))) + [means[4], np.array([0.0, 0.5, 1.0]),
                                               np.array([-0.0, 0.5, 1.0])]
@@ -181,6 +181,20 @@ def test_exponent_entry_is_read_only_and_follows_the_means(random_field):
         assert after[:3] != before[:3]
         assert after == _evaluations(_rebuilt(field), x)
     assert _evaluations(random_field, x) == before
+
+
+def test_exponent_entry_follows_the_weights(random_field):
+    # the entry holds rho = w . e, so a field with new weights never reads
+    # its parent's rho, though its means, and so its exponents, are the same
+    x = np.array([0.3, -0.2])
+    before = np.float64(density_at(random_field, x)).tobytes()
+    for field in (manipulate_feature(random_field, random_field.ids[:2].tolist(), 3.0),
+                  random_field._replace(weights=random_field.weights * 3.0)):
+        after = _evaluations(field, x)
+        assert after[0] != before
+        assert after == _evaluations(_rebuilt(field), x)
+        exponent = _exponent(field, x)[1]
+        assert density_at(field, x) == float(np.dot(field.weights, np.exp(exponent)))
 
 
 # ---------------------------------------------------------------- field invariants

@@ -3,6 +3,7 @@ targets behind the benchmark's declared metrics."""
 
 import io
 import json
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,34 @@ def test_bench_pairs_refuses_a_final_line_that_is_not_strict_json(monkeypatch, c
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
     with pytest.raises(RuntimeError, match="fake_root: perfbench exited with status 0"):
         bench_pairs.run_once(Path("fake_root"), "learn_churn", 1)
+
+
+def test_bench_pairs_refuses_roots_that_differ_in_current_bytecode(tmp_path, monkeypatch,
+                                                                   capsys):
+    # a root whose modules load from bytecode starts its jobs faster, so
+    # such a pair is refused before any run
+    roots = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for root in roots.values():
+        (root / "src" / "geomind").mkdir(parents=True)
+        for name in ("__init__", "manifold", "io"):
+            (root / "src" / "geomind" / f"{name}.py").write_text(f"NAME = {name!r}\n")
+    for name in ("__init__", "manifold"):
+        py_compile.compile(str(roots["parent"] / "src" / "geomind" / f"{name}.py"), doraise=True,
+                           invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    assert bench_pairs.current_pycs(roots["parent"]) == 2
+    assert bench_pairs.current_pycs(roots["change"]) == 0
+    # bytecode of a source that changed since is not current
+    (roots["parent"] / "src" / "geomind" / "manifold.py").write_text("NAME = 'changed'\n")
+    assert bench_pairs.current_pycs(roots["parent"]) == 1
+
+    def no_run(*args):
+        raise AssertionError("bench_pairs ran a pair of unfair roots")
+
+    monkeypatch.setattr(bench_pairs, "run_pairs", no_run)
+    assert bench_pairs.main([str(roots["parent"]), str(roots["change"]),
+                             "--workload", "survey", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{roots['parent']} holds 1 and {roots['change']} 0 modules" in err
 
 
 def _run_output(traced: bool, names=None, **final) -> str:

@@ -19,11 +19,19 @@ FILE when --out is given. The exit status is 1 when any run was not
 correct, else 0. A run whose final line is not strict JSON, such as one
 holding NaN or Infinity, which the benchmark refuses, stops the tool with
 a RuntimeError naming its root.
+
+Before any run the tool counts, in each root, the src/geomind modules whose
+__pycache__ bytecode is current, so that Python loads it instead of
+compiling the source. The benchmark's workers may run without writing
+bytecode, and a root with current bytecode starts its jobs faster, so when
+the two counts differ the tool exits 2 and names both roots. The counts are
+recorded in the JSON as current_pycs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -55,6 +63,25 @@ def result_line(text: str) -> dict:
     strict rule (perfbench/checker.py): NaN, Infinity and -Infinity raise
     ValueError."""
     return json.loads(text, parse_constant=checker._reject_constant)
+
+
+def current_pycs(root: Path) -> int:
+    """The number of src/geomind/*.py modules under root whose bytecode in
+    __pycache__, for this interpreter, is current: its header holds this
+    interpreter's magic number and the source's mtime and size, as Python
+    checks them before it loads the bytecode instead of the source."""
+    count = 0
+    for source in (Path(root) / "src" / "geomind").glob("*.py"):
+        try:
+            with open(importlib.util.cache_from_source(str(source)), "rb") as fh:
+                header = fh.read(16)
+        except OSError:
+            continue
+        stat = source.stat()
+        count += header == (importlib.util.MAGIC_NUMBER + bytes(4)
+                            + (int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                            + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+    return count
 
 
 def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -146,10 +173,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     metrics = BENCHMARK["end_to_end"]
-    result = run_pairs({"parent": args.parent, "change": args.change}, args.workload,
-                       args.seeds)
-    result = {"workload": args.workload, "seconds": BENCHMARK["run_seconds"], **result,
-              "summary": summarise(result["runs"], metrics)}
+    roots = {"parent": args.parent, "change": args.change}
+    pycs = {side: current_pycs(root) for side, root in roots.items()}
+    if pycs["parent"] != pycs["change"]:
+        print(f"bench_pairs: unfair comparison: {args.parent} holds {pycs['parent']} and "
+              f"{args.change} {pycs['change']} modules with current bytecode; remove "
+              "__pycache__ from both roots, or compile both", file=sys.stderr)
+        return 2
+    result = run_pairs(roots, args.workload, args.seeds)
+    result = {"workload": args.workload, "seconds": BENCHMARK["run_seconds"],
+              "current_pycs": pycs, **result, "summary": summarise(result["runs"], metrics)}
     report(result["summary"], metrics, result["info"])
     if args.out:
         args.out.write_text(json.dumps(result, indent=2) + "\n")
