@@ -21,10 +21,10 @@ from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
                        FlatMetric, MetricSource, SphereMetric, TokenField,
                        christoffel_fd, curvature_at, density_at,
                        density_gradient)
-from .mind import (FieldReport, GridSpec, Selection, ThoughtFlow,
-                   analyze_field, demo_field, feature_vector,
-                   intrinsic_dimension, learn_update, manipulate_feature,
-                   pca_projection, run_learning, run_thought_flow, score_flow,
+from .mind import (FieldReport, Selection, ThoughtFlow, analyze_field,
+                   demo_field, feature_vector, intrinsic_dimension,
+                   learn_update, manipulate_feature, pca_projection,
+                   run_learning, run_thought_flow, score_flow,
                    select_conscious)
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "CallableMetric", "ChartDomainError", "ChartExitError", "CognitionParams",
     "ConfigError", "ConformalFieldMetric", "CurvatureReport",
     "FieldFormatError", "FieldReport", "FlatMetric", "GeomindError",
-    "GridSpec", "MetricSource", "MindState", "NoGeodesicError", "Selection",
+    "MetricSource", "MindState", "NoGeodesicError", "Selection",
     "ShootingOptions", "SingularMetricError", "SphereMetric", "ThoughtFlow",
     "TokenField", "Trajectory",
     "analyze_field", "attention_weights", "christoffel_fd", "context_vector",

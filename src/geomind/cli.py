@@ -101,8 +101,7 @@ def cmd_learn(config: RunConfig) -> int:
 def cmd_analyze(config: RunConfig) -> int:
     report = analyze_field(config.field, config.metric)
     projection = pca_projection(config.field)
-    values = chain([report.percentile_cut], (s for _, s in report.curvature_samples),
-                   *projection.values())
+    values = chain([report.percentile_cut], report.scalars, *projection.values())
     if not all(map(math.isfinite, values)):  # JSON has no NaN or Infinity
         write_json(config.out_dir / "failure.json", {"error": "non-finite"})
         return 1

@@ -99,7 +99,8 @@ def integrate_geodesic(position, velocity, source: MetricSource,
                        forcing: Optional[np.ndarray] = None,
                        horizon: float = 1.0, dt: float = 1e-3) -> Trajectory:
     """Integrate from t = 0 for floor(horizon/dt) steps, returning
-    floor(horizon/dt)+1 samples.
+    floor(horizon/dt)+1 samples. A quotient within a relative 1e-12 below a
+    whole number counts as that number, so dt = 1/s always gives s steps.
 
     A (B, D) batch of positions and velocities gives (T, B, D) positions and
     velocities, each row bitwise equal to its own run up to the batch's end.
@@ -111,7 +112,7 @@ def integrate_geodesic(position, velocity, source: MetricSource,
         raise ValueError("dt must be positive")
     if horizon < dt:
         raise ValueError("horizon must be at least dt")
-    n_steps = int(np.floor(horizon / dt + 1e-12))
+    n_steps = int(np.floor(horizon / dt * (1 + 1e-12)))
     x = _as_vector(position, source.dim, "position", batch=True)
     v = _as_vector(velocity, source.dim, "velocity", batch=True)
     positions, velocities, times = [x], [v], [0.0]

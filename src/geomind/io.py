@@ -310,20 +310,17 @@ def save_field_report(report: FieldReport, path: Union[str, Path]) -> None:
     the payload {"curvature_samples": [{"point", "scalar"}, ...],
     "high_curvature", "percentile_cut", "components", "intrinsic_dimension"}.
     The samples are filled into a cached template from one float.__repr__
-    pass over their points and scalars; a NaN or infinity anywhere raises
-    ValueError and writes no file."""
-    rows = []
-    if report.curvature_samples:
-        points, scalars = zip(*report.curvature_samples)
-        table = np.column_stack((np.array(points), scalars))
-        if not np.isfinite(table).all():  # floats in the payload's order: json raises its error
-            json.dumps(table.tolist(), indent=2, allow_nan=False)
-        template, width = _curvature_template(table.shape[1] - 1), table.shape[1]
-        reprs = list(map(float.__repr__, table.ravel().tolist()))
-        rows = [template % ("[" if k == 0 else ",", *reprs[k * width:(k + 1) * width])
-                for k in range(len(table))]
+    pass over the table of report.points beside report.scalars; a NaN or
+    infinity anywhere raises ValueError and writes no file."""
+    table = np.column_stack((report.points, report.scalars))
+    if not np.isfinite(table).all():  # floats in the payload's order: json raises its error
+        json.dumps(table.tolist(), indent=2, allow_nan=False)
+    template, width = _curvature_template(table.shape[1] - 1), table.shape[1]
+    reprs = list(map(float.__repr__, table.ravel().tolist()))
+    rows = [template % ("[" if k == 0 else ",", *reprs[k * width:(k + 1) * width])
+            for k in range(len(table))]
     _write_listed(path, {"curvature_samples": None,
-                         "high_curvature": [p.tolist() for p in report.high_curvature],
+                         "high_curvature": report.high_curvature.tolist(),
                          "percentile_cut": report.percentile_cut,
                          "components": report.components,
                          "intrinsic_dimension": report.intrinsic_dimension},

@@ -25,9 +25,11 @@ logger = logging.getLogger(__name__)
 # analyze_field refuses a grid of more points than this (8 per axis at D=6)
 # before allocating it.
 GRID_BUDGET = 8**6
-# The analyze grid pads the token bounding box by this many bandwidths on
-# every side, flags points whose |scalar curvature| lies above this
-# percentile, and tests each connectivity segment at this many points.
+# The analyze grid has this many points per axis and pads the token bounding
+# box by this many bandwidths on every side; analyze flags points whose
+# |scalar curvature| lies above this percentile, and tests each connectivity
+# segment at this many points.
+POINTS_PER_AXIS = 8
 GRID_PADDING = 2.0
 CURVATURE_PERCENTILE = 90.0
 SEGMENT_SAMPLES = 64
@@ -61,27 +63,17 @@ class Selection:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Sampling specification for analyze_field.
+class FieldReport:
+    """Curvature samples, flagged regions, token connectivity and dimension.
 
-    The grid spans the token bounding box padded by GRID_PADDING * h on
-    every axis. rho_min defaults to the field's epsilon.
+    points (P, D) are the grid points inside the chart, scalars (P,) their
+    scalar curvatures, and high_curvature (H, D) the points flagged above
+    percentile_cut.
     """
 
-    points_per_axis: int = 8
-    rho_min: Optional[float] = None
-
-    def __post_init__(self):
-        if not isinstance(self.points_per_axis, (int, np.integer)) or self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be a whole number of at least 2")
-
-
-@dataclass(frozen=True)
-class FieldReport:
-    """Curvature samples, flagged regions, token connectivity and dimension."""
-
-    curvature_samples: list[tuple[np.ndarray, float]]
-    high_curvature: list[np.ndarray]
+    points: np.ndarray
+    scalars: np.ndarray
+    high_curvature: np.ndarray
     components: list[list[int]]
     intrinsic_dimension: int
     percentile_cut: float = 0.0
@@ -234,10 +226,10 @@ def manipulate_feature(field: TokenField, ids: Sequence[int], scale: float) -> T
     return field._replace(weights=weights)
 
 
-def _connected_components(field: TokenField, rho_min: float) -> list[list[int]]:
+def _connected_components(field: TokenField) -> list[list[int]]:
     """Brute-force token graph: an edge exists when the density at every one
     of SEGMENT_SAMPLES evenly spaced points a + t (b - a) of the straight
-    segment between two means stays at or above rho_min."""
+    segment between two means stays at or above the field's epsilon."""
     order = np.argsort(field.ids)
     ids, means = field.ids[order].tolist(), field.means[order]
     n = len(ids)
@@ -257,7 +249,7 @@ def _connected_components(field: TokenField, rho_min: float) -> list[list[int]]:
         i, j = first[lo:lo + pairs], second[lo:lo + pairs]
         a, b = means[i, None, :], means[j, None, :]
         rho = densities(field, a + ts * (b - a)).reshape(len(i), SEGMENT_SAMPLES)
-        edge = rho.min(axis=1) >= rho_min
+        edge = rho.min(axis=1) >= field.epsilon
         for ri, rj in zip(i[edge].tolist(), j[edge].tolist()):
             ri, rj = find(ri), find(rj)
             if ri != rj:
@@ -296,50 +288,44 @@ def pca_projection(field: TokenField) -> dict[int, np.ndarray]:
     return dict(zip(field.ids.tolist(), coords))
 
 
-def _check_grid(d: int, grid: GridSpec = GridSpec()) -> None:
-    """ConfigError when grid has more than GRID_BUDGET points in dimension d."""
-    if grid.points_per_axis**d > GRID_BUDGET:
-        raise ConfigError(f"analyze grid: points_per_axis {grid.points_per_axis} at D={d} gives "
-                          f"{grid.points_per_axis**d} points, over the budget of {GRID_BUDGET}")
+def _check_grid(d: int) -> None:
+    """ConfigError when the analyze grid exceeds GRID_BUDGET points at D = d."""
+    if POINTS_PER_AXIS**d > GRID_BUDGET:
+        raise ConfigError(f"analyze grid: points_per_axis {POINTS_PER_AXIS} at D={d} gives "
+                          f"{POINTS_PER_AXIS**d} points, over the budget of {GRID_BUDGET}")
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def analyze_field(field: TokenField, source: MetricSource,
-                  grid: GridSpec = GridSpec()) -> FieldReport:
+def analyze_field(field: TokenField, source: MetricSource) -> FieldReport:
     """Survey the field: curvature map, outlier regions, connectivity, dimension.
 
-    Scalar curvature is sampled on a regular grid over the padded bounding
-    box; points with |scalar| strictly above CURVATURE_PERCENTILE are
-    flagged as candidate trouble regions. A grid of more than GRID_BUDGET
-    points is refused with ConfigError before anything is allocated.
+    Scalar curvature is sampled on a regular grid of POINTS_PER_AXIS points
+    per axis over the padded bounding box, at the points inside the chart;
+    points with |scalar| strictly above CURVATURE_PERCENTILE are flagged as
+    candidate trouble regions. The field's epsilon is the connectivity
+    threshold. A grid of more than GRID_BUDGET points is refused with
+    ConfigError before anything is allocated.
     """
     d = field.dimension
-    _check_grid(d, grid)
+    _check_grid(d)
     if len(field):
         lo = field.means.min(axis=0) - GRID_PADDING * field.bandwidth
         hi = field.means.max(axis=0) + GRID_PADDING * field.bandwidth
     else:
         lo, hi = -np.ones(d), np.ones(d)
-    axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(d)]
+    axes = [np.linspace(lo[k], hi[k], POINTS_PER_AXIS) for k in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
     points = points[np.fromiter(map(source.in_domain, points), bool, len(points))]
-    samples = list(zip(points, source.scalar_curvature(points).tolist()))
-
-    high: list[np.ndarray] = []
-    cut = 0.0
-    if samples:
-        magnitudes = np.array([abs(s) for _, s in samples])
-        cut = float(np.percentile(magnitudes, CURVATURE_PERCENTILE))
-        high = [p for (p, s), m in zip(samples, magnitudes) if m > cut]
-
-    rho_min = field.epsilon if grid.rho_min is None else grid.rho_min
-    components = _connected_components(field, rho_min) if len(field) else []
+    scalars = source.scalar_curvature(points)
+    magnitudes = np.abs(scalars)
+    cut = float(np.percentile(magnitudes, CURVATURE_PERCENTILE)) if len(points) else 0.0
     return FieldReport(
-        curvature_samples=samples,
-        high_curvature=high,
-        components=components,
+        points=points,
+        scalars=scalars,
+        high_curvature=points[magnitudes > cut],
+        components=_connected_components(field) if len(field) else [],
         intrinsic_dimension=intrinsic_dimension(field),
         percentile_cut=cut,
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
-                     GridSpec, MindState, ShootingOptions, SphereMetric,
+                     MindState, ShootingOptions, SphereMetric,
                      ThoughtFlow, Trajectory,
                      attention_weights, christoffel_fd, curvature_at,
                      cycle_step, feedback_forcing, geodesic_between,
@@ -253,13 +253,14 @@ def test_criterion_11_connectivity():
     means = [np.array(o, dtype=float) for o in offsets]
     means += [np.array([50.0, 0.0]) + np.array(o) for o in offsets]
     ids = list(range(10))
-    field = make_field(means, bandwidth=1.0, epsilon=0.5, ids=ids)
-    grid = GridSpec(points_per_axis=4, rho_min=1e-100)
-    report = analyze_field(field, ConformalFieldMetric(field), grid)
+    # the connectivity threshold is the field's epsilon; the density midway
+    # between the clusters (about 1e-136) lies below 1e-100, the bridge's above
+    field = make_field(means, bandwidth=1.0, epsilon=1e-100, ids=ids)
+    report = analyze_field(field, ConformalFieldMetric(field))
     ok = len(report.components) == 2
-    bridged = make_field(means + [np.array([25.0, 0.0])], bandwidth=1.0, epsilon=0.5,
+    bridged = make_field(means + [np.array([25.0, 0.0])], bandwidth=1.0, epsilon=1e-100,
                          ids=ids + [99], weights=[1.0] * 10 + [5.0])
-    report2 = analyze_field(bridged, ConformalFieldMetric(bridged), grid)
+    report2 = analyze_field(bridged, ConformalFieldMetric(bridged))
     ok &= len(report2.components) == 1
     _report(11, "two clusters split, bridge token reconnects", ok)
 

@@ -1227,6 +1227,17 @@ def test_analyze_of_a_field_whose_curvature_overflows_reports_non_finite(tmp_pat
     assert capfd.readouterr() == ("", "")
 
 
+def test_analyze_with_every_grid_point_outside_the_chart_writes_an_empty_report(tmp_path):
+    # the grid spans theta in [4.3, 4.7], all beyond the sphere chart's pi
+    rc, out = _run_in(tmp_path, "analyze", {"dimension": 2, "bandwidth": 0.1, "tokens": [
+        {"id": 1, "mean": [4.5, 0.0]}, {"id": 2, "mean": [4.5, 0.2]}]},
+        {"metric": {"kind": "sphere"}})
+    assert rc == 0
+    report = _strict_json(out / "field_report.json")
+    assert report["curvature_samples"] == [] and report["high_curvature"] == []
+    assert report["percentile_cut"] == 0.0
+
+
 def test_geodesic_with_a_non_finite_jacobian_stops_before_lapack(tmp_path, capfd):
     # LAPACK printed "On entry to DLASCL parameter number 4 had an illegal value"
     rc, out = _run_in(tmp_path, "geodesic", FAR_PAIR,

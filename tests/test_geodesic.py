@@ -78,6 +78,13 @@ def test_sample_count(flat):
     assert len(traj) == 101
 
 
+def test_step_count_of_a_reciprocal_dt():
+    # 1 / (1 / 23238) lies more than 1e-12 below 23238, yet dt = 1/s means s steps
+    traj = integrate_geodesic([0.0], [1.0], FlatMetric(1), None, horizon=1.0, dt=1 / 23238)
+    assert len(traj) == 23239
+    assert abs(traj.times[-1] - 1.0) <= 1e-9
+
+
 def test_times_are_a_running_sum(flat):
     # the cycle keeps time as t + dt, which differs from k * dt in the last bits
     traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None, horizon=1.0, dt=0.01)

@@ -448,7 +448,8 @@ def _report_payload(report: FieldReport) -> dict:
     curvature samples took a row template."""
     return {
         "curvature_samples": [
-            {"point": p.tolist(), "scalar": s} for p, s in report.curvature_samples
+            {"point": p.tolist(), "scalar": s}
+            for p, s in zip(report.points, report.scalars.tolist())
         ],
         "high_curvature": [p.tolist() for p in report.high_curvature],
         "percentile_cut": report.percentile_cut,
@@ -472,17 +473,16 @@ def test_field_report_matches_the_reference(tmp_path, d):
                        weights=rng.uniform(0.5, 2.0, 12))
     report = analyze_field(field, ConformalFieldMetric(field))
     # a curve is flat, so at D = 1 every scalar is 0.0 or -0.0 and none is high
-    assert len(report.curvature_samples) == 8**d and bool(report.high_curvature) == (d > 1)
+    assert len(report.points) == 8**d and bool(len(report.high_curvature)) == (d > 1)
     _assert_report_matches(tmp_path, report)
 
 
 def test_field_report_of_one_more_sample_than_a_row_block(tmp_path):
     # the 257th sample is written alone, in a partial second block
     rng = np.random.default_rng(257)
-    report = FieldReport([(point, float(s)) for point, s in zip(rng.normal(size=(257, 2)),
-                                                                rng.normal(size=257))],
-                         [], [[1]], 1, percentile_cut=0.5)
-    assert len(report.curvature_samples) == ROW_BLOCK + 1
+    report = FieldReport(rng.normal(size=(257, 2)), rng.normal(size=257), np.empty((0, 2)),
+                         [[1]], 1, percentile_cut=0.5)
+    assert len(report.points) == ROW_BLOCK + 1
     _assert_report_matches(tmp_path, report)
 
 
@@ -493,22 +493,23 @@ def test_field_report_of_a_one_token_field(tmp_path):
 
 def test_field_report_without_high_curvature_points(tmp_path):
     report = analyze_field(demo_field(), FlatMetric(2))
-    assert report.curvature_samples and not report.high_curvature
+    assert len(report.points) and not len(report.high_curvature)
     _assert_report_matches(tmp_path, report)
 
 
 def test_field_report_keeps_negative_zero_and_writes_no_samples(tmp_path):
-    report = FieldReport(curvature_samples=[(np.array([-0.0, 1.5]), 0.25),
-                                            (np.array([0.0, -0.0]), -0.0)],
-                         high_curvature=[np.array([-0.0, 1.5])], components=[[1], [2, 3]],
+    report = FieldReport(points=np.array([[-0.0, 1.5], [0.0, -0.0]]),
+                         scalars=np.array([0.25, -0.0]),
+                         high_curvature=np.array([[-0.0, 1.5]]), components=[[1], [2, 3]],
                          intrinsic_dimension=2, percentile_cut=0.125)
     assert _assert_report_matches(tmp_path, report).count(b"-0.0") == 4
-    _assert_report_matches(tmp_path, FieldReport([], [], [], 0))
+    _assert_report_matches(tmp_path, FieldReport(np.empty((0, 2)), np.empty(0),
+                                                 np.empty((0, 2)), [], 0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_field_report_refuses_a_non_finite_point_as_write_json_does(tmp_path, bad):
-    report = FieldReport([(np.array([0.5, bad]), 1.0)], [], [], 1)
+    report = FieldReport(np.array([[0.5, bad]]), np.array([1.0]), np.empty((0, 2)), [], 1)
     with pytest.raises(ValueError) as expected:
         write_json(tmp_path / "reference.json", _report_payload(report))
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):

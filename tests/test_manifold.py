@@ -331,6 +331,14 @@ def test_metric_sphere_pole_raises(sphere):
         sphere.metric([np.pi, 0.3])
 
 
+def test_sphere_chart_refuses_theta_below_its_sine_floor(sphere):
+    # sin(1e-13) lies below the chart's floor of 1e-12, though theta > 0
+    with pytest.raises(ChartDomainError):
+        sphere.check_domain(np.array([1e-13, 0.3]))
+    with pytest.raises(ChartDomainError):
+        sphere.check_domain(np.array([[1.0, 0.3], [1e-13, 0.3]]))
+
+
 def test_metric_symmetric_positive_definite(random_field):
     source = ConformalFieldMetric(random_field)
     rng = np.random.default_rng(0)

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
-                     GridSpec, ShootingOptions, ThoughtFlow,
+                     ShootingOptions, SphereMetric, ThoughtFlow,
                      Trajectory, analyze_field, curvature_at,
                      demo_field, density_at, feature_vector, geodesic_between,
                      integrate_geodesic, intrinsic_dimension, learn_update,
                      manipulate_feature, pca_projection, predict_geometric,
                      run_learning, run_thought_flow, score_flow, select_conscious)
 from geomind.mind import (CURVATURE_PERCENTILE, GRID_BUDGET, GRID_PADDING,
-                          SEGMENT_SAMPLES)
+                          POINTS_PER_AXIS, SEGMENT_SAMPLES)
 
 from conftest import make_field
 
@@ -335,12 +335,8 @@ def test_manipulate_refuses_scale_that_is_not_finite_and_non_negative(scale):
     (lambda: CognitionParams.defaults(2, feedback_gain=np.nan), "feedback_gain"),
     (lambda: CognitionParams.defaults(2, feedback_gain=-np.inf), "feedback_gain"),
     (lambda: CognitionParams.defaults(2, input_blend=np.nan), "input_blend"),
-    (lambda: GridSpec(points_per_axis=np.nan), "points_per_axis"),
-    (lambda: GridSpec(points_per_axis=np.inf), "points_per_axis"),
-    (lambda: GridSpec(points_per_axis=3.5), "points_per_axis"),
-    (lambda: GridSpec(points_per_axis=1), "points_per_axis"),
 ], ids=["kappa-nan", "kappa-inf", "temperature-nan", "temperature-inf", "window-nan",
-        "gain-nan", "gain-inf", "blend-nan", "grid-nan", "grid-inf", "grid-fraction", "grid-1"])
+        "gain-nan", "gain-inf", "blend-nan"])
 def test_parameters_refuse_nan_and_non_finite_values(build, rule):
     # every check is written so that NaN fails it
     with pytest.raises(ValueError, match=rule):
@@ -389,9 +385,18 @@ def test_manipulate_bends_geodesic_toward_token():
 def test_analyze_empty_field(empty_field):
     report = analyze_field(empty_field, ConformalFieldMetric(empty_field))
     assert report.components == []
-    assert report.high_curvature == []
-    assert all(abs(s) < 1e-10 for _, s in report.curvature_samples)
+    assert report.high_curvature.shape == (0, 2)
+    assert np.all(np.abs(report.scalars) < 1e-10)
     assert report.intrinsic_dimension == 1
+
+
+def test_analyze_with_every_grid_point_outside_the_chart_returns_empty_arrays():
+    # the grid spans theta in [4.3, 4.7], all beyond the sphere chart's pi
+    field = make_field([[4.5, 0.0], [4.5, 0.2]], bandwidth=0.1)
+    report = analyze_field(field, SphereMetric())
+    assert report.points.shape == (0, 2) and report.scalars.shape == (0,)
+    assert report.high_curvature.shape == (0, 2)
+    assert report.percentile_cut == 0.0
 
 
 def _survey_field(seed):
@@ -405,12 +410,12 @@ def _survey_field(seed):
                       covs=[np.zeros((3, 3))] * 16)
 
 
-def _per_point_report(field, source, grid):
+def _per_point_report(field, source):
     """analyze_field's curvature flags and components from one curvature_at
     and one density_at call per point."""
     lo = field.means.min(axis=0) - GRID_PADDING * field.bandwidth
     hi = field.means.max(axis=0) + GRID_PADDING * field.bandwidth
-    axes = [np.linspace(lo[k], hi[k], grid.points_per_axis) for k in range(field.dimension)]
+    axes = [np.linspace(lo[k], hi[k], POINTS_PER_AXIS) for k in range(field.dimension)]
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     scalars = np.array([curvature_at(source, p).scalar for p in points])
     cut = np.percentile(np.abs(scalars), CURVATURE_PERCENTILE)
@@ -433,11 +438,10 @@ def test_analyze_matches_per_point_path_on_survey_fields(seed):
     field = _survey_field(seed)
     source = ConformalFieldMetric(field)
     report = analyze_field(field, source)
-    points, scalars, high, components = _per_point_report(field, source, GridSpec())
-    assert np.array_equal(np.array([p for p, _ in report.curvature_samples]), points)
-    assert np.allclose([s for _, s in report.curvature_samples], scalars,
-                       rtol=1e-5, atol=1e-7 * np.abs(scalars).max())
-    assert np.array_equal(np.array(report.high_curvature), high)
+    points, scalars, high, components = _per_point_report(field, source)
+    assert np.array_equal(report.points, points)
+    assert np.allclose(report.scalars, scalars, rtol=1e-5, atol=1e-7 * np.abs(scalars).max())
+    assert np.array_equal(report.high_curvature, high)
     assert report.components == components
 
 
@@ -450,7 +454,7 @@ def test_analyze_refuses_grid_over_budget_before_allocating():
     assert GRID_BUDGET == 8**6
 
 
-def _two_cluster_field(bridge=False):
+def _two_cluster_field(bridge=False, epsilon=1e-100):
     offsets = [(0, 0), (0.4, 0), (0, 0.4), (-0.4, 0), (0, -0.4)]
     means = [np.array(o) for o in offsets]
     means += [np.array([50.0, 0.0]) + np.array(o) for o in offsets]
@@ -460,31 +464,28 @@ def _two_cluster_field(bridge=False):
         means.append(np.array([25.0, 0.0]))
         ids.append(99)
         weights.append(5.0)
-    return make_field(means, bandwidth=1.0, epsilon=0.5, ids=ids, weights=weights)
+    return make_field(means, bandwidth=1.0, epsilon=epsilon, ids=ids, weights=weights)
 
 
 def test_two_clusters_two_components():
     field = _two_cluster_field()
-    grid = GridSpec(points_per_axis=4, rho_min=1e-100)
-    report = analyze_field(field, ConformalFieldMetric(field), grid)
+    report = analyze_field(field, ConformalFieldMetric(field))
     assert report.components == [list(range(5)), list(range(5, 10))]
 
 
 def test_bridge_token_joins_components():
     field = _two_cluster_field(bridge=True)
-    grid = GridSpec(points_per_axis=4, rho_min=1e-100)
-    report = analyze_field(field, ConformalFieldMetric(field), grid)
+    report = analyze_field(field, ConformalFieldMetric(field))
     assert len(report.components) == 1
     assert report.components[0] == list(range(10)) + [99]
 
 
 def test_component_count_monotone_in_rho_min():
-    field = _two_cluster_field(bridge=True)
-    source = ConformalFieldMetric(field)
+    # the connectivity threshold rho_min is the field's epsilon
     counts = []
-    for rho_min in (1e-2, 1e-20, 1e-40, 1e-100):
-        grid = GridSpec(points_per_axis=3, rho_min=rho_min)
-        counts.append(len(analyze_field(field, source, grid).components))
+    for epsilon in (1e-2, 1e-20, 1e-40, 1e-100):
+        field = _two_cluster_field(bridge=True, epsilon=epsilon)
+        counts.append(len(analyze_field(field, ConformalFieldMetric(field)).components))
     assert counts == sorted(counts, reverse=True)
 
 
@@ -506,9 +507,8 @@ def test_planar_cloud_in_r4_has_dimension_two():
 
 
 def test_high_curvature_cut_is_percentile_based(random_field):
-    report = analyze_field(random_field, ConformalFieldMetric(random_field),
-                           GridSpec(points_per_axis=6))
-    n = len(report.curvature_samples)
+    report = analyze_field(random_field, ConformalFieldMetric(random_field))
+    n = len(report.points)
     assert 0 < len(report.high_curvature) <= int(np.ceil(0.1 * n)) + 1
 
 

@@ -98,12 +98,15 @@ def test_walk_measures_float_drift_and_reports_other_differences():
 
 
 def test_long_learn_tree_is_the_seed_one_learn_config_at_25_cycles():
+    learn = ("learn",)
     assert tree_drift.specs(("learn_churn",), (1, 2), ("json",)) == [
-        ("learn_churn/seed1/json", "learn_churn", 1, ("output", {"format": "json"})),
-        ("learn_churn/seed2/json", "learn_churn", 2, ("output", {"format": "json"})),
-        ("learn_churn/seed1/long", "learn_churn", 1, ("learning", {"cycles": 25})),
-        ("learn_churn/seed1/full", "learn_churn", 1, ("field", tree_drift.full_covariances)),
-        ("learn_churn/seed1/diagonal", "learn_churn", 1, ("field", tree_drift.diagonal_lists))]
+        ("learn_churn/seed1/json", "learn_churn", 1, learn, {"output": {"format": "json"}}),
+        ("learn_churn/seed2/json", "learn_churn", 2, learn, {"output": {"format": "json"}}),
+        ("learn_churn/seed1/long", "learn_churn", 1, learn, {"learning": {"cycles": 25}}),
+        ("learn_churn/seed1/full", "learn_churn", 1, learn,
+         {"field": tree_drift.full_covariances}),
+        ("learn_churn/seed1/diagonal", "learn_churn", 1, learn,
+         {"field": tree_drift.diagonal_lists})]
     assert [tree for tree, *_ in tree_drift.specs(("survey",), (1,), ("json",))] == [
         "survey/seed1/json"]
     assert [tree for tree, *_ in tree_drift.specs(("learn_churn",), (2,), ("json",))] == [
@@ -151,10 +154,14 @@ def test_diagonal_list_tree_loads_the_learn_field_as_diagonals(tmp_path):
 
 
 def test_cognition_tree_is_the_seed_one_flow_config_with_a_non_identity_pipeline():
+    compete = ("compete",)
     assert tree_drift.specs(("flow_sparse",), (1, 2), ("csv",)) == [
-        ("flow_sparse/seed1/csv", "flow_sparse", 1, ("output", {"format": "csv"})),
-        ("flow_sparse/seed2/csv", "flow_sparse", 2, ("output", {"format": "csv"})),
-        ("flow_sparse/seed1/cognition", "flow_sparse", 1, ("cognition", tree_drift.COGNITION))]
+        ("flow_sparse/seed1/csv", "flow_sparse", 1, compete, {"output": {"format": "csv"}}),
+        ("flow_sparse/seed2/csv", "flow_sparse", 2, compete, {"output": {"format": "csv"}}),
+        ("flow_sparse/seed1/cognition", "flow_sparse", 1, compete,
+         {"cognition": tree_drift.COGNITION}),
+        ("flow_sparse/seed1/sphere/csv", "flow_sparse", 1, ("compete", "analyze", "geodesic"),
+         {**tree_drift.SPHERE, "output": {"format": "csv"}})]
     assert [tree for tree, *_ in tree_drift.specs(("flow_sparse",), (2,), ())] == []
     pipeline = tree_drift.COGNITION
     for name in ("value_matrix", "predictor_matrix"):
@@ -174,6 +181,24 @@ def test_tree_drift_runs_the_cognition_tree(tmp_path):
         ["selection.json"] + [f"trajectory_seed{seed}.json" for seed in seeds])] + [
         f"summary: {len(seeds) + 1} files compared, {len(seeds) + 1} identical, 0 with moved "
         "floats (max drift 0), 0 with other differences"]
+
+
+def test_sphere_tree_runs_compete_analyze_and_geodesic_through_chart_exits(monkeypatch, tmp_path):
+    # one tree: the flow_sparse json and cognition trees are dropped from the specs
+    specs = tree_drift.specs
+    monkeypatch.setattr(tree_drift, "specs", lambda *args: [
+        spec for spec in specs(*args) if "/sphere/" in spec[0]])
+    out = io.StringIO()
+    assert tree_drift.compare(ROOT, ROOT, names=("flow_sparse",), seeds=(1,),
+                              formats=("json",), out=out) == 0
+    *lines, summary = out.getvalue().splitlines()
+    seeds = json.loads(workloads.generate("flow_sparse", 1, tmp_path).read_text())[
+        "simulation"]["seeds"]
+    names = ["failure.json", "field_report.json", "geodesic_path.json",
+             "geodesic_summary.json", "pca_projection.json", "selection.json"]
+    assert lines == [f"flow_sparse/seed1/sphere/json/{name}: identical" for name in sorted(
+        names + [f"trajectory_seed{seed}.json" for seed in seeds])]
+    assert summary.startswith("summary: 22 files compared, 22 identical")
 
 
 def _final_line(job_s, rss, failed=0):

@@ -5,7 +5,7 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus four more: a long-learn
+with JSON and CSV output, 24 trees in all, plus six more: a long-learn
 tree, the learn_churn seed-1 config at 25 cycles, whose many snapshots share
 most of their token rows; a full-covariance learn tree, the learn_churn
 seed-1 config with every covariance but the first turned into a full matrix
@@ -14,10 +14,15 @@ off-diagonal pair, since every benchmark field's covariances are diagonal;
 a diagonal-list learn tree, the learn_churn seed-1 config with each 8x8
 covariance written as its diagonal list, since only such a field loads its
 covariances as (n, D) diagonals and learn_churn writes its matrices;
-and a cognition tree, the flow_sparse seed-1 config with non-identity value
+a cognition tree, the flow_sparse seed-1 config with non-identity value
 and predictor matrices, a bias, tanh activation and a context capacity of
-4, since every benchmark config keeps the identity pipeline. Each root runs
-the workload's commands through its own geomind.cli.run in a subprocess.
+4, since every benchmark config keeps the identity pipeline; and a sphere
+tree per format, the flow_sparse seed-1 config on the unit-sphere metric
+with a geodesic section, running compete, analyze and geodesic, since every
+benchmark config keeps the field metric: most of its flows leave the chart,
+and analyze keeps only the grid points inside it. Each root runs the tree's
+commands, the workload's own unless the tree names others, through its own
+geomind.cli.run in a subprocess.
 For every file the report prints "identical", or the largest absolute drift
 of a float and the number of floats that moved, where a float moved when its
 repr changed, so a zero that changed sign counts. A last line sums up: the
@@ -53,6 +58,10 @@ LONG_LEARN_CYCLES = 25
 COGNITION = {"value_matrix": [[0.9, -0.3], [0.2, 1.1]],
              "predictor_matrix": [[0.8, 0.25], [-0.15, 0.95]],
              "bias": [0.05, -0.1], "activation": "tanh", "context_capacity": 4}
+# The sphere trees' commands and config sections, for the flow_sparse field.
+SPHERE_COMMANDS = ("compete", "analyze", "geodesic")
+SPHERE = {"metric": {"kind": "sphere", "radius": 1.0},
+          "geodesic": {"start": [0.3, 0.2], "end": [2.5, 1.2], "steps": 100}}
 
 
 def full_covariances(field: dict) -> None:
@@ -76,9 +85,11 @@ def diagonal_lists(field: dict) -> None:
 # Runs inside each root's interpreter: argv[1] is a JSON list of
 # [config path, output directory, [command, ...]].
 _RUNNER = """
-import json, sys
+import json, logging, sys
 from geomind.cli import run
 from geomind.config import load_config
+# the sphere trees' chart exits log warnings; their files record them
+logging.disable(logging.WARNING)
 for config, out, commands in json.loads(sys.argv[1]):
     cfg = load_config(config, out_override=out)
     for command in commands:
@@ -132,22 +143,31 @@ def _walk(a, b, where: str, drift: list, problems: list) -> None:
 
 
 def specs(names, seeds, formats) -> list:
-    """(tree, workload, seed, (config section, {key: value, ...})) of every
-    tree to build: one per workload, seed and format, the long-learn,
-    full-covariance and diagonal-list trees when learn_churn and seed 1 are
-    among them, and the cognition tree when flow_sparse and seed 1 are. The
-    full-covariance and diagonal-list trees' edits are ("field", function),
-    a rewrite of their field file."""
-    trees = [(f"{name}/seed{seed}/{fmt}", name, seed, ("output", {"format": fmt}))
+    """(tree, workload, seed, commands, {config section: {key: value, ...}})
+    of every tree to build: one per workload, seed and format, the
+    long-learn, full-covariance and diagonal-list trees when learn_churn and
+    seed 1 are among them, and the cognition tree and one sphere tree per
+    format when flow_sparse and seed 1 are. Each section's values are merged
+    into the config, adding a section it lacks; the full-covariance and
+    diagonal-list trees' edits are {"field": function}, a rewrite of their
+    field file."""
+    commands = {name: workloads.WORKLOADS[name].commands for name in names}
+    trees = [(f"{name}/seed{seed}/{fmt}", name, seed, commands[name],
+              {"output": {"format": fmt}})
              for name in names for seed in seeds for fmt in formats]
     if "learn_churn" in names and 1 in seeds:
-        trees.append(("learn_churn/seed1/long", "learn_churn", 1,
-                      ("learning", {"cycles": LONG_LEARN_CYCLES})))
-        trees.append(("learn_churn/seed1/full", "learn_churn", 1, ("field", full_covariances)))
-        trees.append(("learn_churn/seed1/diagonal", "learn_churn", 1, ("field", diagonal_lists)))
+        learn = commands["learn_churn"]
+        trees.append(("learn_churn/seed1/long", "learn_churn", 1, learn,
+                      {"learning": {"cycles": LONG_LEARN_CYCLES}}))
+        trees.append(("learn_churn/seed1/full", "learn_churn", 1, learn,
+                      {"field": full_covariances}))
+        trees.append(("learn_churn/seed1/diagonal", "learn_churn", 1, learn,
+                      {"field": diagonal_lists}))
     if "flow_sparse" in names and 1 in seeds:
         trees.append(("flow_sparse/seed1/cognition", "flow_sparse", 1,
-                      ("cognition", COGNITION)))
+                      commands["flow_sparse"], {"cognition": COGNITION}))
+        trees += [(f"flow_sparse/seed1/sphere/{fmt}", "flow_sparse", 1, SPHERE_COMMANDS,
+                   {**SPHERE, "output": {"format": fmt}}) for fmt in formats]
     return trees
 
 
@@ -161,20 +181,20 @@ def compare(parent_root, change_root, names=tuple(sorted(workloads.WORKLOADS)),
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         trees, jobs = [], {"parent": [], "change": []}
-        for tree, name, seed, (section, values) in specs(names, seeds, formats):
+        for tree, name, seed, commands, edits in specs(names, seeds, formats):
             config = workloads.generate(name, seed, work / "inputs" / tree)
-            if section == "field":
-                field_path = config.parent / "field.json"
-                field = json.loads(field_path.read_text())
-                values(field)
-                field_path.write_text(json.dumps(field) + "\n")
-            else:
-                data = json.loads(config.read_text())
-                data[section].update(values)
-                config.write_text(json.dumps(data, indent=2) + "\n")
+            data = json.loads(config.read_text())
+            for section, values in edits.items():
+                if section == "field":
+                    field_path = config.parent / "field.json"
+                    field = json.loads(field_path.read_text())
+                    values(field)
+                    field_path.write_text(json.dumps(field) + "\n")
+                else:
+                    data.setdefault(section, {}).update(values)
+            config.write_text(json.dumps(data, indent=2) + "\n")
             for side in jobs:
-                jobs[side].append([str(config), str(work / side / tree),
-                                   list(workloads.WORKLOADS[name].commands)])
+                jobs[side].append([str(config), str(work / side / tree), list(commands)])
             trees.append(tree)
         _run_root(parent_root, jobs["parent"])
         _run_root(change_root, jobs["change"])
