@@ -50,12 +50,10 @@ class Trajectory:
 
 def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
     source.check_domain(pos)
-    gamma = source.christoffel(pos)
     # f - e is f + (-e) in IEEE arithmetic, signed zeros included, so this is
-    # -e + f bitwise in one ufunc call
-    if vel.ndim == 2:
-        return f - np.einsum("bmnl,bn,bl->bm", gamma, vel, vel)
-    return f - np.einsum("mnl,n,l->m", gamma, vel, vel)
+    # -e + f bitwise in one ufunc call; the ellipsis takes a (D,) row or a
+    # (B, D) batch
+    return f - np.einsum("...mnl,...n,...l->...m", source.christoffel(pos), vel, vel)
 
 
 def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],

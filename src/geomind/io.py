@@ -181,26 +181,6 @@ def load_field(path: Union[str, Path]) -> TokenField:
         raise FieldFormatError(f"{path}: {exc}") from exc
 
 
-def field_to_dict(field: TokenField) -> dict:
-    """The field as the JSON object save_snapshots writes for it: each
-    covariance a D x D matrix, an (n, D) field's diagonals with +0.0 off
-    the diagonal."""
-    covariances, d = field.covariances, field.dimension
-    if covariances.ndim == 2:
-        covariances = np.zeros((len(field), d, d))
-        covariances[:, range(d), range(d)] = field.covariances
-    return {
-        "dimension": field.dimension,
-        "bandwidth": field.bandwidth,
-        "epsilon": field.epsilon,
-        "tokens": [
-            {"id": i, "mean": mean, "covariance": cov, "weight": w}
-            for i, mean, cov, w in zip(field.ids.tolist(), field.means.tolist(),
-                                       covariances.tolist(), field.weights.tolist())
-        ],
-    }
-
-
 def _changed_rows(field: TokenField, previous: Optional[TokenField]) -> np.ndarray:
     """The rows of field whose id, mean, covariance or weight differs bitwise
     from the same row of previous, compared as int64 so that 0.0 and -0.0
@@ -267,8 +247,10 @@ def _write_listed(path: Union[str, Path], payload: dict, key: str, rows: Sequenc
 
 
 def save_snapshots(fields: Sequence[TokenField], paths: Sequence[Union[str, Path]]) -> None:
-    """Write each field to its path, byte-equal to write_json(path,
-    field_to_dict(field)).
+    """Write each field to its path, byte-equal to write_json(path, payload)
+    for the JSON payload {"dimension", "bandwidth", "epsilon", "tokens"},
+    each token {"id", "mean", "covariance", "weight"} with its covariance as
+    a D x D matrix, an (n, D) field's diagonals with +0.0 off the diagonal.
 
     The encoded text of every token row is kept for the length of the call,
     and a row is encoded again only when its id, mean, covariance or weight

@@ -31,21 +31,21 @@ batch in one pass.
 Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
 or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
 A batch is row-invariant: each row is bitwise what the point gives alone.
-The field metric's Gamma, for a point or a batch, is one gather from
-[g, -g, 0], g = grad lambda, through a read-only (D, D, D) index cached per
-dimension (_christoffel_index), divided by 2 lambda; a batch gathers with
-np.take, whose result is C-ordered, since the einsum that contracts Gamma
-sums in an order that follows the strides of its operands. A single point
-keeps three density calls (density_at twice and density_gradient once),
-because the benchmark's traced flows pin 4 christoffel and 12 density calls
-per RK4 step, but the three calls share one kernel pass and one density
-sum: each field keeps an entry for the last point it was asked about, with
-the exponents, |x_c|^2 and rho, and forgets it when it stores new means or
-weights. TokenField.nearest ranks tokens by those exponents, so in a
-consciousness cycle its pass at the new front also serves the next step's
-first stage, and a cycle makes 4 kernel passes. The flat and sphere metrics
-take batches in closed form; the base class, and so CallableMetric, takes
-christoffel_fd one row at a time.
+The field metric's Gamma, for a point or a batch, is one gather: the table
+[g, -g, 0], g = grad lambda, divided by 2 lambda and taken with ndarray.take,
+whose result is C-ordered, through a read-only (D, D, D) index cached per
+dimension (_christoffel_index); the einsum that contracts Gamma sums in an
+order that follows the strides of its operands. A batch takes lambda and g
+from one kernel pass over its rows. A single point keeps three density calls
+(density_at twice and density_gradient once), because the benchmark's traced
+flows pin 4 christoffel and 12 density calls per RK4 step, but the three
+calls share one kernel pass and one density sum: each field keeps an entry
+for the last point it was asked about, with the exponents, |x_c|^2 and rho,
+and forgets it when it stores new means or weights. TokenField.nearest ranks
+tokens by those exponents, so in a consciousness cycle its pass at the new
+front also serves the next step's first stage, and a cycle makes 4 kernel
+passes. The flat and sphere metrics take batches in closed form; the base
+class, and so CallableMetric, takes christoffel_fd one row at a time.
 """
 
 from __future__ import annotations
@@ -436,9 +436,8 @@ class MetricSource:
         """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch.
         Default: christoffel_fd, one row at a time."""
         x = _as_vector(x, self.dim, batch=True)
-        if x.ndim == 2:
-            return np.stack([christoffel_fd(self, p) for p in x])
-        return christoffel_fd(self, x)
+        gamma = np.stack([christoffel_fd(self, p) for p in x.reshape(-1, self.dim)])
+        return gamma.reshape(x.shape + (self.dim,) * 2)
 
     def scalar_curvature(self, points) -> np.ndarray:
         """Scalar curvature at each row of a (P, D) array. Default: the
@@ -542,6 +541,14 @@ def _christoffel_index(dim: int) -> np.ndarray:
     return index
 
 
+def _conformal_christoffel(two_lam, grad: np.ndarray) -> np.ndarray:
+    """Gamma^m_{nl} = (delta^m_n g_l + delta^m_l g_n - delta_nl g_m) / (2 lambda)
+    of lambda I as (..., D, D, D), from g = grad lambda (..., D) and 2 lambda
+    as a float or a (..., 1) array."""
+    table = np.concatenate((grad, -grad, np.zeros((*grad.shape[:-1], 1))), axis=-1) / two_lam
+    return table.take(_christoffel_index(grad.shape[-1]), axis=-1)
+
+
 class ConformalFieldMetric(MetricSource):
     """Data-driven conformal metric g(x) = lambda(x) * I, lambda = 1/(rho + eps)."""
 
@@ -560,28 +567,20 @@ class ConformalFieldMetric(MetricSource):
         return self.conformal_factor(x) * np.eye(self.dim)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        # closed form for a conformally flat metric lambda * I:
-        # Gamma^m_{nl} = (delta^m_n d_l lam + delta^m_l d_n lam - delta_nl d_m lam) / (2 lam),
-        # gathered from [grad lam, -grad lam, 0] by _christoffel_index
         x = _as_vector(x, self.dim, batch=True)
-        if x.ndim == 2:
-            return self._christoffel_rows(x)
-        # a single point keeps three density calls, which share one kernel
-        # pass: the benchmark's traced flows pin 4 christoffel and 12
-        # density calls per RK4 step
-        lam = self.conformal_factor(x)
-        grad = self.conformal_gradient(x)
-        return np.concatenate((grad, -grad, [0.0]))[_christoffel_index(self.dim)] / (2.0 * lam)
-
-    def _christoffel_rows(self, points: np.ndarray) -> np.ndarray:
-        """christoffel for each row of a (B, D) array from one kernel pass
-        over the whole batch, so that each row gets the bits it gets alone."""
-        _, rho, grad = _kernel_sums(self.field, *_batch_exponents(self.field, points))
+        if x.ndim == 1:
+            # a single point keeps three density calls, which share one kernel
+            # pass: the benchmark's traced flows pin 4 christoffel and 12
+            # density calls per RK4 step
+            return _conformal_christoffel(2.0 * self.conformal_factor(x),
+                                          self.conformal_gradient(x))
+        # a batch takes rho and grad rho from one kernel pass over its rows, so
+        # that each row gets the bits it gets alone
+        _, rho, grad = _kernel_sums(self.field, *_batch_exponents(self.field, x))
         lam = 1.0 / (rho + self.field.epsilon)
-        grad *= -(lam * lam)[:, None]
-        gamma = np.take(np.concatenate((grad, -grad, np.zeros((len(grad), 1))), axis=1),
-                        _christoffel_index(self.dim), axis=1)
-        return gamma / (2.0 * lam)[:, None, None, None]
+        # -(lam^2) first, as in conformal_gradient: x86 gives NaN * NaN the first's sign
+        grad = -(lam * lam)[:, None] * grad
+        return _conformal_christoffel((2.0 * lam)[:, None], grad)
 
     def scalar_curvature(self, points) -> np.ndarray:
         """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):

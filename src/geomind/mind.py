@@ -295,6 +295,28 @@ def _check_grid(d: int) -> None:
                           f"{POINTS_PER_AXIS**d} points, over the budget of {GRID_BUDGET}")
 
 
+def _percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile(values, q), bitwise, of a non-empty (n,) array whose
+    zeros share one sign, by numpy's linear rule on the sorted values, without
+    np.percentile's np.unique, which imports numpy.ma: at the virtual index
+    i = (n - 1) q / 100, a and b are the values at floor i and floor i + 1
+    and gamma = i - floor i, or at i >= n - 1 both the top value and
+    gamma = i + 1; the result is b - (b - a)(1 - gamma) when gamma >= 0.5,
+    else a + (b - a) gamma. Any NaN sorts last and gives NaN."""
+    ordered = np.sort(values).tolist()
+    index = (len(ordered) - 1) * (q / 100)
+    if ordered[-1] != ordered[-1]:
+        return ordered[-1]
+    if index >= len(ordered) - 1:
+        a = b = ordered[-1]
+        gamma = index + 1  # i - (-1): numpy points both neighbours at row -1
+    else:
+        below = int(index)  # floor, as index >= 0
+        a, b = ordered[below], ordered[below + 1]
+        gamma = index - below
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def analyze_field(field: TokenField, source: MetricSource) -> FieldReport:
     """Survey the field: curvature map, outlier regions, connectivity, dimension.
@@ -320,7 +342,7 @@ def analyze_field(field: TokenField, source: MetricSource) -> FieldReport:
     points = points[np.fromiter(map(source.in_domain, points), bool, len(points))]
     scalars = source.scalar_curvature(points)
     magnitudes = np.abs(scalars)
-    cut = float(np.percentile(magnitudes, CURVATURE_PERCENTILE)) if len(points) else 0.0
+    cut = _percentile(magnitudes, CURVATURE_PERCENTILE) if len(points) else 0.0
     return FieldReport(
         points=points,
         scalars=scalars,

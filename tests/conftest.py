@@ -14,6 +14,26 @@ def make_field(means, dim=2, bandwidth=1.0, epsilon=1.0, weights=None, covs=None
                       [1.0] * n if weights is None else weights, bandwidth, epsilon)
 
 
+def field_to_dict(field):
+    """The field as the JSON payload that save_snapshots writes for it, built
+    field by field as the byte reference of the writer: each covariance a
+    D x D matrix, an (n, D) field's diagonals with +0.0 off the diagonal."""
+    covariances, d = field.covariances, field.dimension
+    if covariances.ndim == 2:
+        covariances = np.zeros((len(field), d, d))
+        covariances[:, range(d), range(d)] = field.covariances
+    return {
+        "dimension": field.dimension,
+        "bandwidth": field.bandwidth,
+        "epsilon": field.epsilon,
+        "tokens": [
+            {"id": i, "mean": mean, "covariance": cov, "weight": w}
+            for i, mean, cov, w in zip(field.ids.tolist(), field.means.tolist(),
+                                       covariances.tolist(), field.weights.tolist())
+        ],
+    }
+
+
 @pytest.fixture
 def empty_field():
     return make_field([])

@@ -20,14 +20,14 @@ from hypothesis.extra import numpy as hnp
 from geomind import (ConfigError, FieldFormatError, SphereMetric,
                      Trajectory, export_trajectory, integrate_geodesic,
                      load_field, load_input_schedule, save_field)
-from geomind.io import FORMATS, field_to_dict, write_json as write_artifact
+from geomind.io import FORMATS, write_json as write_artifact
 import geomind
 from geomind.cli import main, run
 from geomind.cognition import window_steps
 from geomind.config import load_config
 from geomind.mind import demo_field
 
-from conftest import make_field
+from conftest import field_to_dict, make_field
 
 
 # ---------------------------------------------------------------- field files
@@ -927,6 +927,20 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: geomind")
+
+
+def test_analyze_does_not_import_numpy_ma(workdir):
+    # np.percentile goes through np.unique, which imports numpy.ma on its
+    # first call; analyze takes its cut without it
+    src = Path(geomind.__file__).resolve().parents[1]
+    code = ("import sys; from geomind.cli import main; "
+            f"status = main(['analyze', '--config', {str(workdir / 'config.json')!r}, "
+            f"'--out', {str(workdir / 'analyze')!r}]); "
+            "print(status, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    assert json.loads((workdir / "analyze" / "field_report.json").read_text())["curvature_samples"]
 
 
 def test_compete_writes_selection(workdir):

@@ -11,11 +11,11 @@ from geomind import (CognitionParams, ConformalFieldMetric, FieldFormatError, Fi
                      FlatMetric, TokenField, analyze_field, run_learning)
 from geomind.cli import main
 from geomind.config import load_config
-from geomind.io import (ROW_BLOCK, field_to_dict, load_field, save_field, save_field_report,
+from geomind.io import (ROW_BLOCK, load_field, save_field, save_field_report,
                         save_snapshots, write_json)
 from geomind.mind import demo_field
 
-from conftest import make_field
+from conftest import field_to_dict, make_field
 
 
 class Tagged(float):

@@ -14,7 +14,7 @@ from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      manipulate_feature, pca_projection, predict_geometric,
                      run_learning, run_thought_flow, score_flow, select_conscious)
 from geomind.mind import (CURVATURE_PERCENTILE, GRID_BUDGET, GRID_PADDING,
-                          POINTS_PER_AXIS, SEGMENT_SAMPLES)
+                          POINTS_PER_AXIS, SEGMENT_SAMPLES, _percentile)
 
 from conftest import make_field
 
@@ -510,6 +510,32 @@ def test_high_curvature_cut_is_percentile_based(random_field):
     report = analyze_field(random_field, ConformalFieldMetric(random_field))
     n = len(report.points)
     assert 0 < len(report.high_curvature) <= int(np.ceil(0.1 * n)) + 1
+
+
+def _percentile_cases():
+    """Arrays of every size from 1 up, with ties, zeros of one sign, +-inf
+    and NaN, and random magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, 0.0, 1.0, 1.0, 2.5, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+    cases = [np.array([v]) for v in special] + [-np.array([0.0, 0.0, 1.0])]
+    for k in range(2000):
+        n = 1 + k % 23
+        cases.append(rng.choice(special[:-1 if k % 3 else None], n))
+        cases.append(rng.integers(0, 4, n).astype(float))
+        cases.append(np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 300, n))
+    return cases
+
+
+def test_percentile_is_numpys_bitwise():
+    # np.sort and np.percentile's partition may order +0.0 and -0.0 apart, so
+    # each array's zeros share one sign, as the |scalar| of analyze do
+    for values in _percentile_cases():
+        for q in (CURVATURE_PERCENTILE, 0.0, 37.5, 50.0, 100.0):
+            with np.errstate(invalid="ignore"):
+                expected = np.percentile(values, q)
+            got = _percentile(values, q)
+            assert type(got) is float and repr(got) == repr(float(expected)), (values, q)
+            assert np.signbit(got) == np.signbit(expected), (values, q)
 
 
 def test_pca_projection_shape(random_field):

@@ -1,5 +1,5 @@
-"""The tools under tools/ (tree_drift, bench_pairs, check_run), and the tracer
-targets behind the benchmark's declared metrics."""
+"""The tools under tools/ (tree_drift, bench_pairs, check_run, mutants), and
+the tracer targets behind the benchmark's declared metrics."""
 
 import io
 import json
@@ -17,6 +17,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bench_pairs  # noqa: E402
 import check_run  # noqa: E402
+import mutants  # noqa: E402
 import geomind.cli  # noqa: E402,F401 - the tracer finds its targets in loaded modules
 from geomind.config import load_config  # noqa: E402
 import tracer  # noqa: E402
@@ -361,3 +362,33 @@ def test_tracer_installs_every_span_behind_a_declared_metric():
     finally:
         trace.uninstall()
     assert sorted(spans - installed) == []
+
+
+def test_mutant_table_matches_the_source():
+    # each old text occurs once, so every mutant of the gate still applies
+    table = mutants.load_table(mutants.TABLE)
+    for row in table:
+        assert (ROOT / row["file"]).read_text().count(row["old"]) == 1, row["name"]
+        assert row["new"] != row["old"], row["name"]
+
+
+def test_mutants_kills_a_fast_mutant_and_names_a_comment_only_survivor(tmp_path):
+    fast = mutants.load_table(mutants.TABLE, ["acceleration-scaled"])[0]
+    comment = dict(fast, name="comment-only", old="# f - e is f + (-e)", new="# f - e is f + -e")
+    (tmp_path / "table.json").write_text(json.dumps([fast, comment]))
+    before = (ROOT / fast["file"]).read_bytes()
+    out = io.StringIO()
+    assert mutants.run(mutants.load_table(tmp_path / "table.json"), out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("killed   acceleration-scaled (")
+    assert lines[1].startswith("SURVIVED comment-only (")
+    assert lines[2] == "1 of 2 mutants killed; survivors: comment-only"
+    # the tool mutates a copy, never the repository
+    assert (ROOT / fast["file"]).read_bytes() == before
+
+
+def test_mutants_refuses_a_stale_table(tmp_path, capsys):
+    fast = mutants.load_table(mutants.TABLE, ["acceleration-scaled"])[0]
+    (tmp_path / "table.json").write_text(json.dumps([dict(fast, old="no such text")]))
+    assert mutants.main(["--table", str(tmp_path / "table.json")]) == 2
+    assert "acceleration-scaled: the old text occurs 0 times" in capsys.readouterr().err
