@@ -33,8 +33,8 @@ or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
 A batch is row-invariant: each row is bitwise what the point gives alone.
 The field metric's Gamma, for a point or a batch, is one gather: the table
 [g, -g, 0], g = grad lambda, divided by 2 lambda and taken with ndarray.take,
-whose result is C-ordered, through a read-only (D, D, D) index cached per
-dimension (_christoffel_index); the einsum that contracts Gamma sums in an
+whose result is C-ordered, through a (D, D, D) index cached per dimension
+(_christoffel_index); the einsum that contracts Gamma sums in an
 order that follows the strides of its operands. A batch takes lambda and g
 from one kernel pass over its rows. A single point keeps three density calls
 (density_at twice and density_gradient once), because the benchmark's traced
@@ -531,22 +531,26 @@ class SphereMetric(MetricSource):
 
 @functools.cache
 def _christoffel_index(dim: int) -> np.ndarray:
-    """Read-only (D, D, D) index into [g, -g, 0], length 2D + 1, that gathers
-    the conformal Gamma^m_{nl} * 2 lambda: g_l where m = n, else g_n where
+    """(D, D, D) index into [g, -g, 0], length 2D + 1, that gathers the
+    conformal Gamma^m_{nl} * 2 lambda: g_l where m = n, else g_n where
     m = l, else -g_m where n = l, else 0. Where m = n = l the three Kronecker
-    terms sum to (g_m + g_m) - g_m, which is g_m exactly."""
+    terms sum to (g_m + g_m) - g_m, which is g_m exactly. Nothing writes to
+    it, but it stays writable: ndarray.take copies a read-only index on
+    every call."""
     m, n, l = np.indices((dim,) * 3)
-    index = np.where(m == n, l, np.where(m == l, n, np.where(n == l, dim + m, 2 * dim)))
-    index.flags.writeable = False
-    return index
+    return np.where(m == n, l, np.where(m == l, n, np.where(n == l, dim + m, 2 * dim)))
 
 
 def _conformal_christoffel(two_lam, grad: np.ndarray) -> np.ndarray:
     """Gamma^m_{nl} = (delta^m_n g_l + delta^m_l g_n - delta_nl g_m) / (2 lambda)
     of lambda I as (..., D, D, D), from g = grad lambda (..., D) and 2 lambda
     as a float or a (..., 1) array."""
-    table = np.concatenate((grad, -grad, np.zeros((*grad.shape[:-1], 1))), axis=-1) / two_lam
-    return table.take(_christoffel_index(grad.shape[-1]), axis=-1)
+    d = grad.shape[-1]
+    table = np.zeros(grad.shape[:-1] + (2 * d + 1,))
+    table[..., :d] = grad
+    np.negative(grad, out=table[..., d:-1])
+    table /= two_lam
+    return table.take(_christoffel_index(d), axis=-1)
 
 
 class ConformalFieldMetric(MetricSource):
@@ -578,7 +582,6 @@ class ConformalFieldMetric(MetricSource):
         # that each row gets the bits it gets alone
         _, rho, grad = _kernel_sums(self.field, *_batch_exponents(self.field, x))
         lam = 1.0 / (rho + self.field.epsilon)
-        # -(lam^2) first, as in conformal_gradient: x86 gives NaN * NaN the first's sign
         grad = -(lam * lam)[:, None] * grad
         return _conformal_christoffel((2.0 * lam)[:, None], grad)
 

@@ -361,8 +361,9 @@ def test_christoffel_rows_equal_single_points_where_lambda_vanishes_or_is_nan():
     # weights of 1e308 make rho overflow to inf near the tokens, so lambda
     # and 2 lambda are 0 and the gather's table divides by zero; far away
     # lambda^2 underflows, so grad lambda and Gamma are signed zeros; a NaN
-    # coordinate makes every value NaN. NaN signs follow the operations, so
-    # the sign bits are compared as well as the values
+    # coordinate makes every value NaN. Sign bits are compared on the
+    # non-NaN rows only: IEEE leaves the sign of a NaN that a multiply or a
+    # division makes to the hardware and to numpy's loops
     field = make_field([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], weights=[1e308] * 3)
     source = ConformalFieldMetric(field)
     points = np.array([[0.3, 0.3], [np.nan, 0.2], [25.0, 0.5], [30.0, 0.0]])
@@ -375,7 +376,8 @@ def test_christoffel_rows_equal_single_points_where_lambda_vanishes_or_is_nan():
     assert np.isfinite(solos[3]).all() and np.any(solos[3])
     for row, solo in enumerate(solos):
         assert np.array_equal(gamma[row], solo, equal_nan=True), row
-        assert np.array_equal(np.signbit(gamma[row]), np.signbit(solo)), row
+    for row in (2, 3):
+        assert np.array_equal(np.signbit(gamma[row]), np.signbit(solos[row])), row
 
 
 def test_chart_check_covers_every_row_of_a_batch(sphere):

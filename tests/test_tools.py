@@ -372,8 +372,12 @@ def test_mutant_table_matches_the_source():
         assert row["new"] != row["old"], row["name"]
 
 
-def test_mutants_kills_a_fast_mutant_and_names_a_comment_only_survivor(tmp_path):
-    fast = mutants.load_table(mutants.TABLE, ["acceleration-scaled"])[0]
+def _mutant(name):
+    return next(row for row in mutants.load_table(mutants.TABLE) if row["name"] == name)
+
+
+def test_mutants_kills_a_fast_mutant_and_names_a_comment_only_survivor(tmp_path, monkeypatch):
+    fast = _mutant("acceleration-scaled")
     comment = dict(fast, name="comment-only", old="# f - e is f + (-e)", new="# f - e is f + -e")
     (tmp_path / "table.json").write_text(json.dumps([fast, comment]))
     before = (ROOT / fast["file"]).read_bytes()
@@ -383,12 +387,20 @@ def test_mutants_kills_a_fast_mutant_and_names_a_comment_only_survivor(tmp_path)
     assert lines[0].startswith("killed   acceleration-scaled (")
     assert lines[1].startswith("SURVIVED comment-only (")
     assert lines[2] == "1 of 2 mutants killed; survivors: comment-only"
+    # a mutant that makes its test hang is stopped and counts as killed
+    monkeypatch.setattr(mutants, "TIMEOUT_FACTOR", 2)
+    hang = dict(fast, name="hang", new="while True:\n        pass")
+    out = io.StringIO()
+    assert mutants.run([hang], out) == 0
+    assert out.getvalue().splitlines()[0].startswith("timeout  hang (")
+    assert out.getvalue().splitlines()[1] == "1 of 1 mutants killed"
     # the tool mutates a copy, never the repository
     assert (ROOT / fast["file"]).read_bytes() == before
 
 
-def test_mutants_refuses_a_stale_table(tmp_path, capsys):
-    fast = mutants.load_table(mutants.TABLE, ["acceleration-scaled"])[0]
-    (tmp_path / "table.json").write_text(json.dumps([dict(fast, old="no such text")]))
-    assert mutants.main(["--table", str(tmp_path / "table.json")]) == 2
+def test_mutants_refuses_a_stale_table(tmp_path, monkeypatch, capsys):
+    (tmp_path / "table.json").write_text(json.dumps([dict(_mutant("acceleration-scaled"),
+                                                          old="no such text")]))
+    monkeypatch.setattr(mutants, "TABLE", tmp_path / "table.json")
+    assert mutants.main() == 2
     assert "acceleration-scaled: the old text occurs 0 times" in capsys.readouterr().err

@@ -2,9 +2,9 @@
 that must kill it.
 
 Usage (from the repository root):
-    python3 tools/mutants.py [--table FILE] [--only NAME ...]
+    python3 tools/mutants.py
 
-A table (default tools/mutants.json) is a JSON list of mutants, each
+The table, tools/mutants.json, is a JSON list of mutants, each
 {"name", "file", "old", "new", "tests"}: file is a path under the
 repository root, old an exact text that occurs once in it, new its
 replacement, and tests the pytest node ids that must kill the mutant. The
@@ -13,7 +13,9 @@ directory and never edits the repository itself. It first runs every named
 test on the unmutated copy, which must pass. Then, for each mutant, it
 writes the mutated file into the copy, runs `python -m pytest -x` on the
 mutant's tests with the copy's src first on PYTHONPATH, and restores the
-file. A mutant is killed when pytest reports a failed test (exit status 1).
+file. A mutant is killed when pytest reports a failed test (exit status 1),
+or when its tests run TIMEOUT_FACTOR times longer than the unmutated run of
+every named test: pytest is then stopped, since the mutant made a test hang.
 
 The exit status is 0 when every mutant is killed, 1 when any survives (each
 survivor is named), and 2 when the table is stale: an old text that does
@@ -23,7 +25,6 @@ that fails without any mutant.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -37,14 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = ROOT / "tools" / "mutants.json"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                 ".perfbench_work")
+TIMEOUT_FACTOR = 10
 
 
 class StaleTable(Exception):
     """The table no longer matches the repository."""
 
 
-def load_table(path: Path, only=None) -> list[dict]:
-    """The mutants of a table file, or only those named."""
+def load_table(path: Path) -> list[dict]:
+    """The mutants of a table file."""
     table = json.loads(Path(path).read_text())
     for row in table:
         if set(row) != {"name", "file", "old", "new", "tests"} or not row["tests"]:
@@ -52,11 +54,6 @@ def load_table(path: Path, only=None) -> list[dict]:
     names = [row["name"] for row in table]
     if len(set(names)) != len(names):
         raise StaleTable(f"{path}: mutant names must be unique")
-    if only:
-        unknown = sorted(set(only) - set(names))
-        if unknown:
-            raise StaleTable(f"{path}: no mutant named {unknown}")
-        table = [row for row in table if row["name"] in only]
     return table
 
 
@@ -68,13 +65,18 @@ def mutate(text: str, row: dict) -> str:
     return text.replace(row["old"], row["new"])
 
 
-def run_tests(copy: Path, tests: list[str]) -> int:
-    """Exit status of pytest on the given node ids in the copy."""
+def run_tests(copy: Path, tests: list[str], timeout=None):
+    """Exit status of pytest on the given node ids in the copy, or None when
+    it is stopped after timeout seconds."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(copy / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                           *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                               "no:cacheprovider", *tests], cwd=copy, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def run(table: list[dict], out=sys.stdout) -> int:
@@ -85,7 +87,9 @@ def run(table: list[dict], out=sys.stdout) -> int:
         originals = {row["file"]: (copy / row["file"]).read_text() for row in table}
         mutated = {row["name"]: mutate(originals[row["file"]], row) for row in table}
         tests = list(dict.fromkeys(test for row in table for test in row["tests"]))
+        start = time.perf_counter()
         status = run_tests(copy, tests)
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - start)
         if status != 0:
             raise StaleTable(f"the named tests do not pass without a mutant (pytest exit {status})")
         survivors = []
@@ -94,13 +98,13 @@ def run(table: list[dict], out=sys.stdout) -> int:
             path = copy / row["file"]
             path.write_text(mutated[row["name"]])
             try:
-                status = run_tests(copy, row["tests"])
+                status = run_tests(copy, row["tests"], timeout)
             finally:
                 path.write_text(originals[row["file"]])
-            if status not in (0, 1):
+            if status not in (0, 1, None):
                 raise StaleTable(f"{row['name']}: pytest could not run {row['tests']} "
                                  f"(exit {status})")
-            verdict = "killed" if status == 1 else "SURVIVED"
+            verdict = {0: "SURVIVED", 1: "killed", None: "timeout"}[status]
             print(f"{verdict:8} {row['name']} ({time.perf_counter() - start:.1f} s)", file=out)
             if status == 0:
                 survivors.append(row["name"])
@@ -109,13 +113,9 @@ def run(table: list[dict], out=sys.stdout) -> int:
     return 1 if survivors else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--table", type=Path, default=TABLE)
-    parser.add_argument("--only", nargs="+", metavar="NAME")
-    args = parser.parse_args(argv)
+def main() -> int:
     try:
-        return run(load_table(args.table, args.only))
+        return run(load_table(TABLE))
     except StaleTable as exc:
         print(f"stale mutant table: {exc}", file=sys.stderr)
         return 2
