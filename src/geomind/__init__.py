@@ -17,10 +17,9 @@ from .geodesic import (ShootingOptions, Trajectory, geodesic_between,
                        geodesic_step, integrate_geodesic, path_length_energy)
 from .io import (export_trajectory, load_field, load_input_schedule,
                  save_field, save_snapshots)
-from .manifold import (CallableMetric, ConformalFieldMetric, CurvatureReport,
-                       FlatMetric, MetricSource, SphereMetric, TokenField,
-                       christoffel_fd, curvature_at, density_at,
-                       density_gradient)
+from .manifold import (ConformalFieldMetric, CurvatureReport, FlatMetric,
+                       MetricSource, SphereMetric, TokenField, christoffel_fd,
+                       curvature_at, density_at, density_gradient)
 from .mind import (FieldReport, Selection, ThoughtFlow, analyze_field,
                    demo_field, feature_vector, intrinsic_dimension,
                    learn_update, manipulate_feature, pca_projection,
@@ -30,8 +29,8 @@ from .mind import (FieldReport, Selection, ThoughtFlow, analyze_field,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CallableMetric", "ChartDomainError", "ChartExitError", "CognitionParams",
-    "ConfigError", "ConformalFieldMetric", "CurvatureReport",
+    "ChartDomainError", "ChartExitError", "CognitionParams", "ConfigError",
+    "ConformalFieldMetric", "CurvatureReport",
     "FieldFormatError", "FieldReport", "FlatMetric", "GeomindError",
     "MetricSource", "MindState", "NoGeodesicError", "Selection",
     "ShootingOptions", "SingularMetricError", "SphereMetric", "ThoughtFlow",

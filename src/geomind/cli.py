@@ -17,6 +17,8 @@ import os
 import sys
 from itertools import chain
 
+import numpy as np
+
 from .config import RunConfig, load_config
 from .errors import ConfigError, FieldFormatError, GeomindError, NoGeodesicError
 from .geodesic import geodesic_between, path_length_energy
@@ -130,6 +132,10 @@ def cmd_geodesic(config: RunConfig) -> int:
             "iterations": exc.iterations,
         })
         return 1
+    if not (np.isfinite(traj.positions).all() and np.isfinite(traj.velocities).all()):
+        # a shot can end within tol while its path overflows; JSON has no Infinity
+        write_json(config.out_dir / "failure.json", {"error": "non-finite"})
+        return 1
     export_trajectory(traj, config.fmt, config.out_dir / f"geodesic_path.{config.fmt}")
     length, energy = path_length_energy(traj, config.metric)
     if not (math.isfinite(length) and math.isfinite(energy)):  # JSON has no Infinity
@@ -156,6 +162,8 @@ def run(command: str, config: RunConfig) -> int:
     # before mkdir, so a refused run leaves no output directory
     if command == "learn" and config.learning_input is None:
         raise ConfigError("learn command requires learning.input in the config")
+    if command == "learn" and not len(config.field):
+        raise ConfigError("learn command requires a field with at least one token")
     if command == "geodesic" and (config.geodesic_start is None or config.geodesic_end is None):
         raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
     if command == "analyze":

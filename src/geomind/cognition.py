@@ -252,10 +252,13 @@ def predict_geometric(positions, velocities, dt: float, window: float) -> np.nda
 
 
 def window_steps(window: float, dt: float) -> int:
-    """round(window / dt), a geometric window's steps of dt; ValueError past the front buffer."""
+    """round(window / dt), a geometric window's steps of dt; ValueError below
+    one step or past the front buffer."""
     if not window / dt <= RECENT_FRONTS_MAX - 0.5:  # round(window / dt) >= RECENT_FRONTS_MAX or inf
         raise ValueError(f"cognition.geometric_window {window} spans more than "
                          f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
+    if not window / dt > 0.5:  # round(0.5) is 0, and predict_geometric needs a step
+        raise ValueError(f"cognition.geometric_window {window} spans no step of dt {dt}")
     return round(window / dt)
 
 

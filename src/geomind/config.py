@@ -149,9 +149,9 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
         # a flow's last time is count * dt; an int past float range raises OverflowError
         if not math.isfinite(count * dt):
             raise ConfigError(f"simulation.dt {dt} times {name} {count} must be finite")
-    if not math.isfinite(dt * dt):
-        raise ConfigError(f"simulation.dt {dt} must have a finite square: the feedback "
-                          "forcing divides by dt**2")
+    if not 2.0**-1022 <= dt * dt < math.inf:
+        raise ConfigError(f"simulation.dt {dt} must have a finite square, at least 2^-1022: "
+                          "the feedback forcing divides by dt**2")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
 
     geo = raw.get("geodesic", {})

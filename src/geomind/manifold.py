@@ -9,9 +9,11 @@ one with any full matrix as (n, D, D). Both shapes are written out as
 matrices, so a field's files do not depend on the shape. Its density
 defines a conformal metric g(x) = I / (rho(x) + eps), so dense regions are
 metrically short and geodesics gravitate toward them. Analytic metrics
-(flat scaling, 2-sphere chart) are provided as test oracles, and a generic
-finite-difference path computes Christoffel symbols and curvature for any
-metric source. The density metric's scalar curvature also has a closed form.
+(flat scaling, 2-sphere chart) are provided as test oracles. These three
+are the metric sources a run can name, each with closed-form Christoffel
+symbols; christoffel_fd is their finite-difference reference. curvature_at
+takes finite differences of any source's symbols, and the density metric's
+scalar curvature also has a closed form.
 
 Every kernel pass runs on constants the field caches whenever it stores its
 means: the centroid c, the slopes s_i = (v_i - c) / h^2 and the offsets
@@ -44,8 +46,7 @@ for the last point it was asked about, with the exponents, |x_c|^2 and rho,
 and forgets it when it stores new means or weights. TokenField.nearest ranks
 tokens by those exponents, so in a consciousness cycle its pass at the new
 front also serves the next step's first stage, and a cycle makes 4 kernel
-passes. The flat and sphere metrics take batches in closed form; the base
-class, and so CallableMetric, takes christoffel_fd one row at a time.
+passes. The flat and sphere metrics take batches in closed form too.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -409,8 +410,8 @@ class CurvatureReport:
 class MetricSource:
     """A Riemannian metric on a single global chart.
 
-    Subclasses implement metric(); christoffel() and scalar_curvature()
-    default to central finite differences and may be overridden with a
+    Subclasses implement metric() and christoffel(); scalar_curvature()
+    defaults to central finite differences and may be overridden with a
     closed form. check_domain() and christoffel() take one (D,) point or a
     (B, D) batch of rows, and every row of a batch must get exactly the bits
     it gets alone.
@@ -433,11 +434,8 @@ class MetricSource:
         raise NotImplementedError
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch.
-        Default: christoffel_fd, one row at a time."""
-        x = _as_vector(x, self.dim, batch=True)
-        gamma = np.stack([christoffel_fd(self, p) for p in x.reshape(-1, self.dim)])
-        return gamma.reshape(x.shape + (self.dim,) * 2)
+        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch."""
+        raise NotImplementedError
 
     def scalar_curvature(self, points) -> np.ndarray:
         """Scalar curvature at each row of a (P, D) array. Default: the
@@ -459,7 +457,8 @@ def _inverse_metric(g: np.ndarray) -> np.ndarray:
 def christoffel_fd(source: MetricSource, x) -> np.ndarray:
     """Gamma^m_{nl} = 1/2 g^{mr} (d_l g_{rn} + d_n g_{rl} - d_r g_{nl}) at x as
     a (D, D, D) array, with the metric derivatives taken by central
-    differences. Every source's christoffel() defaults to this path."""
+    differences: the reference for the closed-form christoffel() of every
+    source."""
     d = source.dim
     x = _as_vector(x, d)
     delta = fd_step_at(x)
@@ -501,8 +500,9 @@ class SphereMetric(MetricSource):
     dim = 2
 
     def __init__(self, radius: float = 1.0):
-        if not 0 < radius < np.inf:
-            raise ValueError("radius must be positive and finite")
+        if not 2.0**-511 <= radius < 2.0**511:  # metric() squares it
+            raise ValueError("radius must be positive and finite, with a normal square: "
+                             f"2^-511 <= radius < 2^511, got {radius!r}")
         self.radius = float(radius)
 
     def check_domain(self, x: np.ndarray) -> None:
@@ -600,29 +600,6 @@ class ConformalFieldMetric(MetricSource):
             scalar[rows] = (d - 1) * (lap - (d + 2) * np.einsum("bd,bd->b", grad, grad)
                                       / (4.0 * (rho + field.epsilon)))
         return scalar
-
-
-class CallableMetric(MetricSource):
-    """Metric defined by an arbitrary g(x) callable; Christoffels via finite
-    differences. Mainly useful for tests and experiments."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int,
-                 domain: Optional[Callable[[np.ndarray], bool]] = None):
-        self.fn = fn
-        self.dim = dim
-        self.domain = domain
-
-    def check_domain(self, x: np.ndarray) -> None:
-        if self.domain is None:
-            return
-        for point in np.reshape(x, (-1, self.dim)):
-            if not self.domain(point):
-                raise ChartDomainError(f"point {point} outside chart domain")
-
-    def metric(self, x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        self.check_domain(x)
-        return np.asarray(self.fn(x), dtype=float)
 
 
 def curvature_at(source: MetricSource, x) -> CurvatureReport:

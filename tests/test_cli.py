@@ -762,6 +762,19 @@ def test_oversized_geometric_window_exits_2(workdir):
         window_steps(1e10, 1e-300)
 
 
+@pytest.mark.parametrize("window", [0.005, 1e-300])
+def test_geometric_window_under_half_a_step_exits_2(workdir, capsys, window):
+    # round(window / dt) is 0 steps of dt 0.01, and the first cycle's
+    # predict_geometric raised ValueError out of main with an empty --out
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["cognition"].update(predictor="geometric", geometric_window=window)
+    write_json(workdir / "cfg_window.json", cfg)
+    out = workdir / "window_too_short"
+    rc = main(["simulate", "--config", str(workdir / "cfg_window.json"), "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert f"geometric_window {window} spans no step of dt 0.01" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, value, command", [
     ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "steps": 0}, "geodesic"),
     ("geodesic", {"start": [-1.5, 0.6], "end": [1.5, 0.6], "steps": -3}, "geodesic"),
@@ -772,12 +785,14 @@ def test_oversized_geometric_window_exits_2(workdir):
     ("metric", {"kind": "flat", "scale": "abc"}, "simulate"),
     ("metric", {"kind": "flat", "scale": -1.0}, "simulate"),
     ("metric", {"kind": "sphere", "radius": 0.0}, "simulate"),
+    # analyze's finite-difference curvature squared it: OverflowError escaped main
+    ("metric", {"kind": "sphere", "radius": 1e300}, "analyze"),
     ("metric", "field", "simulate"),
     ("simulation", [], "simulate"),
     ("cognition", {"kappa": -1.0}, "simulate"),
     ("simulation", {"seeds": [-1]}, "simulate"),
 ], ids=["steps-0", "steps-negative", "max-iters-negative", "tol-zero", "equal-endpoints",
-        "threshold-string", "scale-string", "scale-negative", "radius-zero",
+        "threshold-string", "scale-string", "scale-negative", "radius-zero", "radius-overflow",
         "metric-string", "simulation-list", "kappa-negative", "seed-negative"])
 def test_malformed_config_value_exits_2(workdir, section, value, command):
     cfg = json.loads((workdir / "config.json").read_text())
@@ -1187,6 +1202,29 @@ def test_geodesic_whose_length_overflows_writes_failure_and_exits_1(tmp_path):
     assert (path[0]["position"], path[-1]["position"]) == ([-1e200], [1e200])
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_geodesic_whose_path_overflows_writes_failure_and_exits_1(tmp_path, capfd, fmt):
+    # the shot ends within tol, but its velocities reach +-inf: the export
+    # ended in a "not JSON compliant: inf" traceback with an empty --out
+    rc, out = _run_in(tmp_path, "geodesic", field_to_dict(demo_field()), {
+        "geodesic": {"start": [-1e300, 0.0], "end": [1.0, 0.0], "steps": 12, "max_iters": 4,
+                     "tol": 1.0},
+        "output": {"format": fmt}})
+    assert rc == 1
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+    assert _strict_json(out / "failure.json") == {"error": "non-finite"}
+    assert capfd.readouterr() == ("", "")
+
+
+def test_learn_on_an_empty_field_exits_2(tmp_path, capsys):
+    # learn_update's nearest() raised ValueError and left an empty --out
+    rc, out = _run_in(tmp_path, "learn", {"dimension": 2, "tokens": []},
+                      {"learning": {"input": [1.0, 0.0]}})
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err == (
+        "geomind: error: learn command requires a field with at least one token\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "compete"])
 def test_flow_that_overflows_at_its_start_reports_without_a_warning(tmp_path, command):
     # the offsets -|v - c|^2 / 2h^2 are finite, -1.5e308, but at the start
@@ -1268,7 +1306,10 @@ def test_geodesic_with_a_non_finite_jacobian_stops_before_lapack(tmp_path, capfd
     ({"dt": 1e308, "steps": 3}, "times simulation.steps 3 must be finite"),
     ({"dt": 1e306, "steps": 3}, "times learning.cycles 1000 must be finite"),
     ({"dt": 1e200, "steps": 3}, "must have a finite square"),
-], ids=["steps", "cycles", "square"])
+    # dt**2 underflowed to 0, and the forcing's divide-by-zero warning escaped main
+    ({"dt": 1e-300, "steps": 3}, "must have a finite square, at least 2^-1022"),
+    ({"dt": 2.0**-512, "steps": 3}, "must have a finite square, at least 2^-1022"),
+], ids=["steps", "cycles", "square", "square-underflow", "square-subnormal"])
 def test_dt_whose_times_or_square_overflow_exits_2(tmp_path, capsys, simulation, rule):
     rc, out = _run_in(tmp_path, "simulate", {"dimension": 1, "tokens": [{"id": 1, "mean": [0.0]}]}, {
         "metric": {"kind": "flat"}, "learning": {"cycles": 1000},

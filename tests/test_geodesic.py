@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import geomind.geodesic as geodesic_module
-from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric, FlatMetric,
+from geomind import (ChartDomainError, ConformalFieldMetric, FlatMetric,
                      NoGeodesicError, ShootingOptions, SphereMetric, TokenField, Trajectory,
                      geodesic_between, geodesic_step, integrate_geodesic,
                      path_length_energy)
@@ -272,19 +272,11 @@ def test_local_minimality_against_perturbations(flat, sphere, random_field):
 
 # ---------------------------------------------------------------- batched rows and shots
 
-def _callable_metric(d):
-    # a smooth, non-conformal metric with a bounded chart
-    return CallableMetric(lambda x: np.diag(1.0 + 0.1 * x**2) + 0.05 * np.outer(np.sin(x), np.sin(x)),
-                          d, domain=lambda x: bool(np.all(np.abs(x) < 3.0)))
-
-
 def _source(kind, d):
     if kind == "flat":
         return FlatMetric(d, scale=2.0)
     if kind == "sphere":
         return SphereMetric(1.5)
-    if kind == "callable":
-        return _callable_metric(d)
     rng = np.random.default_rng(d)
     return ConformalFieldMetric(make_field(rng.uniform(-1.0, 1.0, (6, d)), dim=d,
                                            bandwidth=0.7, epsilon=0.3))
@@ -292,7 +284,7 @@ def _source(kind, d):
 
 @st.composite
 def _batches(draw):
-    kind = draw(st.sampled_from(["flat", "sphere", "callable", "conformal"]))
+    kind = draw(st.sampled_from(["flat", "sphere", "conformal"]))
     d = 2 if kind == "sphere" else draw(st.sampled_from([2, 3, 5]))
     rows = draw(st.integers(1, 6))
     lo, hi = ([0.2, -3.0], [2.9, 3.0]) if kind == "sphere" else ([-1.5] * d, [1.5] * d)
@@ -383,9 +375,6 @@ def test_christoffel_rows_equal_single_points_where_lambda_vanishes_or_is_nan():
 def test_chart_check_covers_every_row_of_a_batch(sphere):
     with pytest.raises(ChartDomainError):
         sphere.christoffel(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    source = _callable_metric(2)
-    with pytest.raises(ChartDomainError):
-        source.check_domain(np.array([[0.0, 0.0], [0.0, 3.5]]))
 
 
 def _solo_between(a, b, source, opts):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomind import (CallableMetric, ChartDomainError, ConformalFieldMetric,
-                     FlatMetric, SingularMetricError, SphereMetric,
+from geomind import (ChartDomainError, ConformalFieldMetric, FlatMetric,
+                     MetricSource, SingularMetricError, SphereMetric,
                      TokenField, christoffel_fd, curvature_at,
                      density_at, density_gradient, learn_update, load_field,
                      manipulate_feature, save_field)
@@ -264,6 +264,17 @@ def test_analytic_metrics_refuse_non_positive_or_non_finite_scale(value):
         SphereMetric(value)
 
 
+def test_sphere_radius_must_have_a_normal_square():
+    # metric() squares the radius: 1e300 raised OverflowError there, and
+    # 1e-300 gave a zero metric
+    for radius in (2.0**-512, 2.0**511, 1e300, 1e-300):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            SphereMetric(radius)
+    for radius in (2.0**-511, 2.0**511 * (1.0 - 2.0**-53)):
+        r2 = SphereMetric(radius).metric([1.0, 0.0])[0, 0]
+        assert 2.0**-1022 <= r2 < np.inf
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         TokenField([1], np.zeros((1, 2)), np.zeros((1, 2, 2)), [-0.5])
@@ -453,9 +464,14 @@ def test_christoffel_lower_index_symmetry(random_field, sphere):
 
 
 def test_christoffel_singular_metric_raises():
-    singular = CallableMetric(lambda x: np.zeros((2, 2)), dim=2)
+    class Singular(MetricSource):
+        dim = 2
+
+        def metric(self, x):
+            return np.zeros((2, 2))
+
     with pytest.raises(SingularMetricError):
-        christoffel_fd(singular, [0.0, 0.0])
+        christoffel_fd(Singular(), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------- curvature
