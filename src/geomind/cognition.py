@@ -237,18 +237,13 @@ def predict_contextual(context, params: CognitionParams) -> np.ndarray:
     return pre
 
 
-def predict_geometric(positions, velocities, dt: float, window: float) -> np.ndarray:
-    """Base point at t - window plus the trapezoidal integral of the recorded
-    velocities over the window, from (T, D) positions and velocities sampled
-    every dt, the last row at t."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    n_back = int(round(window / dt))
-    if n_back < 1 or n_back > len(positions) - 1:
-        raise ValueError(
-            f"window {window} spans {n_back} steps but trajectory has {len(positions) - 1}")
-    integral = np.trapezoid(velocities[-1 - n_back:], dx=dt, axis=0)
-    return positions[-1 - n_back] + integral
+def predict_geometric(positions, velocities, dt: float) -> np.ndarray:
+    """First position plus the trapezoidal integral of the velocities, from
+    the (T, D) positions and velocities of a window sampled every dt, the
+    last row at t. dt must satisfy 0 < dt < inf, else ValueError."""
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    return positions[0] + np.trapezoid(velocities, dx=dt, axis=0)
 
 
 def window_steps(window: float, dt: float) -> int:
@@ -257,7 +252,7 @@ def window_steps(window: float, dt: float) -> int:
     if not window / dt <= RECENT_FRONTS_MAX - 0.5:  # round(window / dt) >= RECENT_FRONTS_MAX or inf
         raise ValueError(f"cognition.geometric_window {window} spans more than "
                          f"{RECENT_FRONTS_MAX - 1} steps of dt {dt}")
-    if not window / dt > 0.5:  # round(0.5) is 0, and predict_geometric needs a step
+    if not window / dt > 0.5:  # round(0.5) is 0, and a window needs a step
         raise ValueError(f"cognition.geometric_window {window} spans no step of dt {dt}")
     return round(window / dt)
 
@@ -290,10 +285,11 @@ def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
     """kappa times the three-point second difference of the feedback vectors,
     given as a sequence of at most three (time, vector) pairs, oldest first.
 
-    Underfull histories (warm-up) contribute exactly zero forcing.
+    Underfull histories (warm-up) contribute exactly zero forcing. dt must
+    satisfy 0 < dt < inf, else ValueError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if len(history) < 3:
         return np.zeros(params.dim)
     (t0, psi0), (t1, psi1), (t2, psi2) = history
@@ -308,7 +304,7 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
         n_back = window_steps(params.geometric_window, dt)
         if len(state.recent_fronts) >= n_back + 1:
             positions, velocities = map(np.stack, zip(*state.recent_fronts[-1 - n_back:]))
-            return predict_geometric(positions, velocities, dt, params.geometric_window)
+            return predict_geometric(positions, velocities, dt)
         return perceived.copy()
     if len(state.context):
         weights = attention_weights(state.context[-1], state.context, params)
@@ -319,7 +315,7 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
 
 def cycle_step(state: MindState, field: TokenField, source: MetricSource,
                input_vec=None, dt: float = 1e-2) -> MindState:
-    """Advance one full consciousness cycle of duration dt.
+    """Advance one full consciousness cycle of duration 0 < dt < inf (else ValueError).
 
     Order of operations: perceive, predict, evaluate the error, record the
     feedback vector, force the geodesic with its discrete second derivative,
@@ -327,8 +323,8 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     sample and its value-mapped row join the context window, whose oldest
     entries drop out beyond params.context_capacity.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     params = state.params
 
     perceived = perceive(state.position, input_vec, params)

@@ -65,10 +65,10 @@ def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],
     (position, velocity). forcing is a D-vector held over the whole step and
     shared by all rows, or None for no forcing. Raises ChartExitError if any
     stage point of any row leaves the chart domain; x and v are then the last
-    valid state.
+    valid state. dt must satisfy 0 < dt < inf, else ValueError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     x = _as_vector(x, source.dim, "position", batch=True)
     v = _as_vector(v, source.dim, "velocity", batch=True)
     if v.shape != x.shape:
@@ -95,10 +95,9 @@ def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],
 
 def integrate_geodesic(position, velocity, source: MetricSource,
                        forcing: Optional[np.ndarray] = None,
-                       horizon: float = 1.0, dt: float = 1e-3) -> Trajectory:
-    """Integrate from t = 0 for floor(horizon/dt) steps, returning
-    floor(horizon/dt)+1 samples. A quotient within a relative 1e-12 below a
-    whole number counts as that number, so dt = 1/s always gives s steps.
+                       steps: int = 1000, dt: float = 1e-3) -> Trajectory:
+    """Integrate from t = 0 for the given number of steps of dt, returning
+    steps + 1 samples. dt must satisfy 0 < dt < inf, else ValueError.
 
     A (B, D) batch of positions and velocities gives (T, B, D) positions and
     velocities, each row bitwise equal to its own run up to the batch's end.
@@ -106,16 +105,13 @@ def integrate_geodesic(position, velocity, source: MetricSource,
     the truncated flag instead of raising; in a batch, the first row to
     leave the chart truncates them all.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if horizon < dt:
-        raise ValueError("horizon must be at least dt")
-    n_steps = int(np.floor(horizon / dt * (1 + 1e-12)))
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     x = _as_vector(position, source.dim, "position", batch=True)
     v = _as_vector(velocity, source.dim, "velocity", batch=True)
     positions, velocities, times = [x], [v], [0.0]
     truncated = False
-    for _ in range(n_steps):
+    for _ in range(steps):
         try:
             x, v = geodesic_step(x, v, source, forcing, dt)
         except ChartExitError:
@@ -172,10 +168,6 @@ def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSou
     leaves the chart, the rows run again one at a time, so every rule is the
     one a single row follows.
     """
-    def run(position, initial_velocity):
-        return integrate_geodesic(position, initial_velocity, source, None,
-                                  horizon=1.0, dt=1.0 / steps)
-
     d = len(velocity)
     with np.errstate(over="ignore"):
         speed = float(np.linalg.norm(velocity))
@@ -185,19 +177,19 @@ def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSou
         speed = top * float(np.linalg.norm(velocity / top))
     h = JACOBIAN_STEP * max(1.0, speed)
     rows = np.vstack([velocity, velocity + h * np.eye(d)])
-    batch = run(np.tile(a, (d + 1, 1)), rows)
+    batch = integrate_geodesic(np.tile(a, (d + 1, 1)), rows, source, None, steps, 1.0 / steps)
     if not batch.truncated:
         ends = list(batch.positions[-1])
         # contiguous, as a single run's arrays are, for the BLAS calls on its rows
         traj = Trajectory(np.ascontiguousarray(batch.positions[:, 0]),
                           np.ascontiguousarray(batch.velocities[:, 0]), batch.times, batch.dt)
     else:
-        traj = run(a, velocity)
+        traj = integrate_geodesic(a, velocity, source, None, steps, 1.0 / steps)
         if traj.truncated:
             return None, np.inf, traj, None
         ends = [traj.positions[-1]]
         for row in rows[1:]:
-            probe = run(a, row)
+            probe = integrate_geodesic(a, row, source, None, steps, 1.0 / steps)
             ends.append(None if probe.truncated else probe.positions[-1])
     miss = ends[0] - b
     jac = np.zeros((d, d))

@@ -234,13 +234,17 @@ class TokenField:
         return len(self.ids)
 
     def rows(self, ids) -> np.ndarray:
-        """Row index of each given token id, in the given order."""
-        ids = np.array(list(ids), dtype=np.int64)
-        unknown = sorted(set(ids[~np.isin(ids, self.ids)].tolist()))
+        """Row index of each given token id, in the given order. Ids are Python
+        or numpy ints, never bools; any other value, or an unknown id, is a ValueError."""
+        ids = list(ids)
+        for i in ids:
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"token id must be an integer, got {i!r}")
+        unknown = sorted({int(i) for i in ids}.difference(self.ids.tolist()))
         if unknown:
             raise ValueError(f"unknown token id(s): {unknown}")
         order = np.argsort(self.ids)
-        return order[np.searchsorted(self.ids, ids, sorter=order)]
+        return order[np.searchsorted(self.ids, np.array(ids, dtype=np.int64), sorter=order)]
 
     def sampling_root(self, row: int) -> Optional[np.ndarray]:
         """covariance_root of the covariance in the given row, read-only,

@@ -43,7 +43,7 @@ def test_criterion_01_flat_space_reduction():
             ok &= float(np.max(np.abs(gamma))) <= 1e-10
         ok &= float(np.max(np.abs(curvature_at(source, x).riemann))) <= 1e-8
     traj = integrate_geodesic([0.3, -0.2], [0.7, 0.4], source,
-                              None, horizon=1.0, dt=1e-3)
+                              None, steps=1000, dt=1e-3)
     expected = np.array([0.3, -0.2]) + np.array([0.7, 0.4])
     ok &= float(np.linalg.norm(traj.positions[-1] - expected)) <= 1e-9
     elapsed = time.perf_counter() - started
@@ -70,7 +70,7 @@ def test_criterion_02_sphere_oracle():
         ok &= abs(fd[1, 0, 1] - expect_ptp) <= 1e-4
         ok &= abs(curvature_at(sphere, x).scalar - 2.0) <= 1e-3
     traj = integrate_geodesic([np.pi / 2, 0.0], [0.0, 1.0], sphere,
-                              None, horizon=2 * np.pi, dt=1e-3)
+                              None, steps=6283, dt=1e-3)
     closure = float(np.linalg.norm(traj.positions[-1] - np.array([np.pi / 2, 2 * np.pi])))
     ok &= closure <= 1e-3
     elapsed = time.perf_counter() - started
@@ -90,7 +90,7 @@ def test_criterion_03_metric_speed_conservation():
     worst = 0.0
     for source, x0, v0 in cases:
         traj = integrate_geodesic(x0, v0, source, None,
-                                  horizon=1.0, dt=1e-3)
+                                  steps=1000, dt=1e-3)
         assert len(traj) == 1001
         speeds = np.array([
             math.sqrt(v @ source.metric(x) @ v)
@@ -108,7 +108,7 @@ def test_criterion_04_rk4_order():
     errors = []
     for dt in (0.05, 0.025, 0.0125):
         traj = integrate_geodesic(x0, v0, sphere, None,
-                                  horizon=1.0, dt=dt)
+                                  steps=round(1 / dt), dt=dt)
         errors.append(float(np.linalg.norm(traj.positions[-1] - exact)))
     r1, r2 = errors[0] / errors[1], errors[1] / errors[2]
     _report(4, f"RK4 convergence order (ratios {r1:.1f}, {r2:.1f})",
@@ -137,7 +137,7 @@ def test_criterion_05_zero_error_reduction():
     params = CognitionParams.defaults(2, kappa=0.0, input_blend=0.4, feedback_gain=1.0)
     pos, vel = _cycle_positions(field, source, params, 500, 1e-3,
                                 input_vec=np.array([2.0, -1.0]))
-    ref = integrate_geodesic(pos[0], vel[0], source, None, horizon=0.5, dt=1e-3)
+    ref = integrate_geodesic(pos[0], vel[0], source, None, steps=500, dt=1e-3)
     ok &= np.array_equal(pos, ref.positions) and np.array_equal(vel, ref.velocities)
     # identically zero feedback history despite kappa > 0
     params = CognitionParams.defaults(2, kappa=2.0, input_blend=0.4, feedback_gain=0.0)
@@ -154,7 +154,7 @@ def test_criterion_06_forcing_correctness():
     ok = np.array_equal(forcing, np.array([2.0]))
     flat = FlatMetric(1)
     traj = integrate_geodesic([0.0], [0.0], flat,
-                              [2.0], horizon=1.0, dt=1e-3)
+                              [2.0], steps=1000, dt=1e-3)
     # closed form x(T) = a T^2 / 2 = 1
     ok &= abs(traj.positions[-1][0] - 1.0) <= 1e-4
     _report(6, "feedback forcing equals 2 and matches a*t^2/2", bool(ok))

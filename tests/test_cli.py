@@ -420,7 +420,7 @@ def test_trajectory_round_trip_exact(tmp_path, fmt, traj):
 def test_truncated_round_trip_keeps_flag_and_dt(tmp_path, fmt, start, samples):
     # both leave the sphere chart through theta = 0
     traj = integrate_geodesic(start, [-1.0, 0.0], SphereMetric(1.0),
-                              horizon=2.0, dt=0.01)
+                              steps=200, dt=0.01)
     assert traj.truncated and len(traj) == samples
     path = tmp_path / f"traj.{fmt}"
     export_trajectory(traj, fmt, path)
@@ -512,7 +512,7 @@ def test_unknown_format_rejected_before_write(tmp_path):
 def test_export_refuses_a_batch_trajectory(tmp_path, fmt):
     # (T, B, D) positions and velocities, which neither format can hold
     traj = integrate_geodesic([[0.5, 0.0], [0.6, 0.1]], [[0.1, 0.0], [0.0, 0.1]],
-                              SphereMetric(1.0), horizon=0.05, dt=0.01)
+                              SphereMetric(1.0), steps=5, dt=0.01)
     assert traj.positions.shape == (6, 2, 2)
     path = tmp_path / f"traj.{fmt}"
     with pytest.raises(ValueError, match=r"needs \(T,\) times and \(T, D\) positions"):

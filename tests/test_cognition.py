@@ -190,7 +190,7 @@ def test_geometric_constant_velocity():
     times = np.arange(0, 1.0 + dt / 2, dt)
     v = np.array([0.3, -0.2])
     positions, velocities, step = _recorded(times, [t * v for t in times], [v] * len(times))
-    out = predict_geometric(positions, velocities, step, window=0.5)
+    out = predict_geometric(positions[-51:], velocities[-51:], step)
     assert np.allclose(out, positions[-1], atol=1e-12)
 
 
@@ -199,7 +199,7 @@ def test_geometric_zero_velocity():
     times = np.arange(0, 1.0 + dt / 2, dt)
     p = np.array([0.4, 0.4])
     recorded = _recorded(times, [p] * len(times), [np.zeros(2)] * len(times))
-    assert np.allclose(predict_geometric(*recorded, window=0.3), p)
+    assert np.allclose(predict_geometric(recorded[0][-4:], recorded[1][-4:], recorded[2]), p)
 
 
 def test_geometric_linear_velocity_integral():
@@ -208,23 +208,15 @@ def test_geometric_linear_velocity_integral():
     times = np.arange(0, 1.0 + dt / 2, dt)
     recorded = _recorded(times, [np.array([t**2 / 2, 0.0]) for t in times],
                          [np.array([t, 0.0]) for t in times])
-    out = predict_geometric(*recorded, window=1.0)
+    out = predict_geometric(*recorded)
     assert np.allclose(out, [0.5, 0.0], atol=1e-9)
-
-
-def test_geometric_window_exceeds_history():
-    dt = 0.1
-    times = np.arange(0, 0.5 + dt / 2, dt)
-    recorded = _recorded(times, [np.zeros(2)] * len(times), [np.zeros(2)] * len(times))
-    with pytest.raises(ValueError):
-        predict_geometric(*recorded, window=2.0)
 
 
 def test_geometric_consistency_on_recorded_geodesic(sphere):
     dt = 1e-3
     traj = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, None,
-                              horizon=1.0, dt=dt)
-    out = predict_geometric(traj.positions, traj.velocities, traj.dt, window=0.5)
+                              steps=1000, dt=dt)
+    out = predict_geometric(traj.positions[-501:], traj.velocities[-501:], traj.dt)
     assert np.linalg.norm(out - traj.positions[-1]) <= dt**2
 
 
@@ -312,7 +304,7 @@ def test_cycle_unforced_equals_geodesic_step(random_field):
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
     reference = integrate_geodesic(state.position, state.velocity, source, None,
-                                   horizon=0.1, dt=1e-3)
+                                   steps=100, dt=1e-3)
     for k in range(100):
         state = cycle_step(state, random_field, source, None, 1e-3)
         assert np.array_equal(state.position, reference.positions[k + 1])
@@ -327,7 +319,7 @@ def test_cycle_zero_history_identical_to_unforced(random_field):
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
     reference = integrate_geodesic(state.position, state.velocity, source, None,
-                                   horizon=0.1, dt=1e-3)
+                                   steps=100, dt=1e-3)
     for k in range(100):
         state = cycle_step(state, random_field, source, [5.0, -3.0], 1e-3)
         assert np.array_equal(state.position, reference.positions[k + 1])
@@ -379,7 +371,7 @@ def test_warmup_first_two_cycles_unforced(random_field):
     state = MindState.initial(random_field, params, seed=1,
                               start=[0.1, 0.2], velocity=[0.5, 0.3])
     reference = integrate_geodesic(state.position, state.velocity, source, None,
-                                   horizon=0.02, dt=1e-2)
+                                   steps=2, dt=1e-2)
     for k in range(2):
         state = cycle_step(state, random_field, source, [3.0, 3.0], 1e-2)
         assert np.array_equal(state.position, reference.positions[k + 1])

@@ -44,7 +44,7 @@ def _drifts(source, start, velocity, centre):
     the initial value over the run, per batch row and per (i, j)."""
     drifts = []
     for dt in STEPS:
-        traj = integrate_geodesic(start, velocity, source, None, horizon=HORIZON, dt=dt)
+        traj = integrate_geodesic(start, velocity, source, None, steps=round(HORIZON / dt), dt=dt)
         assert not traj.truncated
         energy, momenta = _energy_and_momenta(source, traj.positions, traj.velocities, centre)
         drifts.append((np.abs(energy - energy[0]).max(axis=0),

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import geomind.geodesic as geodesic_module
-from geomind import (ChartDomainError, ConformalFieldMetric, FlatMetric,
-                     NoGeodesicError, ShootingOptions, SphereMetric, TokenField, Trajectory,
-                     geodesic_between, geodesic_step, integrate_geodesic,
-                     path_length_energy)
+from geomind import (ChartDomainError, CognitionParams, ConformalFieldMetric, FlatMetric,
+                     MindState, NoGeodesicError, ShootingOptions, SphereMetric, TokenField,
+                     Trajectory, cycle_step, feedback_forcing, geodesic_between, geodesic_step,
+                     integrate_geodesic, path_length_energy, predict_geometric)
 from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
 from geomind.manifold import KERNEL_BLOCK
 
@@ -55,13 +55,31 @@ def test_rest_state_stays_at_rest(sphere, random_field):
 def test_constant_forcing_half_a_t_squared(flat):
     # oracle: x(t) = a t^2 / 2 for constant acceleration from rest
     traj = integrate_geodesic([0.0, 0.0], [0.0, 0.0], flat,
-                              [0.0, 1.0], horizon=1.0, dt=1e-3)
+                              [0.0, 1.0], steps=1000, dt=1e-3)
     assert np.allclose(traj.positions[-1], [0.0, 0.5], atol=1e-4)
 
 
-def test_step_rejects_bad_dt(flat):
-    with pytest.raises(ValueError):
-        geodesic_step([0.0, 0.0], [1.0, 0.0], flat, None, 0.0)
+def _cycle(dt):
+    field, params = make_field([[0.0, 0.0]]), CognitionParams.defaults(2)
+    return cycle_step(MindState.initial(field, params, seed=0), field, FlatMetric(2), None, dt)
+
+
+_DT_CALLS = {
+    "geodesic_step": lambda dt: geodesic_step([0.0, 0.0], [1.0, 0.0], FlatMetric(2), None, dt),
+    # no step, so the refusal is integrate_geodesic's own
+    "integrate_geodesic": lambda dt: integrate_geodesic([0.0, 0.0], [1.0, 0.0], FlatMetric(2),
+                                                        None, 0, dt),
+    "cycle_step": _cycle,
+    "feedback_forcing": lambda dt: feedback_forcing((), CognitionParams.defaults(2), dt),
+    "predict_geometric": lambda dt: predict_geometric(np.zeros((2, 2)), np.zeros((2, 2)), dt),
+}
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", list(_DT_CALLS))
+def test_dt_must_be_positive_and_finite(call, dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        _DT_CALLS[call](dt)
 
 
 @pytest.mark.parametrize("x, v", [([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [[1.0, 0.0]])])
@@ -74,20 +92,20 @@ def test_step_rejects_wrong_shapes(flat, x, v):
 
 def test_sample_count(flat):
     traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None,
-                              horizon=1.0, dt=0.01)
+                              steps=100, dt=0.01)
     assert len(traj) == 101
 
 
 def test_step_count_of_a_reciprocal_dt():
-    # 1 / (1 / 23238) lies more than 1e-12 below 23238, yet dt = 1/s means s steps
-    traj = integrate_geodesic([0.0], [1.0], FlatMetric(1), None, horizon=1.0, dt=1 / 23238)
+    # s steps of dt = 1/s end at t = 1, though 1 / (1 / 23238) lies more than 1e-12 below 23238
+    traj = integrate_geodesic([0.0], [1.0], FlatMetric(1), None, steps=23238, dt=1 / 23238)
     assert len(traj) == 23239
     assert abs(traj.times[-1] - 1.0) <= 1e-9
 
 
 def test_times_are_a_running_sum(flat):
     # the cycle keeps time as t + dt, which differs from k * dt in the last bits
-    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None, horizon=1.0, dt=0.01)
+    traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None, steps=100, dt=0.01)
     t, expected = 0.0, [0.0]
     for _ in range(100):
         t += 0.01
@@ -98,20 +116,20 @@ def test_times_are_a_running_sum(flat):
 
 def test_flat_unit_velocity_translation(flat):
     traj = integrate_geodesic([0.2, -0.1], [0.4, 0.7], flat, None,
-                              horizon=1.0, dt=1e-3)
+                              steps=1000, dt=1e-3)
     assert np.allclose(traj.positions[-1], [0.6, 0.6], atol=1e-9)
 
 
 def test_zero_velocity_all_samples_fixed(sphere):
     traj = integrate_geodesic([1.0, 0.2], [0.0, 0.0], sphere, None,
-                              horizon=0.5, dt=0.01)
+                              steps=50, dt=0.01)
     for position in traj.positions:
         assert np.array_equal(position, np.array([1.0, 0.2]))
 
 
 def test_equator_is_closed_geodesic(sphere):
     traj = integrate_geodesic([np.pi / 2, 0.0], [0.0, 1.0], sphere,
-                              None, horizon=2 * np.pi, dt=1e-3)
+                              None, steps=6283, dt=1e-3)
     final = traj.positions[-1]
     assert np.linalg.norm(final - np.array([np.pi / 2, 2 * np.pi])) < 1e-3
 
@@ -119,15 +137,15 @@ def test_equator_is_closed_geodesic(sphere):
 def test_chart_exit_truncates_and_flags(sphere):
     # heading straight into the north pole
     traj = integrate_geodesic([0.5, 0.0], [-1.0, 0.0], sphere, None,
-                              horizon=2.0, dt=0.01)
+                              steps=200, dt=0.01)
     assert traj.truncated
     assert len(traj) < 201
     assert traj.positions[-1][0] > 0.0
 
 
 def test_zero_forcing_bitwise_equals_default(sphere):
-    a = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, None, horizon=1.0, dt=1e-2)
-    b = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, np.zeros(2), horizon=1.0, dt=1e-2)
+    a = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, None, steps=100, dt=1e-2)
+    b = integrate_geodesic([1.0, 0.3], [0.2, 0.5], sphere, np.zeros(2), steps=100, dt=1e-2)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.velocities, b.velocities)
 
@@ -140,7 +158,7 @@ def test_metric_speed_conserved(flat, sphere, random_field):
     ]
     for source, x0, v0 in cases:
         traj = integrate_geodesic(x0, v0, source, None,
-                                  horizon=1.0, dt=1e-3)
+                                  steps=1000, dt=1e-3)
         speeds = np.array([
             np.sqrt(v @ source.metric(x) @ v)
             for x, v in zip(traj.positions, traj.velocities)
@@ -153,7 +171,7 @@ def test_rk4_order_on_great_circle(sphere):
     exact = great_circle_endpoint(x0, v0, 1.0)
     errors = []
     for dt in (0.05, 0.025, 0.0125):
-        traj = integrate_geodesic(x0, v0, sphere, None, horizon=1.0, dt=dt)
+        traj = integrate_geodesic(x0, v0, sphere, None, steps=round(1 / dt), dt=dt)
         errors.append(np.linalg.norm(traj.positions[-1] - exact))
     assert errors[0] / errors[1] >= 8.0
     assert errors[1] / errors[2] >= 8.0
@@ -163,7 +181,7 @@ def test_rk4_order_on_great_circle(sphere):
 
 def test_unit_speed_length_energy(flat):
     traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], flat, None,
-                              horizon=1.0, dt=0.01)
+                              steps=100, dt=0.01)
     length, energy = path_length_energy(traj, flat)
     assert length == pytest.approx(1.0, abs=1e-12)
     assert energy == pytest.approx(0.5, abs=1e-12)
@@ -173,7 +191,7 @@ def test_scaled_metric_length_energy():
     # oracle: length scales by sqrt(s), energy by s
     scaled = FlatMetric(2, scale=4.0)
     traj = integrate_geodesic([0.0, 0.0], [1.0, 0.0], scaled, None,
-                              horizon=1.0, dt=0.01)
+                              steps=100, dt=0.01)
     length, energy = path_length_energy(traj, scaled)
     assert length == pytest.approx(2.0, abs=1e-12)
     assert energy == pytest.approx(2.0, abs=1e-12)
@@ -181,9 +199,9 @@ def test_scaled_metric_length_energy():
 
 def test_length_invariant_under_resampling(flat):
     coarse = integrate_geodesic([0.0, 0.0], [0.6, 0.8], flat, None,
-                                horizon=1.0, dt=0.02)
+                                steps=50, dt=0.02)
     fine = integrate_geodesic([0.0, 0.0], [0.6, 0.8], flat, None,
-                              horizon=1.0, dt=0.01)
+                              steps=100, dt=0.01)
     l_coarse, _ = path_length_energy(coarse, flat)
     l_fine, _ = path_length_energy(fine, flat)
     assert abs(l_coarse - l_fine) < 1e-9
@@ -304,8 +322,8 @@ def test_batch_rows_equal_their_solo_runs(case):
     for row, point in enumerate(x):
         if source.in_domain(point):
             assert np.array_equal(gamma[row], source.christoffel(point))
-    batch = integrate_geodesic(x, v, source, forcing, horizon=0.2, dt=0.02)
-    solos = [integrate_geodesic(p, u, source, forcing, horizon=0.2, dt=0.02) for p, u in zip(x, v)]
+    batch = integrate_geodesic(x, v, source, forcing, steps=10, dt=0.02)
+    solos = [integrate_geodesic(p, u, source, forcing, steps=10, dt=0.02) for p, u in zip(x, v)]
     # the first row to leave the chart ends the batch
     assert len(batch) == min(len(s) for s in solos)
     assert batch.truncated == any(s.truncated for s in solos)
@@ -381,7 +399,7 @@ def _solo_between(a, b, source, opts):
     """The shooting loop with one integration per shot and per Jacobian
     probe: the reference that batched shots must reproduce bitwise."""
     def shoot(velocity):
-        traj = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / opts.steps)
+        traj = integrate_geodesic(a, velocity, source, None, steps=opts.steps, dt=1.0 / opts.steps)
         if traj.truncated:
             return None, np.inf, traj
         miss = traj.positions[-1] - b
@@ -456,7 +474,7 @@ def test_shot_jacobian_equals_separate_probe_shots(d):
     rng = np.random.default_rng(d)
     a, b, velocity = rng.uniform(-1.0, 1.0, (3, d))
     miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, 30)
-    base = integrate_geodesic(a, velocity, source, None, horizon=1.0, dt=1.0 / 30)
+    base = integrate_geodesic(a, velocity, source, None, steps=30, dt=1.0 / 30)
     assert np.array_equal(traj.positions, base.positions)
     assert np.array_equal(traj.velocities, base.velocities)
     assert np.array_equal(miss, base.positions[-1] - b)
@@ -465,7 +483,7 @@ def test_shot_jacobian_equals_separate_probe_shots(d):
     for k in range(d):
         e = np.zeros(d)
         e[k] = h
-        probe = integrate_geodesic(a, velocity + e, source, None, horizon=1.0, dt=1.0 / 30)
+        probe = integrate_geodesic(a, velocity + e, source, None, steps=30, dt=1.0 / 30)
         assert np.array_equal(jac[:, k], ((probe.positions[-1] - b) - miss) / h)
 
 
@@ -521,7 +539,7 @@ def test_probe_leaving_the_chart_gives_a_zero_column(sphere):
     velocity = np.array([np.pi - 5e-7 - 1.0, 0.0])
     miss, _, traj, jac = _shoot(a, a, velocity, sphere, 50)
     assert not traj.truncated and miss is not None
-    assert integrate_geodesic(a, velocity + [2e-6, 0.0], sphere, None, 1.0, 0.02).truncated
+    assert integrate_geodesic(a, velocity + [2e-6, 0.0], sphere, None, 50, 0.02).truncated
     assert np.array_equal(jac[:, 0], np.zeros(2))
     assert np.any(jac[:, 1] != 0.0)
 

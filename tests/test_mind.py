@@ -107,7 +107,7 @@ def test_flow_activations_match_nearest_labels(random_field):
     flow = run_thought_flow(random_field, source, params, n_steps=80, dt=0.01,
                             seed=1, start=[0.0, 0.0], velocity=[0.6, 0.2])
     reference = integrate_geodesic(flow.trajectory.positions[0], flow.trajectory.velocities[0],
-                                   source, None, horizon=0.8, dt=0.01)
+                                   source, None, steps=80, dt=0.01)
     expected = [(t, int(random_field.ids[random_field.nearest(x)]))
                 for t, x in zip(reference.times.tolist(), reference.positions)]
     assert flow.trajectory.activations == expected
@@ -146,7 +146,7 @@ def test_geometric_predictor_in_a_flow_reads_the_last_window_of_fronts(random_fi
     for k, error in enumerate(flow.errors):
         # without input the perceived point is the front before cycle k
         expected = np.zeros(2) if k < 5 else traj.positions[k] - predict_geometric(
-            traj.positions[k - 5:k + 1], traj.velocities[k - 5:k + 1], 0.01, 0.05)
+            traj.positions[k - 5:k + 1], traj.velocities[k - 5:k + 1], 0.01)
         assert error.tobytes() == expected.tobytes(), k
     assert all(np.any(error) for error in flow.errors[5:])
 
@@ -299,6 +299,24 @@ def test_feature_unknown_id(one_token_field):
         feature_vector(one_token_field, [42])
     with pytest.raises(ValueError):
         feature_vector(one_token_field, [])
+
+
+@pytest.mark.parametrize("bad", [2.9, True, "2", np.float64(2.0)],
+                         ids=["float", "bool", "str", "numpy-float"])
+def test_token_ids_must_be_integers(bad):
+    # each of these once selected the token with id int(bad)
+    field = make_field([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for select in (field.rows, lambda ids: feature_vector(field, ids),
+                   lambda ids: manipulate_feature(field, ids, 2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"integer, got {bad!r}")):
+            select([1, bad])
+
+
+def test_token_ids_of_any_int_type_select_rows():
+    field = make_field([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert field.rows([np.int32(3), np.uint64(1), 2]).tolist() == [2, 0, 1]
+    with pytest.raises(ValueError, match=r"unknown token id\(s\): \[1180591620717411303424\]"):
+        field.rows([2**70])
 
 
 def test_manipulate_identity_scale(one_token_field):

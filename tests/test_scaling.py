@@ -57,7 +57,7 @@ from geomind import (CognitionParams, ConformalFieldMetric, TokenField, integrat
                      run_thought_flow)
 from geomind.cli import COMMANDS, main
 
-HORIZON, DT = 0.2, 0.05
+STEPS, DT = 4, 0.05
 
 
 def _numbers(top):
@@ -89,7 +89,7 @@ def _run(case, space=1.0, density=1.0, sign=1.0):
                        case["epsilon"] * density)
     source = ConformalFieldMetric(field)
     traj = integrate_geodesic(case["start"] * space * sign, case["velocity"] * space * sign,
-                              source, horizon=HORIZON, dt=DT)
+                              source, steps=STEPS, dt=DT)
     assert not traj.truncated and np.isfinite(traj.positions).all()
     return traj, source.scalar_curvature(traj.positions.reshape(-1, d))
 
@@ -135,7 +135,7 @@ def test_forced_geodesic_scales_exactly_in_time(case):
                                              case["weights"], case["bandwidth"], case["epsilon"]))
     tau = 2.0 ** case["k"]
     base, twin = (integrate_geodesic(case["start"], case["velocity"] / t, source,
-                                     case["forcing"] / t**2, horizon=HORIZON * t, dt=DT * t)
+                                     case["forcing"] / t**2, steps=STEPS, dt=DT * t)
                   for t in (1.0, tau))
     assert not base.truncated and np.isfinite(base.velocities).all()
     assert _same(twin.positions, base.positions)
