@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .geodesic import geodesic_step
-from .manifold import MetricSource, TokenField, _as_vector, covariance_root
+from .manifold import MetricSource, TokenField, _as_int, _as_vector, covariance_root
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
 RECENT_FRONTS_MAX = 257
@@ -45,7 +45,7 @@ class CognitionParams:
     elementwise on the predictor output. input_blend in [0, 1] mixes external
     input into perception, feedback_gain is the slope of the linear feedback
     map, and kappa scales the forcing term. attention_temperature defaults to
-    sqrt(D).
+    sqrt(D). context_capacity is an int of at least 1 (manifold._as_int).
     """
 
     value_matrix: np.ndarray
@@ -79,8 +79,7 @@ class CognitionParams:
             object.__setattr__(self, "attention_temperature", float(np.sqrt(d)))
         if not 0.0 < self.attention_temperature < np.inf:
             raise ValueError("attention_temperature must be positive and finite")
-        if self.context_capacity < 1:
-            raise ValueError("context_capacity must be positive")
+        _as_int(self.context_capacity, "context_capacity", 1)
         if self.predictor not in ("contextual", "geometric"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if not 0.0 < self.geometric_window < np.inf:
@@ -116,8 +115,9 @@ class MindState:
     drawn. A state built without values derives them from context, which
     may then be any sequence of (D,) embeddings; a state given values must
     give the rows of its own context and params. history holds the last
-    three (time, feedback vector) pairs and recent_fronts the last
-    RECENT_FRONTS_MAX (position, velocity) pairs.
+    three feedback vectors, oldest first, one per cycle, recent_fronts the
+    last RECENT_FRONTS_MAX (position, velocity) pairs, and last_activation
+    the id of the token the state activated, None on an empty field.
     Advancing the state consumes it: the rng stream is shared with the
     returned successor, so a superseded state must not be advanced again.
     """
@@ -129,10 +129,10 @@ class MindState:
     time: float = 0.0
     context: np.ndarray = ()
     values: Optional[np.ndarray] = None
-    history: tuple[tuple[float, np.ndarray], ...] = ()
+    history: tuple[np.ndarray, ...] = ()
     recent_fronts: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
     last_error: Optional[np.ndarray] = None
-    last_activation: Optional[tuple[float, int]] = None
+    last_activation: Optional[int] = None
 
     def __post_init__(self):
         if self.values is None:
@@ -163,7 +163,7 @@ class MindState:
             row = field.nearest(start)
             position = field.means[row].copy()
             context = (_sample(field, row, rng),)
-            activation = (0.0, int(field.ids[row]))
+            activation = int(field.ids[row])
         return cls(position=position, velocity=velocity, params=params, rng=rng,
                    context=context, recent_fronts=((position, velocity),),
                    last_activation=activation)
@@ -283,7 +283,7 @@ def prediction_error(perceived, predicted) -> np.ndarray:
 
 def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
     """kappa times the three-point second difference of the feedback vectors,
-    given as a sequence of at most three (time, vector) pairs, oldest first.
+    given as a sequence of at most three, oldest first, one per cycle of dt.
 
     Underfull histories (warm-up) contribute exactly zero forcing. dt must
     satisfy 0 < dt < inf, else ValueError.
@@ -292,9 +292,7 @@ def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive and finite")
     if len(history) < 3:
         return np.zeros(params.dim)
-    (t0, psi0), (t1, psi1), (t2, psi2) = history
-    if abs((t1 - t0) - dt) > 1e-9 * max(1.0, dt) or abs((t2 - t1) - dt) > 1e-9 * max(1.0, dt):
-        raise ValueError("history timestamps are not uniform with spacing dt")
+    psi0, psi1, psi2 = history
     return params.kappa * (psi2 - 2.0 * psi1 + psi0) / dt**2
 
 
@@ -331,7 +329,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     predicted = _predict(state, perceived, dt)
     error = prediction_error(perceived, predicted)
 
-    history = (state.history + ((state.time, params.feedback_gain * error),))[-3:]
+    history = (state.history + (params.feedback_gain * error,))[-3:]
     forcing_vec = feedback_forcing(history, params, dt)
 
     x, v = geodesic_step(state.position, state.velocity, source, forcing_vec, dt)
@@ -347,7 +345,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
         keep = max(0, len(context) + 1 - params.context_capacity)
         context = np.concatenate((context[keep:], sample[None]))
         values = np.concatenate((values[keep:], (params.value_matrix @ sample)[None]))
-        activation = (t, int(field.ids[row]))
+        activation = int(field.ids[row])
 
     recent = (state.recent_fronts + ((x, v),))[-RECENT_FRONTS_MAX:]
     # the constructor directly: dataclasses.replace takes the generic path

@@ -15,13 +15,13 @@ D + 1 rows and keeps the results of one shot and D probe shots bitwise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ChartDomainError, ChartExitError, NoGeodesicError
-from .manifold import MetricSource, _as_vector
+from .manifold import MetricSource, _as_int, _as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -34,14 +34,14 @@ MAX_BACKTRACKS = 12
 @dataclass
 class Trajectory:
     """A flow sampled every dt: (T, D) positions and velocities at the (T,)
-    times, plus the (time, token id) activation record. integrate_geodesic
-    on a (B, D) batch gives (T, B, D) positions and velocities."""
+    times, and token_ids, the (T,) int64 ids activated at them, or None where
+    none was. integrate_geodesic on a (B, D) batch gives (T, B, D) arrays."""
 
     positions: np.ndarray
     velocities: np.ndarray
     times: np.ndarray
     dt: float
-    activations: list[tuple[float, int]] = dc_field(default_factory=list)
+    token_ids: Optional[np.ndarray] = None
     truncated: bool = False
 
     def __len__(self) -> int:
@@ -97,7 +97,8 @@ def integrate_geodesic(position, velocity, source: MetricSource,
                        forcing: Optional[np.ndarray] = None,
                        steps: int = 1000, dt: float = 1e-3) -> Trajectory:
     """Integrate from t = 0 for the given number of steps of dt, returning
-    steps + 1 samples. dt must satisfy 0 < dt < inf, else ValueError.
+    steps + 1 samples. steps is an int of at least 0 (manifold._as_int) and
+    dt must satisfy 0 < dt < inf, else ValueError.
 
     A (B, D) batch of positions and velocities gives (T, B, D) positions and
     velocities, each row bitwise equal to its own run up to the batch's end.
@@ -105,6 +106,7 @@ def integrate_geodesic(position, velocity, source: MetricSource,
     the truncated flag instead of raising; in a batch, the first row to
     leave the chart truncates them all.
     """
+    steps = _as_int(steps, "steps", 0)
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     x = _as_vector(position, source.dim, "position", batch=True)
@@ -145,15 +147,19 @@ def path_length_energy(traj: Trajectory, source: MetricSource) -> tuple[float, f
 
 @dataclass(frozen=True)
 class ShootingOptions:
-    """Budget and tolerances for the single-shooting boundary solver."""
+    """Budget and tolerances for the single-shooting boundary solver: steps
+    an int of at least 1, max_iters one of at least 0 (manifold._as_int)
+    and tol > 0, else ValueError."""
 
     tol: float = 1e-6
     max_iters: int = 50
     steps: int = 200
 
     def __post_init__(self):
-        if self.steps < 1 or self.max_iters < 0 or not self.tol > 0:
-            raise ValueError(f"shooting needs steps >= 1, max_iters >= 0 and tol > 0, got {self}")
+        _as_int(self.steps, "shooting steps", 1)
+        _as_int(self.max_iters, "shooting max_iters", 0)
+        if not self.tol > 0:
+            raise ValueError(f"shooting needs tol > 0, got {self.tol!r}")
 
 
 def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSource,

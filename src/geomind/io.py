@@ -340,27 +340,30 @@ def _sample_template(d: int, activated: bool) -> str:
 
 def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> None:
     """Write a trajectory as JSON or CSV, every float as its repr, so that
-    json.loads or float() gives back its exact bits. JSON writes a token id
-    of type int by int.__repr__, json.dumps's own spelling of an int, and
-    any other id through json.dumps, so a bool is written true and an
-    np.int64 raises TypeError.
+    json.loads or float() gives back its exact bits.
 
     JSON holds one object per sample {t, position, velocity, token_id?},
-    byte-equal to write_json of that payload. CSV uses the header
-    t,p0..p{D-1},v0..v{D-1},token_id with an empty token_id on samples
-    without an activation. A truncated trajectory's CSV ends with the line
-    truncated,<dt>, and any other trajectory of fewer than two samples with
-    dt,<dt>, so dt survives where the times cannot give it. In either
+    byte-equal to write_json of that payload, with a token_id on every
+    sample or, when traj.token_ids is None, on none. CSV uses the header
+    t,p0..p{D-1},v0..v{D-1},token_id with an empty token_id on every sample
+    of a trajectory without ids. A truncated trajectory's CSV ends with the
+    line truncated,<dt>, and any other trajectory of fewer than two samples
+    with dt,<dt>, so dt survives where the times cannot give it. In either
     format a NaN or infinity raises ValueError and writes no file, as do
-    times that are not (T,) or positions and velocities not both (T, D).
+    times that are not (T,), positions and velocities not both (T, D), or
+    token ids that are neither None nor (T,) integers.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
     times, positions, velocities = traj.times, traj.positions, traj.velocities
+    ids = None if traj.token_ids is None else np.asarray(traj.token_ids)
     if (positions.ndim != 2 or velocities.shape != positions.shape
-            or times.shape != positions.shape[:1]):
+            or times.shape != positions.shape[:1]
+            or ids is not None and (ids.shape != times.shape or ids.dtype.kind not in "iu")):
         raise ValueError("a trajectory needs (T,) times and (T, D) positions and velocities, "
-                         f"got shapes {times.shape}, {positions.shape} and {velocities.shape}")
+                         "and (T,) integer token ids or none, got shapes "
+                         f"{times.shape}, {positions.shape} and {velocities.shape}"
+                         + ("" if ids is None else f" and {ids.dtype} ids of shape {ids.shape}"))
     table = np.concatenate((times[:, None], positions, velocities), axis=1)
     if not (math.isfinite(traj.dt) and np.isfinite(table).all()):
         if fmt == "json":  # the error write_json gives: dt first, then the samples in order
@@ -368,26 +371,21 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
         raise ValueError("a trajectory with a NaN or infinite number cannot be exported")
     d, width = positions.shape[1], table.shape[1]
     reprs = list(map(float.__repr__, table.ravel().tolist()))
-    samples = [(t, reprs[k * width:(k + 1) * width]) for k, t in enumerate(times.tolist())]
-    activation_at = {t: tid for t, tid in traj.activations}
+    tail = [] if ids is None else ids.tolist()
+    samples = [reprs[k * width:(k + 1) * width] + tail[k:k + 1] for k in range(len(times))]
     if fmt == "json":
-        rows = []
-        for k, (t, values) in enumerate(samples):
-            tail = ()
-            if t in activation_at:
-                tid = activation_at[t]
-                tail = (int.__repr__(tid) if type(tid) is int
-                        else json.dumps(tid, allow_nan=False),)
-            rows.append(_sample_template(d, bool(tail)) % ("[" if k == 0 else ",", *values, *tail))
+        template = _sample_template(d, ids is not None)
+        rows = [template % ("[" if k == 0 else ",", *cells) for k, cells in enumerate(samples)]
         _write_listed(path, {"dt": traj.dt, "truncated": traj.truncated, "samples": None},
                       "samples", rows)
         return
     header = ["t"] + [f"p{k}" for k in range(d)] + [f"v{k}" for k in range(d)] + ["token_id"]
+    empty = [""] if ids is None else []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, values in samples:
-            writer.writerow(values + [activation_at.get(t, "")])
+        for cells in samples:
+            writer.writerow(cells + empty)
         if traj.truncated:
             writer.writerow(["truncated", repr(float(traj.dt))])
         elif len(traj) < 2:

@@ -85,6 +85,16 @@ def _as_vector(x, dim: int, name: str = "point", batch: bool = False) -> np.ndar
     return x
 
 
+def _as_int(value, name: str, floor: Optional[int] = None) -> int:
+    """value as an int when it is a Python or numpy int, never a bool, and at
+    least floor when one is given; any other value raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be at least {floor}, got {value!r}")
+    return int(value)
+
+
 def covariance_root(covariance) -> Optional[np.ndarray]:
     """The square root L of a covariance that a Gaussian draw mean + L z
     uses, for a (D, D) matrix or a (D,) row of its diagonal: None for the
@@ -238,8 +248,7 @@ class TokenField:
         or numpy ints, never bools; any other value, or an unknown id, is a ValueError."""
         ids = list(ids)
         for i in ids:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-                raise ValueError(f"token id must be an integer, got {i!r}")
+            _as_int(i, "token id")
         unknown = sorted({int(i) for i in ids}.difference(self.ids.tolist()))
         if unknown:
             raise ValueError(f"unknown token id(s): {unknown}")

@@ -18,7 +18,7 @@ from .cognition import CognitionParams, MindState, cycle_step, perceive
 from .errors import ChartExitError, ConfigError
 from .geodesic import Trajectory
 from .manifold import (KERNEL_BLOCK, ConformalFieldMetric, MetricSource,
-                       TokenField, _as_vector, densities)
+                       TokenField, _as_int, _as_vector, densities)
 
 logger = logging.getLogger(__name__)
 
@@ -95,11 +95,12 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     inputs maps cycle indices (0-based) to external input vectors; absent
     indices mean no stimulus. A chart exit, or a cycle whose state or
     prediction error is not finite, truncates the flow before that cycle and
-    flags the trajectory. Each flow logs one INFO line: its seed, score,
-    stop reason ("none" for a full run) and the number of cycles it ran.
+    flags the trajectory, whose token_ids are None on an empty field. n_steps
+    is an int of at least 1 (manifold._as_int). Each flow logs one INFO line:
+    its seed, score, stop reason ("none" for a full run) and the number of
+    cycles it ran.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    n_steps = _as_int(n_steps, "n_steps", 1)
     inputs = inputs or {}
     errors: list[np.ndarray] = []
     stop_reason = None
@@ -107,7 +108,7 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
     with np.errstate(over="ignore", invalid="ignore"):
         state = MindState.initial(field, params, seed, start=start, velocity=velocity)
         positions, velocities, times = [state.position], [state.velocity], [state.time]
-        activations = list([state.last_activation] if state.last_activation else [])
+        ids = [state.last_activation]
         for k in range(n_steps):
             try:
                 state = cycle_step(state, field, source, inputs.get(k), dt)
@@ -124,10 +125,9 @@ def run_thought_flow(field: TokenField, source: MetricSource, params: CognitionP
             velocities.append(state.velocity)
             times.append(state.time)
             errors.append(state.last_error)
-            if state.last_activation is not None:
-                activations.append(state.last_activation)
+            ids.append(state.last_activation)
         traj = Trajectory(np.stack(positions), np.stack(velocities), np.array(times), dt,
-                          activations, truncated=stop_reason is not None)
+                          np.array(ids) if len(field) else None, truncated=stop_reason is not None)
         flow = ThoughtFlow(trajectory=traj, errors=errors, score=-np.inf, seed=seed,
                            stop_reason=stop_reason)
         if errors:
@@ -177,11 +177,11 @@ def run_learning(field: TokenField, params: CognitionParams, input_vec,
     snapshots (initial plus one per cycle) and the per-cycle error norms.
     A cycle whose state, error norm or learned mean is not finite ends the
     run before it is recorded, so both lists are then shorter than a full
-    run's. Each recorded cycle logs one INFO line: its number (from 1), its
-    error norm and the id of the token whose mean moved.
+    run's. cycles is an int of at least 1 (manifold._as_int). Each recorded
+    cycle logs one INFO line: its number (from 1), its error norm and the id
+    of the token whose mean moved.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be at least 1")
+    cycles = _as_int(cycles, "cycles", 1)
     input_vec = _as_vector(input_vec, field.dimension, "input")
     snapshots = [field]
     error_norms: list[float] = []

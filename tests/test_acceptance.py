@@ -149,7 +149,7 @@ def test_criterion_05_zero_error_reduction():
 
 def test_criterion_06_forcing_correctness():
     params = CognitionParams.defaults(1, kappa=1.0, feedback_gain=1.0)
-    history = [(0.0, np.array([0.0])), (1.0, np.array([1.0])), (2.0, np.array([4.0]))]
+    history = [np.array([0.0]), np.array([1.0]), np.array([4.0])]
     forcing = feedback_forcing(history, params, 1.0)
     ok = np.array_equal(forcing, np.array([2.0]))
     flat = FlatMetric(1)

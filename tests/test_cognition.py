@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis.extra import numpy as hnp
 from geomind import (CognitionParams, ConformalFieldMetric, FlatMetric,
                      MindState, attention_weights,
                      context_vector, cycle_step, feedback_forcing,
-                     integrate_geodesic, perceive, predict_contextual,
-                     predict_geometric, prediction_error, sample_embedding)
+                     demo_field, geodesic_step, integrate_geodesic, perceive,
+                     predict_contextual, predict_geometric, prediction_error,
+                     sample_embedding)
 
 from geomind import cognition
 
@@ -252,38 +254,31 @@ def test_prediction_error_basics():
 
 def test_constant_history_zero_forcing():
     params = CognitionParams.defaults(1, kappa=2.0)
-    hist = [(0.0, np.array([0.7])), (1.0, np.array([0.7])), (2.0, np.array([0.7]))]
+    hist = [np.array([0.7]), np.array([0.7]), np.array([0.7])]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(1))
 
 
 def test_zero_kappa_zero_forcing():
     params = CognitionParams.defaults(1, kappa=0.0)
-    hist = [(0.0, np.array([0.0])), (1.0, np.array([5.0])), (2.0, np.array([1.0]))]
+    hist = [np.array([0.0]), np.array([5.0]), np.array([1.0])]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(1))
 
 
 def test_quadratic_history_second_difference():
     # oracle: second difference of t^2 sampled at unit spacing is exactly 2
     params = CognitionParams.defaults(1, kappa=1.0, feedback_gain=1.0)
-    hist = [(0.0, np.array([0.0])), (1.0, np.array([1.0])), (2.0, np.array([4.0]))]
+    hist = [np.array([0.0]), np.array([1.0]), np.array([4.0])]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.array([2.0]))
 
 
 def test_underfull_history_warmup():
     params = CognitionParams.defaults(2, kappa=3.0)
-    hist = [(0.0, np.array([1.0, 1.0]))]
+    hist = [np.array([1.0, 1.0])]
     assert np.array_equal(feedback_forcing(hist, params, 1.0), np.zeros(2))
 
 
-def test_non_uniform_timestamps_rejected():
-    params = CognitionParams.defaults(1, kappa=1.0)
-    hist = [(0.0, np.array([0.0])), (1.0, np.array([1.0])), (2.5, np.array([4.0]))]
-    with pytest.raises(ValueError):
-        feedback_forcing(hist, params, 1.0)
-
-
 def test_history_eviction_and_ordering(random_field):
-    # the cycle keeps the last three (time, feedback) pairs, oldest first
+    # the cycle keeps the last three feedback vectors, oldest first
     source = ConformalFieldMetric(random_field)
     params = CognitionParams.defaults(2, feedback_gain=0.5, input_blend=1.0)
     state = MindState.initial(random_field, params, seed=1)
@@ -291,9 +286,30 @@ def test_history_eviction_and_ordering(random_field):
     for _ in range(5):
         state = cycle_step(state, random_field, source, [0.3, -0.2], 0.25)
         errors.append(state.last_error)
-    assert [t for t, _ in state.history] == [0.5, 0.75, 1.0]
-    for (_, psi), error in zip(state.history, errors[2:]):
+    assert len(state.history) == 3
+    for psi, error in zip(state.history, errors[2:]):
         assert np.array_equal(psi, 0.5 * error)
+
+
+def test_cycles_far_from_time_zero_force_with_the_kept_vectors():
+    # at t = 1e10 the clock's steps of dt = 1.1 are not 1.1 apart in floats;
+    # the history keeps no times, so the fourth cycle still runs, forced by
+    # the second difference of the three vectors it keeps
+    field, dt = demo_field(), 1.1
+    source = ConformalFieldMetric(field)
+    params = CognitionParams.defaults(2, kappa=0.05, input_blend=0.5)
+    state = dataclasses.replace(MindState.initial(field, params, seed=3, velocity=[0.01, 0.0]),
+                                time=1e10)
+    for k in range(4):
+        previous = state
+        state = cycle_step(state, field, source, [0.4, -0.3], dt)
+        assert state.time == previous.time + dt
+    assert len(state.history) == 3
+    psi0, psi1, psi2 = state.history
+    forcing = params.kappa * (psi2 - 2.0 * psi1 + psi0) / dt**2
+    assert np.any(forcing)
+    x, v = geodesic_step(previous.position, previous.velocity, source, forcing, dt)
+    assert np.array_equal(state.position, x) and np.array_equal(state.velocity, v)
 
 
 # ---------------------------------------------------------------- full cycle
@@ -334,7 +350,7 @@ def test_cycle_forced_velocity_kick_one_dimensional():
         1, kappa=1.0, feedback_gain=1.0, input_blend=1.0,
         predictor_matrix=np.zeros((1, 1)))
     source = FlatMetric(1)
-    history = ((-2.0, np.array([0.0])), (-1.0, np.array([1.0])))
+    history = (np.array([0.0]), np.array([1.0]))
     state = MindState.initial(field, params, seed=0, start=[0.0], velocity=[0.0])
     state = MindState(position=state.position, velocity=state.velocity, params=params,
                       rng=state.rng, context=state.context, history=history,
@@ -450,7 +466,7 @@ def test_cycle_prediction_context_and_draws_match_the_public_functions(case):
             state = cycle_step(state, field, source, input_vec, 0.01)
 
             assert _bits(predictions[-1]) == _bits(expected)
-            row = field.rows([state.last_activation[1]])[0]
+            row = field.rows([state.last_activation])[0]
             draw = sample_embedding(field.means[row], field.covariances[row], rng)
             assert _bits(state.context[-1]) == _bits(draw)
             assert state.rng.bit_generator.state == rng.bit_generator.state

@@ -93,7 +93,7 @@ def test_empty_field_flow_is_straight_line(empty_field, identity_params):
     source = ConformalFieldMetric(empty_field)
     flow = run_thought_flow(empty_field, source, identity_params, n_steps=50,
                             dt=0.01, seed=3, start=[0.0, 0.0], velocity=[1.0, 0.0])
-    assert flow.trajectory.activations == []
+    assert flow.trajectory.token_ids is None
     final = flow.trajectory.positions[-1]
     assert np.allclose(final, [0.5, 0.0], atol=1e-9)
     assert flow.score == 0.0
@@ -108,9 +108,9 @@ def test_flow_activations_match_nearest_labels(random_field):
                             seed=1, start=[0.0, 0.0], velocity=[0.6, 0.2])
     reference = integrate_geodesic(flow.trajectory.positions[0], flow.trajectory.velocities[0],
                                    source, None, steps=80, dt=0.01)
-    expected = [(t, int(random_field.ids[random_field.nearest(x)]))
-                for t, x in zip(reference.times.tolist(), reference.positions)]
-    assert flow.trajectory.activations == expected
+    expected = [int(random_field.ids[random_field.nearest(x)]) for x in reference.positions]
+    assert flow.trajectory.token_ids.dtype == np.int64
+    assert flow.trajectory.token_ids.tolist() == expected
 
 
 def test_flow_repeatable_for_equal_seed(random_field):
@@ -122,7 +122,7 @@ def test_flow_repeatable_for_equal_seed(random_field):
     b = run_thought_flow(random_field, source, params, **kwargs)
     assert np.array_equal(a.trajectory.positions, b.trajectory.positions)
     assert a.score == b.score
-    assert a.trajectory.activations == b.trajectory.activations
+    assert np.array_equal(a.trajectory.token_ids, b.trajectory.token_ids)
 
 
 def test_flow_sample_count(random_field, identity_params):

@@ -162,7 +162,9 @@ def test_cognition_tree_is_the_seed_one_flow_config_with_a_non_identity_pipeline
         ("flow_sparse/seed1/cognition", "flow_sparse", 1, compete,
          {"cognition": tree_drift.COGNITION}),
         ("flow_sparse/seed1/sphere/csv", "flow_sparse", 1, ("compete", "analyze", "geodesic"),
-         {**tree_drift.SPHERE, "output": {"format": "csv"}})]
+         {**tree_drift.SPHERE, "output": {"format": "csv"}}),
+        ("flow_sparse/seed1/empty/csv", "flow_sparse", 1, compete,
+         {"field": tree_drift.no_tokens, "output": {"format": "csv"}})]
     assert [tree for tree, *_ in tree_drift.specs(("flow_sparse",), (2,), ())] == []
     pipeline = tree_drift.COGNITION
     for name in ("value_matrix", "predictor_matrix"):
@@ -200,6 +202,31 @@ def test_sphere_tree_runs_compete_analyze_and_geodesic_through_chart_exits(monke
     assert lines == [f"flow_sparse/seed1/sphere/json/{name}: identical" for name in sorted(
         names + [f"trajectory_seed{seed}.json" for seed in seeds])]
     assert summary.startswith("summary: 22 files compared, 22 identical")
+
+
+def test_empty_field_tree_runs_compete_on_flows_that_activate_nothing(monkeypatch, tmp_path):
+    specs = tree_drift.specs
+    monkeypatch.setattr(tree_drift, "specs", lambda *args: [
+        spec for spec in specs(*args) if "/empty/" in spec[0]])
+    out = io.StringIO()
+    assert tree_drift.compare(ROOT, ROOT, names=("flow_sparse",), seeds=(1,),
+                              formats=("json", "csv"), out=out) == 0
+    *lines, summary = out.getvalue().splitlines()
+    config = workloads.generate("flow_sparse", 1, tmp_path)
+    seeds = json.loads(config.read_text())["simulation"]["seeds"]
+    assert lines == [f"flow_sparse/seed1/empty/{fmt}/{name}: identical" for fmt in ("json", "csv")
+                     for name in sorted(["selection.json"] + [f"trajectory_seed{seed}.{fmt}"
+                                                               for seed in seeds])]
+    assert summary.startswith(f"summary: {2 * len(seeds) + 2} files compared")
+    # the tree's field has no token, so no sample of its flows has an id
+    field = json.loads((tmp_path / "field.json").read_text())
+    tree_drift.no_tokens(field)
+    (tmp_path / "field.json").write_text(json.dumps(field))
+    assert geomind.cli.main(["compete", "--config", str(config),
+                             "--out", str(tmp_path / "out")]) == 0
+    samples = json.loads((tmp_path / "out" / f"trajectory_seed{seeds[0]}.json").read_text())[
+        "samples"]
+    assert samples and not any("token_id" in sample for sample in samples)
 
 
 def _final_line(job_s, rss, failed=0):

@@ -5,7 +5,7 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus six more: a long-learn
+with JSON and CSV output, 24 trees in all, plus eight more: a long-learn
 tree, the learn_churn seed-1 config at 25 cycles, whose many snapshots share
 most of their token rows; a full-covariance learn tree, the learn_churn
 seed-1 config with every covariance but the first turned into a full matrix
@@ -20,7 +20,10 @@ and predictor matrices, a bias, tanh activation and a context capacity of
 tree per format, the flow_sparse seed-1 config on the unit-sphere metric
 with a geodesic section, running compete, analyze and geodesic, since every
 benchmark config keeps the field metric: most of its flows leave the chart,
-and analyze keeps only the grid points inside it. Each root runs the tree's
+and analyze keeps only the grid points inside it; and an empty-field tree
+per format, compete on the flow_sparse seed-1 config with every token
+removed, since only a tokenless field gives flows that activate nothing.
+Each root runs the tree's
 commands, the workload's own unless the tree names others, through its own
 geomind.cli.run in a subprocess.
 For every file the report prints "identical", or the largest absolute drift
@@ -80,6 +83,11 @@ def diagonal_lists(field: dict) -> None:
     """Write each covariance of a field file as its diagonal list, in place."""
     for token in field["tokens"]:
         token["covariance"] = np.diagonal(token["covariance"]).tolist()
+
+
+def no_tokens(field: dict) -> None:
+    """Remove every token of a field file, in place."""
+    field["tokens"] = []
 
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
@@ -146,11 +154,11 @@ def specs(names, seeds, formats) -> list:
     """(tree, workload, seed, commands, {config section: {key: value, ...}})
     of every tree to build: one per workload, seed and format, the
     long-learn, full-covariance and diagonal-list trees when learn_churn and
-    seed 1 are among them, and the cognition tree and one sphere tree per
-    format when flow_sparse and seed 1 are. Each section's values are merged
-    into the config, adding a section it lacks; the full-covariance and
-    diagonal-list trees' edits are {"field": function}, a rewrite of their
-    field file."""
+    seed 1 are among them, and the cognition tree and one sphere and one
+    empty-field tree per format when flow_sparse and seed 1 are. Each
+    section's values are merged into the config, adding a section it lacks;
+    the full-covariance, diagonal-list and empty-field trees' edits hold
+    {"field": function}, a rewrite of their field file."""
     commands = {name: workloads.WORKLOADS[name].commands for name in names}
     trees = [(f"{name}/seed{seed}/{fmt}", name, seed, commands[name],
               {"output": {"format": fmt}})
@@ -168,6 +176,8 @@ def specs(names, seeds, formats) -> list:
                       commands["flow_sparse"], {"cognition": COGNITION}))
         trees += [(f"flow_sparse/seed1/sphere/{fmt}", "flow_sparse", 1, SPHERE_COMMANDS,
                    {**SPHERE, "output": {"format": fmt}}) for fmt in formats]
+        trees += [(f"flow_sparse/seed1/empty/{fmt}", "flow_sparse", 1, ("compete",),
+                   {"field": no_tokens, "output": {"format": fmt}}) for fmt in formats]
     return trees
 
 
