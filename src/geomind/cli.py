@@ -168,7 +168,11 @@ def run(command: str, config: RunConfig) -> int:
         raise ConfigError("geodesic command requires geodesic.start and geodesic.end")
     if command == "analyze":
         _check_grid(config.field.dimension)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as a file where a directory of the path should be
+        raise ConfigError(f"cannot make the output directory {config.out_dir}: "
+                          f"{exc.strerror or exc}") from exc
     try:
         return handlers[command](config)
     except (ConfigError, FieldFormatError):

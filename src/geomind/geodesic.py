@@ -3,6 +3,8 @@
 The flow state is integrated with fixed-step RK4 on the first-order system
 x' = v, v'^m = -Gamma^m_{nl} v^n v^l + F^m, with F a forcing vector held
 constant over the step. No forcing recovers the plain geodesic equation.
+Each RK4 stage asks the metric source for the contraction Gamma(v, v)
+itself, source.christoffel(x, v), never for the (D, D, D) tensor.
 
 geodesic_step and integrate_geodesic take one (D,) state or a (B, D) batch
 of rows. A batch is row-invariant: each row gets exactly the bits of its
@@ -51,9 +53,8 @@ class Trajectory:
 def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
     source.check_domain(pos)
     # f - e is f + (-e) in IEEE arithmetic, signed zeros included, so this is
-    # -e + f bitwise in one ufunc call; the ellipsis takes a (D,) row or a
-    # (B, D) batch
-    return f - np.einsum("...mnl,...n,...l->...m", source.christoffel(pos), vel, vel)
+    # -e + f bitwise in one ufunc call, for a (D,) row or a (B, D) batch
+    return f - source.christoffel(pos, vel)
 
 
 def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],

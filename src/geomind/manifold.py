@@ -31,14 +31,18 @@ christoffel, which a shooting stage calls with D + 1 rows, takes its whole
 batch in one pass.
 
 Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
-or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either.
+or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either;
+christoffel(x, v), with velocities v of x's shape, gives the contraction
+Gamma(v, v) of that shape instead, which is all the geodesic equation needs.
 A batch is row-invariant: each row is bitwise what the point gives alone.
-The field metric's Gamma, for a point or a batch, is one gather: the table
-[g, -g, 0], g = grad lambda, divided by 2 lambda and taken with ndarray.take,
-whose result is C-ordered, through a (D, D, D) index cached per dimension
-(_christoffel_index); the einsum that contracts Gamma sums in an
-order that follows the strides of its operands. A batch takes lambda and g
-from one kernel pass over its rows. A single point keeps three density calls
+The field metric contracts in closed form, ((g.v) v - |v|^2 g / 2) / lambda
+with g = grad lambda, in O(D); a row whose |v|^2 overflows takes the einsum
+over the tensor instead (_contract), which sums in an order that follows the
+strides of its operands. Its tensor, for a point or a batch, is one gather:
+the table [g, -g, 0] divided by 2 lambda and taken with ndarray.take, whose
+result is C-ordered, through a (D, D, D) index cached per dimension
+(_christoffel_index). A batch takes lambda and g from one kernel pass over
+its rows. A single point keeps three density calls
 (density_at twice and density_gradient once), because the benchmark's traced
 flows pin 4 christoffel and 12 density calls per RK4 step, but the three
 calls share one kernel pass and one density sum: each field keeps an entry
@@ -446,8 +450,9 @@ class MetricSource:
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
-        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch."""
+    def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch; given a
+        float array v of velocities of x's shape, the contraction Gamma(v, v)."""
         raise NotImplementedError
 
     def scalar_curvature(self, points) -> np.ndarray:
@@ -455,6 +460,13 @@ class MetricSource:
         finite-difference path of curvature_at, one point at a time."""
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
         return np.array([curvature_at(self, p).scalar for p in points], dtype=float)
+
+
+def _contract(gamma: np.ndarray, v: Optional[np.ndarray]) -> np.ndarray:
+    """gamma, or Gamma(v, v)^m = Gamma^m_{nl} v^n v^l given velocities v: one
+    einsum, for a point and a batch alike, which sums in an order that follows
+    its operands' strides."""
+    return gamma if v is None else np.einsum("...mnl,...n,...l->...m", gamma, v, v)
 
 
 def fd_step_at(x: np.ndarray) -> float:
@@ -502,9 +514,9 @@ class FlatMetric(MetricSource):
         _as_vector(x, self.dim)
         return self.scale * np.eye(self.dim)
 
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
+    def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         x = _as_vector(x, self.dim, batch=True)
-        return np.zeros(x.shape[:-1] + (self.dim,) * 3)
+        return _contract(np.zeros(x.shape[:-1] + (self.dim,) * 3), v)
 
 
 class SphereMetric(MetricSource):
@@ -530,7 +542,7 @@ class SphereMetric(MetricSource):
         r2 = self.radius**2
         return np.diag([r2, r2 * np.sin(x[0]) ** 2])
 
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
+    def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         x = _as_vector(x, 2, batch=True)
         self.check_domain(x)
         theta = x[..., 0]
@@ -539,7 +551,7 @@ class SphereMetric(MetricSource):
         cot = np.cos(theta) / np.sin(theta)
         gamma[..., 1, 0, 1] = cot
         gamma[..., 1, 1, 0] = cot
-        return gamma
+        return _contract(gamma, v)
 
 
 @functools.cache
@@ -583,20 +595,33 @@ class ConformalFieldMetric(MetricSource):
     def metric(self, x: np.ndarray) -> np.ndarray:
         return self.conformal_factor(x) * np.eye(self.dim)
 
-    def christoffel(self, x: np.ndarray) -> np.ndarray:
+    def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+        """The gathered tensor, or Gamma(v, v) = ((g.v) v - |v|^2 g / 2) / lambda,
+        g = grad lambda, in closed form; a row whose |v|^2 is not below inf takes
+        the einsum over the tensor, as g underflows to 0 far from the data."""
         x = _as_vector(x, self.dim, batch=True)
         if x.ndim == 1:
             # a single point keeps three density calls, which share one kernel
             # pass: the benchmark's traced flows pin 4 christoffel and 12
             # density calls per RK4 step
-            return _conformal_christoffel(2.0 * self.conformal_factor(x),
-                                          self.conformal_gradient(x))
-        # a batch takes rho and grad rho from one kernel pass over its rows, so
-        # that each row gets the bits it gets alone
+            lam, grad = self.conformal_factor(x), self.conformal_gradient(x)
+            if v is not None and (vv := float(np.dot(v, v))) < np.inf:
+                return (float(np.dot(grad, v)) * v - 0.5 * vv * grad) / lam
+            return _contract(_conformal_christoffel(2.0 * lam, grad), v)
+        # a batch takes rho and grad rho from one kernel pass over its rows, and
+        # vecdot and (B, 1) columns for np.dot and floats, so each row gets its bits
         _, rho, grad = _kernel_sums(self.field, *_batch_exponents(self.field, x))
         lam = 1.0 / (rho + self.field.epsilon)
         grad = -(lam * lam)[:, None] * grad
-        return _conformal_christoffel((2.0 * lam)[:, None], grad)
+        if v is None:
+            return _conformal_christoffel((2.0 * lam)[:, None], grad)
+        vv = np.vecdot(v, v)
+        gamma_vv = (np.vecdot(grad, v)[:, None] * v - (0.5 * vv)[:, None] * grad) / lam[:, None]
+        if not np.maximum.reduce(vv, initial=0.0) < np.inf:  # a NaN fails too
+            wide = ~(vv < np.inf)
+            gamma_vv[wide] = _contract(_conformal_christoffel((2.0 * lam[wide])[:, None],
+                                                              grad[wide]), v[wide])
+        return gamma_vv
 
     def scalar_curvature(self, points) -> np.ndarray:
         """Closed-form scalar curvature of lambda I, lambda = 1/(rho + eps):

@@ -22,7 +22,7 @@ from geomind import (ConfigError, FieldFormatError, SphereMetric,
                      load_field, load_input_schedule, save_field)
 from geomind.io import FORMATS, write_json as write_artifact
 import geomind
-from geomind.cli import main, run
+from geomind.cli import COMMANDS, main, run
 from geomind.cognition import window_steps
 from geomind.config import load_config
 from geomind.mind import demo_field
@@ -1219,6 +1219,20 @@ def test_geodesic_whose_path_overflows_writes_failure_and_exits_1(tmp_path, capf
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
     assert _strict_json(out / "failure.json") == {"error": "non-finite"}
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_under_a_file_exits_2_and_creates_nothing(workdir, capsys, command):
+    # mkdir raised NotADirectoryError out of main: a traceback and exit 1
+    (workdir / "afile").write_text("kept\n")
+    before = sorted(p.name for p in workdir.iterdir())
+    out = workdir / "afile" / "out"
+    rc = main([command, "--config", str(workdir / "config.json"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"geomind: error: cannot make the output directory {out}: Not a directory\n")
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert (workdir / "afile").read_text() == "kept\n"
 
 
 def test_learn_on_an_empty_field_exits_2(tmp_path, capsys):

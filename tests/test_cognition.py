@@ -235,6 +235,21 @@ def test_perceive_fully_external():
     assert np.array_equal(perceive([1.0, 2.0], [9.0, 8.0], params), np.array([9.0, 8.0]))
 
 
+def test_input_blend_just_above_one_is_refused():
+    assert CognitionParams.defaults(2, input_blend=1.0).input_blend == 1.0
+    with pytest.raises(ValueError, match=r"input_blend must lie in \[0, 1\]"):
+        CognitionParams.defaults(2, input_blend=float(np.nextafter(1.0, 2.0)))
+
+
+def test_window_just_over_half_a_step_is_one_step():
+    # round(window / dt) rounds 0.5 to 0 steps, which window_steps refuses,
+    # and anything above it to one step
+    dt = 0.01
+    assert cognition.window_steps(0.5000001 * dt, dt) == 1
+    with pytest.raises(ValueError, match="spans no step"):
+        cognition.window_steps(0.5 * dt, dt)
+
+
 def test_perceive_no_input_ignores_blend():
     params = CognitionParams.defaults(2, input_blend=0.7)
     front = np.array([1.0, 2.0])

@@ -335,19 +335,26 @@ def test_batch_rows_equal_their_solo_runs(case):
 
 
 @pytest.mark.parametrize("kind, d", [("conformal", 1), ("conformal", 2), ("conformal", 3),
-                                     ("conformal", 5), ("conformal", 16), ("sphere", 2)])
+                                     ("conformal", 5), ("conformal", 16), ("sphere", 2),
+                                     ("flat", 3)])
 def test_christoffel_rows_equal_single_points(kind, d):
     # thousands of points, so that a rounding that differs from the single
-    # point's in one row in a thousand shows. Each batch takes one kernel
-    # pass. Batches hold at most 2^23 Gamma entries (64 MB), so all points
-    # go in one batch below D = 16
+    # point's in one row in a thousand shows, for the tensor and for the
+    # contraction Gamma(v, v). Each batch takes one kernel pass. Batches hold
+    # at most 2^23 Gamma entries (64 MB), so all points go in one batch below
+    # D = 16
     source = _source(kind, d)
-    points = np.random.default_rng(100 + d).uniform(0.2, 2.9, (8000, d))
+    rng = np.random.default_rng(100 + d)
+    points = rng.uniform(0.2, 2.9, (8000, d))
+    velocities = rng.normal(scale=3.0, size=(8000, d))
     step = 2**23 // d**3
     for lo in range(0, len(points), step):
         gamma = source.christoffel(points[lo:lo + step])
-        for row, point in enumerate(points[lo:lo + step]):
+        gamma_vv = source.christoffel(points[lo:lo + step], velocities[lo:lo + step])
+        assert gamma_vv.shape == points[lo:lo + step].shape
+        for row, (point, v) in enumerate(zip(points[lo:lo + step], velocities[lo:lo + step])):
             assert np.array_equal(gamma[row], source.christoffel(point)), point.tolist()
+            assert np.array_equal(gamma_vv[row], source.christoffel(point, v)), point.tolist()
 
 
 def test_christoffel_rows_of_the_largest_benchmark_field_equal_single_points():
@@ -360,11 +367,14 @@ def test_christoffel_rows_of_the_largest_benchmark_field_equal_single_points():
                        rng.uniform(0.5, 2.0, n), 1.5, 0.1)
     source = ConformalFieldMetric(field)
     points = field.means[rng.choice(n, d + 1)] + rng.normal(scale=0.5, size=(d + 1, d))
+    velocities = rng.normal(size=(d + 1, d))
     assert (d + 1) * n > KERNEL_BLOCK
     gamma = source.christoffel(points)
+    gamma_vv = source.christoffel(points, velocities)
     assert np.count_nonzero(gamma) == (d + 1) * (3 * d * d - 2 * d)
     for row, point in enumerate(points):
         assert np.array_equal(gamma[row], source.christoffel(point)), row
+        assert np.array_equal(gamma_vv[row], source.christoffel(point, velocities[row])), row
 
 
 def test_christoffel_rows_equal_single_points_where_lambda_vanishes_or_is_nan():
@@ -377,17 +387,55 @@ def test_christoffel_rows_equal_single_points_where_lambda_vanishes_or_is_nan():
     field = make_field([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], weights=[1e308] * 3)
     source = ConformalFieldMetric(field)
     points = np.array([[0.3, 0.3], [np.nan, 0.2], [25.0, 0.5], [30.0, 0.0]])
+    velocities = np.array([[1.0, -2.0], [0.5, 0.5], [-3.0, 1.5], [2.0, -0.25]])
     with np.errstate(all="ignore"):
         gamma = source.christoffel(points)
         solos = [source.christoffel(point) for point in points]
+        gamma_vv = source.christoffel(points, velocities)
+        solos_vv = [source.christoffel(point, v) for point, v in zip(points, velocities)]
         assert source.conformal_factor(points[0]) == 0.0
     assert np.isnan(solos[0]).all() and np.isnan(solos[1]).all()
     assert not np.any(solos[2]) and np.signbit(solos[2]).any()
     assert np.isfinite(solos[3]).all() and np.any(solos[3])
-    for row, solo in enumerate(solos):
+    assert np.isnan(solos_vv[0]).all() and np.isnan(solos_vv[1]).all()
+    assert not np.any(solos_vv[2]) and np.isfinite(solos_vv[3]).all() and np.any(solos_vv[3])
+    for row, (solo, solo_vv) in enumerate(zip(solos, solos_vv)):
         assert np.array_equal(gamma[row], solo, equal_nan=True), row
+        assert np.array_equal(gamma_vv[row], solo_vv, equal_nan=True), row
     for row in (2, 3):
         assert np.array_equal(np.signbit(gamma[row]), np.signbit(solos[row])), row
+        assert np.array_equal(np.signbit(gamma_vv[row]), np.signbit(solos_vv[row])), row
+
+
+def test_contraction_rows_whose_speed_squared_overflows_take_the_tensor():
+    # |v|^2 overflows from |v| of about 1.3e154 on. Such a row, alone or in
+    # a batch of ordinary rows, is the einsum over the gathered tensor, bit
+    # for bit: far from the data grad lambda underflows to 0, where the
+    # closed form's |v|^2 g would be inf 0 = NaN and the tensor gives 0
+    field = make_field([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], bandwidth=0.5, epsilon=0.3)
+    source = ConformalFieldMetric(field)
+    points = np.array([[0.3, 0.3], [0.4, 0.6], [60.0, 0.5], [0.8, -0.2], [-0.5, 0.9],
+                       [0.1, 0.2]])
+    velocities = np.array([[1.0, -2.0], [1e160, 3e159], [2e155, -1e155], [0.5, 0.25],
+                           [np.nan, 1.0], [-2e154, 5e153]])
+    wide = [1, 2, 4, 5]
+    with np.errstate(all="ignore"):
+        batch = source.christoffel(points, velocities)
+        solos = [source.christoffel(point, v) for point, v in zip(points, velocities)]
+        tensors = [np.einsum("mnl,n,l->m", source.christoffel(point), v, v)
+                   for point, v in zip(points, velocities)]
+        assert [not np.dot(v, v) < np.inf for v in velocities] == [k in wide for k in range(6)]
+    assert np.all(source.conformal_gradient(points[2]) == 0.0) and np.all(solos[2] == 0.0)
+    assert np.isfinite(solos[5]).all()
+    for row, (solo, tensor) in enumerate(zip(solos, tensors)):
+        assert np.array_equal(batch[row], solo, equal_nan=True), row
+        if row in wide:
+            assert np.array_equal(solo, tensor, equal_nan=True), row
+        else:
+            assert np.isfinite(solo).all() and np.allclose(solo, tensor, rtol=1e-13, atol=0.0)
+    for row in (2, 5):
+        assert np.array_equal(np.signbit(batch[row]), np.signbit(tensors[row])), row
+        assert np.array_equal(np.signbit(solos[row]), np.signbit(tensors[row])), row
 
 
 def test_chart_check_covers_every_row_of_a_batch(sphere):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geomind import (ChartDomainError, ConformalFieldMetric, FlatMetric,
                      MetricSource, SingularMetricError, SphereMetric,
@@ -452,6 +453,35 @@ def test_christoffel_gather_equals_kronecker_products(d, monkeypatch):
     with np.errstate(over="ignore"):
         assert np.isinf(_kronecker_christoffel(row, factor)[0, 0, 0])
     assert source.christoffel(points[0])[0, 0, 0] == 2.0**1022
+
+
+@st.composite
+def _contraction_cases(draw):
+    d = draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(1, 6))
+    means = draw(hnp.arrays(float, (4, d), elements=st.floats(-1.0, 1.0)))
+    points = draw(hnp.arrays(float, (rows, d), elements=st.floats(-2.5, 2.5)))
+    v = draw(hnp.arrays(float, (rows, d), elements=st.floats(-1e3, 1e3)))
+    return ConformalFieldMetric(make_field(means, dim=d, bandwidth=0.7, epsilon=0.3)), points, v
+
+
+@settings(max_examples=100, deadline=None)
+@given(_contraction_cases())
+def test_christoffel_contraction_agrees_with_the_tensor(case):
+    # the closed form against the einsum over the gathered tensor, each to
+    # 1e-12 of the scale |g| |v|^2 / lambda of its terms, plus 2^-1070 for
+    # terms that round to subnormals with an absolute error, for every point
+    # alone and for the batch
+    source, points, v = case
+    reference = np.einsum("bmnl,bn,bl->bm", source.christoffel(points), v, v)
+    lam = np.array([source.conformal_factor(p) for p in points])
+    grad = np.array([source.conformal_gradient(p) for p in points])
+    scale = np.linalg.norm(grad, axis=1) * np.einsum("bd,bd->b", v, v) / lam
+    batch = source.christoffel(points, v)
+    assert batch.shape == points.shape
+    solos = np.array([source.christoffel(p, u) for p, u in zip(points, v)])
+    for gamma_vv in (batch, solos):
+        assert np.all(np.abs(gamma_vv - reference).max(axis=1) <= 1e-12 * scale + 2.0**-1070)
 
 
 def test_christoffel_lower_index_symmetry(random_field, sphere):

@@ -491,6 +491,13 @@ def test_two_clusters_two_components():
     assert report.components == [list(range(5)), list(range(5, 10))]
 
 
+def test_adjacent_ids_join_one_component():
+    # tokens next to each other in id order are a pair of the scan too: ids 1
+    # and 2 lie 0.3 apart, and 3 is far from both
+    field = make_field([[0.0, 0.0], [0.3, 0.0], [9.0, 0.0]])
+    assert analyze_field(field, ConformalFieldMetric(field)).components == [[1, 2], [3]]
+
+
 def test_bridge_token_joins_components():
     field = _two_cluster_field(bridge=True)
     report = analyze_field(field, ConformalFieldMetric(field))
