@@ -4,7 +4,9 @@ The flow state is integrated with fixed-step RK4 on the first-order system
 x' = v, v'^m = -Gamma^m_{nl} v^n v^l + F^m, with F a forcing vector held
 constant over the step. No forcing recovers the plain geodesic equation.
 Each RK4 stage asks the metric source for the contraction Gamma(v, v)
-itself, source.christoffel(x, v), never for the (D, D, D) tensor.
+itself, source.christoffel(x, v), never for the (D, D, D) tensor; that call
+raises ChartDomainError for a stage point outside the chart, so a step
+checks only its end point itself.
 
 geodesic_step and integrate_geodesic take one (D,) state or a (B, D) batch
 of rows. A batch is row-invariant: each row gets exactly the bits of its
@@ -51,7 +53,6 @@ class Trajectory:
 
 
 def _acceleration(source: MetricSource, pos, vel, f: np.ndarray) -> np.ndarray:
-    source.check_domain(pos)
     # f - e is f + (-e) in IEEE arithmetic, signed zeros included, so this is
     # -e + f bitwise in one ufunc call, for a (D,) row or a (B, D) batch
     return f - source.christoffel(pos, vel)
@@ -134,12 +135,13 @@ def path_length_energy(traj: Trajectory, source: MetricSource) -> tuple[float, f
 
     length = integral of sqrt(v^T g v) dt, energy = 1/2 integral of v^T g v dt,
     both by the trapezoidal rule on the sampled integrand, inf on overflow.
+    The metric comes from one batch call on all T samples, and v^T g v from
+    matmuls stacked over them, each sample the bits of its own v @ g @ v.
     """
     if len(traj) < 2:
         raise ValueError("trajectory needs at least 2 samples")
-    speed_sq = np.array([
-        float(v @ source.metric(x) @ v) for x, v in zip(traj.positions, traj.velocities)
-    ])
+    v = traj.velocities
+    speed_sq = (v[:, None, :] @ source.metric(traj.positions) @ v[:, :, None]).reshape(len(traj))
     speed = np.sqrt(np.maximum(speed_sq, 0.0))
     length = float(np.trapezoid(speed, dx=traj.dt))
     energy = 0.5 * float(np.trapezoid(speed_sq, dx=traj.dt))

@@ -30,8 +30,10 @@ take their points in blocks of KERNEL_BLOCK kernel elements; a batch
 christoffel, which a shooting stage calls with D + 1 rows, takes its whole
 batch in one pass.
 
-Every metric source's christoffel() takes one (D,) point, giving (D, D, D),
-or a (B, D) batch, giving (B, D, D, D), and check_domain() takes either;
+Every metric source's metric() takes one (D,) point, giving (D, D), or a
+(B, D) batch, giving (B, D, D); its christoffel() takes one (D,) point,
+giving (D, D, D), or a (B, D) batch, giving (B, D, D, D), and
+check_domain() takes either;
 christoffel(x, v), with velocities v of x's shape, gives the contraction
 Gamma(v, v) of that shape instead, which is all the geodesic equation needs.
 A batch is row-invariant: each row is bitwise what the point gives alone.
@@ -429,9 +431,11 @@ class MetricSource:
 
     Subclasses implement metric() and christoffel(); scalar_curvature()
     defaults to central finite differences and may be overridden with a
-    closed form. check_domain() and christoffel() take one (D,) point or a
-    (B, D) batch of rows, and every row of a batch must get exactly the bits
-    it gets alone.
+    closed form. check_domain(), metric() and christoffel() take one (D,)
+    point or a (B, D) batch of rows, and every row of a batch must get
+    exactly the bits it gets alone. metric() and christoffel() raise
+    ChartDomainError when the point, or any row of a batch, is outside the
+    chart, so the integrator checks only a step's end point itself.
     """
 
     dim: int
@@ -448,11 +452,12 @@ class MetricSource:
         return True
 
     def metric(self, x: np.ndarray) -> np.ndarray:
+        """g_{mn} at x as (D, D), or (B, D, D) for a batch."""
         raise NotImplementedError
 
     def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch; given a
-        float array v of velocities of x's shape, the contraction Gamma(v, v)."""
+        """Gamma^m_{nl} at x as (D, D, D), or (B, D, D, D) for a batch; given
+        velocities v of x's shape, any array-like, the contraction Gamma(v, v)."""
         raise NotImplementedError
 
     def scalar_curvature(self, points) -> np.ndarray:
@@ -511,8 +516,8 @@ class FlatMetric(MetricSource):
         self.scale = float(scale)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        _as_vector(x, self.dim)
-        return self.scale * np.eye(self.dim)
+        x = _as_vector(x, self.dim, batch=True)
+        return self.scale * np.broadcast_to(np.eye(self.dim), x.shape + (self.dim,))
 
     def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         x = _as_vector(x, self.dim, batch=True)
@@ -537,10 +542,15 @@ class SphereMetric(MetricSource):
             raise ChartDomainError(f"sphere chart is singular at theta={theta}")
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        x = _as_vector(x, 2)
+        x = _as_vector(x, 2, batch=True)
         self.check_domain(x)
         r2 = self.radius**2
-        return np.diag([r2, r2 * np.sin(x[0]) ** 2])
+        g = np.zeros(x.shape[:-1] + (2, 2))
+        g[..., 0, 0] = r2
+        # float_power calls pow, as a scalar sin(theta) ** 2 does; an array's
+        # ** 2 squares, which differs in the last bit at some angles
+        g[..., 1, 1] = r2 * np.float_power(np.sin(x[..., 0]), 2)
+        return g
 
     def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         x = _as_vector(x, 2, batch=True)
@@ -593,7 +603,12 @@ class ConformalFieldMetric(MetricSource):
         return -(lam * lam) * density_gradient(self.field, x)
 
     def metric(self, x: np.ndarray) -> np.ndarray:
-        return self.conformal_factor(x) * np.eye(self.dim)
+        x = _as_vector(x, self.dim, batch=True)
+        if x.ndim == 1:
+            return self.conformal_factor(x) * np.eye(self.dim)
+        # one densities pass, whose rows are density_at's bits
+        lam = 1.0 / (densities(self.field, x) + self.field.epsilon)
+        return lam[:, None, None] * np.eye(self.dim)
 
     def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         """The gathered tensor, or Gamma(v, v) = ((g.v) v - |v|^2 g / 2) / lambda,
@@ -606,7 +621,7 @@ class ConformalFieldMetric(MetricSource):
             # density calls per RK4 step
             lam, grad = self.conformal_factor(x), self.conformal_gradient(x)
             if v is not None and (vv := float(np.dot(v, v))) < np.inf:
-                return (float(np.dot(grad, v)) * v - 0.5 * vv * grad) / lam
+                return (np.multiply(np.dot(grad, v), v) - 0.5 * vv * grad) / lam
             return _contract(_conformal_christoffel(2.0 * lam, grad), v)
         # a batch takes rho and grad rho from one kernel pass over its rows, and
         # vecdot and (B, 1) columns for np.dot and floats, so each row gets its bits
@@ -618,7 +633,7 @@ class ConformalFieldMetric(MetricSource):
         vv = np.vecdot(v, v)
         gamma_vv = (np.vecdot(grad, v)[:, None] * v - (0.5 * vv)[:, None] * grad) / lam[:, None]
         if not np.maximum.reduce(vv, initial=0.0) < np.inf:  # a NaN fails too
-            wide = ~(vv < np.inf)
+            wide, v = ~(vv < np.inf), np.asarray(v, dtype=float)
             gamma_vv[wide] = _contract(_conformal_christoffel((2.0 * lam[wide])[:, None],
                                                               grad[wide]), v[wide])
         return gamma_vv

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import geomind.geodesic as geodesic_module
-from geomind import (ChartDomainError, CognitionParams, ConformalFieldMetric, FlatMetric,
-                     MindState, NoGeodesicError, ShootingOptions, SphereMetric, TokenField,
-                     Trajectory, cycle_step, feedback_forcing, geodesic_between, geodesic_step,
-                     integrate_geodesic, path_length_energy, predict_geometric)
+from geomind import (ChartDomainError, ChartExitError, CognitionParams, ConformalFieldMetric,
+                     FlatMetric, MindState, NoGeodesicError, ShootingOptions, SphereMetric,
+                     TokenField, Trajectory, cycle_step, feedback_forcing, geodesic_between,
+                     geodesic_step, integrate_geodesic, path_length_energy, predict_geometric)
 from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
 from geomind.manifold import KERNEL_BLOCK
 
@@ -441,6 +441,98 @@ def test_contraction_rows_whose_speed_squared_overflows_take_the_tensor():
 def test_chart_check_covers_every_row_of_a_batch(sphere):
     with pytest.raises(ChartDomainError):
         sphere.christoffel(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def test_sphere_step_tests_the_chart_at_each_stage_and_its_end(sphere, monkeypatch):
+    # 5 tests per step: christoffel's at each of the 4 stage points and
+    # geodesic_step's at the end point. A stage point at the pole still ends
+    # the step in ChartExitError: x + dt/2 v has theta 0.05 - 0.05 here
+    seen = []
+    check = SphereMetric.check_domain
+    monkeypatch.setattr(SphereMetric, "check_domain",
+                        lambda self, x: seen.append(np.array(x)) or check(self, x))
+    for x, v in (([1.0, 0.3], [0.2, 0.5]), ([[1.0, 0.3], [1.2, 0.1]], [[0.2, 0.5], [-0.1, 0.4]])):
+        seen.clear()
+        end, _ = geodesic_step(x, v, sphere, None, 0.01)
+        assert len(seen) == 5 and np.array_equal(seen[-1], end)
+    seen.clear()
+    with pytest.raises(ChartExitError):
+        geodesic_step([0.05, 0.3], [-10.0, 0.0], sphere, None, 0.01)
+    assert len(seen) == 2 and not sphere.in_domain(seen[-1])
+    with pytest.raises(ChartDomainError):
+        sphere.christoffel([0.0, 0.3], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("kind, d", [("conformal", 3), ("flat", 3), ("sphere", 2)])
+def test_christoffel_takes_velocities_as_any_array_like(kind, d, container):
+    # a list or tuple v gives the bits of the float array, for a point and a
+    # batch; the field's batch holds a row whose |v|^2 overflows, which
+    # takes the tensor fallback
+    source = _source(kind, d)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.3, 1.4, (4, d))
+    v = rng.normal(size=(4, d))
+    v[2] *= 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        for point, u in zip(x, v):
+            assert (source.christoffel(list(point), container(u.tolist())).tobytes()
+                    == source.christoffel(point, u).tobytes())
+        rows = container(container(u) for u in v.tolist())
+        assert source.christoffel(x, rows).tobytes() == source.christoffel(x, v).tobytes()
+
+
+@st.composite
+def _metric_batches(draw):
+    kind = draw(st.sampled_from(["flat", "sphere", "conformal"]))
+    d = 2 if kind == "sphere" else draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.integers(1, 8))
+    if kind == "sphere":
+        # theta across (0, pi), inside the chart's sine floor of 1e-12
+        theta = hnp.arrays(float, rows, elements=st.floats(1e-11, np.pi - 1e-11))
+        phi = hnp.arrays(float, rows, elements=st.floats(-3.0, 3.0))
+        return _source(kind, d), np.stack([draw(theta), draw(phi)], axis=1)
+    return _source(kind, d), draw(hnp.arrays(float, (rows, d), elements=st.floats(-2.5, 2.5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_metric_batches())
+def test_metric_rows_equal_single_points(case):
+    source, x = case
+    g = source.metric(x)
+    assert g.shape == x.shape + (source.dim,)
+    for row, point in enumerate(x):
+        assert g[row].tobytes() == source.metric(point).tobytes()
+
+
+def test_sphere_metric_keeps_the_bits_of_the_scalar_square(sphere):
+    # r^2 sin^2(theta) as np.diag([r^2, r^2 np.sin(theta) ** 2]) gives it at
+    # a point; an array's ** 2 differs from it in the last bit at about 1 in
+    # 1,000 angles, so many angles in one batch show a change of rule
+    rng = np.random.default_rng(12)
+    x = np.stack([np.linspace(1e-6, np.pi - 1e-6, 20_000), rng.uniform(-3.0, 3.0, 20_000)], axis=1)
+    g = sphere.metric(x)
+    for row, (theta, _) in enumerate(x):
+        r2 = sphere.radius**2
+        assert g[row].tobytes() == np.diag([r2, r2 * np.sin(theta) ** 2]).tobytes(), row
+
+
+@pytest.mark.parametrize("kind, d", [("conformal", 3), ("flat", 3), ("sphere", 2)])
+def test_path_length_energy_is_the_trapezoid_of_each_samples_speed(kind, d):
+    # one batch metric call gives each sample the bits of float(v @ g @ v)
+    # at its own point, on a long free path, whose 1,501 samples fill more
+    # than one densities block on the field metric, and on a shooting path
+    source = _source(kind, d)
+    start = np.full(d, 1.0)
+    paths = [integrate_geodesic(start, np.full(d, 0.3), source, None, steps=1500, dt=1e-3),
+             geodesic_between(start, start + 0.5, source)]
+    for traj in paths:
+        speed_sq = np.array([float(v @ source.metric(x) @ v)
+                             for x, v in zip(traj.positions, traj.velocities)])
+        length = float(np.trapezoid(np.sqrt(np.maximum(speed_sq, 0.0)), dx=traj.dt))
+        energy = 0.5 * float(np.trapezoid(speed_sq, dx=traj.dt))
+        assert not traj.truncated
+        assert [e.hex() for e in path_length_energy(traj, source)] == [length.hex(), energy.hex()]
 
 
 def _solo_between(a, b, source, opts):

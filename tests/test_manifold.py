@@ -471,12 +471,13 @@ def test_christoffel_contraction_agrees_with_the_tensor(case):
     # the closed form against the einsum over the gathered tensor, each to
     # 1e-12 of the scale |g| |v|^2 / lambda of its terms, plus 2^-1070 for
     # terms that round to subnormals with an absolute error, for every point
-    # alone and for the batch
+    # alone and for the batch. |g| is hypot's, which does not underflow
+    # where np.linalg.norm's sum of squares does (|g| below about 1e-154)
     source, points, v = case
     reference = np.einsum("bmnl,bn,bl->bm", source.christoffel(points), v, v)
     lam = np.array([source.conformal_factor(p) for p in points])
     grad = np.array([source.conformal_gradient(p) for p in points])
-    scale = np.linalg.norm(grad, axis=1) * np.einsum("bd,bd->b", v, v) / lam
+    scale = np.hypot.reduce(grad, axis=1) * np.einsum("bd,bd->b", v, v) / lam
     batch = source.christoffel(points, v)
     assert batch.shape == points.shape
     solos = np.array([source.christoffel(p, u) for p, u in zip(points, v)])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomind.mind
+
 from geomind import (CognitionParams, ConfigError, ConformalFieldMetric,
                      ShootingOptions, SphereMetric, ThoughtFlow,
                      Trajectory, analyze_field, curvature_at,
@@ -438,7 +440,13 @@ def _per_point_report(field, source):
     scalars = np.array([curvature_at(source, p).scalar for p in points])
     cut = np.percentile(np.abs(scalars), CURVATURE_PERCENTILE)
     high = points[np.abs(scalars) > cut]
-    ids, means = list(field.ids), field.means
+    return points, scalars, high, _all_pairs_components(field)
+
+
+def _all_pairs_components(field):
+    """analyze_field's components from every pair's segment, tested by one
+    density_at call per sample."""
+    ids, means = field.ids.tolist(), field.means
     edges = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))
              if min(density_at(field, means[i] + t * (means[j] - means[i]))
                     for t in np.linspace(0.0, 1.0, SEGMENT_SAMPLES)) >= field.epsilon]
@@ -448,7 +456,7 @@ def _per_point_report(field, source):
         for k in merged:
             components[k] = merged
     unique = {frozenset(c) for c in components.values()}
-    return points, scalars, high, sorted(sorted(c) for c in unique)
+    return sorted(sorted(c) for c in unique)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -503,6 +511,58 @@ def test_bridge_token_joins_components():
     report = analyze_field(field, ConformalFieldMetric(field))
     assert len(report.components) == 1
     assert report.components[0] == list(range(10)) + [99]
+
+
+@st.composite
+def _split_fields(draw):
+    """2 to 5 clusters of 1 to 4 tokens, their centres 10 to 20 bandwidths
+    apart on a line in D = 2 or 3, under random ids, and optionally a heavy
+    bridge token between the first two clusters; with it, the field's epsilon
+    is tiny, so that the bridge's tails can join them."""
+    d, clusters = draw(st.sampled_from([2, 3])), draw(st.integers(2, 5))
+    bridge = draw(st.booleans())
+    jitter = st.floats(-0.4, 0.4)
+    centres = np.cumsum([0.0] + [draw(st.floats(10.0, 20.0)) for _ in range(clusters - 1)])
+    means, weights = [], []
+    for centre in centres:
+        for _ in range(draw(st.integers(1, 4))):
+            means.append([centre + draw(jitter)] + [draw(jitter) for _ in range(d - 1)])
+            weights.append(draw(st.floats(0.5, 2.0)))
+    if bridge:
+        means.append([(centres[0] + centres[1]) / 2] + [0.0] * (d - 1))
+        weights.append(draw(st.floats(1.0, 5.0)))
+    ids = draw(st.permutations(range(100, 100 + len(means))))
+    epsilon = draw(st.floats(1e-60, 1e-30)) if bridge else draw(st.floats(1e-3, 0.05))
+    return make_field(means, dim=d, epsilon=epsilon, weights=weights, ids=ids), clusters, bridge
+
+
+@settings(max_examples=40, deadline=None)
+@given(_split_fields())
+def test_components_of_split_fields_equal_the_all_pairs_reference(case):
+    field, clusters, bridge = case
+    components = analyze_field(field, ConformalFieldMetric(field)).components
+    assert components == _all_pairs_components(field)
+    if not bridge:
+        assert len(components) == clusters
+
+
+@pytest.mark.parametrize("field", [_survey_field(1), _survey_field(2),
+                                   make_field(np.linspace(0.0, 2.0, 9)[:, None], dim=1),
+                                   make_field(np.random.default_rng(4).uniform(0.0, 1.0, (70, 2)))],
+                         ids=["survey1", "survey2", "line9", "square70"])
+def test_one_component_field_tests_one_segment_per_join(field, monkeypatch):
+    # n - 1 segments of SEGMENT_SAMPLES points, where every pair's n (n - 1) / 2
+    # were tested before: no segment is tested between tokens the edges found
+    # so far, or the earlier pairs of its block, already join. The blocks hold
+    # 4, 7 and 1 segments at n = 16, 9 and 70
+    rows = []
+    densities = geomind.mind.densities
+    monkeypatch.setattr(geomind.mind, "densities",
+                        lambda f, points: rows.append(np.size(points) // f.dimension)
+                        or densities(f, points))
+    report = analyze_field(field, ConformalFieldMetric(field))
+    assert report.components == [sorted(field.ids.tolist())]
+    assert sum(rows) == (len(field) - 1) * SEGMENT_SAMPLES
 
 
 def test_component_count_monotone_in_rho_min():

@@ -29,14 +29,16 @@ def test_tree_drift_finds_a_root_identical_to_itself():
     out = io.StringIO()
     assert tree_drift.compare(ROOT, ROOT, names=("survey",), seeds=(1,), out=out) == 0
     *lines, summary = out.getvalue().splitlines()
-    assert summary == ("summary: 8 files compared, 8 identical, 0 with moved floats "
+    assert summary == ("summary: 12 files compared, 12 identical, 0 with moved floats "
                        "(max drift 0), 0 with other differences")
     files = {line.split(":")[0] for line in lines}
-    assert files == {f"survey/seed1/{fmt}/{name}" for fmt, names in (
+    assert files == {f"survey/seed1/{tree}/{name}" for tree, names in (
         ("json", ("field_report.json", "geodesic_path.json", "geodesic_summary.json",
                   "pca_projection.json")),
         ("csv", ("field_report.json", "geodesic_path.csv", "geodesic_summary.json",
-                 "pca_projection.csv"))) for name in names}
+                 "pca_projection.csv")),
+        ("split/json", ("field_report.json", "pca_projection.json")),
+        ("split/csv", ("field_report.json", "pca_projection.csv"))) for name in names}
     assert all(line.endswith(": identical") for line in lines)
 
 
@@ -55,9 +57,10 @@ def test_tree_drift_summary_counts_moved_and_other_files(monkeypatch):
     out = io.StringIO()
     assert tree_drift.compare("parent", "change", names=("survey",), seeds=(1,),
                               formats=("json",), out=out) == 1
+    # survey seed 1 in JSON is two trees, the workload's and the split one
     assert out.getvalue().splitlines()[-1] == (
-        "summary: 3 files compared, 1 identical, 1 with moved floats (max drift 0.5), "
-        "2 with other differences")
+        "summary: 6 files compared, 2 identical, 2 with moved floats (max drift 0.5), "
+        "4 with other differences")
 
 
 def test_tree_drift_fails_a_file_whose_bytes_differ_while_its_values_do_not(monkeypatch):
@@ -77,11 +80,12 @@ def test_tree_drift_fails_a_file_whose_bytes_differ_while_its_values_do_not(monk
     assert tree_drift.compare("parent", "change", names=("survey",), seeds=(1,),
                               formats=("json",), out=out) == 1
     lines = out.getvalue().splitlines()
-    for name in ("a.json", "b.csv"):
-        assert (f"survey/seed1/json/{name}: max drift 0, 0 floats moved; other differences: "
-                "the bytes differ, but no value does") in lines
-    assert lines[-1] == ("summary: 3 files compared, 1 identical, 0 with moved floats "
-                         "(max drift 0), 2 with other differences")
+    for tree in ("json", "split/json"):
+        for name in ("a.json", "b.csv"):
+            assert (f"survey/seed1/{tree}/{name}: max drift 0, 0 floats moved; other "
+                    "differences: the bytes differ, but no value does") in lines
+    assert lines[-1] == ("summary: 6 files compared, 2 identical, 0 with moved floats "
+                         "(max drift 0), 4 with other differences")
 
 
 def test_walk_measures_float_drift_and_reports_other_differences():
@@ -109,7 +113,7 @@ def test_long_learn_tree_is_the_seed_one_learn_config_at_25_cycles():
         ("learn_churn/seed1/diagonal", "learn_churn", 1, learn,
          {"field": tree_drift.diagonal_lists})]
     assert [tree for tree, *_ in tree_drift.specs(("survey",), (1,), ("json",))] == [
-        "survey/seed1/json"]
+        "survey/seed1/json", "survey/seed1/split/json"]
     assert [tree for tree, *_ in tree_drift.specs(("learn_churn",), (2,), ("json",))] == [
         "learn_churn/seed2/json"]
 
@@ -227,6 +231,22 @@ def test_empty_field_tree_runs_compete_on_flows_that_activate_nothing(monkeypatc
     samples = json.loads((tmp_path / "out" / f"trajectory_seed{seeds[0]}.json").read_text())[
         "samples"]
     assert samples and not any("token_id" in sample for sample in samples)
+
+
+def test_split_tree_is_the_seed_one_survey_field_in_four_components(tmp_path):
+    assert tree_drift.specs(("survey",), (1, 2), ("csv",))[-1] == (
+        "survey/seed1/split/csv", "survey", 1, ("analyze",),
+        {"field": tree_drift.split_clusters, "output": {"format": "csv"}})
+    assert [tree for tree, *_ in tree_drift.specs(("survey",), (2,), ("csv",))] == [
+        "survey/seed2/csv"]
+    config = workloads.generate("survey", 1, tmp_path)
+    field = json.loads((tmp_path / "field.json").read_text())
+    tree_drift.split_clusters(field)
+    (tmp_path / "field.json").write_text(json.dumps(field))
+    assert geomind.cli.main(["analyze", "--config", str(config),
+                             "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "field_report.json").read_text())
+    assert len(report["components"]) == 4
 
 
 def _final_line(job_s, rss, failed=0):

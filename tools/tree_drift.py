@@ -5,7 +5,7 @@ Usage (from the repository root):
 
 Each root is a checkout with geomind under src/. The inputs come from this
 repository's perfbench.workloads: every benchmark workload, seeds 1-3, each
-with JSON and CSV output, 24 trees in all, plus eight more: a long-learn
+with JSON and CSV output, 24 trees in all, plus ten more: a long-learn
 tree, the learn_churn seed-1 config at 25 cycles, whose many snapshots share
 most of their token rows; a full-covariance learn tree, the learn_churn
 seed-1 config with every covariance but the first turned into a full matrix
@@ -20,9 +20,12 @@ and predictor matrices, a bias, tanh activation and a context capacity of
 tree per format, the flow_sparse seed-1 config on the unit-sphere metric
 with a geodesic section, running compete, analyze and geodesic, since every
 benchmark config keeps the field metric: most of its flows leave the chart,
-and analyze keeps only the grid points inside it; and an empty-field tree
+and analyze keeps only the grid points inside it; an empty-field tree
 per format, compete on the flow_sparse seed-1 config with every token
-removed, since only a tokenless field gives flows that activate nothing.
+removed, since only a tokenless field gives flows that activate nothing;
+and a split tree per format, analyze on the survey seed-1 field with every
+mean scaled by SPLIT_SCALE, since every other analyze tree's tokens form one
+component: its four clusters lie apart, so its components are four.
 Each root runs the tree's
 commands, the workload's own unless the tree names others, through its own
 geomind.cli.run in a subprocess.
@@ -65,6 +68,8 @@ COGNITION = {"value_matrix": [[0.9, -0.3], [0.2, 1.1]],
 SPHERE_COMMANDS = ("compete", "analyze", "geodesic")
 SPHERE = {"metric": {"kind": "sphere", "radius": 1.0},
           "geodesic": {"start": [0.3, 0.2], "end": [2.5, 1.2], "steps": 100}}
+# The split trees scale the survey field's means by this factor.
+SPLIT_SCALE = 4.0
 
 
 def full_covariances(field: dict) -> None:
@@ -88,6 +93,12 @@ def diagonal_lists(field: dict) -> None:
 def no_tokens(field: dict) -> None:
     """Remove every token of a field file, in place."""
     field["tokens"] = []
+
+
+def split_clusters(field: dict) -> None:
+    """Scale every mean of a field file by SPLIT_SCALE, in place."""
+    for token in field["tokens"]:
+        token["mean"] = [SPLIT_SCALE * x for x in token["mean"]]
 
 
 # Runs inside each root's interpreter: argv[1] is a JSON list of
@@ -154,10 +165,11 @@ def specs(names, seeds, formats) -> list:
     """(tree, workload, seed, commands, {config section: {key: value, ...}})
     of every tree to build: one per workload, seed and format, the
     long-learn, full-covariance and diagonal-list trees when learn_churn and
-    seed 1 are among them, and the cognition tree and one sphere and one
-    empty-field tree per format when flow_sparse and seed 1 are. Each
-    section's values are merged into the config, adding a section it lacks;
-    the full-covariance, diagonal-list and empty-field trees' edits hold
+    seed 1 are among them, the cognition tree and one sphere and one
+    empty-field tree per format when flow_sparse and seed 1 are, and one
+    split tree per format when survey and seed 1 are. Each section's values
+    are merged into the config, adding a section it lacks; the
+    full-covariance, diagonal-list, empty-field and split trees' edits hold
     {"field": function}, a rewrite of their field file."""
     commands = {name: workloads.WORKLOADS[name].commands for name in names}
     trees = [(f"{name}/seed{seed}/{fmt}", name, seed, commands[name],
@@ -178,6 +190,9 @@ def specs(names, seeds, formats) -> list:
                    {**SPHERE, "output": {"format": fmt}}) for fmt in formats]
         trees += [(f"flow_sparse/seed1/empty/{fmt}", "flow_sparse", 1, ("compete",),
                    {"field": no_tokens, "output": {"format": fmt}}) for fmt in formats]
+    if "survey" in names and 1 in seeds:
+        trees += [(f"survey/seed1/split/{fmt}", "survey", 1, ("analyze",),
+                   {"field": split_clusters, "output": {"format": fmt}}) for fmt in formats]
     return trees
 
 
