@@ -4,8 +4,9 @@ Usage: geomind <simulate|compete|learn|analyze|geodesic> --config <path>
        [--out <dir>] [--seed <n> ...]
 
 Exit status is 0 on success, 1 on a runtime failure (with a report file
-written), 2 on usage or configuration errors. All outputs are deterministic
-for a fixed config and seed list.
+written) or on an OS error while writing the outputs (with one stderr line
+and no report), 2 on usage or configuration errors. All outputs are
+deterministic for a fixed config and seed list.
 """
 
 from __future__ import annotations
@@ -205,7 +206,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args.config, out_override=args.out, seed_override=args.seed)
-        return run(args.command, config)
+        try:
+            return run(args.command, config)
+        except OSError as exc:  # an artifact write failed, such as on a full disk
+            # a failed write() names no file, so name the output directory
+            print(f"geomind: error: cannot write {exc.filename or config.out_dir}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 1
     except (ConfigError, FieldFormatError) as exc:
         print(f"geomind: error: {exc}", file=sys.stderr)
         return 2

@@ -75,11 +75,11 @@ FD_STEP = 1e-4
 # for all 10^4 16x16 matrices at once would add tens of MB to peak memory.
 VALIDATE_BLOCK = 512
 
-# densities, scalar_curvature and mind's connectivity scan take points in
-# blocks of about this many (point, token) kernel elements, so that the
-# temporaries of a grid stay small whatever its size. A batch christoffel
-# takes no blocks: its one caller in geomind, a shooting stage, passes D + 1
-# rows, so its (B, n) temporaries are small beside its (B, D, D, D) result.
+# densities and scalar_curvature take points in blocks of about this many
+# (point, token) kernel elements, so that the temporaries of a grid stay
+# small whatever its size. A batch christoffel takes no blocks: its one caller
+# in geomind, a shooting stage, passes D + 1 rows, so its (B, n) temporaries
+# are small beside its (B, D, D, D) result.
 KERNEL_BLOCK = 4096
 
 

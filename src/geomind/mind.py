@@ -17,8 +17,8 @@ import numpy as np
 from .cognition import CognitionParams, MindState, cycle_step, perceive
 from .errors import ChartExitError, ConfigError
 from .geodesic import Trajectory
-from .manifold import (KERNEL_BLOCK, ConformalFieldMetric, MetricSource,
-                       TokenField, _as_int, _as_vector, densities)
+from .manifold import (ConformalFieldMetric, MetricSource, TokenField, _as_int,
+                       _as_vector, densities)
 
 logger = logging.getLogger(__name__)
 
@@ -230,55 +230,33 @@ def _connected_components(field: TokenField) -> list[list[int]]:
     """Token graph: an edge exists when the density at every one of
     SEGMENT_SAMPLES evenly spaced points a + t (b - a) of the straight segment
     between two means stays at or above the field's epsilon. The components
-    are the transitive closure of the edges, so a segment is tested only where
-    it could join two of them. Pairs go in id order, in blocks of whole
-    segments of about KERNEL_BLOCK kernel elements, and each block's edges are
-    joined before the next is collected. A pair joins a block only if neither
-    the edges found so far nor the block's earlier pairs connect its tokens;
-    one passed over for the block's pairs alone is taken again if any of them
-    is no edge. Where every tested segment is an edge, n - 1 are tested."""
+    are the transitive closure of the edges, kept by union-find, so pairs go
+    in id order and a segment is tested, in one densities call, only between
+    tokens in different components so far. Where every tested segment is an
+    edge, n - 1 are tested."""
     order = np.argsort(field.ids)
     ids, means = field.ids[order].tolist(), field.means[order]
     n = len(ids)
     parent = list(range(n))
 
-    def find(forest, i):
-        while forest[i] != i:
-            forest[i] = forest[forest[i]]
-            i = forest[i]
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
         return i
 
     ts = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)[:, None]
-    # whole segments per block, about KERNEL_BLOCK kernel elements each
-    size = max(1, KERNEL_BLOCK // (n * SEGMENT_SAMPLES))
-    fresh = ((i, j) for i in range(n) for j in range(i + 1, n))
-    retry: list[tuple[int, int]] = []  # taken from the end, before fresh pairs
-    while True:
-        # trial joins the edges found so far and the block's pairs
-        trial, block, passed = parent.copy(), [], []
-        while len(block) < size and (pair := retry.pop() if retry else next(fresh, None)):
-            root_i, root_j = find(trial, pair[0]), find(trial, pair[1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            root_i, root_j = find(i), find(j)
             if root_i == root_j:
-                if find(parent, pair[0]) != find(parent, pair[1]):
-                    passed.append(pair)
                 continue
-            trial[root_j] = root_i
-            block.append(pair)
-        if not block:
-            break
-        i, j = np.array(block).T
-        a, b = means[i, None, :], means[j, None, :]
-        rho = densities(field, a + ts * (b - a)).reshape(len(i), SEGMENT_SAMPLES)
-        edge = rho.min(axis=1) >= field.epsilon
-        for ri, rj in zip(i[edge].tolist(), j[edge].tolist()):
-            ri, rj = find(parent, ri), find(parent, rj)
-            if ri != rj:
-                parent[rj] = ri
-        if not edge.all():
-            retry += reversed(passed)
+            a, b = means[i], means[j]
+            if densities(field, a + ts * (b - a)).min() >= field.epsilon:
+                parent[root_j] = root_i
     groups: dict[int, list[int]] = {}
     for i, token_id in enumerate(ids):
-        groups.setdefault(find(parent, i), []).append(token_id)
+        groups.setdefault(find(i), []).append(token_id)
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 

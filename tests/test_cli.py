@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
@@ -1233,6 +1234,32 @@ def test_out_under_a_file_exits_2_and_creates_nothing(workdir, capsys, command):
         f"geomind: error: cannot make the output directory {out}: Not a directory\n")
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert (workdir / "afile").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "trajectory_seed2.json"), ("compete", "selection.json"),
+    ("learn", "error_curve.json"), ("analyze", "field_report.json"),
+    ("geodesic", "geodesic_summary.json")])
+def test_artifact_on_a_full_disk_exits_1_with_one_line(workdir, capsys, command, artifact):
+    # the write's OSError (ENOSPC) escaped main: a traceback and no report;
+    # a failed write() names no file, so the line names the output directory
+    out = workdir / "out"
+    out.mkdir()
+    (out / artifact).symlink_to("/dev/full")
+    rc = main([command, "--config", str(workdir / "config.json"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"geomind: error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_artifact_that_is_a_directory_is_named(workdir, capsys):
+    # open() fails with an error that carries the file's name
+    out = workdir / "out"
+    (out / "selection.json").mkdir(parents=True)
+    rc = main(["compete", "--config", str(workdir / "config.json"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"geomind: error: cannot write {out / 'selection.json'}: "
+                                       f"{os.strerror(errno.EISDIR)}\n")
 
 
 def test_learn_on_an_empty_field_exits_2(tmp_path, capsys):

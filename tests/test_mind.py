@@ -419,12 +419,12 @@ def test_analyze_with_every_grid_point_outside_the_chart_returns_empty_arrays():
     assert report.percentile_cut == 0.0
 
 
-def _survey_field(seed):
+def _survey_field(seed, scale=1.0):
     """16 tokens in 4 fixed clusters at D=3 with seeded offsets and weights,
-    laid out like the benchmark's survey workload."""
+    laid out like the benchmark's survey workload, every mean times scale."""
     rng = np.random.default_rng([seed, 3])
     centers = np.array([[-1.5, 0.0, 0.0], [1.5, 0.0, 0.0], [0.0, 1.5, 0.0], [0.0, 0.0, 1.5]])
-    means = centers[np.arange(16) % 4] + rng.normal(0.0, 0.05, size=(16, 3))
+    means = scale * (centers[np.arange(16) % 4] + rng.normal(0.0, 0.05, size=(16, 3)))
     weights = list(rng.uniform(0.8, 1.2, size=16))
     return make_field(list(means), dim=3, bandwidth=1.0, epsilon=0.5, weights=weights,
                       covs=[np.zeros((3, 3))] * 16)
@@ -506,6 +506,14 @@ def test_adjacent_ids_join_one_component():
     assert analyze_field(field, ConformalFieldMetric(field)).components == [[1, 2], [3]]
 
 
+def test_a_join_links_the_roots_of_both_components():
+    # a 3-4-5 triangle: the segment from 1 to 2 dips below epsilon and the
+    # sides through 3 stay above it, so (1, 3) puts 3 under 1, and (2, 3) must
+    # join 2 with the root of that component, not with 3 alone
+    field = make_field([[0.0, 0.0], [4.0, 0.0], [2.0, 1.5]], epsilon=0.75)
+    assert analyze_field(field, ConformalFieldMetric(field)).components == [[1, 2, 3]]
+
+
 def test_bridge_token_joins_components():
     field = _two_cluster_field(bridge=True)
     report = analyze_field(field, ConformalFieldMetric(field))
@@ -553,8 +561,7 @@ def test_components_of_split_fields_equal_the_all_pairs_reference(case):
 def test_one_component_field_tests_one_segment_per_join(field, monkeypatch):
     # n - 1 segments of SEGMENT_SAMPLES points, where every pair's n (n - 1) / 2
     # were tested before: no segment is tested between tokens the edges found
-    # so far, or the earlier pairs of its block, already join. The blocks hold
-    # 4, 7 and 1 segments at n = 16, 9 and 70
+    # so far already join
     rows = []
     densities = geomind.mind.densities
     monkeypatch.setattr(geomind.mind, "densities",
@@ -563,6 +570,20 @@ def test_one_component_field_tests_one_segment_per_join(field, monkeypatch):
     report = analyze_field(field, ConformalFieldMetric(field))
     assert report.components == [sorted(field.ids.tolist())]
     assert sum(rows) == (len(field) - 1) * SEGMENT_SAMPLES
+
+
+def test_split_field_tests_108_segments(monkeypatch):
+    # the survey field with every mean times 4 (tools/tree_drift.py's
+    # SPLIT_SCALE) falls apart into its four clusters; pairs in different
+    # components are each tested, so 108 of its 120 segments are
+    rows = []
+    densities = geomind.mind.densities
+    monkeypatch.setattr(geomind.mind, "densities",
+                        lambda f, points: rows.append(np.size(points) // f.dimension)
+                        or densities(f, points))
+    field = _survey_field(1, scale=4.0)
+    assert len(analyze_field(field, ConformalFieldMetric(field)).components) == 4
+    assert sum(rows) == 108 * SEGMENT_SAMPLES
 
 
 def test_component_count_monotone_in_rho_min():
