@@ -5,6 +5,8 @@ predict the next embedding from the attention-weighted context window,
 evaluate the prediction error, and force the geodesic with the discrete
 second time derivative of the feedback signal, scaled by the intensity
 index kappa. Token activation and stochastic resampling close the loop.
+The forcing divides by dt**2, so every dt that the cycle, the forcing and
+the geometric predictor take must have a finite normal square (manifold._as_dt).
 
 Work that depends only on a drawn sample is done once per sample: the state
 keeps each context sample's value-mapped row, and the field each token's
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .geodesic import geodesic_step
-from .manifold import MetricSource, TokenField, _as_int, _as_vector, covariance_root
+from .manifold import MetricSource, TokenField, _as_dt, _as_int, _as_vector, covariance_root
 
 # Rolling front buffer capacity; bounds the window of the kinematic predictor.
 RECENT_FRONTS_MAX = 257
@@ -66,7 +68,8 @@ class CognitionParams:
         b = np.asarray(self.bias, dtype=float)
         d = b.shape[0]
         if w.shape != (d, d) or p.shape != (d, d) or b.ndim != 1:
-            raise ValueError("matrices must be DxD and bias a D-vector")
+            raise ValueError(f"value_matrix and predictor_matrix must be DxD and bias a "
+                             f"D-vector, got shapes {w.shape}, {p.shape} and {b.shape}")
         if self.activation not in ("identity", "tanh"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.input_blend <= 1.0:
@@ -240,10 +243,8 @@ def predict_contextual(context, params: CognitionParams) -> np.ndarray:
 def predict_geometric(positions, velocities, dt: float) -> np.ndarray:
     """First position plus the trapezoidal integral of the velocities, from
     the (T, D) positions and velocities of a window sampled every dt, the
-    last row at t. dt must satisfy 0 < dt < inf, else ValueError."""
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
-    return positions[0] + np.trapezoid(velocities, dx=dt, axis=0)
+    last row at t. dt follows manifold._as_dt, else ValueError."""
+    return positions[0] + np.trapezoid(velocities, dx=_as_dt(dt), axis=0)
 
 
 def window_steps(window: float, dt: float) -> int:
@@ -285,11 +286,10 @@ def feedback_forcing(history, params: CognitionParams, dt: float) -> np.ndarray:
     """kappa times the three-point second difference of the feedback vectors,
     given as a sequence of at most three, oldest first, one per cycle of dt.
 
-    Underfull histories (warm-up) contribute exactly zero forcing. dt must
-    satisfy 0 < dt < inf, else ValueError.
+    Underfull histories (warm-up) contribute exactly zero forcing. dt
+    follows manifold._as_dt, else ValueError.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _as_dt(dt)
     if len(history) < 3:
         return np.zeros(params.dim)
     psi0, psi1, psi2 = history
@@ -313,7 +313,7 @@ def _predict(state: MindState, perceived: np.ndarray, dt: float) -> np.ndarray:
 
 def cycle_step(state: MindState, field: TokenField, source: MetricSource,
                input_vec=None, dt: float = 1e-2) -> MindState:
-    """Advance one full consciousness cycle of duration 0 < dt < inf (else ValueError).
+    """Advance one full consciousness cycle of dt (manifold._as_dt, else ValueError).
 
     Order of operations: perceive, predict, evaluate the error, record the
     feedback vector, force the geodesic with its discrete second derivative,
@@ -321,8 +321,7 @@ def cycle_step(state: MindState, field: TokenField, source: MetricSource,
     sample and its value-mapped row join the context window, whose oldest
     entries drop out beyond params.context_capacity.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _as_dt(dt)
     params = state.params
 
     perceived = perceive(state.position, input_vec, params)

@@ -1,4 +1,9 @@
-"""Run configuration: parsing and validation of the JSON config file."""
+"""Run configuration: parsing and validation of the JSON config file.
+
+A rule the library holds too is the library's, called at load, before any
+output directory exists: manifold._as_dt, _as_int (through io.whole_number)
+and _as_vector, and CognitionParams for the shapes of its two matrices.
+"""
 
 from __future__ import annotations
 
@@ -15,21 +20,17 @@ from .geodesic import ShootingOptions
 from .io import (FORMATS, _read_json, finite_number, load_field, load_input_schedule,
                  numbers, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
-                       SphereMetric, TokenField)
+                       SphereMetric, TokenField, _as_dt, _as_vector)
 
 
 def _matrix(raw, dim: int, name: str) -> np.ndarray:
-    matrix = np.eye(dim) if raw is None or raw == "identity" else numbers(raw, name)
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"{name} must be a {dim}x{dim} matrix")
-    return matrix
+    # CognitionParams checks its shape against the bias, which _vector ties to D
+    return np.eye(dim) if raw is None or raw == "identity" else numbers(raw, name)
 
 
 def _vector(raw, dim: int, name: str) -> np.ndarray:
     vector = np.zeros(dim) if raw is None or raw == "zero" else numbers(raw, name)
-    if vector.shape != (dim,):
-        raise ValueError(f"{name} must be a vector of length {dim}")
-    return vector
+    return _as_vector(vector, dim, name)
 
 
 @dataclass
@@ -113,11 +114,15 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
                                        "cognition.geometric_window"),
     )
 
-    sim = raw.get("simulation", {})
-    steps = whole_number(sim.get("steps", 100), "simulation.steps")
+    sim, learn = raw.get("simulation", {}), raw.get("learning", {})
+    steps = whole_number(sim.get("steps", 100), "simulation.steps", 1)
+    learning_cycles = whole_number(learn.get("cycles", 50), "learning.cycles", 1)
     dt = finite_number(sim.get("dt", 0.01), "simulation.dt")
-    if dt <= 0 or steps < 1:
-        raise ConfigError(f"simulation needs dt > 0 and steps >= 1, got {dt} and {steps}")
+    for count, name in ((steps, "simulation.steps"), (learning_cycles, "learning.cycles")):
+        # a flow's last time is count * dt; an int past float range raises OverflowError
+        if not math.isfinite(count * dt):
+            raise ConfigError(f"simulation.dt {dt} times {name} {count} must be finite")
+    _as_dt(dt, "simulation.dt")
     if params.predictor == "geometric":
         window_steps(params.geometric_window, dt)
     seeds = [whole_number(s, "seed")
@@ -131,27 +136,16 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     schedule_path = sim.get("inputs")
     inputs = {} if schedule_path is None else load_input_schedule(path.parent / schedule_path)
     for step, vec in inputs.items():
-        if vec.shape != (dim,):
-            raise ConfigError(f"input schedule step {step}: vector dimension != {dim}")
+        _as_vector(vec, dim, f"input schedule step {step}: vector")
     start = _vector(sim["start"], dim, "start") if "start" in sim else None
     velocity = _vector(sim["velocity"], dim, "velocity") if "velocity" in sim else None
 
     threshold = finite_number(raw.get("competition", {}).get("threshold", 0.0),
                               "competition.threshold")
 
-    learn = raw.get("learning", {})
     learning_rate = finite_number(learn.get("rate", 0.2), "learning.rate")
-    learning_cycles = whole_number(learn.get("cycles", 50), "learning.cycles")
-    if not 0.0 <= learning_rate <= 1.0 or learning_cycles < 1:
-        raise ConfigError(f"learning needs rate in [0, 1] and cycles >= 1, got "
-                          f"{learning_rate} and {learning_cycles}")
-    for count, name in ((steps, "simulation.steps"), (learning_cycles, "learning.cycles")):
-        # a flow's last time is count * dt; an int past float range raises OverflowError
-        if not math.isfinite(count * dt):
-            raise ConfigError(f"simulation.dt {dt} times {name} {count} must be finite")
-    if not 2.0**-1022 <= dt * dt < math.inf:
-        raise ConfigError(f"simulation.dt {dt} must have a finite square, at least 2^-1022: "
-                          "the feedback forcing divides by dt**2")
+    if not 0.0 <= learning_rate <= 1.0:
+        raise ConfigError(f"learning.rate must lie in [0, 1], got {learning_rate}")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
 
     geo = raw.get("geodesic", {})

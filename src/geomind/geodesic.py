@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ChartDomainError, ChartExitError, NoGeodesicError
-from .manifold import MetricSource, _as_int, _as_vector
+from .manifold import MetricSource, _as_dt, _as_int, _as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -67,10 +67,9 @@ def geodesic_step(x, v, source: MetricSource, forcing: Optional[np.ndarray],
     (position, velocity). forcing is a D-vector held over the whole step and
     shared by all rows, or None for no forcing. Raises ChartExitError if any
     stage point of any row leaves the chart domain; x and v are then the last
-    valid state. dt must satisfy 0 < dt < inf, else ValueError.
+    valid state. dt follows manifold._as_dt, else ValueError.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _as_dt(dt)
     x = _as_vector(x, source.dim, "position", batch=True)
     v = _as_vector(v, source.dim, "velocity", batch=True)
     if v.shape != x.shape:
@@ -100,7 +99,7 @@ def integrate_geodesic(position, velocity, source: MetricSource,
                        steps: int = 1000, dt: float = 1e-3) -> Trajectory:
     """Integrate from t = 0 for the given number of steps of dt, returning
     steps + 1 samples. steps is an int of at least 0 (manifold._as_int) and
-    dt must satisfy 0 < dt < inf, else ValueError.
+    dt follows manifold._as_dt, else ValueError.
 
     A (B, D) batch of positions and velocities gives (T, B, D) positions and
     velocities, each row bitwise equal to its own run up to the batch's end.
@@ -109,8 +108,7 @@ def integrate_geodesic(position, velocity, source: MetricSource,
     leave the chart truncates them all.
     """
     steps = _as_int(steps, "steps", 0)
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    dt = _as_dt(dt)
     x = _as_vector(position, source.dim, "position", batch=True)
     v = _as_vector(velocity, source.dim, "velocity", batch=True)
     positions, velocities, times = [x], [v], [0.0]

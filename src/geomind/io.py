@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import FieldFormatError
 from .geodesic import Trajectory
-from .manifold import TokenField
+from .manifold import TokenField, _as_int
 from .mind import FieldReport
 
 FORMATS = ("json", "csv")
@@ -41,12 +41,13 @@ def _refuse_constant(text: str):
     raise ValueError(f"{text} is not allowed; numbers must be finite")
 
 
-def whole_number(value, name: str) -> int:
+def whole_number(value, name: str, floor: Optional[int] = None) -> int:
     """value as an int when it is an int, or a float such as 3.0 with no
-    fractional part; a bool or any other value raises ValueError."""
+    fractional part, and at least floor when one is given (manifold._as_int);
+    a bool or any other value raises ValueError."""
     if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    return _as_int(int(value), name, floor)
 
 
 def numbers(raw, name: str) -> np.ndarray:
@@ -148,11 +149,9 @@ def load_field(path: Union[str, Path]) -> TokenField:
     entries = data.get("tokens", [])
     means, full, diagonal = [], [], []
     try:
-        d = whole_number(data["dimension"], "dimension")
+        d = whole_number(data["dimension"], "dimension", 1)
         bandwidth, epsilon = (finite_number(data.get(name, 1.0), name)
                               for name in ("bandwidth", "epsilon"))
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {d}")
         if not isinstance(entries, list):
             raise ValueError(f"tokens must be a list, got {type(entries).__name__}")
         ids = np.empty(len(entries), dtype=np.int64)

@@ -101,6 +101,15 @@ def _as_int(value, name: str, floor: Optional[int] = None) -> int:
     return int(value)
 
 
+def _as_dt(dt, name: str = "dt") -> float:
+    """dt when 0 < dt and 2^-1022 <= dt * dt < inf (2^-511 <= dt < ~1.34e154),
+    else ValueError: the feedback forcing divides by dt**2, a finite normal float."""
+    if not (0 < dt and 2.0**-1022 <= dt * dt < math.inf):
+        raise ValueError(f"{name} must be positive and finite and must have a finite square, "
+                         f"at least 2^-1022: the forcing divides by dt**2; got {dt!r}")
+    return dt
+
+
 def covariance_root(covariance) -> Optional[np.ndarray]:
     """The square root L of a covariance that a Gaussian draw mean + L z
     uses, for a (D, D) matrix or a (D,) row of its diagonal: None for the
@@ -394,15 +403,12 @@ def _exponents(field: TokenField, points: np.ndarray):
         yield (slice(lo, lo + block), *_batch_exponents(field, points[lo:lo + block]))
 
 
-def _kernel_sums(field: TokenField, xc: np.ndarray, exponent: np.ndarray, gradient=True):
+def _kernel_sums(field: TokenField, xc: np.ndarray, exponent: np.ndarray):
     """k = w exp(E) (B, n), rho (B,) and grad rho (B, D) of the x_c and E of
     _batch_exponents, each row bitwise what density_at and density_gradient
-    give its point (vecdot is np.dot by row); without gradient, k and grad
-    are None."""
+    give its point (vecdot is np.dot by row)."""
     kern = np.exp(exponent)
     rho = np.vecdot(kern, field.weights)
-    if not gradient:
-        return None, rho, None
     kern *= field.weights
     grad = (np.matmul(kern[:, None, :], field._slopes)[:, 0]
             - (np.add.reduce(kern, axis=1) / field.bandwidth**2)[:, None] * xc)
@@ -413,8 +419,8 @@ def densities(field: TokenField, points) -> np.ndarray:
     """density_at for each row of a (P, D) array, bitwise, block by block."""
     points = np.asarray(points, dtype=float).reshape(-1, field.dimension)
     rho = np.empty(len(points))
-    for rows, xc, exponent in _exponents(field, points):
-        rho[rows] = _kernel_sums(field, xc, exponent, gradient=False)[1]
+    for rows, _, exponent in _exponents(field, points):
+        rho[rows] = np.vecdot(np.exp(exponent), field.weights)
     return rho
 
 
@@ -604,11 +610,9 @@ class ConformalFieldMetric(MetricSource):
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = _as_vector(x, self.dim, batch=True)
-        if x.ndim == 1:
-            return self.conformal_factor(x) * np.eye(self.dim)
-        # one densities pass, whose rows are density_at's bits
+        # one densities pass for a point or a batch, whose rows are density_at's bits
         lam = 1.0 / (densities(self.field, x) + self.field.epsilon)
-        return lam[:, None, None] * np.eye(self.dim)
+        return lam.reshape(x.shape[:-1] + (1, 1)) * np.eye(self.dim)
 
     def christoffel(self, x: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
         """The gathered tensor, or Gamma(v, v) = ((g.v) v - |v|^2 g / 2) / lambda,

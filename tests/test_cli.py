@@ -811,6 +811,57 @@ def test_malformed_config_value_exits_2(workdir, section, value, command):
     assert not out.exists()
 
 
+THREE_D_FIELD = {"dimension": 3, "tokens": [{"id": 1, "mean": [0.0, 0.0, 0.0]}]}
+
+# one case per load rule of the config and field files: the config sections
+# it updates (None deletes the key), the field file it loads instead of the
+# demo field, if any, and a word that the one error line must hold
+LOAD_RULES = {
+    "dt-zero": ({"simulation": {"dt": 0.0}}, None, "dt"),
+    "steps-zero": ({"simulation": {"steps": 0}}, None, "steps"),
+    "seeds-empty": ({"simulation": {"seeds": []}}, None, "seed"),
+    "schedule-vector-length": ({"simulation": {"inputs": "schedule3.json"}}, None, "vector"),
+    "start-length": ({"simulation": {"start": [0.0, 0.0, 0.0]}}, None, "start"),
+    "rate-above-1": ({"learning": {"rate": 1.5}}, None, "rate"),
+    "rate-negative": ({"learning": {"rate": -0.1}}, None, "rate"),
+    "cycles-zero": ({"learning": {"cycles": 0}}, None, "cycles"),
+    "value-matrix-shape": ({"cognition": {"value_matrix": np.eye(3).tolist()}}, None,
+                           "value_matrix"),
+    "predictor-matrix-shape": ({"cognition": {"predictor_matrix": [[1.0, 0.0]]}}, None,
+                               "predictor_matrix"),
+    "bias-length": ({"cognition": {"bias": [0.0, 0.0, 0.0]}}, None, "bias"),
+    "activation": ({"cognition": {"activation": "relu"}}, None, "activation"),
+    "predictor": ({"cognition": {"predictor": "oracle"}}, None, "predictor"),
+    "field-missing": ({"field": None}, None, "field"),
+    "metric-kind": ({"metric": {"kind": "hyperbolic"}}, None, "kind"),
+    "sphere-on-3d": ({"metric": {"kind": "sphere"}}, THREE_D_FIELD, "sphere"),
+    "field-top-level-list": ({}, [], "top level"),
+    "field-dimension-missing": ({}, {"tokens": []}, "dimension"),
+    "field-dimension-zero": ({}, {"dimension": 0, "tokens": []}, "dimension"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_RULES)
+def test_load_rule_exits_2_with_one_line_naming_the_key(workdir, capsys, case):
+    sections, field, word = LOAD_RULES[case]
+    cfg = json.loads((workdir / "config.json").read_text())
+    for section, update in sections.items():
+        if update is None:
+            del cfg[section]
+        else:
+            cfg[section].update(update)
+    if field is not None:
+        write_json(workdir / "field_rule.json", field)
+        cfg["field"] = "field_rule.json"
+    write_json(workdir / "schedule3.json", [{"step": 0, "vector": [0.1, 0.2, 0.3]}])
+    write_json(workdir / "cfg_rule.json", cfg)
+    out = workdir / "rule_out"
+    assert main(["simulate", "--config", str(workdir / "cfg_rule.json"), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("geomind: error: ") and word in err[0], err
+
+
 # every vector, matrix and token slot of the config, schedule and field files,
 # each fed a quoted number, true, null and a nested list
 NUMBER_SLOTS = {

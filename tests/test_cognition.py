@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,16 @@ def test_input_blend_just_above_one_is_refused():
     assert CognitionParams.defaults(2, input_blend=1.0).input_blend == 1.0
     with pytest.raises(ValueError, match=r"input_blend must lie in \[0, 1\]"):
         CognitionParams.defaults(2, input_blend=float(np.nextafter(1.0, 2.0)))
+
+
+@pytest.mark.parametrize("matrix", ["value_matrix", "predictor_matrix"])
+def test_matrix_shapes_are_checked_against_the_bias(matrix):
+    # the config leaves both shapes to this check, so its message names them
+    with pytest.raises(ValueError, match=re.escape(
+            "value_matrix and predictor_matrix must be DxD and bias a D-vector, got shapes "
+            + ("(3, 3), (2, 2)" if matrix == "value_matrix" else "(2, 2), (3, 3)")
+            + " and (2,)")):
+        CognitionParams.defaults(2, **{matrix: np.eye(3)})
 
 
 def test_window_just_over_half_a_step_is_one_step():

@@ -10,7 +10,8 @@ import geomind.geodesic as geodesic_module
 from geomind import (ChartDomainError, ChartExitError, CognitionParams, ConformalFieldMetric,
                      FlatMetric, MindState, NoGeodesicError, ShootingOptions, SphereMetric,
                      TokenField, Trajectory, cycle_step, feedback_forcing, geodesic_between,
-                     geodesic_step, integrate_geodesic, path_length_energy, predict_geometric)
+                     demo_field, geodesic_step, integrate_geodesic, path_length_energy,
+                     predict_geometric, run_thought_flow)
 from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
 from geomind.manifold import KERNEL_BLOCK
 
@@ -80,6 +81,22 @@ _DT_CALLS = {
 def test_dt_must_be_positive_and_finite(call, dt):
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         _DT_CALLS[call](dt)
+
+
+_FLOW_DT_CALLS = dict(_DT_CALLS, run_thought_flow=lambda dt: run_thought_flow(
+    demo_field(), ConformalFieldMetric(demo_field()), CognitionParams.defaults(2, kappa=1.0),
+    n_steps=3, dt=dt, velocity=[0.0, 0.0]))
+
+
+@pytest.mark.parametrize("dt", [1e308, 1e200, 1e-200, 2.0**-512],
+                         ids=["1e308", "1e200", "1e-200", "2^-512"])
+@pytest.mark.parametrize("call", list(_FLOW_DT_CALLS))
+def test_dt_without_a_finite_normal_square_is_refused(call, dt):
+    # the feedback forcing divides by dt**2: a flow at 1e308 or 1e200 raised
+    # OverflowError at its third cycle, and one at 1e-200 or 2^-512 gave an
+    # infinite forcing; pyproject turns any RuntimeWarning into an error
+    with pytest.raises(ValueError, match=r"must have a finite square, at least 2\^-1022"):
+        _FLOW_DT_CALLS[call](dt)
 
 
 @pytest.mark.parametrize("x, v", [([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [[1.0, 0.0]])])
@@ -503,6 +520,10 @@ def test_metric_rows_equal_single_points(case):
     assert g.shape == x.shape + (source.dim,)
     for row, point in enumerate(x):
         assert g[row].tobytes() == source.metric(point).tobytes()
+        if isinstance(source, ConformalFieldMetric):
+            # the point path of density_at, apart from metric()'s
+            expected = source.conformal_factor(point) * np.eye(source.dim)
+            assert g[row].tobytes() == expected.tobytes()
 
 
 def test_sphere_metric_keeps_the_bits_of_the_scalar_square(sphere):

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from geomind import manifold
 from geomind import (ChartDomainError, ConformalFieldMetric, FlatMetric,
                      MetricSource, SingularMetricError, SphereMetric,
                      TokenField, christoffel_fd, curvature_at,
@@ -600,16 +601,28 @@ def _field_and_points(draw):
     return field, points
 
 
+def _richardson_scalar(source, x):
+    """(4 FD(step / 2) - FD(step)) / 3 of curvature_at's scalar curvature,
+    whose O(step^2) error cancels: FD alone missed the closed form by 1.05e-5
+    of it on the example below, and this by 9.3e-12."""
+    coarse = curvature_at(source, x).scalar
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(manifold, "FD_STEP", manifold.FD_STEP / 2)
+        fine = curvature_at(source, x).scalar
+    return (4.0 * fine - coarse) / 3.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(_field_and_points())
+@example((make_field([[0.0, 0.0, -2.0]], dim=3, bandwidth=0.5), np.array([[2.0, 3.0, 3.0]])))
 def test_closed_form_scalar_curvature_matches_fd(case):
     field, points = case
     source = ConformalFieldMetric(field)
     closed = source.scalar_curvature(points)
     assert closed.shape == (len(points),)
     for x, r in zip(points, closed):
-        fd = curvature_at(source, x).scalar
-        assert r == pytest.approx(fd, rel=1e-5, abs=1e-5 * _curvature_term_scale(field, x))
+        fd = _richardson_scalar(source, x)
+        assert r == pytest.approx(fd, rel=1e-8, abs=1e-8 * _curvature_term_scale(field, x))
 
 
 @settings(max_examples=60, deadline=None)
