@@ -66,8 +66,8 @@ class CognitionParams:
         w = np.asarray(self.value_matrix, dtype=float)
         p = np.asarray(self.predictor_matrix, dtype=float)
         b = np.asarray(self.bias, dtype=float)
-        d = b.shape[0]
-        if w.shape != (d, d) or p.shape != (d, d) or b.ndim != 1:
+        d = b.size
+        if b.ndim != 1 or w.shape != (d, d) or p.shape != (d, d):
             raise ValueError(f"value_matrix and predictor_matrix must be DxD and bias a "
                              f"D-vector, got shapes {w.shape}, {p.shape} and {b.shape}")
         if self.activation not in ("identity", "tanh"):

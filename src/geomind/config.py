@@ -2,7 +2,9 @@
 
 A rule the library holds too is the library's, called at load, before any
 output directory exists: manifold._as_dt, _as_int (through io.whole_number)
-and _as_vector, and CognitionParams for the shapes of its two matrices.
+and _as_vector, CognitionParams for the shapes of its two matrices,
+mind._as_rate for learning.rate, geodesic._as_endpoints for geodesic.start
+and geodesic.end, and io._as_format for output.format.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import numpy as np
 
 from .cognition import CognitionParams, window_steps
 from .errors import ConfigError, GeomindError
-from .geodesic import ShootingOptions
-from .io import (FORMATS, _read_json, finite_number, load_field, load_input_schedule,
+from .geodesic import ShootingOptions, _as_endpoints
+from .io import (_as_format, _read_json, finite_number, load_field, load_input_schedule,
                  numbers, whole_number)
 from .manifold import (ConformalFieldMetric, FlatMetric, MetricSource,
                        SphereMetric, TokenField, _as_dt, _as_vector)
+from .mind import _as_rate
 
 
 def _matrix(raw, dim: int, name: str) -> np.ndarray:
@@ -143,17 +146,15 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
     threshold = finite_number(raw.get("competition", {}).get("threshold", 0.0),
                               "competition.threshold")
 
-    learning_rate = finite_number(learn.get("rate", 0.2), "learning.rate")
-    if not 0.0 <= learning_rate <= 1.0:
-        raise ConfigError(f"learning.rate must lie in [0, 1], got {learning_rate}")
+    learning_rate = _as_rate(finite_number(learn.get("rate", 0.2), "learning.rate"),
+                             "learning.rate")
     learning_input = _vector(learn["input"], dim, "learning input") if "input" in learn else None
 
     geo = raw.get("geodesic", {})
     geodesic_start = _vector(geo["start"], dim, "geodesic start") if "start" in geo else None
     geodesic_end = _vector(geo["end"], dim, "geodesic end") if "end" in geo else None
-    if (geodesic_start is not None and geodesic_end is not None
-            and np.array_equal(geodesic_start, geodesic_end)):
-        raise ConfigError("geodesic start and end must differ")
+    if geodesic_start is not None and geodesic_end is not None:
+        _as_endpoints(geodesic_start, geodesic_end, "geodesic start and end")
     shooting = ShootingOptions(
         tol=finite_number(geo.get("tol", 1e-6), "geodesic.tol"),
         max_iters=whole_number(geo.get("max_iters", 50), "geodesic.max_iters"),
@@ -161,9 +162,7 @@ def _resolve(raw: dict, path: Path, out_override, seed_override) -> RunConfig:
 
     out = raw.get("output", {})
     out_dir = Path(out_override) if out_override else Path(out.get("directory", "out"))
-    fmt = out.get("format", "json")
-    if fmt not in FORMATS:
-        raise ConfigError(f"output format must be one of {FORMATS}, got {fmt!r}")
+    fmt = _as_format(out.get("format", "json"), "output format")
 
     return RunConfig(
         field=field, metric=metric, params=params,

@@ -206,6 +206,13 @@ def _shoot(a: np.ndarray, b: np.ndarray, velocity: np.ndarray, source: MetricSou
     return miss, float(np.linalg.norm(miss)), traj, jac
 
 
+def _as_endpoints(a: np.ndarray, b: np.ndarray, name: str = "endpoints"):
+    """(a, b) when they differ, else ValueError: equal points give no start b - a."""
+    if np.array_equal(a, b):
+        raise ValueError(f"{name} must differ")
+    return a, b
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def geodesic_between(a, b, source: MetricSource,
                      opts: ShootingOptions = ShootingOptions()) -> Trajectory:
@@ -220,10 +227,7 @@ def geodesic_between(a, b, source: MetricSource,
     and the reason: max-iters, backtracks-exhausted or singular-jacobian,
     which a Jacobian or miss that is not finite also gives.
     """
-    a = _as_vector(a, source.dim, "a")
-    b = _as_vector(b, source.dim, "b")
-    if np.array_equal(a, b):
-        raise ValueError("endpoints must differ")
+    a, b = _as_endpoints(_as_vector(a, source.dim, "a"), _as_vector(b, source.dim, "b"))
 
     velocity = b - a
     miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, opts.steps)

@@ -50,6 +50,13 @@ def whole_number(value, name: str, floor: Optional[int] = None) -> int:
     return _as_int(int(value), name, floor)
 
 
+def _as_format(fmt, name: str = "export format") -> str:
+    """fmt when it is one of FORMATS, else ValueError."""
+    if fmt not in FORMATS:
+        raise ValueError(f"{name} must be one of {FORMATS}, got {fmt!r}")
+    return fmt
+
+
 def numbers(raw, name: str) -> np.ndarray:
     """raw, a JSON number or a rectangular nest of lists of them, as a float
     array whose shape the caller checks: the one rule of what counts as a
@@ -352,8 +359,7 @@ def export_trajectory(traj: Trajectory, fmt: str, path: Union[str, Path]) -> Non
     times that are not (T,), positions and velocities not both (T, D), or
     token ids that are neither None nor (T,) integers.
     """
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
+    fmt = _as_format(fmt)
     times, positions, velocities = traj.times, traj.positions, traj.velocities
     ids = None if traj.token_ids is None else np.asarray(traj.token_ids)
     if (positions.ndim != 2 or velocities.shape != positions.shape

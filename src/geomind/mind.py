@@ -150,14 +150,20 @@ def select_conscious(flows: Sequence[ThoughtFlow], threshold: float) -> Selectio
     return Selection(winner=winner, scores=scores, threshold=threshold)
 
 
+def _as_rate(rate, name: str = "learning rate") -> float:
+    """rate when 0 <= rate <= 1, else ValueError, NaN included."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
+    return rate
+
+
 def learn_update(field: TokenField, perceived, rate: float) -> TokenField:
     """Pull the token nearest the perceived point toward it by the given rate.
 
     Returns a new field; ids, weights and covariances are untouched, so the
     only change is the repositioned mean (and therefore the derived metric).
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("learning rate must lie in [0, 1]")
+    rate = _as_rate(rate)
     perceived = _as_vector(perceived, field.dimension, "perceived")
     if not np.isfinite(perceived).all():
         raise ValueError("perceived must be finite")

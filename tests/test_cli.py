@@ -509,7 +509,8 @@ def test_export_refuses_token_ids_that_are_not_integers_per_sample(tmp_path, fmt
 
 def test_unknown_format_rejected_before_write(tmp_path):
     path = tmp_path / "traj.xml"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            f"export format must be one of {FORMATS}, got 'xml'")):
         export_trajectory(_sample_trajectory(), "xml", path)
     assert not path.exists()
 
@@ -838,6 +839,8 @@ LOAD_RULES = {
     "field-top-level-list": ({}, [], "top level"),
     "field-dimension-missing": ({}, {"tokens": []}, "dimension"),
     "field-dimension-zero": ({}, {"dimension": 0, "tokens": []}, "dimension"),
+    "format-unknown": ({"output": {"format": "xml"}}, None, "format"),
+    "endpoints-equal": ({"geodesic": {"end": [-1.5, 0.6]}}, None, "geodesic"),
 }
 
 

@@ -242,14 +242,17 @@ def test_input_blend_just_above_one_is_refused():
         CognitionParams.defaults(2, input_blend=float(np.nextafter(1.0, 2.0)))
 
 
-@pytest.mark.parametrize("matrix", ["value_matrix", "predictor_matrix"])
-def test_matrix_shapes_are_checked_against_the_bias(matrix):
+@pytest.mark.parametrize("slot, value, shapes", [
+    ("value_matrix", np.eye(3), "(3, 3), (2, 2) and (2,)"),
+    ("predictor_matrix", np.eye(3), "(2, 2), (3, 3) and (2,)"),
+    ("bias", 0.0, "(2, 2), (2, 2) and ()"),
+], ids=["value_matrix", "predictor_matrix", "bias"])
+def test_matrix_shapes_are_checked_against_the_bias(slot, value, shapes):
     # the config leaves both shapes to this check, so its message names them
     with pytest.raises(ValueError, match=re.escape(
             "value_matrix and predictor_matrix must be DxD and bias a D-vector, got shapes "
-            + ("(3, 3), (2, 2)" if matrix == "value_matrix" else "(2, 2), (3, 3)")
-            + " and (2,)")):
-        CognitionParams.defaults(2, **{matrix: np.eye(3)})
+            + shapes)):
+        CognitionParams.defaults(2, **{slot: value})
 
 
 def test_window_just_over_half_a_step_is_one_step():

@@ -13,7 +13,7 @@ from geomind import (ChartDomainError, ChartExitError, CognitionParams, Conforma
                      demo_field, geodesic_step, integrate_geodesic, path_length_energy,
                      predict_geometric, run_thought_flow)
 from geomind.geodesic import JACOBIAN_STEP, MAX_BACKTRACKS, _shoot
-from geomind.manifold import KERNEL_BLOCK
+from geomind.manifold import KERNEL_BLOCK, _as_dt
 
 from conftest import make_field
 
@@ -88,15 +88,26 @@ _FLOW_DT_CALLS = dict(_DT_CALLS, run_thought_flow=lambda dt: run_thought_flow(
     n_steps=3, dt=dt, velocity=[0.0, 0.0]))
 
 
-@pytest.mark.parametrize("dt", [1e308, 1e200, 1e-200, 2.0**-512],
-                         ids=["1e308", "1e200", "1e-200", "2^-512"])
+@pytest.mark.parametrize("dt", [1e308, 1e200, 1e-200, 2.0**-512, 10**400, np.float64(1e200),
+                                2.0**512, float(np.nextafter(2.0**-511, 0.0))],
+                         ids=["1e308", "1e200", "1e-200", "2^-512", "10^400", "np-1e200",
+                              "2^512", "below-2^-511"])
 @pytest.mark.parametrize("call", list(_FLOW_DT_CALLS))
 def test_dt_without_a_finite_normal_square_is_refused(call, dt):
     # the feedback forcing divides by dt**2: a flow at 1e308 or 1e200 raised
     # OverflowError at its third cycle, and one at 1e-200 or 2^-512 gave an
-    # infinite forcing; pyproject turns any RuntimeWarning into an error
+    # infinite forcing; pyproject turns any RuntimeWarning into an error, such
+    # as one from squaring a numpy 1e200, and an int beyond float range must
+    # not reach a float conversion
     with pytest.raises(ValueError, match=r"must have a finite square, at least 2\^-1022"):
         _FLOW_DT_CALLS[call](dt)
+
+
+def test_dt_at_its_bounds_is_accepted():
+    # the rule compares dt with 2^-511 and 2^512 and never squares it; the
+    # smallest and largest dt it accepts still have a finite normal square
+    for dt in (2.0**-511, np.nextafter(2.0**512, 0.0)):
+        assert _as_dt(dt) == dt and 2.0**-1022 <= dt * dt < np.inf
 
 
 @pytest.mark.parametrize("x, v", [([0.0, 0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [[1.0, 0.0]])])
@@ -259,7 +270,7 @@ def test_sphere_shooting_with_bent_start(sphere):
 
 
 def test_identical_endpoints_rejected(flat):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="endpoints must differ"):
         geodesic_between([1.0, 1.0], [1.0, 1.0], flat)
 
 

@@ -215,7 +215,7 @@ def test_learn_moves_only_closest_token():
     assert len(updated) == len(field)
 
 
-@pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan, np.inf])
+@pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan, np.inf, float(np.nextafter(1.0, 2.0))])
 def test_learn_refuses_a_rate_outside_0_1(one_token_field, rate):
     with pytest.raises(ValueError, match=r"learning rate must lie in \[0, 1\]"):
         learn_update(one_token_field, [5.0, 5.0], rate)
