@@ -128,7 +128,7 @@ def cmd_geodesic(config: RunConfig) -> int:
         write_json(config.out_dir / "no_geodesic.json", {
             "error": "no-geodesic-found",
             "reason": exc.reason,
-            # a miss is infinite when every shot left the chart; JSON has no Infinity
+            # a miss is infinite when the first shot left the chart; JSON has no Infinity
             "miss": exc.miss if math.isfinite(exc.miss) else None,
             "iterations": exc.iterations,
         })

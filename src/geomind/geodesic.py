@@ -224,25 +224,22 @@ def geodesic_between(a, b, source: MetricSource,
     probes as one batch (_shoot), so a solve of k iterations without
     backtracking makes 1 + k shots of D + 1 rows. Raises NoGeodesicError,
     read downstream as "no connecting path found", with the iterations run
-    and the reason: max-iters, backtracks-exhausted or singular-jacobian,
-    which a Jacobian or miss that is not finite also gives.
+    and the reason: chart-exit if the first shot leaves the chart (a trial
+    that does is rejected), else max-iters, backtracks-exhausted or
+    singular-jacobian, which a Jacobian or miss that is not finite also gives.
     """
     a, b = _as_endpoints(_as_vector(a, source.dim, "a"), _as_vector(b, source.dim, "b"))
 
     velocity = b - a
     miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, opts.steps)
+    if miss is None:
+        raise NoGeodesicError("shooting stopped: the first shot left the chart",
+                              miss=miss_norm, iterations=0, reason="chart-exit")
     iterations, reason = opts.max_iters, "max-iters"
     for iteration in range(opts.max_iters):
-        if miss is not None and miss_norm <= opts.tol:
+        if miss_norm <= opts.tol:
             logger.debug("shooting converged in %d iterations, miss %.3e", iteration, miss_norm)
             return traj
-        if miss is None:
-            # truncated shot: retreat toward a shorter straight guess
-            velocity = 0.5 * (velocity + (b - a))
-            miss, miss_norm, traj, jac = _shoot(a, b, velocity, source, opts.steps)
-            logger.debug("shooting iteration %d: the shot left the chart, retreating toward "
-                         "b - a; miss %.3e", iteration + 1, miss_norm)
-            continue
         try:
             if not (np.isfinite(jac).all() and np.isfinite(miss).all()):
                 raise np.linalg.LinAlgError  # before LAPACK prints an illegal-value line
@@ -264,7 +261,7 @@ def geodesic_between(a, b, source: MetricSource,
         logger.debug("shooting iteration %d: miss %.3e, step scale %g, %d backtracks, "
                      "%d rows per shot", iteration + 1, miss_norm, scale, backtracks,
                      source.dim + 1)
-    if miss is not None and miss_norm <= opts.tol:
+    if miss_norm <= opts.tol:
         return traj
     raise NoGeodesicError(
         f"shooting stopped after {iterations} iterations ({reason}, miss {miss_norm:.3e})",

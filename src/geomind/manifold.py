@@ -102,9 +102,9 @@ def _as_int(value, name: str, floor: Optional[int] = None) -> int:
 
 
 def _as_dt(dt, name: str = "dt") -> float:
-    """dt when 2^-511 <= dt < 2^512, so that dt**2, which the feedback forcing
-    divides by, is a finite normal float, else ValueError; dt is never squared."""
-    if not 2.0**-511 <= dt < 2.0**512:
+    """dt, never a bool, when 2^-511 <= dt < 2^512 (tested without squaring), so
+    that dt**2, which the feedback forcing divides by, is a finite normal float, else ValueError."""
+    if isinstance(dt, (bool, np.bool_)) or not 2.0**-511 <= dt < 2.0**512:
         raise ValueError(f"{name} must be positive and finite and must have a finite square, "
                          f"at least 2^-1022: the forcing divides by dt**2; got {dt!r}")
     return dt

@@ -151,8 +151,8 @@ def select_conscious(flows: Sequence[ThoughtFlow], threshold: float) -> Selectio
 
 
 def _as_rate(rate, name: str = "learning rate") -> float:
-    """rate when 0 <= rate <= 1, else ValueError, NaN included."""
-    if not 0.0 <= rate <= 1.0:
+    """rate, never a bool, when 0 <= rate <= 1, else ValueError, NaN included."""
+    if isinstance(rate, (bool, np.bool_)) or not 0.0 <= rate <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {rate!r}")
     return rate
 

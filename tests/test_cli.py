@@ -1146,7 +1146,8 @@ def test_geodesic_failure_reports_real_iterations_and_reason(workdir):
 
 
 def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
-    # the end lies past the sphere chart's pole, so every shot is truncated
+    # the end lies past the sphere chart's pole, so the first shot, from b - a,
+    # leaves the chart and ends the solve before any iteration
     save_field(make_field([], epsilon=0.5), workdir / "empty.json")
     write_json(workdir / "cfg_pole_geo.json", {
         "field": "empty.json", "metric": {"kind": "sphere", "radius": 1.0},
@@ -1157,8 +1158,8 @@ def test_geodesic_failure_writes_null_when_every_shot_leaves_chart(workdir):
     assert rc == 1
     text = (out / "no_geodesic.json").read_text()
     assert "Infinity" not in text
-    assert json.loads(text) == {"error": "no-geodesic-found", "reason": "max-iters",
-                                "miss": None, "iterations": 4}
+    assert json.loads(text) == {"error": "no-geodesic-found", "reason": "chart-exit",
+                                "miss": None, "iterations": 0}
 
 
 def test_flow_that_never_ran_scores_null_and_cannot_win(workdir):
@@ -1445,6 +1446,13 @@ def test_runs_byte_identical(workdir):
         assert rc == 0
         digests.append(_tree_digest(out))
     assert digests[0] == digests[1] == digests[2]
+
+
+def test_run_refuses_an_unknown_command_before_mkdir(workdir):
+    config = dataclasses.replace(load_config(workdir / "config.json"), out_dir=workdir / "bogus")
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        run("bogus", config)
+    assert not config.out_dir.exists()
 
 
 def test_learn_runs_back_to_back_in_one_process_are_byte_identical(workdir):

@@ -236,6 +236,12 @@ def test_perceive_fully_external():
     assert np.array_equal(perceive([1.0, 2.0], [9.0, 8.0], params), np.array([9.0, 8.0]))
 
 
+def test_perceive_refuses_input_of_another_dimension():
+    params = CognitionParams.defaults(2, input_blend=0.5)
+    with pytest.raises(ValueError, match="input dimension does not match the front"):
+        perceive([1.0, 2.0], [1.0, 2.0, 3.0], params)
+
+
 def test_input_blend_just_above_one_is_refused():
     assert CognitionParams.defaults(2, input_blend=1.0).input_blend == 1.0
     with pytest.raises(ValueError, match=r"input_blend must lie in \[0, 1\]"):

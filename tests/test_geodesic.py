@@ -76,9 +76,11 @@ _DT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1.0, True,
+                                pytest.param(np.True_, id="np-True")])
 @pytest.mark.parametrize("call", list(_DT_CALLS))
 def test_dt_must_be_positive_and_finite(call, dt):
+    # a bool is no time step, though it compares as 1, as _as_int refuses one
     with pytest.raises(ValueError, match="dt must be positive and finite"):
         _DT_CALLS[call](dt)
 
@@ -580,14 +582,12 @@ def _solo_between(a, b, source, opts):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     velocity = b - a
     miss, miss_norm, traj = shoot(velocity)
+    if miss is None:
+        raise NoGeodesicError("reference", miss=miss_norm, iterations=0, reason="chart-exit")
     iterations, reason = opts.max_iters, "max-iters"
     for iteration in range(opts.max_iters):
-        if miss is not None and miss_norm <= opts.tol:
+        if miss_norm <= opts.tol:
             return traj
-        if miss is None:
-            velocity = 0.5 * (velocity + (b - a))
-            miss, miss_norm, traj = shoot(velocity)
-            continue
         d = source.dim
         jac = np.empty((d, d))
         h = JACOBIAN_STEP * max(1.0, float(np.linalg.norm(velocity)))
@@ -608,7 +608,7 @@ def _solo_between(a, b, source, opts):
         else:
             iterations, reason = iteration + 1, "backtracks-exhausted"
             break
-    if miss is not None and miss_norm <= opts.tol:
+    if miss_norm <= opts.tol:
         return traj
     raise NoGeodesicError("reference", miss=miss_norm, iterations=iterations, reason=reason)
 
@@ -732,3 +732,23 @@ def test_solve_with_probes_leaving_the_chart_matches_separate_shots(sphere, monk
     opts = ShootingOptions(tol=1e-8, max_iters=30, steps=50)
     _assert_same_solve([2.0, 0.0], b, sphere, opts)
     assert any(columns)
+
+
+def test_first_shot_leaving_the_chart_stops_the_solve(sphere, monkeypatch):
+    # 5 steps of the straight start [0, 30] leave the chart: with no finite
+    # miss there is nothing to refine, so the solve ends after that one shot
+    velocities = []
+    shoot = geodesic_module._shoot
+
+    def spy(a, b, velocity, *args):
+        velocities.append(velocity.copy())
+        return shoot(a, b, velocity, *args)
+
+    monkeypatch.setattr(geodesic_module, "_shoot", spy)
+    a, b, opts = [1.0, 0.0], [1.0, 30.0], ShootingOptions(steps=5)
+    with pytest.raises(NoGeodesicError) as info:
+        geodesic_between(a, b, sphere, opts)
+    assert len(velocities) == 1 and np.array_equal(velocities[0], [0.0, 30.0])
+    assert (info.value.reason, info.value.iterations, info.value.miss) == ("chart-exit", 0, np.inf)
+    monkeypatch.undo()
+    _assert_same_solve(a, b, sphere, opts)

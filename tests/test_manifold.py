@@ -216,6 +216,17 @@ def test_dimension_mismatch_rejected():
         TokenField([1], np.zeros((1, 2)), np.zeros((1, 3)), [1.0])
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 0)])
+def test_means_that_are_not_n_by_d_with_d_at_least_one_are_refused(shape):
+    with pytest.raises(ValueError, match=r"means must be an \(n, D\) array with D >= 1"):
+        TokenField([1], np.zeros(shape), np.zeros((1, 1)), [1.0])
+
+
+def test_flat_metric_refuses_dimension_zero():
+    with pytest.raises(ValueError, match="dim must be positive"):
+        FlatMetric(0)
+
+
 def test_bad_kernel_parameters_rejected():
     with pytest.raises(ValueError):
         TokenField([], np.empty((0, 2)), np.empty((0, 2, 2)), [], bandwidth=0.0, epsilon=1.0)

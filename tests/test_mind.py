@@ -65,6 +65,11 @@ def test_all_below_threshold_no_winner():
     assert sel.scores == [-4.0, -9.0]
 
 
+def test_selection_from_no_flows_is_refused():
+    with pytest.raises(ValueError, match="no flows to select from"):
+        select_conscious([], 0.0)
+
+
 def test_tie_breaks_to_lowest_index():
     flows = [_flow_with_errors([[1.0, 0.0]]), _flow_with_errors([[1.0, 0.0]])]
     assert select_conscious(flows, threshold=-10.0).winner == 0
@@ -215,8 +220,10 @@ def test_learn_moves_only_closest_token():
     assert len(updated) == len(field)
 
 
-@pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan, np.inf, float(np.nextafter(1.0, 2.0))])
+@pytest.mark.parametrize("rate", [-0.1, 1.5, np.nan, np.inf, float(np.nextafter(1.0, 2.0)), True,
+                                  pytest.param(np.True_, id="np-True")])
 def test_learn_refuses_a_rate_outside_0_1(one_token_field, rate):
+    # a bool compares as 1 but is no rate, as _as_int refuses one for a count
     with pytest.raises(ValueError, match=r"learning rate must lie in \[0, 1\]"):
         learn_update(one_token_field, [5.0, 5.0], rate)
 
@@ -607,6 +614,13 @@ def test_line_in_r5_has_intrinsic_dimension_one():
     direction /= np.linalg.norm(direction)
     field = make_field([float(i) * direction for i in range(8)], dim=5,
                        covs=[np.zeros((5, 5))] * 8)
+    assert intrinsic_dimension(field) == 1
+
+
+def test_tokens_at_one_mean_have_intrinsic_dimension_one():
+    # zero variance: the explained share would be 0/0, an error under
+    # pyproject's RuntimeWarning filter
+    field = make_field([[0.1, 0.7], [0.1, 0.7]])
     assert intrinsic_dimension(field) == 1
 
 
